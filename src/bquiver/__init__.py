@@ -44,7 +44,6 @@ from .pathalg import (
     IdealData,
     apply_to_ideal,
     dilatation,
-    groebner_basis,
     ideal_closure,
     identity_automorphism,
     is_admissible,
@@ -78,8 +77,6 @@ from .hochschild import (
     CohomologySpace,
     Derivation,
     FDAlgebra,
-    build_algebra,
-    cohomology_space,
     conjugate_class,
     induced_algebra_automorphism,
     inner_derivation,

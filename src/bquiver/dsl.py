@@ -202,6 +202,9 @@ class _Parser:
         self.expect("ideal")
         name = self.expect_name().text
         self.expect("{")
+        if self.peek().text == "}":  # an empty body is the zero ideal
+            self.next()
+            return name, []
         gens = [self.parse_relation(doc)]
         while self.peek().text == ";":
             self.next()

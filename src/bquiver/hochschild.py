@@ -4,16 +4,26 @@ The algebra attached to an admissible ideal carries the normal paths as a
 basis (trivial paths first), with the product computed through normal forms.
 A unitary derivation kills the idempotents and preserves every corridor
 ``e_y A e_x``, so it is determined by one vector per arrow: the image inside
-the span of the normal paths parallel to that arrow.  The space of unitary
-derivations is the nullspace of the Leibniz system obtained by expanding the
-reduced-basis elements of the ideal; inner derivations come from idempotent
-combinations and act as integer multiples on each corridor.
+the span of the normal paths parallel to that arrow.  The coordinates of
+those vectors are the *unknowns* of a symbolic derivation D.
 
-Degree-one cohomology is presented as derivations modulo inner derivations
-with the commutator bracket.  Each class is stored through a canonical coset
-representative: coordinates in the derivation basis with the echelon-pivot
-coordinates of the inner subspace zeroed out, so class equality is plain
-vector equality.
+The Leibniz rule is expanded in one place, :meth:`FDAlgebra.leibniz`: for a
+path a_n...a_1, D(p) is the sum over positions i and corridor paths w of
+x_(a_i, w) times the normal form of a_n...w...a_1, kept as a sparse table
+``{basis index: {unknown index: coeff}}`` and memoized per path.  Summing
+the table over the support of each reduced-basis element of the ideal gives
+the linear system whose nullspace is the space of unitary derivations; the
+same table, contracted with a derivation's coordinates, gives its value on
+any basis path.  Inner derivations come from idempotent combinations and act
+as integer multiples on each corridor.
+
+Degree-one cohomology is presented as derivations modulo inner derivations.
+Lie operations act on arrow images only: the bracket is
+[D, E](a) = D(E(a)) - E(D(a)) per arrow, and an algebra automorphism Psi
+conjugates D to the derivation a -> Psi(D(Psi^-1(a))).  Each class is stored
+through a canonical coset representative: coordinates in the derivation basis
+with the echelon-pivot coordinates of the inner subspace zeroed out, so class
+equality is plain vector equality.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ class FDAlgebra:
                 unknowns.append((name, self.basis[i]))
         self.derivation_unknowns: tuple[tuple[str, Path], ...] = tuple(unknowns)
         self._unknown_index = {u: i for i, u in enumerate(self.derivation_unknowns)}
+        self._leibniz: dict[Path, dict[int, dict[int, object]]] = {}
 
     # ---------- vectors and products ----------
 
@@ -95,6 +106,27 @@ class FDAlgebra:
                         out[k] = f.add(out[k], f.mul(c, pk))
         return tuple(out)
 
+    def leibniz(self, path: Path) -> dict[int, dict[int, object]]:
+        """D(path) for the symbolic derivation D, as ``{basis index: {unknown
+        index: coeff}}``: the single expansion of the Leibniz rule."""
+        table = self._leibniz.get(path)
+        if table is None:
+            f = self.field
+            names = path.arrows
+            table = {}
+            for i, name in enumerate(names):
+                a = self.quiver.arrow(name)
+                for bi in self.blocks.get((a.source, a.target), ()):
+                    w = self.basis[bi]
+                    u = self._unknown_index[(name, w)]
+                    term = Path(path.source, path.target, names[:i] + w.arrows + names[i + 1:])
+                    nf = self.ideal.normal_form(AlgebraElement.from_path(self.quiver, f, term))
+                    for p, c in nf.coeffs.items():
+                        cell = table.setdefault(self.index[p], {})
+                        cell[u] = f.add(cell.get(u, f.zero), c)
+            self._leibniz[path] = table
+        return table
+
     def unit_vector(self) -> tuple:
         f = self.field
         vec = [f.zero] * self.dim
@@ -133,7 +165,9 @@ class Derivation:
                     raise ValueError(f"image of {name!r} leaves its corridor")
             imgs[name] = vec
         self.arrow_images = imgs
-        self._matrix: Matrix | None = None
+        self._coordinates = tuple(
+            imgs[name][algebra.index[path]] for name, path in algebra.derivation_unknowns
+        )
 
     @classmethod
     def from_coordinates(cls, algebra: FDAlgebra, coords) -> "Derivation":
@@ -145,48 +179,42 @@ class Derivation:
         return cls(algebra, {n: tuple(v) for n, v in imgs.items()})
 
     def coordinates(self) -> tuple:
-        alg = self.algebra
-        return tuple(
-            self.arrow_images[name][alg.index[path]] for name, path in alg.derivation_unknowns
-        )
+        return self._coordinates
+
+    def image_of_basis(self, j: int) -> dict[int, object]:
+        """D(basis[j]) as ``{basis index: coeff}``, nonzero entries only."""
+        f = self.algebra.field
+        x = self._coordinates
+        out = {}
+        for k, row in self.algebra.leibniz(self.algebra.basis[j]).items():
+            c = f.zero
+            for u, a in row.items():
+                if not f.is_zero(x[u]):
+                    c = f.add(c, f.mul(a, x[u]))
+            if not f.is_zero(c):
+                out[k] = c
+        return out
+
+    def apply_vector(self, vec) -> tuple:
+        f = self.algebra.field
+        out = [f.zero] * self.algebra.dim
+        for j, c in enumerate(vec):
+            if f.is_zero(c):
+                continue
+            for k, y in self.image_of_basis(j).items():
+                out[k] = f.add(out[k], f.mul(c, y))
+        return tuple(out)
 
     def matrix(self) -> Matrix:
         """Matrix on the algebra basis; columns are images of basis paths."""
-        if self._matrix is not None:
-            return self._matrix
-        alg = self.algebra
-        f = alg.field
-        q = alg.quiver
+        f = self.algebra.field
         cols = []
-        for p in alg.basis:
-            if p.is_trivial:
-                cols.append([f.zero] * alg.dim)
-                continue
-            total = [f.zero] * alg.dim
-            names = p.arrows
-            for i, name in enumerate(names):
-                img_vec = self.arrow_images[name]
-                if all(f.is_zero(x) for x in img_vec):
-                    continue
-                img_elem = alg.element_of(img_vec)
-                left = (
-                    AlgebraElement.from_path(q, f, q.path(names[i + 1:]))
-                    if i + 1 < len(names)
-                    else AlgebraElement.unit(q, f)
-                )
-                right = (
-                    AlgebraElement.from_path(q, f, q.path(names[:i]))
-                    if i > 0
-                    else AlgebraElement.unit(q, f)
-                )
-                term = alg.vector_of(left * img_elem * right)
-                total = [f.add(x, y) for x, y in zip(total, term)]
-            cols.append(total)
-        self._matrix = Matrix.from_columns(f, cols)
-        return self._matrix
-
-    def apply_vector(self, vec) -> tuple:
-        return self.matrix().mul_vec(vec)
+        for j in range(self.algebra.dim):
+            col = [f.zero] * self.algebra.dim
+            for k, c in self.image_of_basis(j).items():
+                col[k] = c
+            cols.append(col)
+        return Matrix.from_columns(f, cols)
 
     def leibniz_defect(self, i: int, j: int) -> tuple:
         """d(b_i b_j) - b_i d(b_j) - d(b_i) b_j on basis paths, as a vector."""
@@ -221,38 +249,16 @@ class Derivation:
 def derivation_space(algebra: FDAlgebra) -> list[Derivation]:
     """Canonical basis of the unitary derivations (Leibniz nullspace)."""
     f = algebra.field
-    q = algebra.quiver
-    unknowns = algebra.derivation_unknowns
-    n_unknowns = len(unknowns)
+    n_unknowns = len(algebra.derivation_unknowns)
     rows = []
     for rel in algebra.ideal.basis:
-        # expand the relation with symbolic arrow images and read off each
-        # normal-path coordinate as one linear equation
+        # D(rel) must vanish: each normal-path coordinate is one equation
         contrib: dict[int, dict[int, object]] = {}  # basis idx -> unknown idx -> coeff
         for u_path, u_coeff in rel.coeffs.items():
-            names = u_path.arrows
-            for i, name in enumerate(names):
-                a = q.arrow(name)
-                for bi in algebra.blocks.get((a.source, a.target), ()):
-                    w = algebra.basis[bi]
-                    left = (
-                        AlgebraElement.from_path(q, f, q.path(names[i + 1:]))
-                        if i + 1 < len(names)
-                        else AlgebraElement.unit(q, f)
-                    )
-                    right = (
-                        AlgebraElement.from_path(q, f, q.path(names[:i]))
-                        if i > 0
-                        else AlgebraElement.unit(q, f)
-                    )
-                    alg_vec = algebra.vector_of(
-                        left * AlgebraElement.from_path(q, f, w) * right
-                    )
-                    uidx = algebra._unknown_index[(name, w)]
-                    for k, c in enumerate(alg_vec):
-                        if not f.is_zero(c):
-                            cell = contrib.setdefault(k, {})
-                            cell[uidx] = f.add(cell.get(uidx, f.zero), f.mul(u_coeff, c))
+            for k, row in algebra.leibniz(u_path).items():
+                cell = contrib.setdefault(k, {})
+                for uidx, c in row.items():
+                    cell[uidx] = f.add(cell.get(uidx, f.zero), f.mul(u_coeff, c))
         for k in sorted(contrib):
             row = [f.zero] * n_unknowns
             nonzero = False
@@ -345,12 +351,6 @@ class CohomologySpace:
         self.der_basis = derivation_space(algebra)
         self.inner_basis = inner_derivation_space(algebra)
         f = self.field
-        n_unknowns = len(algebra.derivation_unknowns)
-        self._der_matrix = (
-            Matrix(f, [d.coordinates() for d in self.der_basis], ncols=n_unknowns)
-            if self.der_basis
-            else Matrix.zeros(f, 0, n_unknowns)
-        )
         # canonical nullspace rows are unit on their free columns, so the
         # coefficient of a derivation on basis row j is its free-column entry
         self._free_columns = self._locate_free_columns()
@@ -434,38 +434,20 @@ class CohomologySpace:
             coords = [f.add(x, f.mul(c, y)) for x, y in zip(coords, dc)]
         return Derivation.from_coordinates(self.algebra, coords)
 
-    def derivation_from_matrix(self, m: Matrix) -> Derivation:
-        """Extract arrow images from a matrix that preserves corridors."""
-        alg = self.algebra
-        f = self.field
-        imgs = {}
-        for name in alg.quiver.arrow_names:
-            col = m.column(alg.index[alg.quiver.arrow_path(name)])
-            a = alg.quiver.arrow(name)
-            allowed = set(alg.blocks.get((a.source, a.target), ()))
-            for i, x in enumerate(col):
-                if not f.is_zero(x) and i not in allowed:
-                    raise ValueError("matrix does not preserve corridors on arrows")
-            imgs[name] = col
-        return Derivation(alg, imgs)
-
     def bracket(self, f1: CohomologyClass, g1: CohomologyClass) -> CohomologyClass:
-        """Commutator bracket computed on canonical representatives."""
+        """Commutator bracket [D, E](a) = D(E(a)) - E(D(a)) on the arrows of
+        the canonical representatives."""
         if f1.space is not self or g1.space is not self:
             raise ValueError("classes from a different space")
-        mf = f1.representative().matrix()
-        mg = g1.representative().matrix()
-        fg = mf.mul(mg)
-        gf = mg.mul(mf)
+        d = f1.representative()
+        e = g1.representative()
         f = self.field
-        comm = Matrix(
-            f,
-            [
-                [f.sub(fg.rows[i][j], gf.rows[i][j]) for j in range(fg.ncols)]
-                for i in range(fg.nrows)
-            ],
-        )
-        return self.class_of(self.derivation_from_matrix(comm))
+        imgs = {}
+        for name in self.algebra.quiver.arrow_names:
+            de = d.apply_vector(e.arrow_images[name])
+            ed = e.apply_vector(d.arrow_images[name])
+            imgs[name] = tuple(f.sub(x, y) for x, y in zip(de, ed))
+        return self.class_of(Derivation(self.algebra, imgs))
 
     def is_inner(self, derivation: Derivation) -> bool:
         return self.class_of(derivation).is_zero()
@@ -509,14 +491,6 @@ class ClassSpan:
         return f"ClassSpan(dim {self.dim})"
 
 
-def build_algebra(ideal: IdealData) -> FDAlgebra:
-    return FDAlgebra(ideal)
-
-
-def cohomology_space(algebra: FDAlgebra) -> CohomologySpace:
-    return CohomologySpace(algebra)
-
-
 def induced_algebra_automorphism(algebra: FDAlgebra, rho) -> Matrix:
     """Matrix of the algebra automorphism induced by an ideal-fixing one."""
     if rho.apply_to_ideal(algebra.ideal) != algebra.ideal:
@@ -528,7 +502,13 @@ def induced_algebra_automorphism(algebra: FDAlgebra, rho) -> Matrix:
 
 
 def conjugate_class(space: CohomologySpace, psi_matrix: Matrix, cls: CohomologyClass) -> CohomologyClass:
-    """Push a class forward along an induced algebra automorphism."""
-    m = cls.representative().matrix()
-    conj = psi_matrix.mul(m).mul(inverse(psi_matrix))
-    return space.class_of(space.derivation_from_matrix(conj))
+    """Push a class forward along an induced algebra automorphism Psi: the
+    conjugate derivation sends each arrow a to Psi(D(Psi^-1(a)))."""
+    alg = space.algebra
+    d = cls.representative()
+    psi_inv = inverse(psi_matrix)
+    imgs = {}
+    for name in alg.quiver.arrow_names:
+        pre = psi_inv.column(alg.index[alg.quiver.arrow_path(name)])
+        imgs[name] = psi_matrix.mul_vec(d.apply_vector(pre))
+    return space.class_of(Derivation(alg, imgs))

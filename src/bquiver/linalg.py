@@ -63,9 +63,6 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], ncols=self.nrows)
-
     def mul(self, other: "Matrix") -> "Matrix":
         self.field.require_same(other.field)
         if self.ncols != other.nrows:
@@ -254,16 +251,6 @@ def poly_trim(field: Field, coeffs) -> tuple:
 
 def poly_degree(coeffs) -> int:
     return len(coeffs) - 1
-
-
-def poly_add(field: Field, a, b) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.add(x, y))
-    return poly_trim(field, out)
 
 
 def poly_scale(field: Field, a, s) -> tuple:

@@ -303,10 +303,6 @@ class IdealData:
         return f"<{gens}>"
 
 
-def groebner_basis(quiver: Quiver, field: Field, generators: Sequence[AlgebraElement]) -> IdealData:
-    return IdealData(quiver, field, generators)
-
-
 def zero_ideal(quiver: Quiver, field: Field) -> IdealData:
     return IdealData(quiver, field, ())
 

@@ -25,6 +25,7 @@ from .hochschild import (
     ClassSpan,
     CohomologyClass,
     CohomologySpace,
+    Derivation,
     FDAlgebra,
 )
 from .homotopy import (
@@ -124,17 +125,15 @@ class Presentation:
         if not self.hom.check_weights(weights):
             raise ValueError("weights violate the tree normalization or a pair equation")
         f = self.field
+        alg = self.algebra
         P = self.adapted_matrix()
-        Pinv = self._adapted_inv
-        n = self.algebra.dim
-        scalars = [
-            weight_of_path(f, weights, p) for p in self.kernel.normal_paths
-        ]
-        scaled = Matrix.from_columns(
-            f, [tuple(f.mul(scalars[j], x) for x in P.column(j)) for j in range(n)]
-        )
-        m = scaled.mul(Pinv)
-        return self.space.class_of(self.space.derivation_from_matrix(m))
+        scalars = [weight_of_path(f, weights, p) for p in self.kernel.normal_paths]
+        # arrow a goes to P (s * P^-1 a): the arrow columns of P diag(s) P^-1
+        imgs = {}
+        for name in alg.quiver.arrow_names:
+            pre = self._adapted_inv.column(alg.index[alg.quiver.arrow_path(name)])
+            imgs[name] = P.mul_vec([f.mul(s, x) for s, x in zip(scalars, pre)])
+        return self.space.class_of(Derivation(alg, imgs))
 
     def character_image(self) -> ClassSpan:
         if self._image is None:
@@ -188,8 +187,10 @@ class SpecialBasis:
 def _block_matrix(space: CohomologySpace, cls: CohomologyClass, block_key) -> Matrix:
     alg = space.algebra
     idxs = alg.blocks[block_key]
-    m = cls.representative().matrix()
-    return Matrix(space.field, [[m.rows[i][j] for j in idxs] for i in idxs], ncols=len(idxs))
+    d = cls.representative()
+    cols = [d.image_of_basis(j) for j in idxs]
+    zero = space.field.zero
+    return Matrix(space.field, [[col.get(i, zero) for col in cols] for i in idxs], ncols=len(idxs))
 
 
 def diagonalizability_witness(cls: CohomologyClass):
@@ -293,10 +294,10 @@ def common_eigenbasis(classes) -> SpecialBasis:
 def _assert_diagonal(space: CohomologySpace, classes, basis: SpecialBasis):
     f = space.field
     for cls in classes:
-        m = cls.representative().matrix()
+        d = cls.representative()
         for vecs in basis.blocks.values():
             for v in vecs:
-                image = m.mul_vec(v)
+                image = d.apply_vector(v)
                 lam = None
                 for i, x in enumerate(v):
                     if not f.is_zero(x):
@@ -370,11 +371,11 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
     q = space.algebra.quiver
     weights_out = []
     for cls in classes:
-        m = cls.representative().matrix()
+        d = cls.representative()
         raw = {}
         for name in q.arrow_names:
             vec = pres.image_of_path(q.arrow_path(name))
-            image = m.mul_vec(vec)
+            image = d.apply_vector(vec)
             lam = None
             for i, x in enumerate(vec):
                 if not f.is_zero(x):

@@ -9,11 +9,19 @@ from bquiver import (
     Derivation,
     FDAlgebra,
     GF,
+    Matrix,
+    Presentation,
     QQ,
     Quiver,
+    conjugate_class,
+    enumerate_bypasses,
+    induced_algebra_automorphism,
     inner_derivation,
+    transvection_of,
     zero_ideal,
 )
+from bquiver.homotopy import weight_of_path
+from bquiver.linalg import inverse
 
 from conftest import (
     commutative_square,
@@ -21,6 +29,9 @@ from conftest import (
     kronecker,
     parallel_pair,
     random_admissible_ideal,
+    random_field,
+    random_fixing_automorphism,
+    random_nonzero,
     random_quiver,
     two_triangles_full,
 )
@@ -280,3 +291,77 @@ def test_derivation_space_matches_brute_force_on_random_instances():
         space = CohomologySpace(alg)
         assert count == 2 ** len(space.der_basis)
         checked += 1
+
+
+def _class_of_arrow_columns(space, m):
+    """The class of the derivation whose arrow images are m's arrow columns."""
+    alg = space.algebra
+    q = alg.quiver
+    imgs = {name: m.column(alg.index[q.arrow_path(name)]) for name in q.arrow_names}
+    return space.class_of(Derivation(alg, imgs))
+
+
+def _random_class(rng, space):
+    f = space.field
+    cls = space.zero_class()
+    for b in space.basis_classes():
+        if rng.random() < 0.7:
+            cls = cls + b.scale(random_nonzero(rng, f))
+    return cls
+
+
+def test_arrow_image_lie_operations_match_dense_matrices():
+    # oracle: the bracket, the character embedding and conjugation computed
+    # as dense dim x dim products, reading only the arrow columns
+    rng = random.Random(2024)
+    fields_seen = set()
+    done = 0
+    while done < 12:
+        q = random_quiver(rng, max_vertices=5, max_paths=25)
+        field = QQ if done % 3 == 0 else random_field(rng)
+        fields_seen.add(field)
+        ideal = random_admissible_ideal(rng, q, field)
+        space = CohomologySpace(FDAlgebra(ideal))
+        f = field
+        for _ in range(3):
+            x, y = _random_class(rng, space), _random_class(rng, space)
+            mf = x.representative().matrix()
+            mg = y.representative().matrix()
+            fg, gf = mf.mul(mg), mg.mul(mf)
+            comm = Matrix(f, [[f.sub(u, v) for u, v in zip(r1, r2)] for r1, r2 in zip(fg.rows, gf.rows)])
+            assert space.bracket(x, y) == _class_of_arrow_columns(space, comm)
+        pres = Presentation.natural(space, q.spanning_tree(q.vertices[0]))
+        bypasses = enumerate_bypasses(q)
+        if bypasses:
+            pres = pres.twist(transvection_of(q, f, rng.choice(bypasses), random_nonzero(rng, f)))
+        P = pres.adapted_matrix()
+        hom = pres.hom
+        combo = [f.zero] * len(hom.arrow_order)
+        for vec in hom.basis_vectors:
+            c = random_nonzero(rng, f)
+            combo = [f.add(x, f.mul(c, v)) for x, v in zip(combo, vec)]
+        for w in hom.basis + [hom.weights_from_vector(combo)]:
+            s = [weight_of_path(f, w, p) for p in pres.kernel.normal_paths]
+            scaled = Matrix.from_columns(f, [[f.mul(s[j], x) for x in P.column(j)] for j in range(P.ncols)])
+            dense = scaled.mul(inverse(P))
+            assert pres.embed_character(w) == _class_of_arrow_columns(space, dense)
+        psi_matrix = induced_algebra_automorphism(space.algebra, random_fixing_automorphism(rng, ideal))
+        for c in space.basis_classes():
+            dense = psi_matrix.mul(c.representative().matrix()).mul(inverse(psi_matrix))
+            assert conjugate_class(space, psi_matrix, c) == _class_of_arrow_columns(space, dense)
+        done += 1
+    assert QQ in fields_seen and len(fields_seen) > 1
+
+
+def test_happel_formula_on_hereditary_algebras():
+    # dim HH^1(kQ) = 1 - |Q0| + sum over arrows of #paths s(alpha) -> t(alpha)
+    rng = random.Random(1989)
+    for field in (QQ, GF(2)):
+        for _ in range(15):
+            q = random_quiver(rng, max_vertices=6, max_paths=40)
+            paths = [p for p in q.all_paths() if not p.is_trivial]
+            happel = 1 - len(q.vertices) + sum(
+                sum(1 for p in paths if (p.source, p.target) == (a.source, a.target))
+                for a in q.arrows
+            )
+            assert CohomologySpace(FDAlgebra(zero_ideal(q, field))).dim == happel
