@@ -302,18 +302,22 @@ def inner_derivation_space(algebra: FDAlgebra) -> list[Derivation]:
 class CohomologyClass:
     """A cohomology class held by its canonical coset-representative vector."""
 
-    __slots__ = ("space", "vector")
+    __slots__ = ("space", "vector", "_representative")
 
     def __init__(self, space: "CohomologySpace", vector):
         self.space = space
         self.vector = tuple(space.field.coerce(x) for x in vector)
+        self._representative = None
 
     def is_zero(self) -> bool:
         z = self.space.field.zero
         return all(x == z for x in self.vector)
 
     def representative(self) -> Derivation:
-        return self.space.representative(self.vector)
+        """The canonical representative, built once: classes are immutable."""
+        if self._representative is None:
+            self._representative = self.space.representative(self.vector)
+        return self._representative
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         f = self.space.field
@@ -351,35 +355,16 @@ class CohomologySpace:
         self.der_basis = derivation_space(algebra)
         self.inner_basis = inner_derivation_space(algebra)
         f = self.field
-        # canonical nullspace rows are unit on their free columns, so the
-        # coefficient of a derivation on basis row j is its free-column entry
-        self._free_columns = self._locate_free_columns()
-        inner_coords = [self._der_coefficients(d.coordinates()) for d in self.inner_basis]
-        if inner_coords:
-            reduced, pivots = rref(Matrix(f, inner_coords, ncols=len(self.der_basis)))
-            self._inner_rows = reduced.rows
-            self._inner_pivots = pivots
-        else:
-            self._inner_rows = ()
-            self._inner_pivots = ()
-        self.dim = len(self.der_basis) - len(self._inner_rows)
-
-    def _locate_free_columns(self) -> tuple[int, ...]:
-        f = self.field
-        cols = []
-        for j, d in enumerate(self.der_basis):
-            coords = d.coordinates()
-            unit_col = None
-            for c_idx, value in enumerate(coords):
-                if value == f.one and all(
-                    f.is_zero(self.der_basis[k].coordinates()[c_idx]) for k in range(len(self.der_basis)) if k != j
-                ):
-                    unit_col = c_idx
-                    break
-            if unit_col is None:
-                raise AssertionError("derivation basis is not in canonical form")
-            cols.append(unit_col)
-        return tuple(cols)
+        # canonical nullspace vectors are unit on their free column, their
+        # last nonzero coordinate, so the coefficient of a derivation on
+        # basis vector j is its entry there
+        self._free_columns = tuple(
+            max(c for c, x in enumerate(d.coordinates()) if not f.is_zero(x)) for d in self.der_basis
+        )
+        self._inner = Subspace(
+            f, len(self.der_basis), [self._der_coefficients(d.coordinates()) for d in self.inner_basis]
+        )
+        self.dim = len(self.der_basis) - self._inner.dim
 
     def _der_coefficients(self, coords) -> tuple:
         f = self.field
@@ -393,28 +378,18 @@ class CohomologySpace:
             raise ValueError("derivation does not satisfy the Leibniz system")
         return coeffs
 
-    def _canonicalize(self, coeffs) -> tuple:
-        f = self.field
-        v = list(coeffs)
-        for row in self._inner_rows:
-            lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
-            if not f.is_zero(v[lead]):
-                factor = v[lead]
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-        return tuple(v)
-
     # ---------- classes ----------
 
     def class_of(self, derivation: Derivation) -> CohomologyClass:
         coeffs = self._der_coefficients(derivation.coordinates())
-        return CohomologyClass(self, self._canonicalize(coeffs))
+        return CohomologyClass(self, self._inner.reduce(coeffs))
 
     def zero_class(self) -> CohomologyClass:
         return CohomologyClass(self, [self.field.zero] * len(self.der_basis))
 
     def basis_classes(self) -> list[CohomologyClass]:
         f = self.field
-        pivots = set(self._inner_pivots)
+        pivots = set(self._inner.pivots)
         out = []
         for j in range(len(self.der_basis)):
             if j in pivots:
@@ -491,24 +466,25 @@ class ClassSpan:
         return f"ClassSpan(dim {self.dim})"
 
 
-def induced_algebra_automorphism(algebra: FDAlgebra, rho) -> Matrix:
-    """Matrix of the algebra automorphism induced by an ideal-fixing one."""
+def induced_algebra_automorphism(algebra: FDAlgebra, rho) -> tuple[Matrix, Matrix]:
+    """Matrix of the algebra automorphism induced by an ideal-fixing one,
+    with its inverse (computing it also shows the map is not singular)."""
     if rho.apply_to_ideal(algebra.ideal) != algebra.ideal:
         raise ValueError("automorphism does not fix the defining ideal")
     cols = [algebra.vector_of(rho.apply_path(p)) for p in algebra.basis]
     m = Matrix.from_columns(algebra.field, cols)
-    inverse(m)  # raises if the induced map were singular (it never is)
-    return m
+    return m, inverse(m)
 
 
-def conjugate_class(space: CohomologySpace, psi_matrix: Matrix, cls: CohomologyClass) -> CohomologyClass:
+def conjugate_class(
+    space: CohomologySpace, psi_matrix: Matrix, psi_inverse: Matrix, cls: CohomologyClass
+) -> CohomologyClass:
     """Push a class forward along an induced algebra automorphism Psi: the
     conjugate derivation sends each arrow a to Psi(D(Psi^-1(a)))."""
     alg = space.algebra
     d = cls.representative()
-    psi_inv = inverse(psi_matrix)
     imgs = {}
     for name in alg.quiver.arrow_names:
-        pre = psi_inv.column(alg.index[alg.quiver.arrow_path(name)])
+        pre = psi_inverse.column(alg.index[alg.quiver.arrow_path(name)])
         imgs[name] = psi_matrix.mul_vec(d.apply_vector(pre))
     return space.class_of(Derivation(alg, imgs))

@@ -1,10 +1,15 @@
-"""Dense exact linear algebra over a :class:`~bquiver.fields.Field`.
+"""Exact linear algebra over a :class:`~bquiver.fields.Field`.
 
-Everything is deterministic and exact: the reduced row echelon form is the
-unique one, nullspace bases follow the free-variable unit convention (free
-columns in increasing order each receive a unit coordinate), and the Smith
-normal form works on arbitrary-precision integers while tracking the
-unimodular row/column transforms.
+One elimination serves the whole package: ``_Echelon`` holds a span by its
+sparse, fully reduced, monic echelon basis (rows ``{column: coeff}``), with
+the column order as its one parameter.  Matrices order columns by ascending
+index; ideals of the path algebra order paths descending, so each pivot is
+the greatest path of its row.  That basis is unique, so ``rref``, the
+``Subspace`` basis, nullspace bases (free columns in increasing order each
+receive a unit coordinate), remainders and minimal polynomials do not depend
+on the order rows arrive in.  ``Matrix`` stays a plain dense value type.
+The Smith normal form works on arbitrary-precision integers while tracking
+the unimodular row/column transforms.
 
 Polynomials are coefficient tuples in ascending degree order with no trailing
 zeros; ``()`` is the zero polynomial.
@@ -111,33 +116,87 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
+class _Echelon:
+    """The one exact elimination: a sparse echelon basis kept fully reduced.
+
+    Rows are ``{column: coeff}`` dicts with no zero entries, stored by their
+    leading column (the pivot) and monic there; after every ``insert`` no
+    pivot column occurs in any other row.  ``lead`` picks the leading column
+    of a support and so fixes the column order: ``min`` for matrix columns,
+    the greatest path for ideals.  The fully reduced monic basis of a span is
+    unique, so the rows do not depend on the order of insertion.
+    """
+
+    __slots__ = ("field", "lead", "rows")
+
+    def __init__(self, field: Field, lead=min):
+        self.field = field
+        self.lead = lead
+        self.rows: dict = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """The remainder of ``vec`` modulo the span: no pivot in its support.
+
+        Rows hold no other pivot, so one pass over the pivots in ``vec``
+        clears them all.
+        """
+        out = dict(vec)
+        for c, x in vec.items():
+            row = self.rows.get(c)
+            if row is not None:
+                _subtract_multiple(self.field, out, x, row)
+        return out
+
+    def insert(self, vec: dict):
+        """Add ``vec`` to the span; returns its new pivot, or None if it was
+        already in the span."""
+        f = self.field
+        rem = self.reduce(vec)
+        if not rem:
+            return None
+        pivot = self.lead(rem)
+        inv = f.inv(rem[pivot])
+        rem = {c: f.mul(inv, x) for c, x in rem.items()}
+        for p, row in self.rows.items():
+            x = row.get(pivot)
+            if x is not None:
+                row = dict(row)
+                _subtract_multiple(f, row, x, rem)
+                self.rows[p] = row
+        self.rows[pivot] = rem
+        return pivot
+
+
+def _subtract_multiple(f: Field, acc: dict, x, row: dict) -> None:
+    """``acc -= x * row`` in place, dropping the entries that cancel."""
+    neg = f.neg(x)
+    for c, y in row.items():
+        z = f.add(acc.get(c, f.zero), f.mul(neg, y))
+        if f.is_zero(z):
+            acc.pop(c, None)
+        else:
+            acc[c] = z
+
+
+def _sparse(f: Field, vec: Sequence) -> dict:
+    return {j: x for j, x in enumerate(vec) if not f.is_zero(x)}
+
+
+def _dense(f: Field, row: dict, n: int) -> tuple:
+    return tuple(row.get(j, f.zero) for j in range(n))
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row echelon form; zero rows dropped.
 
     Returns the reduced matrix and the strictly increasing pivot columns.
     """
     f = m.field
-    rows = [list(r) for r in m.rows]
-    pivots = []
-    r = 0
-    for c in range(m.ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not f.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not f.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(f, rows[:r], ncols=m.ncols), tuple(pivots)
+    ech = _Echelon(f)
+    for row in m.rows:
+        ech.insert(_sparse(f, row))
+    pivots = tuple(sorted(ech.rows))
+    return Matrix(f, [_dense(f, ech.rows[p], m.ncols) for p in pivots], ncols=m.ncols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -145,7 +204,11 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix) -> list[tuple]:
-    """Canonical kernel basis: one vector per free column, unit there."""
+    """Canonical kernel basis: one vector per free column, unit there.
+
+    Every other nonzero coordinate sits on a pivot column left of the free
+    column, so each vector's free column is its last nonzero coordinate.
+    """
     f = m.field
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
@@ -193,34 +256,28 @@ class Subspace:
     def __init__(self, field: Field, dimension_ambient: int, vectors: Sequence[Sequence] = ()):
         self.field = field
         self.ambient = dimension_ambient
-        vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
-        for v in vecs:
+        self._echelon = _Echelon(field)
+        for v in vectors:
             if len(v) != dimension_ambient:
                 raise ValueError("vector length mismatch")
-        if vecs:
-            reduced, _ = rref(Matrix(field, vecs, ncols=dimension_ambient))
-            self.basis = reduced.rows
-        else:
-            self.basis = ()
+            self._echelon.insert(_sparse(field, [field.coerce(x) for x in v]))
+        self.pivots = tuple(sorted(self._echelon.rows))
+        self.basis = tuple(_dense(field, self._echelon.rows[p], dimension_ambient) for p in self.pivots)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def _remainder(self, vec: Sequence) -> dict:
+        f = self.field
+        return self._echelon.reduce(_sparse(f, [f.coerce(x) for x in vec]))
+
     def reduce(self, vec: Sequence) -> tuple:
         """Remainder of ``vec`` after elimination against the echelon basis."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if not f.is_zero(x))
-            if not f.is_zero(v[lead]):
-                factor = v[lead]
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        return _dense(self.field, self._remainder(vec), self.ambient)
 
     def contains(self, vec: Sequence) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
+        return not self._remainder(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -326,42 +383,24 @@ def minimal_polynomial(m: Matrix) -> tuple:
     """Monic least-degree polynomial annihilating the square matrix ``m``.
 
     Found as the first linear dependency among the flattened powers
-    I, m, m^2, ...; the dependency coefficients are tracked through the
-    elimination, so the result is exact.
+    I, m, m^2, ...: power k is reduced with one extra tracking column
+    ``n*n + k`` set to 1, so the first remainder whose leading column is a
+    tracking column holds the dependency, already monic in degree k.
     """
     if m.nrows != m.ncols:
         raise ValueError("minimal polynomial needs a square matrix")
     f = m.field
-    n = m.nrows
-    width = n * n
-
-    def flatten(mat: Matrix) -> list:
-        return [x for row in mat.rows for x in row]
-
-    # echelon rows over the first `width` columns, combination tracked behind
-    echelon: list[list] = []
-    power = Matrix.identity(f, n)
+    width = m.nrows * m.nrows
+    ech = _Echelon(f)
+    power = Matrix.identity(f, m.nrows)
     k = 0
     while True:
-        row = flatten(power) + [f.zero] * (k + 1)
+        row = _sparse(f, [x for r in power.rows for x in r])
         row[width + k] = f.one
-        for er in echelon:
-            lead = next(j for j in range(width) if not f.is_zero(er[j]))
-            if not f.is_zero(row[lead]):
-                factor = row[lead]
-                for j in range(len(er)):
-                    row[j] = f.sub(row[j], f.mul(factor, er[j]))
-        if all(f.is_zero(row[j]) for j in range(width)):
-            combo = row[width:width + k + 1]
-            inv = f.inv(combo[k])
-            return poly_trim(f, [f.mul(inv, c) for c in combo])
-        lead = next(j for j in range(width) if not f.is_zero(row[j]))
-        inv = f.inv(row[lead])
-        row = [f.mul(inv, x) for x in row]
-        # pad earlier echelon rows to the current width
-        for er in echelon:
-            er.extend([f.zero] * (len(row) - len(er)))
-        echelon.append(row)
+        rem = ech.reduce(row)
+        if min(rem) >= width:
+            return tuple(rem.get(width + i, f.zero) for i in range(k + 1))
+        ech.insert(rem)
         power = power.mul(m)
         k += 1
 

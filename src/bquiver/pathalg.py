@@ -17,10 +17,11 @@ families used everywhere else.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .fields import Field, FieldMismatchError
-from .linalg import Matrix, rank, solve
+from .linalg import Matrix, _Echelon, rank, solve
 from .quiver import Bypass, Path, Quiver
 
 
@@ -140,49 +141,6 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b
 
 
-class _Echelon:
-    """Mutable echelon span over descending path order; pivots are greatest."""
-
-    def __init__(self, quiver: Quiver, field: Field):
-        self.quiver = quiver
-        self.field = field
-        self.rows: dict[Path, AlgebraElement] = {}  # pivot path -> monic element
-
-    def reduce(self, elem: AlgebraElement) -> AlgebraElement:
-        f = self.field
-        while not elem.is_zero():
-            lead = elem.leading_path()
-            row = self.rows.get(lead)
-            if row is None:
-                return elem
-            elem = elem - row.scale(elem.coefficient(lead))
-        return elem
-
-    def insert(self, elem: AlgebraElement) -> Path | None:
-        """Insert after reduction; returns the new pivot path, if any."""
-        elem = self.reduce(elem)
-        if elem.is_zero():
-            return None
-        lead = elem.leading_path()
-        elem = elem.scale(self.field.inv(elem.coefficient(lead)))
-        self.rows[lead] = elem
-        return lead
-
-    def fully_reduced_rows(self) -> list[AlgebraElement]:
-        """Mutually reduce rows so no pivot appears in any other row."""
-        order = sorted(self.rows, key=self.quiver.path_key)
-        for pivot in order:
-            row = self.rows[pivot]
-            for other_pivot in order:
-                if other_pivot == pivot:
-                    continue
-                other = self.rows[other_pivot]
-                c = other.coefficient(pivot)
-                if not self.field.is_zero(c):
-                    self.rows[other_pivot] = other - row.scale(c)
-        return [self.rows[p] for p in order]
-
-
 def _corridor_components(elem: AlgebraElement) -> list[AlgebraElement]:
     """Split an element into its (source, target)-parallel components."""
     buckets: dict[tuple[str, str], dict[Path, object]] = {}
@@ -192,33 +150,40 @@ def _corridor_components(elem: AlgebraElement) -> list[AlgebraElement]:
     return [AlgebraElement(elem.quiver, elem.field, buckets[k]) for k in keys]
 
 
-def ideal_closure(quiver: Quiver, field: Field, generators: Sequence[AlgebraElement]) -> list[AlgebraElement]:
-    """Echelon basis of the two-sided ideal generated by the elements.
+def _closure(quiver: Quiver, field: Field, generators: Sequence[AlgebraElement]) -> _Echelon:
+    """Echelon of the two-sided ideal generated by the elements.
 
     Generators are first split into parallel components (truncation by the
     trivial paths), then closed under multiplication by arrows on both
     sides.  Acyclicity bounds path lengths, so this terminates.
     """
-    ech = _Echelon(quiver, field)
+    ech = _Echelon(field, functools.partial(max, key=quiver.path_key))
     queue: list[AlgebraElement] = []
+
+    def insert(elem: AlgebraElement):
+        pivot = ech.insert(elem.coeffs)
+        if pivot is not None:
+            queue.append(AlgebraElement(quiver, field, ech.rows[pivot]))
+
     for g in generators:
         if g.field != field:
             raise FieldMismatchError("generator over the wrong field")
         for comp in _corridor_components(g):
-            pivot = ech.insert(comp)
-            if pivot is not None:
-                queue.append(ech.rows[pivot])
+            insert(comp)
     arrow_elems = [AlgebraElement.from_path(quiver, field, quiver.arrow_path(n)) for n in quiver.arrow_names]
-    while queue:
-        elem = queue.pop(0)
+    # the loop also visits the remainders it appends; their span is the
+    # span of the echelon, so closing them under arrows closes the echelon
+    for elem in queue:
         for a in arrow_elems:
             for prod in (a * elem, elem * a):
-                if prod.is_zero():
-                    continue
-                pivot = ech.insert(prod)
-                if pivot is not None:
-                    queue.append(ech.rows[pivot])
-    return ech.fully_reduced_rows()
+                if not prod.is_zero():
+                    insert(prod)
+    return ech
+
+
+def ideal_closure(quiver: Quiver, field: Field, generators: Sequence[AlgebraElement]) -> list[AlgebraElement]:
+    """Reduced basis of the two-sided ideal generated by the elements."""
+    return list(IdealData(quiver, field, generators).basis)
 
 
 class IdealData:
@@ -228,12 +193,11 @@ class IdealData:
         self.quiver = quiver
         self.field = field
         self.generators = tuple(generators)
-        basis = ideal_closure(quiver, field, generators)
-        self.basis = tuple(sorted(basis, key=lambda e: quiver.path_key(e.leading_path())))
-        self.pivot_paths = tuple(e.leading_path() for e in self.basis)
+        self._echelon = _closure(quiver, field, generators)
+        self.pivot_paths = tuple(quiver.sort_paths(self._echelon.rows))
+        self.basis = tuple(AlgebraElement(quiver, field, self._echelon.rows[p]) for p in self.pivot_paths)
         pivot_set = set(self.pivot_paths)
         self.normal_paths = tuple(p for p in quiver.all_paths() if p not in pivot_set)
-        self._pivot_row = {e.leading_path(): e for e in self.basis}
 
     # ---------- membership and normal forms ----------
 
@@ -242,19 +206,7 @@ class IdealData:
         if elem.quiver is not self.quiver:
             raise ValueError("element over a different quiver")
         self.field.require_same(elem.field)
-        f = self.field
-        # one descending sweep suffices: replacements are strictly smaller
-        work = dict(elem.coeffs)
-        for pivot in sorted(self._pivot_row, key=self.quiver.path_key, reverse=True):
-            c = work.get(pivot)
-            if c is None or f.is_zero(c):
-                continue
-            row = self._pivot_row[pivot]
-            for p, rc in row.coeffs.items():
-                if p != pivot:
-                    work[p] = f.sub(work.get(p, f.zero), f.mul(c, rc))
-            del work[pivot]
-        return AlgebraElement(self.quiver, f, work)
+        return AlgebraElement(self.quiver, self.field, self._echelon.reduce(elem.coeffs))
 
     def contains(self, elem: AlgebraElement) -> bool:
         return self.normal_form(elem).is_zero()

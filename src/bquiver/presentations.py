@@ -41,6 +41,7 @@ from .homotopy import (
 from .linalg import (
     Matrix,
     Subspace,
+    _Echelon,
     inverse,
     minimal_polynomial,
     nullspace,
@@ -335,22 +336,22 @@ def adapted_presentation(space: CohomologySpace, basis: SpecialBasis, tree: Span
         idxs = list(alg.blocks[key])
         arrow_positions = [alg.index[q.arrow_path(n)] for n in arrow_names]
         candidates = sorted(basis.block(*key), key=lambda v: _candidate_order(f, idxs, v))
-        chosen_residues: list[tuple] = []
+        # residues of the chosen elements; a candidate is independent of them
+        # exactly when inserting its residue adds a pivot
+        chosen = _Echelon(f)
         used = set()
         for name in arrow_names:
             picked = None
             for ci, cand in enumerate(candidates):
                 if ci in used:
                     continue
-                residue = tuple(cand[i] for i in arrow_positions)
-                test = Subspace(f, len(arrow_positions), chosen_residues + [residue])
-                if test.dim == len(chosen_residues) + 1:
-                    picked = (ci, cand, residue)
+                residue = {k: cand[i] for k, i in enumerate(arrow_positions) if not f.is_zero(cand[i])}
+                if chosen.insert(residue) is not None:
+                    picked = (ci, cand)
                     break
             if picked is None:
                 raise ValueError("no basis element completes an invertible substitution")
             used.add(picked[0])
-            chosen_residues.append(picked[2])
             images[name] = alg.element_of(picked[1])
     chi = Automorphism(q, f, images)
     return Presentation(space, chi, tree)

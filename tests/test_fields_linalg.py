@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -141,6 +142,60 @@ def test_subspace_membership_and_equality():
     assert s == t
 
 
+def random_matrix(rng, field, kind):
+    """A random matrix of one of the shapes the echelon must handle."""
+    nrows, ncols = {"wide": (2, 7), "tall": (7, 3)}.get(kind, (rng.randint(1, 5), rng.randint(1, 6)))
+    if kind == "rank-deficient":
+        r = rng.randint(0, min(nrows, ncols) - 1)
+        left = [[random_scalar(rng, field) for _ in range(r)] for _ in range(nrows)]
+        right = [[random_scalar(rng, field) for _ in range(ncols)] for _ in range(r)]
+        return Matrix(
+            field,
+            [[field.sum(field.mul(left[i][k], right[k][j]) for k in range(r)) for j in range(ncols)] for i in range(nrows)],
+            ncols=ncols,
+        )
+    density = 0.25 if kind == "sparse" else 1.0
+    return Matrix(
+        field,
+        [[random_scalar(rng, field) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)],
+        ncols=ncols,
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "rank-deficient", "wide", "tall"])
+def test_echelon_is_the_unique_rref(field, kind):
+    rng = random.Random(f"{field}-{kind}")
+    for _ in range(25):
+        m = random_matrix(rng, field, kind)
+        reduced, pivots = rref(m)
+        space = Subspace(field, m.ncols, m.rows)
+        assert space.basis == reduced.rows and space.pivots == pivots
+        # the definition: increasing pivots, each entry 1 and alone in its column
+        assert list(pivots) == sorted(set(pivots))
+        for i, (row, pc) in enumerate(zip(reduced.rows, pivots)):
+            assert all(field.is_zero(x) for x in row[:pc])
+            assert row[pc] == field.one
+            assert all(field.is_zero(other[pc]) for k, other in enumerate(reduced.rows) if k != i)
+        # every input row is the combination of its own pivot entries
+        for row in m.rows:
+            combo = [field.zero] * m.ncols
+            for red, pc in zip(reduced.rows, pivots):
+                combo = [field.add(x, field.mul(row[pc], y)) for x, y in zip(combo, red)]
+            assert tuple(combo) == row
+        # neither the order of the rows nor redundant rows change the result
+        shuffled = list(m.rows)
+        rng.shuffle(shuffled)
+        for _ in range(3):
+            coeffs = [random_scalar(rng, field) for _ in m.rows]
+            shuffled.insert(
+                rng.randrange(len(shuffled) + 1),
+                [field.sum(field.mul(c, r[j]) for c, r in zip(coeffs, m.rows)) for j in range(m.ncols)],
+            )
+        assert rref(Matrix(field, shuffled, ncols=m.ncols)) == (reduced, pivots)
+        assert Subspace(field, m.ncols, shuffled) == space
+
+
 # ---------- Smith normal form ----------
 
 def test_snf_hand_reduction():
@@ -218,6 +273,35 @@ def test_minimal_polynomial_annihilates(field):
             power = power.mul(m)
         assert acc.is_zero()
         assert coeffs[-1] == field.one
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)])
+def test_minimal_polynomial_is_minimal(field):
+    # oracle: every monic polynomial of lower degree, tried exhaustively,
+    # fails to annihilate m (all matrices up to 3x3 over GF(2), up to 2x2
+    # over GF(3), and a sample of 3x3 ones over GF(3))
+    rng = random.Random(13)
+    p = field.p
+    shapes = [(n, range(p ** (n * n))) for n in (1, 2)]
+    shapes.append((3, range(p ** 9) if p == 2 else [rng.randrange(p ** 9) for _ in range(150)]))
+
+    def evaluate(coeffs, m):
+        n = m.nrows
+        acc = Matrix.zeros(field, n, n)
+        for c in reversed(coeffs):  # Horner: acc = acc * m + c I
+            acc = acc.mul(m)
+            acc = Matrix(field, [[field.add(x, c if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(acc.rows)])
+        return acc
+
+    for n, codes in shapes:
+        for code in codes:
+            m = Matrix(field, [[(code // p ** (i * n + j)) % p for j in range(n)] for i in range(n)])
+            mp = minimal_polynomial(m)
+            assert mp[-1] == field.one and evaluate(mp, m).is_zero()
+            degree = len(mp) - 1
+            for d in range(degree):
+                for low in itertools.product(range(p), repeat=d):
+                    assert not evaluate(low + (1,), m).is_zero()
 
 
 def test_roots_gf2_splits():

@@ -345,10 +345,10 @@ def test_arrow_image_lie_operations_match_dense_matrices():
             scaled = Matrix.from_columns(f, [[f.mul(s[j], x) for x in P.column(j)] for j in range(P.ncols)])
             dense = scaled.mul(inverse(P))
             assert pres.embed_character(w) == _class_of_arrow_columns(space, dense)
-        psi_matrix = induced_algebra_automorphism(space.algebra, random_fixing_automorphism(rng, ideal))
+        psi_matrix, psi_inverse = induced_algebra_automorphism(space.algebra, random_fixing_automorphism(rng, ideal))
         for c in space.basis_classes():
             dense = psi_matrix.mul(c.representative().matrix()).mul(inverse(psi_matrix))
-            assert conjugate_class(space, psi_matrix, c) == _class_of_arrow_columns(space, dense)
+            assert conjugate_class(space, psi_matrix, psi_inverse, c) == _class_of_arrow_columns(space, dense)
         done += 1
     assert QQ in fields_seen and len(fields_seen) > 1
 

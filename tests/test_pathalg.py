@@ -24,6 +24,7 @@ from conftest import (
     parallel_pair_quiver,
     path_of,
     random_admissible_ideal,
+    random_nonzero,
     random_quiver,
     two_triangles_full,
     two_triangles_pair,
@@ -269,6 +270,7 @@ def test_is_monomial_cases():
 
 def test_reduced_basis_independent_of_generator_presentation():
     rng = random.Random(77)
+    mix = random.Random(78)  # own stream, so the instances stay those of rng
     for _ in range(10):
         q = random_quiver(rng)
         field = rng.choice([QQ, GF(3)])
@@ -282,3 +284,13 @@ def test_reduced_basis_independent_of_generator_presentation():
         # redundant or scaled generating sets do not change the basis
         doubled = IdealData(q, field, list(ideal.generators) + [e.scale(2) for e in ideal.basis])
         assert doubled == ideal
+        # nor does the order the generators arrive in
+        shuffled_gens = list(ideal.generators) + [e.scale(2) for e in ideal.basis]
+        mix.shuffle(shuffled_gens)
+        shuffled = IdealData(q, field, shuffled_gens)
+        assert shuffled == ideal
+        paths = q.all_paths()
+        for _ in range(5):
+            support = mix.sample(paths, min(4, len(paths)))
+            x = AlgebraElement(q, field, {p: random_nonzero(mix, field) for p in support})
+            assert shuffled.normal_form(x) == ideal.normal_form(x)
