@@ -46,10 +46,6 @@ from .pathalg import (
     dilatation,
     ideal_closure,
     identity_automorphism,
-    is_admissible,
-    is_monomial,
-    multiply,
-    normal_form,
     transvection,
     transvection_of,
     zero_ideal,
@@ -78,7 +74,6 @@ from .hochschild import (
     Derivation,
     FDAlgebra,
     conjugate_class,
-    induced_algebra_automorphism,
     inner_derivation,
     inner_derivation_space,
     derivation_space,

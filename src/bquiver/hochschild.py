@@ -19,16 +19,18 @@ as integer multiples on each corridor.
 
 Degree-one cohomology is presented as derivations modulo inner derivations.
 Lie operations act on arrow images only: the bracket is
-[D, E](a) = D(E(a)) - E(D(a)) per arrow, and an algebra automorphism Psi
-conjugates D to the derivation a -> Psi(D(Psi^-1(a))).  Each class is stored
-through a canonical coset representative: coordinates in the derivation basis
-with the echelon-pivot coordinates of the inner subspace zeroed out, so class
-equality is plain vector equality.
+[D, E](a) = D(E(a)) - E(D(a)) per arrow, and the algebra automorphism Psi
+induced by an ideal-fixing path-algebra automorphism rho conjugates D to the
+derivation a -> Psi(D(Psi^-1(a))), where Psi^-1(a) is the normal form of
+rho^-1(a) and Psi applies rho to a normal-path combination.  Each class is
+stored through a canonical coset representative: coordinates in the
+derivation basis with the echelon-pivot coordinates of the inner subspace
+zeroed out, so class equality is plain vector equality.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, inverse, nullspace, rref
+from .linalg import Matrix, Subspace, nullspace, rref
 from .pathalg import AlgebraElement, IdealData
 from .quiver import Path
 
@@ -466,25 +468,17 @@ class ClassSpan:
         return f"ClassSpan(dim {self.dim})"
 
 
-def induced_algebra_automorphism(algebra: FDAlgebra, rho) -> tuple[Matrix, Matrix]:
-    """Matrix of the algebra automorphism induced by an ideal-fixing one,
-    with its inverse (computing it also shows the map is not singular)."""
-    if rho.apply_to_ideal(algebra.ideal) != algebra.ideal:
-        raise ValueError("automorphism does not fix the defining ideal")
-    cols = [algebra.vector_of(rho.apply_path(p)) for p in algebra.basis]
-    m = Matrix.from_columns(algebra.field, cols)
-    return m, inverse(m)
-
-
-def conjugate_class(
-    space: CohomologySpace, psi_matrix: Matrix, psi_inverse: Matrix, cls: CohomologyClass
-) -> CohomologyClass:
-    """Push a class forward along an induced algebra automorphism Psi: the
-    conjugate derivation sends each arrow a to Psi(D(Psi^-1(a)))."""
+def conjugate_class(space: CohomologySpace, rho, cls: CohomologyClass) -> CohomologyClass:
+    """Push a class forward along the algebra automorphism Psi induced by an
+    ideal-fixing path-algebra automorphism rho: the conjugate derivation
+    sends each arrow a to Psi(D(Psi^-1(a))), where Psi^-1(a) = rho^-1(a)."""
     alg = space.algebra
+    if rho.apply_to_ideal(alg.ideal) != alg.ideal:
+        raise ValueError("automorphism does not fix the defining ideal")
+    rho_inverse = rho.invert()
     d = cls.representative()
     imgs = {}
     for name in alg.quiver.arrow_names:
-        pre = psi_inverse.column(alg.index[alg.quiver.arrow_path(name)])
-        imgs[name] = psi_matrix.mul_vec(d.apply_vector(pre))
+        image = d.apply_vector(alg.vector_of(rho_inverse.images[name]))
+        imgs[name] = alg.vector_of(rho.apply(alg.element_of(image)))
     return space.class_of(Derivation(alg, imgs))

@@ -21,7 +21,7 @@ import functools
 from typing import Sequence
 
 from .fields import Field, FieldMismatchError
-from .linalg import Matrix, _Echelon, rank, solve
+from .linalg import Matrix, Subspace, _Echelon, solve
 from .quiver import Bypass, Path, Quiver
 
 
@@ -137,10 +137,6 @@ class AlgebraElement:
     __repr__ = __str__
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def _corridor_components(elem: AlgebraElement) -> list[AlgebraElement]:
     """Split an element into its (source, target)-parallel components."""
     buckets: dict[tuple[str, str], dict[Path, object]] = {}
@@ -211,9 +207,6 @@ class IdealData:
     def contains(self, elem: AlgebraElement) -> bool:
         return self.normal_form(elem).is_zero()
 
-    def pivot_coefficient(self, elem: AlgebraElement, j: int):
-        return elem.coefficient(self.pivot_paths[j])
-
     # ---------- predicates ----------
 
     def is_admissible(self) -> tuple[bool, list]:
@@ -259,18 +252,6 @@ def zero_ideal(quiver: Quiver, field: Field) -> IdealData:
     return IdealData(quiver, field, ())
 
 
-def is_admissible(ideal: IdealData) -> tuple[bool, list]:
-    return ideal.is_admissible()
-
-
-def normal_form(elem: AlgebraElement, ideal: IdealData) -> AlgebraElement:
-    return ideal.normal_form(elem)
-
-
-def is_monomial(ideal: IdealData) -> bool:
-    return ideal.is_monomial()
-
-
 class Automorphism:
     """An idempotent-fixing algebra automorphism given by its arrow images.
 
@@ -312,8 +293,7 @@ class Automorphism:
             for col in names:
                 img = self.images[col]
                 block.append([img.coefficient(self.quiver.arrow_path(row)) for row in names])
-            m = Matrix(f, list(map(list, zip(*block))), ncols=len(names))
-            if rank(m) != len(names):
+            if Subspace(f, len(names), block).dim != len(names):
                 raise ValueError("arrow-level substitution matrix is singular")
 
     # ---------- application ----------

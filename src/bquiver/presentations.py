@@ -6,7 +6,10 @@ automorphism of the path algebra; its kernel is the transported ideal and its
 tree-normalized character of the kernel's fundamental group (a weight vector
 on arrows), the embedding sends it to the class of the derivation acting
 diagonally on the adapted basis, the eigenvalue on each basis element being
-the weight sum along the underlying path.
+the weight sum along the underlying path.  Only its arrow images are
+computed: arrow a goes to chi(s * nf_K(chi^-1(a))), where nf_K is the normal
+form modulo the kernel K = chi^-1(I) and s scales each normal path by its
+eigenvalue, so no matrix of the adapted basis is built or inverted.
 
 Diagonalizability of a class is decided corridor by corridor: the canonical
 representative must have a squarefree, completely split minimal polynomial
@@ -42,13 +45,12 @@ from .linalg import (
     Matrix,
     Subspace,
     _Echelon,
-    inverse,
     minimal_polynomial,
     nullspace,
     poly_is_squarefree,
     roots_over_field,
 )
-from .pathalg import Automorphism, IdealData, identity_automorphism
+from .pathalg import AlgebraElement, Automorphism, IdealData, identity_automorphism
 from .quiver import Path, SpanningTree
 
 
@@ -68,8 +70,7 @@ class Presentation:
         self.chi = chi
         self.tree = tree
         self._kernel: IdealData | None = None
-        self._adapted: Matrix | None = None
-        self._adapted_inv: Matrix | None = None
+        self._chi_inverse: Automorphism | None = None
         self._hom: HomSpace | None = None
         self._image: ClassSpan | None = None
 
@@ -84,7 +85,8 @@ class Presentation:
     @property
     def kernel(self) -> IdealData:
         if self._kernel is None:
-            self._kernel = self.chi.invert().apply_to_ideal(self.algebra.ideal)
+            self._chi_inverse = self.chi.invert()
+            self._kernel = self._chi_inverse.apply_to_ideal(self.algebra.ideal)
             ok, bad = self._kernel.is_admissible()
             assert ok, f"kernel of a presentation must be admissible: {bad}"
         return self._kernel
@@ -101,17 +103,8 @@ class Presentation:
         """The vector of the path's image in the reference algebra."""
         return self.algebra.vector_of(self.chi.apply_path(p))
 
-    def adapted_matrix(self) -> Matrix:
-        """Columns are the images of the kernel's normal paths (a basis)."""
-        if self._adapted is None:
-            cols = [self.image_of_path(p) for p in self.kernel.normal_paths]
-            self._adapted = Matrix.from_columns(self.field, cols)
-            self._adapted_inv = inverse(self._adapted)
-        return self._adapted
-
     def adapted_basis_blocks(self) -> "SpecialBasis":
         blocks: dict[tuple[str, str], list[tuple]] = {}
-        self.adapted_matrix()
         for p in self.kernel.normal_paths:
             if p.is_trivial:
                 continue
@@ -127,13 +120,14 @@ class Presentation:
             raise ValueError("weights violate the tree normalization or a pair equation")
         f = self.field
         alg = self.algebra
-        P = self.adapted_matrix()
-        scalars = [weight_of_path(f, weights, p) for p in self.kernel.normal_paths]
-        # arrow a goes to P (s * P^-1 a): the arrow columns of P diag(s) P^-1
+        kernel = self.kernel
+        # a = chi(c) modulo the ideal for c = nf_K(chi^-1(a)), since
+        # K = chi^-1(I); so a goes to chi(s * c)
         imgs = {}
         for name in alg.quiver.arrow_names:
-            pre = self._adapted_inv.column(alg.index[alg.quiver.arrow_path(name)])
-            imgs[name] = P.mul_vec([f.mul(s, x) for s, x in zip(scalars, pre)])
+            c = kernel.normal_form(self._chi_inverse.images[name])
+            scaled = {p: f.mul(weight_of_path(f, weights, p), x) for p, x in c.coeffs.items()}
+            imgs[name] = alg.vector_of(self.chi.apply(AlgebraElement(alg.quiver, f, scaled)))
         return self.space.class_of(Derivation(alg, imgs))
 
     def character_image(self) -> ClassSpan:

@@ -29,7 +29,6 @@ from .hochschild import (
     CohomologySpace,
     FDAlgebra,
     conjugate_class,
-    induced_algebra_automorphism,
 )
 from .homotopy import (
     Decision,
@@ -653,8 +652,7 @@ def verify_main_theorem(
                 record("conjugacy pair: common kernel", "unknown", "kernels are different ideals")
                 continue
             rho = p2.chi.compose(p1.chi.invert())
-            psi_matrix, psi_inverse = induced_algebra_automorphism(algebra, rho)
-            mapped = space.span([conjugate_class(space, psi_matrix, psi_inverse, c) for c in s1.basis_classes()])
+            mapped = space.span([conjugate_class(space, rho, c) for c in s1.basis_classes()])
             ok = mapped.contains_span(s2) and s2.contains_span(mapped)
             pair_count += 1
             record("conjugacy pair: automorphism carries one image onto the other", "pass" if ok else "fail")

@@ -14,8 +14,8 @@ from bquiver import (
     QQ,
     Quiver,
     conjugate_class,
+    dilatation,
     enumerate_bypasses,
-    induced_algebra_automorphism,
     inner_derivation,
     transvection_of,
     zero_ideal,
@@ -334,7 +334,7 @@ def test_arrow_image_lie_operations_match_dense_matrices():
         bypasses = enumerate_bypasses(q)
         if bypasses:
             pres = pres.twist(transvection_of(q, f, rng.choice(bypasses), random_nonzero(rng, f)))
-        P = pres.adapted_matrix()
+        P = Matrix.from_columns(f, [pres.image_of_path(p) for p in pres.kernel.normal_paths])
         hom = pres.hom
         combo = [f.zero] * len(hom.arrow_order)
         for vec in hom.basis_vectors:
@@ -345,12 +345,27 @@ def test_arrow_image_lie_operations_match_dense_matrices():
             scaled = Matrix.from_columns(f, [[f.mul(s[j], x) for x in P.column(j)] for j in range(P.ncols)])
             dense = scaled.mul(inverse(P))
             assert pres.embed_character(w) == _class_of_arrow_columns(space, dense)
-        psi_matrix, psi_inverse = induced_algebra_automorphism(space.algebra, random_fixing_automorphism(rng, ideal))
+        rho = random_fixing_automorphism(rng, ideal)
+        alg = space.algebra
+        psi_matrix = Matrix.from_columns(f, [alg.vector_of(rho.apply_path(p)) for p in alg.basis])
         for c in space.basis_classes():
             dense = psi_matrix.mul(c.representative().matrix()).mul(inverse(psi_matrix))
-            assert conjugate_class(space, psi_matrix, psi_inverse, c) == _class_of_arrow_columns(space, dense)
+            assert conjugate_class(space, rho, c) == _class_of_arrow_columns(space, dense)
         done += 1
     assert QQ in fields_seen and len(fields_seen) > 1
+
+
+def test_conjugate_class_rejects_an_automorphism_moving_the_ideal():
+    q, _, ideal_diff, _ = parallel_pair(QQ)
+    space = CohomologySpace(FDAlgebra(ideal_diff))
+    assert space.basis_classes()
+    # a -> 2a sends c*a - c*b to 2c*a - c*b, outside the ideal
+    with pytest.raises(ValueError, match="does not fix the defining ideal"):
+        conjugate_class(space, dilatation(q, QQ, {"a": 2}), space.basis_classes()[0])
+    # scaling a and b alike fixes it
+    both = dilatation(q, QQ, {"a": 2, "b": 2})
+    for c in space.basis_classes():
+        assert conjugate_class(space, both, c) == c
 
 
 def test_happel_formula_on_hereditary_algebras():
