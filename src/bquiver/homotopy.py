@@ -286,6 +286,7 @@ class HomotopyOracle:
             self._snf = smith_normal_form(rows)
         else:
             self._snf = ((), (), ())
+        self._decisions: dict[Word, Decision] = {}
 
     # -- the abelian "no" side --
 
@@ -345,6 +346,14 @@ class HomotopyOracle:
     # -- public decisions --
 
     def decide_closed_word(self, word: Word) -> Decision:
+        """Three-valued triviality of a closed word, memoized per word."""
+        decision = self._decisions.get(word)
+        if decision is None:
+            decision = self._decide(word)
+            self._decisions[word] = decision
+        return decision
+
+    def _decide(self, word: Word) -> Decision:
         cert = self._abelian_reject(word)
         if cert is not None:
             return Decision(NO, cert)
@@ -366,32 +375,34 @@ class HomotopyOracle:
     def decide_arrow_path(self, arrow_name: str, path: Path) -> Decision:
         return self.decide_paths(self.quiver.arrow_path(arrow_name), path)
 
+    def same_relation(self, other: "HomotopyOracle") -> Decision:
+        """Do the two ideals generate the same homotopy relation?
+
+        Yes iff every generating pair of each relation is homotopic under the
+        other; a single certified "no" settles inequality; otherwise unknown.
+        """
+        if self.quiver is not other.quiver:
+            raise ValueError("ideals over different quivers")
+        sawunknown = False
+        for u, v in self.pairs:
+            d = other.decide_paths(u, v)
+            if d.verdict == NO:
+                return Decision(NO, ((u, v), "second"))
+            if d.verdict == UNKNOWN:
+                sawunknown = True
+        for u, v in other.pairs:
+            d = self.decide_paths(u, v)
+            if d.verdict == NO:
+                return Decision(NO, ((u, v), "first"))
+            if d.verdict == UNKNOWN:
+                sawunknown = True
+        return Decision(UNKNOWN if sawunknown else YES)
+
 
 def decide_homotopic(u: Walk, v: Walk, ideal: IdealData, budgets: Budgets = DEFAULT_BUDGETS) -> Decision:
     return HomotopyOracle(ideal, budgets=budgets).decide_walks(u, v)
 
 
 def relations_equal(first: IdealData, second: IdealData, budgets: Budgets = DEFAULT_BUDGETS) -> Decision:
-    """Do two admissible ideals generate the same homotopy relation?
-
-    Yes iff every generating pair of each relation is homotopic under the
-    other; a single certified "no" settles inequality; otherwise unknown.
-    """
-    if first.quiver is not second.quiver:
-        raise ValueError("ideals over different quivers")
-    oracle_first = HomotopyOracle(first, budgets=budgets)
-    oracle_second = HomotopyOracle(second, budgets=budgets)
-    sawunknown = False
-    for u, v in oracle_first.pairs:
-        d = oracle_second.decide_paths(u, v)
-        if d.verdict == NO:
-            return Decision(NO, ((u, v), "second"))
-        if d.verdict == UNKNOWN:
-            sawunknown = True
-    for u, v in oracle_second.pairs:
-        d = oracle_first.decide_paths(u, v)
-        if d.verdict == NO:
-            return Decision(NO, ((u, v), "first"))
-        if d.verdict == UNKNOWN:
-            sawunknown = True
-    return Decision(UNKNOWN if sawunknown else YES)
+    """Do two admissible ideals generate the same homotopy relation?"""
+    return HomotopyOracle(first, budgets=budgets).same_relation(HomotopyOracle(second, budgets=budgets))

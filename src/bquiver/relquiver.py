@@ -36,8 +36,6 @@ from .homotopy import (
     NO,
     UNKNOWN,
     YES,
-    homotopy_pairs,
-    relations_equal,
 )
 from .linalg import smith_normal_form
 from .pathalg import (
@@ -101,6 +99,7 @@ class TransvectionCase:
     image_ideal: IdealData
     source_decision: Decision
     target_decision: Decision
+    oracle: HomotopyOracle  # of the image ideal
 
 
 def classify_transvection(
@@ -110,15 +109,22 @@ def classify_transvection(
     tree: SpanningTree | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
     source_oracle: HomotopyOracle | None = None,
+    phi: Automorphism | None = None,
 ) -> TransvectionCase:
-    """Apply one transvection and classify the pair of homotopy relations."""
+    """Apply one transvection and classify the pair of homotopy relations.
+
+    ``source_oracle``, when given, is the oracle of ``ideal`` under ``tree``
+    and ``budgets``; ``phi``, when given, is the transvection of ``bypass``
+    at ``tau``.
+    """
     f = ideal.field
     if f.is_zero(f.coerce(tau)):
         raise ValueError("transvection scalar must be nonzero")
-    phi = transvection_of(ideal.quiver, f, bypass, tau)
+    if phi is None:
+        phi = transvection_of(ideal.quiver, f, bypass, tau)
     image = phi.apply_to_ideal(ideal)
     src = source_oracle or HomotopyOracle(ideal, tree, budgets)
-    tgt = HomotopyOracle(image, tree, budgets)
+    tgt = src if image == ideal else HomotopyOracle(image, tree, budgets)
     a = src.decide_arrow_path(bypass.arrow, bypass.path)
     b = tgt.decide_arrow_path(bypass.arrow, bypass.path)
     if a.verdict == YES and b.verdict == YES:
@@ -135,13 +141,12 @@ def classify_transvection(
         label = EQUAL_IDEALS
     else:
         label = UNKNOWN
-    return TransvectionCase(label, image, a, b)
+    return TransvectionCase(label, image, a, b, tgt)
 
 
 @dataclass
 class RelationVertex:
     ideal: IdealData
-    pairs: tuple
     back_auto: Automorphism
     back_steps: tuple  # ((bypass, tau), ...) mapping the seed ideal here
     oracle: HomotopyOracle
@@ -199,32 +204,39 @@ def build_relation_quiver(
         truncated=False,
     )
 
-    def add_vertex(ideal: IdealData, back_auto: Automorphism, back_steps: tuple) -> int:
-        rq.vertices.append(
-            RelationVertex(
-                ideal=ideal,
-                pairs=homotopy_pairs(ideal),
-                back_auto=back_auto,
-                back_steps=back_steps,
-                oracle=HomotopyOracle(ideal, tree, budgets),
-            )
-        )
+    # Every ideal already located, with its vertex.  The oracles are
+    # deterministic and vertices are only appended, so scanning the same
+    # ideal again would reach the same vertex.
+    located: dict[IdealData, int] = {}
+    # One transvection per (bypass, tau), shared by every vertex.
+    transvections: dict[tuple, Automorphism] = {}
+
+    def transvection(bp: Bypass, tau) -> Automorphism:
+        phi = transvections.get((bp, tau))
+        if phi is None:
+            phi = transvections[(bp, tau)] = transvection_of(quiver, f, bp, tau)
+        return phi
+
+    def add_vertex(oracle: HomotopyOracle, back_auto: Automorphism, back_steps: tuple) -> int:
+        rq.vertices.append(RelationVertex(oracle.ideal, back_auto, back_steps, oracle))
+        located[oracle.ideal] = len(rq.vertices) - 1
         return len(rq.vertices) - 1
 
-    def locate(ideal: IdealData) -> tuple[int | None, bool]:
+    def locate(oracle: HomotopyOracle) -> tuple[int | None, bool]:
         """Existing vertex carrying the same relation, plus an ambiguity flag."""
+        if oracle.ideal in located:
+            return located[oracle.ideal], False
         ambiguous = False
         for i, v in enumerate(rq.vertices):
-            if v.ideal == ideal:
-                return i, False
-            d = relations_equal(v.ideal, ideal, budgets)
+            d = v.oracle.same_relation(oracle)
             if d.verdict == YES:
+                located[oracle.ideal] = i
                 return i, False
             if d.verdict == UNKNOWN:
                 ambiguous = True
         return None, ambiguous
 
-    add_vertex(seed, identity_automorphism(quiver, f), ())
+    add_vertex(HomotopyOracle(seed, tree, budgets), identity_automorphism(quiver, f), ())
     queue = [0]
     seen_arrows = set()
     candidates = 0
@@ -237,16 +249,16 @@ def build_relation_quiver(
                 if candidates > budgets.graph_max_candidates or len(rq.vertices) > budgets.graph_max_vertices:
                     rq.truncated = True
                     return rq
+                phi = transvection(bp, tau)
                 case = classify_transvection(
-                    vertex.ideal, bp, tau, tree, budgets, source_oracle=vertex.oracle
+                    vertex.ideal, bp, tau, tree, budgets, source_oracle=vertex.oracle, phi=phi
                 )
                 if case.label == EQUAL_IDEALS:
                     continue
-                widx, ambiguous = locate(case.image_ideal)
+                widx, ambiguous = locate(case.oracle)
                 if widx is None:
-                    phi = transvection_of(quiver, f, bp, tau)
                     widx = add_vertex(
-                        case.image_ideal,
+                        case.oracle,
                         phi.compose(vertex.back_auto),
                         vertex.back_steps + ((bp, tau),),
                     )
@@ -268,7 +280,6 @@ def build_relation_quiver(
                 else:
                     # direct predecessor: the inverse transvection witnesses
                     # the succession from the image ideal back onto ours
-                    phi = transvection_of(quiver, f, bp, tau)
                     edge = (widx, vi)
                     arrow = RelationArrow(
                         widx, vi, bp, f.neg(f.coerce(tau)),
@@ -574,6 +585,12 @@ def verify_main_theorem(
     src_report = sources_report(rq)
 
     source_set = set(src_report["sources"])
+
+    def source_relation_verdicts(kernel: IdealData) -> list[str]:
+        """Does the kernel carry the relation of each source, in order?"""
+        oracle = HomotopyOracle(kernel, tree, budgets)
+        return [oracle.same_relation(rq.vertices[s].oracle).verdict for s in sorted(source_set)]
+
     source_presentations: dict[int, Presentation] = {}
     for i in sorted(source_set):
         pres = presentation_for_vertex(space, rq, i)
@@ -594,10 +611,7 @@ def verify_main_theorem(
         covering, _w = realize_in_image(family, tree)
         contained = covering.character_image().contains_span(image)
         record(f"vertex {i}: image contained in a realized image", "pass" if contained else "fail")
-        rel_checks = [
-            relations_equal(covering.kernel, rq.vertices[s].ideal, budgets).verdict
-            for s in sorted(source_set)
-        ]
+        rel_checks = source_relation_verdicts(covering.kernel)
         if YES in rel_checks:
             record(f"vertex {i}: realized kernel has a source relation", "pass")
         elif all(v == NO for v in rel_checks):
@@ -626,10 +640,7 @@ def verify_main_theorem(
             if not (img.contains_span(s) and s.contains_span(img)):
                 family_ok = False
             realized.append((s, pres))
-            rels = [
-                relations_equal(pres.kernel, rq.vertices[idx].ideal, budgets).verdict
-                for idx in sorted(source_set)
-            ]
+            rels = source_relation_verdicts(pres.kernel)
             if YES in rels:
                 record("maximal subalgebra realizes over a source relation", "pass")
             elif all(v == NO for v in rels):

@@ -195,7 +195,22 @@ def test_relations_equal_random_dilatations():
         field = rng.choice([QQ, GF(3)])
         ideal = random_admissible_ideal(rng, q, field)
         D = random_dilatation(rng, q, field)
-        assert relations_equal(ideal, D.apply_to_ideal(ideal)).verdict == YES
+        image = D.apply_to_ideal(ideal)
+        assert relations_equal(ideal, image).verdict == YES
+        first, second = HomotopyOracle(ideal), HomotopyOracle(image)
+        assert first.same_relation(second).verdict == YES
+        # memoized decisions repeat, and a memoized "yes" still replays
+        for u, v in first.pairs:
+            word = second.presentation.word_of_walk(
+                q.concat_walks(q.path_walk(v).inverse(), q.path_walk(u)).reduced()
+            )
+            d = second.decide_closed_word(word)
+            again = second.decide_closed_word(word)
+            assert again.verdict == d.verdict == YES
+            assert again.certificate.replay()
+    # equal ideals over two separately built quivers are not comparable
+    with pytest.raises(ValueError):
+        relations_equal(parallel_pair(QQ)[1], parallel_pair(QQ)[1])
 
 
 def test_base_point_change_keeps_abelian_invariants():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -158,14 +159,31 @@ def test_relation_quiver_two_triangles_pair_has_two_sources():
 
 
 def test_arrow_witnesses_replay():
+    from conftest import random_admissible_ideal, random_quiver
+
     instances = [
-        parallel_pair(QQ)[1],
-        parallel_pair(GF(3))[1],
-        two_triangles_full(GF(2))[1],
-        two_triangles_pair(GF(2))[1],
+        (parallel_pair(QQ)[1], None),
+        (parallel_pair(GF(3))[1], None),
+        (two_triangles_full(GF(2))[1], None),
+        (two_triangles_pair(GF(2))[1], None),
     ]
-    for seed in instances:
-        rq = build_relation_quiver(seed)
+    # Γ under a preferred tree that is not the default one
+    q, pair_ideal, _, preferred = two_triangles_pair(GF(2))
+    assert preferred.arrow_names != q.spanning_tree(q.vertices[0]).arrow_names
+    instances.append((pair_ideal, preferred))
+    rng = random.Random(2024)
+    for field in (GF(2), GF(3), QQ):
+        for _ in range(12):
+            q = random_quiver(rng)
+            instances.append((random_admissible_ideal(rng, q, field), None))
+    for seed, tree in instances:
+        rq = build_relation_quiver(seed, tree)
+        # distinct vertices carry distinct relations, also under fresh
+        # default-tree oracles, unless the sweep flagged them as ambiguous
+        definite = [i for i in range(len(rq.vertices)) if i not in rq.ambiguous_vertices]
+        for i, j in itertools.combinations(definite, 2):
+            verdict = relations_equal(rq.vertices[i].ideal, rq.vertices[j].ideal).verdict
+            assert verdict != YES
         for arrow in rq.arrows:
             phi = transvection_of(seed.quiver, seed.field, arrow.bypass, arrow.tau)
             assert phi.apply_to_ideal(arrow.source_ideal) == arrow.target_ideal
@@ -180,6 +198,34 @@ def test_arrow_witnesses_replay():
             # the representatives carry the same relations as the endpoints
             assert relations_equal(arrow.source_ideal, rq.vertices[arrow.source].ideal).verdict == YES
             assert relations_equal(arrow.target_ideal, rq.vertices[arrow.target].ideal).verdict == YES
+
+
+def test_gamma_builds_one_oracle_per_classified_transvection(monkeypatch):
+    from bquiver import homotopy, relquiver
+
+    built = []
+    classified = []
+
+    class CountingOracle(HomotopyOracle):
+        def __init__(self, ideal, *args, **kwargs):
+            built.append(ideal)
+            super().__init__(ideal, *args, **kwargs)
+
+    classify = relquiver.classify_transvection
+
+    def counting_classify(*args, **kwargs):
+        classified.append(args[:3])
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(relquiver, "HomotopyOracle", CountingOracle)
+    monkeypatch.setattr(homotopy, "HomotopyOracle", CountingOracle)
+    monkeypatch.setattr(relquiver, "classify_transvection", counting_classify)
+    q, ideal, twisted, tree = two_triangles_pair(GF(2))
+    rq = build_relation_quiver(ideal, tree)
+    assert len(rq.vertices) == 3 and classified
+    # the seed's oracle plus at most one image oracle per classified
+    # candidate; vertices and relation comparisons reuse those
+    assert len(built) <= len(classified) + 1
 
 
 def test_definite_arrows_form_a_dag():
