@@ -19,12 +19,10 @@ __version__ = "0.1.0"
 
 from .fields import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
 from .linalg import (
-    Matrix,
     Subspace,
     minimal_polynomial,
     nullspace,
     roots_over_field,
-    rref,
     smith_normal_form,
 )
 from .quiver import (

@@ -179,12 +179,3 @@ def GF(p: int) -> PrimeField:
     """The prime field with p elements (cached per characteristic)."""
     return PrimeField(p)
 
-
-def parse_field(text: str) -> Field:
-    """Parse a field descriptor: ``QQ`` or ``GF(p)``."""
-    text = text.strip()
-    if text == "QQ":
-        return QQ
-    if text.startswith("GF(") and text.endswith(")"):
-        return GF(int(text[3:-1]))
-    raise ValueError(f"unknown field descriptor: {text!r}")

@@ -1,42 +1,50 @@
 """The quotient algebra on its normal-path basis and its degree-one cohomology.
 
 The algebra attached to an admissible ideal carries the normal paths as a
-basis (trivial paths first), with the product computed through normal forms.
-A unitary derivation kills the idempotents and preserves every corridor
-``e_y A e_x``, so it is determined by one vector per arrow: the image inside
-the span of the normal paths parallel to that arrow.  The coordinates of
-those vectors are the *unknowns* of a symbolic derivation D.
+basis (trivial paths first), with the product computed through normal forms;
+its vectors are sparse ``{basis index: coeff}`` maps.  A unitary derivation
+kills the idempotents and preserves every corridor ``e_y A e_x``, so it is
+determined by one vector per arrow: the image inside the span of the normal
+paths parallel to that arrow.  The coordinates of those vectors are the
+*unknowns* of a symbolic derivation D, each arrow owning a range of them,
+and a :class:`Derivation` is held by its nonzero coordinates
+``{unknown index: coeff}`` alone.
 
 The Leibniz rule is expanded in one place, :meth:`FDAlgebra.leibniz`: for a
 path a_n...a_1, D(p) is the sum over positions i and corridor paths w of
 x_(a_i, w) times the normal form of a_n...w...a_1, kept as a sparse table
 ``{basis index: {unknown index: coeff}}`` and memoized per path.  Summing
 the table over the support of each reduced-basis element of the ideal gives
-the linear system whose nullspace is the space of unitary derivations; the
-same table, contracted with a derivation's coordinates, gives its value on
-any basis path.  Inner derivations come from idempotent combinations and act
-as integer multiples on each corridor.
+the sparse linear system whose nullspace is the space of unitary
+derivations; the same table, contracted with a derivation's coordinates,
+gives its value on any basis path.  Inner derivations come from idempotent
+combinations and act as integer multiples on each corridor.
 
 Degree-one cohomology is presented as derivations modulo inner derivations.
-Lie operations act on arrow images only: the bracket is
+Lie operations act on sparse arrow images only: the bracket is
 [D, E](a) = D(E(a)) - E(D(a)) per arrow, and the algebra automorphism Psi
 induced by an ideal-fixing path-algebra automorphism rho conjugates D to the
 derivation a -> Psi(D(Psi^-1(a))), where Psi^-1(a) is the normal form of
 rho^-1(a) and Psi applies rho to a normal-path combination.  Each class is
 stored through a canonical coset representative: coordinates in the
 derivation basis with the echelon-pivot coordinates of the inner subspace
-zeroed out, so class equality is plain vector equality.
+zeroed out, so class equality is plain vector equality.  A derivation's
+coordinate on basis derivation j is its entry on j's free unknown, and
+membership in the derivation span is confirmed on its support only.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, nullspace, rref
+from .linalg import Subspace, _add_multiple, _clean, _Echelon, nullspace
 from .pathalg import AlgebraElement, IdealData
 from .quiver import Path
 
 
 class FDAlgebra:
-    """A basic finite-dimensional algebra presented by a bound quiver."""
+    """A basic finite-dimensional algebra presented by a bound quiver.
+
+    Vectors of the algebra are sparse ``{basis index: coeff}`` maps.
+    """
 
     def __init__(self, ideal: IdealData):
         ok, bad = ideal.is_admissible()
@@ -56,35 +64,35 @@ class FDAlgebra:
             if not p.is_trivial:
                 blocks.setdefault((p.source, p.target), []).append(i)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
-        self._table: dict[tuple[int, int], tuple] = {}
-        # unknown coordinates for derivations: per arrow, parallel normal paths
+        self._table: dict[tuple[int, int], dict] = {}
+        # unknown coordinates for derivations: per arrow, one per parallel
+        # normal path; arrow_unknowns[name] is the arrow's range of them
         unknowns = []
+        self.arrow_unknowns: dict[str, range] = {}
         for name in self.quiver.arrow_names:
             a = self.quiver.arrow(name)
+            start = len(unknowns)
             for i in self.blocks.get((a.source, a.target), ()):
                 unknowns.append((name, self.basis[i]))
+            self.arrow_unknowns[name] = range(start, len(unknowns))
         self.derivation_unknowns: tuple[tuple[str, Path], ...] = tuple(unknowns)
         self._unknown_index = {u: i for i, u in enumerate(self.derivation_unknowns)}
+        self._unknown_basis = tuple(self.index[p] for _, p in self.derivation_unknowns)
         self._leibniz: dict[Path, dict[int, dict[int, object]]] = {}
 
     # ---------- vectors and products ----------
 
-    def vector_of(self, elem: AlgebraElement) -> tuple:
-        nf = self.ideal.normal_form(elem)
-        vec = [self.field.zero] * self.dim
-        for p, c in nf.coeffs.items():
-            vec[self.index[p]] = c
-        return tuple(vec)
+    def vector_of(self, elem: AlgebraElement) -> dict:
+        """The normal form of ``elem`` as ``{basis index: coeff}``."""
+        return {self.index[p]: c for p, c in self.ideal.normal_form(elem).coeffs.items()}
 
-    def element_of(self, vec) -> AlgebraElement:
-        return AlgebraElement(
-            self.quiver, self.field, {self.basis[i]: vec[i] for i in range(self.dim)}
-        )
+    def element_of(self, vec: dict) -> AlgebraElement:
+        return AlgebraElement(self.quiver, self.field, {self.basis[i]: c for i, c in vec.items()})
 
-    def path_vector(self, p: Path) -> tuple:
+    def path_vector(self, p: Path) -> dict:
         return self.vector_of(AlgebraElement.from_path(self.quiver, self.field, p))
 
-    def basis_product(self, i: int, j: int) -> tuple:
+    def basis_product(self, i: int, j: int) -> dict:
         """Vector of basis[i] * basis[j] (right-to-left, j traversed first)."""
         key = (i, j)
         if key not in self._table:
@@ -92,21 +100,13 @@ class FDAlgebra:
             self._table[key] = self.vector_of(prod)
         return self._table[key]
 
-    def multiply_vectors(self, u, v) -> tuple:
+    def multiply_vectors(self, u: dict, v: dict) -> dict:
         f = self.field
-        out = [f.zero] * self.dim
-        for i, ci in enumerate(u):
-            if f.is_zero(ci):
-                continue
-            for j, cj in enumerate(v):
-                if f.is_zero(cj):
-                    continue
-                prod = self.basis_product(i, j)
-                c = f.mul(ci, cj)
-                for k, pk in enumerate(prod):
-                    if not f.is_zero(pk):
-                        out[k] = f.add(out[k], f.mul(c, pk))
-        return tuple(out)
+        out: dict = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                _add_multiple(f, out, f.mul(ci, cj), self.basis_product(i, j))
+        return out
 
     def leibniz(self, path: Path) -> dict[int, dict[int, object]]:
         """D(path) for the symbolic derivation D, as ``{basis index: {unknown
@@ -129,151 +129,128 @@ class FDAlgebra:
             self._leibniz[path] = table
         return table
 
-    def unit_vector(self) -> tuple:
-        f = self.field
-        vec = [f.zero] * self.dim
-        for v in self.quiver.vertices:
-            vec[self.idempotent_index[v]] = f.one
-        return tuple(vec)
+    def unit_vector(self) -> dict:
+        return {self.idempotent_index[v]: self.field.one for v in self.quiver.vertices}
 
     def is_constricted(self) -> bool:
         """Every arrow corridor one-dimensional (the arrow itself spans it)."""
-        for name in self.quiver.arrow_names:
-            a = self.quiver.arrow(name)
-            if len(self.blocks.get((a.source, a.target), ())) != 1:
-                return False
-        return True
+        return all(len(r) == 1 for r in self.arrow_unknowns.values())
 
     def __repr__(self):
         return f"FDAlgebra(dim {self.dim} over {self.field}, ideal {self.ideal!r})"
 
 
 class Derivation:
-    """A unitary derivation stored by its arrow images (corridor vectors)."""
+    """A unitary derivation held by its coordinates ``{unknown index: coeff}``.
 
-    def __init__(self, algebra: FDAlgebra, arrow_images: dict[str, tuple]):
-        self.algebra = algebra
+    Unknown u is the coefficient of the normal path ``derivation_unknowns[u]``
+    in the image of its arrow, so each arrow image is read off its range of
+    unknowns.
+    """
+
+    __slots__ = ("algebra", "coords")
+
+    def __init__(self, algebra: FDAlgebra, arrow_images: dict[str, dict]):
+        """The derivation with the given arrow images ``{basis index: coeff}``
+        (arrows left out go to zero); each must stay in its arrow's corridor."""
         f = algebra.field
-        imgs = {}
-        for name in algebra.quiver.arrow_names:
-            vec = arrow_images.get(name)
-            if vec is None:
-                vec = tuple([f.zero] * algebra.dim)
-            vec = tuple(f.coerce(x) for x in vec)
-            a = algebra.quiver.arrow(name)
-            allowed = set(algebra.blocks.get((a.source, a.target), ()))
-            for i, x in enumerate(vec):
-                if not f.is_zero(x) and i not in allowed:
+        coords = {}
+        for name, image in arrow_images.items():
+            for i, x in _clean(f, image).items():
+                u = algebra._unknown_index.get((name, algebra.basis[i]))
+                if u is None:
                     raise ValueError(f"image of {name!r} leaves its corridor")
-            imgs[name] = vec
-        self.arrow_images = imgs
-        self._coordinates = tuple(
-            imgs[name][algebra.index[path]] for name, path in algebra.derivation_unknowns
-        )
+                coords[u] = x
+        self.algebra = algebra
+        self.coords = coords
+
+    @classmethod
+    def _of(cls, algebra: FDAlgebra, coords: dict) -> "Derivation":
+        d = cls.__new__(cls)
+        d.algebra = algebra
+        d.coords = coords
+        return d
 
     @classmethod
     def from_coordinates(cls, algebra: FDAlgebra, coords) -> "Derivation":
-        f = algebra.field
-        imgs: dict[str, list] = {}
-        for (name, path), c in zip(algebra.derivation_unknowns, coords):
-            vec = imgs.setdefault(name, [f.zero] * algebra.dim)
-            vec[algebra.index[path]] = f.coerce(c)
-        return cls(algebra, {n: tuple(v) for n, v in imgs.items()})
+        """The derivation with the dense coordinate sequence ``coords``."""
+        if len(coords) != len(algebra.derivation_unknowns):
+            raise ValueError("one coordinate per derivation unknown expected")
+        return cls._of(algebra, _clean(algebra.field, dict(enumerate(coords))))
 
     def coordinates(self) -> tuple:
-        return self._coordinates
+        """The dense coordinate tuple, one entry per unknown."""
+        zero = self.algebra.field.zero
+        return tuple(self.coords.get(u, zero) for u in range(len(self.algebra.derivation_unknowns)))
+
+    def arrow_image(self, name: str) -> dict:
+        alg = self.algebra
+        return {alg._unknown_basis[u]: self.coords[u] for u in alg.arrow_unknowns[name] if u in self.coords}
 
     def image_of_basis(self, j: int) -> dict[int, object]:
         """D(basis[j]) as ``{basis index: coeff}``, nonzero entries only."""
         f = self.algebra.field
-        x = self._coordinates
+        x = self.coords
         out = {}
         for k, row in self.algebra.leibniz(self.algebra.basis[j]).items():
             c = f.zero
             for u, a in row.items():
-                if not f.is_zero(x[u]):
-                    c = f.add(c, f.mul(a, x[u]))
+                xu = x.get(u)
+                if xu is not None:
+                    c = f.add(c, f.mul(a, xu))
             if not f.is_zero(c):
                 out[k] = c
         return out
 
-    def apply_vector(self, vec) -> tuple:
+    def apply(self, vec: dict) -> dict:
+        """D(vec) for a sparse algebra vector."""
         f = self.algebra.field
-        out = [f.zero] * self.algebra.dim
-        for j, c in enumerate(vec):
-            if f.is_zero(c):
-                continue
-            for k, y in self.image_of_basis(j).items():
-                out[k] = f.add(out[k], f.mul(c, y))
-        return tuple(out)
+        out: dict = {}
+        for j, c in vec.items():
+            _add_multiple(f, out, c, self.image_of_basis(j))
+        return out
 
-    def matrix(self) -> Matrix:
-        """Matrix on the algebra basis; columns are images of basis paths."""
-        f = self.algebra.field
-        cols = []
-        for j in range(self.algebra.dim):
-            col = [f.zero] * self.algebra.dim
-            for k, c in self.image_of_basis(j).items():
-                col[k] = c
-            cols.append(col)
-        return Matrix.from_columns(f, cols)
-
-    def leibniz_defect(self, i: int, j: int) -> tuple:
-        """d(b_i b_j) - b_i d(b_j) - d(b_i) b_j on basis paths, as a vector."""
+    def leibniz_defect(self, i: int, j: int) -> dict:
+        """d(b_i b_j) - b_i d(b_j) - d(b_i) b_j on basis paths, as a sparse
+        vector: empty exactly when the Leibniz rule holds on the pair."""
         alg = self.algebra
         f = alg.field
-        ei = [f.zero] * alg.dim
-        ei[i] = f.one
-        ej = [f.zero] * alg.dim
-        ej[j] = f.one
-        lhs = self.apply_vector(alg.multiply_vectors(ei, ej))
-        rhs1 = alg.multiply_vectors(ei, self.apply_vector(ej))
-        rhs2 = alg.multiply_vectors(self.apply_vector(ei), ej)
-        return tuple(f.sub(lhs[k], f.add(rhs1[k], rhs2[k])) for k in range(alg.dim))
+        minus = f.neg(f.one)
+        ei, ej = {i: f.one}, {j: f.one}
+        out = self.apply(alg.multiply_vectors(ei, ej))
+        _add_multiple(f, out, minus, alg.multiply_vectors(ei, self.apply(ej)))
+        _add_multiple(f, out, minus, alg.multiply_vectors(self.apply(ei), ej))
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, Derivation)
             and self.algebra is other.algebra
-            and self.arrow_images == other.arrow_images
+            and self.coords == other.coords
         )
 
     def __repr__(self):
         alg = self.algebra
         parts = []
         for name in alg.quiver.arrow_names:
-            vec = self.arrow_images[name]
-            if any(not alg.field.is_zero(x) for x in vec):
-                parts.append(f"{name} -> {alg.element_of(vec)}")
+            image = self.arrow_image(name)
+            if image:
+                parts.append(f"{name} -> {alg.element_of(image)}")
         return "Derivation(" + ("; ".join(parts) or "0") + ")"
 
 
 def derivation_space(algebra: FDAlgebra) -> list[Derivation]:
     """Canonical basis of the unitary derivations (Leibniz nullspace)."""
     f = algebra.field
-    n_unknowns = len(algebra.derivation_unknowns)
     rows = []
     for rel in algebra.ideal.basis:
         # D(rel) must vanish: each normal-path coordinate is one equation
         contrib: dict[int, dict[int, object]] = {}  # basis idx -> unknown idx -> coeff
         for u_path, u_coeff in rel.coeffs.items():
             for k, row in algebra.leibniz(u_path).items():
-                cell = contrib.setdefault(k, {})
-                for uidx, c in row.items():
-                    cell[uidx] = f.add(cell.get(uidx, f.zero), f.mul(u_coeff, c))
-        for k in sorted(contrib):
-            row = [f.zero] * n_unknowns
-            nonzero = False
-            for uidx, c in contrib[k].items():
-                row[uidx] = c
-                if not f.is_zero(c):
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    system = (
-        Matrix(f, rows, ncols=n_unknowns) if rows else Matrix.zeros(f, 0, n_unknowns)
-    )
-    return [Derivation.from_coordinates(algebra, vec) for vec in nullspace(system)]
+                _add_multiple(f, contrib.setdefault(k, {}), u_coeff, row)
+        rows.extend(row for row in contrib.values() if row)
+    return [Derivation._of(algebra, vec) for vec in nullspace(f, len(algebra.derivation_unknowns), rows)]
 
 
 def inner_derivation(algebra: FDAlgebra, coefficients: dict[str, object]) -> Derivation:
@@ -284,21 +261,18 @@ def inner_derivation(algebra: FDAlgebra, coefficients: dict[str, object]) -> Der
         a = algebra.quiver.arrow(name)
         ct = f.coerce(coefficients.get(a.target, f.zero))
         cs = f.coerce(coefficients.get(a.source, f.zero))
-        c = f.sub(ct, cs)
-        vec = [f.zero] * algebra.dim
-        vec[algebra.index[algebra.quiver.arrow_path(name)]] = c
-        imgs[name] = tuple(vec)
+        imgs[name] = {algebra.index[algebra.quiver.arrow_path(name)]: f.sub(ct, cs)}
     return Derivation(algebra, imgs)
 
 
 def inner_derivation_space(algebra: FDAlgebra) -> list[Derivation]:
-    """The span of the per-vertex inner derivations (dimension |Q0| - 1)."""
+    """The span of the per-vertex inner derivations (dimension |Q0| - 1),
+    by its reduced echelon basis."""
     f = algebra.field
-    vecs = []
+    ech = _Echelon(f)
     for v in algebra.quiver.vertices:
-        vecs.append(inner_derivation(algebra, {v: f.one}).coordinates())
-    reduced, _ = rref(Matrix(f, vecs, ncols=len(algebra.derivation_unknowns)))
-    return [Derivation.from_coordinates(algebra, row) for row in reduced.rows]
+        ech.insert(inner_derivation(algebra, {v: f.one}).coords)
+    return [Derivation._of(algebra, ech.rows[p]) for p in sorted(ech.rows)]
 
 
 class CohomologyClass:
@@ -358,33 +332,30 @@ class CohomologySpace:
         self.inner_basis = inner_derivation_space(algebra)
         f = self.field
         # canonical nullspace vectors are unit on their free column, their
-        # last nonzero coordinate, so the coefficient of a derivation on
-        # basis vector j is its entry there
-        self._free_columns = tuple(
-            max(c for c, x in enumerate(d.coordinates()) if not f.is_zero(x)) for d in self.der_basis
-        )
-        self._inner = Subspace(
-            f, len(self.der_basis), [self._der_coefficients(d.coordinates()) for d in self.inner_basis]
-        )
+        # greatest unknown, so the coefficient of a derivation on basis
+        # vector j is its entry there
+        self._free_columns = tuple(max(d.coords) for d in self.der_basis)
+        self._inner = Subspace(f, len(self.der_basis), [self._der_coefficients(d) for d in self.inner_basis])
         self.dim = len(self.der_basis) - self._inner.dim
 
-    def _der_coefficients(self, coords) -> tuple:
+    def _der_coefficients(self, derivation: Derivation) -> tuple:
         f = self.field
-        coeffs = tuple(coords[c] for c in self._free_columns)
-        # confirm the vector lies in the derivation span
-        recon = [f.zero] * len(coords)
+        coords = derivation.coords
+        coeffs = tuple(coords.get(c, f.zero) for c in self._free_columns)
+        # confirm the derivation lies in the span: subtracting the basis
+        # derivations with those coefficients must leave nothing
+        rest = dict(coords)
         for c, d in zip(coeffs, self.der_basis):
-            dc = d.coordinates()
-            recon = [f.add(x, f.mul(c, y)) for x, y in zip(recon, dc)]
-        if tuple(recon) != tuple(coords):
+            if not f.is_zero(c):
+                _add_multiple(f, rest, f.neg(c), d.coords)
+        if rest:
             raise ValueError("derivation does not satisfy the Leibniz system")
         return coeffs
 
     # ---------- classes ----------
 
     def class_of(self, derivation: Derivation) -> CohomologyClass:
-        coeffs = self._der_coefficients(derivation.coordinates())
-        return CohomologyClass(self, self._inner.reduce(coeffs))
+        return CohomologyClass(self, self._inner.reduce(self._der_coefficients(derivation)))
 
     def zero_class(self) -> CohomologyClass:
         return CohomologyClass(self, [self.field.zero] * len(self.der_basis))
@@ -403,13 +374,11 @@ class CohomologySpace:
 
     def representative(self, class_vector) -> Derivation:
         f = self.field
-        coords = [f.zero] * len(self.algebra.derivation_unknowns)
+        coords: dict = {}
         for c, d in zip(class_vector, self.der_basis):
-            if f.is_zero(c):
-                continue
-            dc = d.coordinates()
-            coords = [f.add(x, f.mul(c, y)) for x, y in zip(coords, dc)]
-        return Derivation.from_coordinates(self.algebra, coords)
+            if not f.is_zero(c):
+                _add_multiple(f, coords, c, d.coords)
+        return Derivation._of(self.algebra, coords)
 
     def bracket(self, f1: CohomologyClass, g1: CohomologyClass) -> CohomologyClass:
         """Commutator bracket [D, E](a) = D(E(a)) - E(D(a)) on the arrows of
@@ -419,11 +388,12 @@ class CohomologySpace:
         d = f1.representative()
         e = g1.representative()
         f = self.field
+        minus = f.neg(f.one)
         imgs = {}
         for name in self.algebra.quiver.arrow_names:
-            de = d.apply_vector(e.arrow_images[name])
-            ed = e.apply_vector(d.arrow_images[name])
-            imgs[name] = tuple(f.sub(x, y) for x, y in zip(de, ed))
+            image = d.apply(e.arrow_image(name))
+            _add_multiple(f, image, minus, e.apply(d.arrow_image(name)))
+            imgs[name] = image
         return self.class_of(Derivation(self.algebra, imgs))
 
     def is_inner(self, derivation: Derivation) -> bool:
@@ -479,6 +449,6 @@ def conjugate_class(space: CohomologySpace, rho, cls: CohomologyClass) -> Cohomo
     d = cls.representative()
     imgs = {}
     for name in alg.quiver.arrow_names:
-        image = d.apply_vector(alg.vector_of(rho_inverse.images[name]))
+        image = d.apply(alg.vector_of(rho_inverse.images[name]))
         imgs[name] = alg.vector_of(rho.apply(alg.element_of(image)))
     return space.class_of(Derivation(alg, imgs))

@@ -19,12 +19,12 @@ per non-tree arrow, one relator per homotopy pair.  On top of that sit:
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
-from collections import deque
 
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import Field
-from .linalg import Matrix, nullspace, smith_normal_form
+from .linalg import _clean, nullspace, smith_normal_form
 from .pathalg import IdealData
 from .quiver import Path, Quiver, SpanningTree, Walk
 
@@ -159,31 +159,22 @@ class HomSpace:
         self.pairs = tuple(pairs)
         self.arrow_order = quiver.arrow_names
         idx = {n: i for i, n in enumerate(self.arrow_order)}
-        rows = []
-        for n in sorted(tree.arrow_names):
-            row = [field.zero] * len(self.arrow_order)
-            row[idx[n]] = field.one
-            rows.append(row)
+        # sparse rows: each tree arrow weighs zero, each pair balances
+        rows = [{idx[n]: field.one} for n in tree.arrow_names]
         for u, v in pairs:
-            row = [field.zero] * len(self.arrow_order)
-            for name in u.arrows:
-                row[idx[name]] = field.add(row[idx[name]], field.one)
-            for name in v.arrows:
-                row[idx[name]] = field.sub(row[idx[name]], field.one)
-            rows.append(row)
-        m = Matrix(field, rows, ncols=len(self.arrow_order)) if rows else Matrix.zeros(field, 0, len(self.arrow_order))
-        self.basis_vectors = nullspace(m)
-        self.basis = [
-            {self.arrow_order[i]: vec[i] for i in range(len(vec)) if not field.is_zero(vec[i])}
-            for vec in self.basis_vectors
-        ]
+            count = Counter(u.arrows)
+            count.subtract(v.arrows)
+            rows.append(_clean(field, {idx[n]: c for n, c in count.items()}))
+        self.basis_vectors = nullspace(field, len(self.arrow_order), rows)
+        self.basis = [{self.arrow_order[i]: vec[i] for i in sorted(vec)} for vec in self.basis_vectors]
 
     @property
     def dim(self) -> int:
         return len(self.basis_vectors)
 
-    def weights_from_vector(self, vec) -> dict[str, object]:
-        return {self.arrow_order[i]: vec[i] for i in range(len(vec))}
+    def weights_from_vector(self, vec: dict) -> dict[str, object]:
+        """Arrow weights of a sparse vector ``{arrow position: weight}``."""
+        return {self.arrow_order[i]: c for i, c in vec.items()}
 
     def check_weights(self, weights: dict) -> bool:
         """Do these arrow weights satisfy tree-normalization and all pairs?"""
@@ -229,10 +220,16 @@ class RewriteTrace:
     start: Word
     steps: tuple[tuple[int, Word], ...]  # (position, inserted relator word)
 
-    def replay(self) -> bool:
+    def replay(self, presentation: GroupPresentation) -> bool:
+        """Redo the insertions; each inserted word must be a relator of the
+        presentation, the inverse of one, or a cyclic conjugate of either."""
+        allowed = set()
+        for r in presentation.relators:
+            for word in (r, _invert_word(r)):
+                allowed.update(word[i:] + word[:i] for i in range(len(word)))
         w = self.start
         for pos, rel in self.steps:
-            if pos < 0 or pos > len(w):
+            if rel not in allowed or pos < 0 or pos > len(w):
                 return False
             w = _free_reduce(w[:pos] + rel + w[pos:])
         return w == ()
@@ -359,7 +356,7 @@ class HomotopyOracle:
             return Decision(NO, cert)
         trace = self._search_trivial(word)
         if trace is not None:
-            assert trace.replay()
+            assert trace.replay(self.presentation)
             return Decision(YES, trace)
         return Decision(UNKNOWN)
 

@@ -1,15 +1,16 @@
 """Exact linear algebra over a :class:`~bquiver.fields.Field`.
 
-One elimination serves the whole package: ``_Echelon`` holds a span by its
-sparse, fully reduced, monic echelon basis (rows ``{column: coeff}``), with
-the column order as its one parameter.  Matrices order columns by ascending
-index; ideals of the path algebra order paths descending, so each pivot is
-the greatest path of its row.  That basis is unique, so ``rref``, the
-``Subspace`` basis, nullspace bases (free columns in increasing order each
-receive a unit coordinate), remainders and minimal polynomials do not depend
-on the order rows arrive in.  ``Matrix`` stays a plain dense value type.
-The Smith normal form works on arbitrary-precision integers while tracking
-the unimodular row/column transforms.
+Vectors and linear systems are sparse ``{index: coeff}`` maps with no zero
+entries, the format of the one elimination, ``_Echelon``: it holds a span
+by its fully reduced, monic echelon basis, with the column order as its one
+parameter.  Matrix columns are ordered by ascending index; ideals of the
+path algebra order paths descending, so each pivot is the greatest path of
+its row.  That basis is unique, so ``Subspace`` bases and pivots (the RREF),
+nullspace bases (free columns in increasing order each receive a unit
+coordinate), remainders and minimal polynomials do not depend on the order
+rows arrive in.  ``Subspace`` is the dense public view of the echelon.  The
+Smith normal form works on arbitrary-precision integers while tracking the
+unimodular row/column transforms.
 
 Polynomials are coefficient tuples in ascending degree order with no trailing
 zeros; ``()`` is the zero polynomial.
@@ -21,99 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fields import Field, PrimeField
-
-
-class Matrix:
-    """An immutable dense matrix over a fixed field."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int | None = None):
-        self.field = field
-        coerced = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        self.rows = coerced
-        self.nrows = len(coerced)
-        if coerced:
-            widths = {len(r) for r in coerced}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with row length")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "Matrix":
-        if not columns:
-            raise ValueError("need at least one column")
-        n = len(columns[0])
-        return cls(field, [[col[i] for col in columns] for i in range(n)], ncols=len(columns))
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        self.field.require_same(other.field)
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        f = self.field
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = f.zero
-                for k in range(self.ncols):
-                    acc = f.add(acc, f.mul(self.rows[i][k], other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out, ncols=other.ncols)
-
-    def mul_vec(self, vec: Sequence) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        f = self.field
-        out = []
-        for i in range(self.nrows):
-            acc = f.zero
-            for k in range(self.ncols):
-                acc = f.add(acc, f.mul(self.rows[i][k], vec[k]))
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.rows for x in row)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.ncols))
-
-    def __repr__(self):
-        return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
 class _Echelon:
@@ -144,7 +52,7 @@ class _Echelon:
         for c, x in vec.items():
             row = self.rows.get(c)
             if row is not None:
-                _subtract_multiple(self.field, out, x, row)
+                _add_multiple(self.field, out, self.field.neg(x), row)
         return out
 
     def insert(self, vec: dict):
@@ -161,21 +69,39 @@ class _Echelon:
             x = row.get(pivot)
             if x is not None:
                 row = dict(row)
-                _subtract_multiple(f, row, x, rem)
+                _add_multiple(f, row, f.neg(x), rem)
                 self.rows[p] = row
         self.rows[pivot] = rem
         return pivot
 
 
-def _subtract_multiple(f: Field, acc: dict, x, row: dict) -> None:
-    """``acc -= x * row`` in place, dropping the entries that cancel."""
-    neg = f.neg(x)
-    for c, y in row.items():
-        z = f.add(acc.get(c, f.zero), f.mul(neg, y))
+def _add_multiple(f: Field, acc: dict, x, vec: dict) -> None:
+    """``acc += x * vec`` in place, dropping the entries that cancel."""
+    for c, y in vec.items():
+        z = f.add(acc.get(c, f.zero), f.mul(x, y))
         if f.is_zero(z):
             acc.pop(c, None)
         else:
             acc[c] = z
+
+
+def _combination(f: Field, vectors: Sequence[dict], coeffs: dict) -> dict:
+    """``sum(coeffs[t] * vectors[t])``: a sparse matrix (given by its
+    columns) times a sparse vector."""
+    out: dict = {}
+    for t, c in coeffs.items():
+        _add_multiple(f, out, c, vectors[t])
+    return out
+
+
+def _clean(f: Field, vec: dict) -> dict:
+    """``vec`` with its entries coerced into the field and zeros dropped."""
+    out = {}
+    for c, x in vec.items():
+        x = f.coerce(x)
+        if not f.is_zero(x):
+            out[c] = x
+    return out
 
 
 def _sparse(f: Field, vec: Sequence) -> dict:
@@ -186,68 +112,25 @@ def _dense(f: Field, row: dict, n: int) -> tuple:
     return tuple(row.get(j, f.zero) for j in range(n))
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Unique reduced row echelon form; zero rows dropped.
+def nullspace(field: Field, ncols: int, rows) -> list[dict]:
+    """Canonical kernel basis of a system of sparse rows over ``ncols``
+    unknowns: one vector per free column, in increasing order, unit there.
 
-    Returns the reduced matrix and the strictly increasing pivot columns.
+    Every other entry sits on a pivot column left of the free column, so
+    each vector's free column is its greatest index.
     """
-    f = m.field
-    ech = _Echelon(f)
-    for row in m.rows:
-        ech.insert(_sparse(f, row))
-    pivots = tuple(sorted(ech.rows))
-    return Matrix(f, [_dense(f, ech.rows[p], m.ncols) for p in pivots], ncols=m.ncols), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def nullspace(m: Matrix) -> list[tuple]:
-    """Canonical kernel basis: one vector per free column, unit there.
-
-    Every other nonzero coordinate sits on a pivot column left of the free
-    column, so each vector's free column is its last nonzero coordinate.
-    """
-    f = m.field
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    ech = _Echelon(field)
+    for row in rows:
+        ech.insert(row)
+    pivots = sorted(ech.rows)
     basis = []
-    for fc in free:
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(reduced.rows[i][fc])
-        basis.append(tuple(v))
+    for fc in range(ncols):
+        if fc in ech.rows:
+            continue
+        vec = {pc: field.neg(ech.rows[pc][fc]) for pc in pivots if fc in ech.rows[pc]}
+        vec[fc] = field.one
+        basis.append(vec)
     return basis
-
-
-def solve(m: Matrix, rhs: Sequence) -> tuple | None:
-    """One solution of ``m x = rhs`` (free variables zero), or None."""
-    f = m.field
-    if len(rhs) != m.nrows:
-        raise ValueError("shape mismatch")
-    aug = Matrix(f, [list(row) + [rhs[i]] for i, row in enumerate(m.rows)], ncols=m.ncols + 1)
-    reduced, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [f.zero] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced.rows[i][m.ncols]
-    return tuple(x)
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.nrows != m.ncols:
-        raise ValueError("not square")
-    f = m.field
-    n = m.nrows
-    aug = Matrix(f, [list(m.rows[i]) + [f.one if j == i else f.zero for j in range(n)] for i in range(n)])
-    reduced, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(f, [row[n:] for row in reduced.rows], ncols=n)
 
 
 class Subspace:
@@ -314,16 +197,6 @@ def poly_scale(field: Field, a, s) -> tuple:
     return poly_trim(field, [field.mul(s, c) for c in a])
 
 
-def poly_mul(field: Field, a, b) -> tuple:
-    if not a or not b:
-        return ()
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return poly_trim(field, out)
-
-
 def poly_divmod(field: Field, a, b) -> tuple[tuple, tuple]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -379,29 +252,33 @@ def poly_is_squarefree(field: Field, a) -> bool:
     return poly_degree(poly_gcd(field, a, d)) == 0
 
 
-def minimal_polynomial(m: Matrix) -> tuple:
-    """Monic least-degree polynomial annihilating the square matrix ``m``.
+def minimal_polynomial(field: Field, columns: Sequence[dict]) -> tuple:
+    """Monic least-degree polynomial annihilating the square matrix whose
+    column j is the sparse vector ``columns[j]`` (``{row: coeff}``).
 
     Found as the first linear dependency among the flattened powers
-    I, m, m^2, ...: power k is reduced with one extra tracking column
-    ``n*n + k`` set to 1, so the first remainder whose leading column is a
-    tracking column holds the dependency, already monic in degree k.
+    I, m, m^2, ... (entry (i, j) at index ``n*j + i``), each formed column
+    by column as m times the previous power: power k is reduced with one
+    extra tracking column ``n*n + k`` set to 1, so the first remainder whose
+    leading column is a tracking column holds the dependency, already monic
+    in degree k.
     """
-    if m.nrows != m.ncols:
+    n = len(columns)
+    if any(not 0 <= i < n for col in columns for i in col):
         raise ValueError("minimal polynomial needs a square matrix")
-    f = m.field
-    width = m.nrows * m.nrows
+    f = field
+    width = n * n
     ech = _Echelon(f)
-    power = Matrix.identity(f, m.nrows)
+    power = [{j: f.one} for j in range(n)]
     k = 0
     while True:
-        row = _sparse(f, [x for r in power.rows for x in r])
+        row = {n * j + i: x for j, col in enumerate(power) for i, x in col.items()}
         row[width + k] = f.one
         rem = ech.reduce(row)
         if min(rem) >= width:
             return tuple(rem.get(width + i, f.zero) for i in range(k + 1))
         ech.insert(rem)
-        power = power.mul(m)
+        power = [_combination(f, columns, col) for col in power]
         k += 1
 
 
@@ -572,30 +449,3 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], t
     d = tuple(A[i][i] for i in range(t) if A[i][i] != 0)
     return d, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
 
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (via rational elimination); for small checks."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("not square")
-    det = Fraction(1)
-    work = [list(map(Fraction, row)) for row in rows]
-    sign = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            sign = -sign
-        det *= work[c][c]
-        for i in range(c + 1, n):
-            f = work[i][c] / work[c][c]
-            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    result = det * sign
-    assert result.denominator == 1
-    return int(result)

@@ -21,7 +21,7 @@ import functools
 from typing import Sequence
 
 from .fields import Field, FieldMismatchError
-from .linalg import Matrix, Subspace, _Echelon, solve
+from .linalg import _Echelon
 from .quiver import Bypass, Path, Quiver
 
 
@@ -142,7 +142,7 @@ def _corridor_components(elem: AlgebraElement) -> list[AlgebraElement]:
     buckets: dict[tuple[str, str], dict[Path, object]] = {}
     for p, c in elem.coeffs.items():
         buckets.setdefault((p.source, p.target), {})[p] = c
-    keys = sorted(buckets, key=lambda st: (elem.quiver.vertex_index[st[0]], elem.quiver.vertex_index[st[1]]))
+    keys = sorted(buckets, key=elem.quiver.corridor_key)
     return [AlgebraElement(elem.quiver, elem.field, buckets[k]) for k in keys]
 
 
@@ -279,22 +279,14 @@ class Automorphism:
         self._check_arrow_level_invertible()
         self._path_cache: dict[Path, AlgebraElement] = {}
 
-    def _parallel_classes(self) -> dict[tuple[str, str], list[str]]:
-        classes: dict[tuple[str, str], list[str]] = {}
-        for name in self.quiver.arrow_names:
-            a = self.quiver.arrow(name)
-            classes.setdefault((a.source, a.target), []).append(name)
-        return classes
-
     def _check_arrow_level_invertible(self):
-        f = self.field
-        for (_, _), names in self._parallel_classes().items():
-            block = []
+        for names in self.quiver.parallel_classes().values():
+            paths = [self.quiver.arrow_path(n) for n in names]
+            columns = _Echelon(self.field)
             for col in names:
-                img = self.images[col]
-                block.append([img.coefficient(self.quiver.arrow_path(row)) for row in names])
-            if Subspace(f, len(names), block).dim != len(names):
-                raise ValueError("arrow-level substitution matrix is singular")
+                coeffs = self.images[col].coeffs
+                if columns.insert({r: coeffs[p] for r, p in enumerate(paths) if p in coeffs}) is None:
+                    raise ValueError("arrow-level substitution matrix is singular")
 
     # ---------- application ----------
 
@@ -328,32 +320,31 @@ class Automorphism:
         return Automorphism(self.quiver, self.field, imgs)
 
     def invert(self) -> "Automorphism":
-        """Solve for the inverse arrow images corridor by corridor."""
+        """The inverse arrow images, one elimination per corridor.
+
+        The image of each corridor path goes into one echelon with its own
+        tracking column; the echelon rows then read [I | M^-T] for the
+        matrix M of the automorphism on the corridor, so the row whose pivot
+        is arrow a holds the coordinates of phi^-1(a) in its tracking columns.
+        """
         f = self.field
         q = self.quiver
         inv_images = {}
-        for (src, tgt), names in self._parallel_classes().items():
+        for (src, tgt), names in q.parallel_classes().items():
             corridor = q.paths_between(src, tgt)
+            n = len(corridor)
             index = {p: i for i, p in enumerate(corridor)}
-            cols = []
-            for p in corridor:
-                img = self.apply_path(p)
-                col = [f.zero] * len(corridor)
-                for pp, c in img.coeffs.items():
-                    col[index[pp]] = c
-                cols.append(col)
-            mat = Matrix.from_columns(f, cols)
+            ech = _Echelon(f)
+            for t, p in enumerate(corridor):
+                row = {index[pp]: c for pp, c in self.apply_path(p).coeffs.items()}
+                row[n + t] = f.one
+                ech.insert(row)
+            if max(ech.rows) >= n:
+                raise ValueError("automorphism is not invertible")
             for name in names:
-                target_vec = [f.zero] * len(corridor)
-                target_vec[index[q.arrow_path(name)]] = f.one
-                x = solve(mat, target_vec)
-                if x is None:
-                    raise ValueError("automorphism is not invertible")
-                inv_images[name] = AlgebraElement(
-                    q, f, {corridor[i]: x[i] for i in range(len(corridor))}
-                )
-        inv = Automorphism(q, f, inv_images)
-        return inv
+                row = ech.rows[index[q.arrow_path(name)]]
+                inv_images[name] = AlgebraElement(q, f, {corridor[c - n]: x for c, x in row.items() if c >= n})
+        return Automorphism(q, f, inv_images)
 
     def is_identity(self) -> bool:
         return all(

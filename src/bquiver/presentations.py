@@ -7,23 +7,28 @@ tree-normalized character of the kernel's fundamental group (a weight vector
 on arrows), the embedding sends it to the class of the derivation acting
 diagonally on the adapted basis, the eigenvalue on each basis element being
 the weight sum along the underlying path.  Only its arrow images are
-computed: arrow a goes to chi(s * nf_K(chi^-1(a))), where nf_K is the normal
-form modulo the kernel K = chi^-1(I) and s scales each normal path by its
-eigenvalue, so no matrix of the adapted basis is built or inverted.
+computed: arrow a goes to chi(s * chi^-1(a)), where s scales each path by
+its weight sum.  That is the derivation on a modulo the ideal I: s is a
+derivation of the path algebra mapping the kernel K = chi^-1(I) into K, so
+chi^-1(a) need not be reduced modulo K, and no matrix of the adapted basis
+is built or inverted.
 
 Diagonalizability of a class is decided corridor by corridor: the canonical
-representative must have a squarefree, completely split minimal polynomial
-on every radical block.  A commuting family of diagonalizable classes has a
-common eigenbasis, obtained by refining each block through the eigenspaces
-of the family; matching that eigenbasis to the arrows yields an adapted
+representative, as sparse block columns, must have a squarefree, completely
+split minimal polynomial on every radical block.  A commuting family of
+diagonalizable classes has a common eigenbasis, obtained by refining each
+block through the eigenspaces of the family (sparse kernels of the shifted
+operators); matching that eigenbasis to the arrows yields an adapted
 presentation and recovers the family inside one character image, which is
-the constructive path used by the maximality analysis.
+the constructive path used by the maximality analysis.  Algebra vectors,
+basis blocks and linear systems are sparse ``{index: coeff}`` maps
+throughout.
 """
 
 from __future__ import annotations
 
 from .budgets import Budgets, DEFAULT_BUDGETS
-from .fields import Field, PrimeField
+from .fields import PrimeField
 from .hochschild import (
     ClassSpan,
     CohomologyClass,
@@ -42,8 +47,9 @@ from .homotopy import (
     weight_of_walk,
 )
 from .linalg import (
-    Matrix,
-    Subspace,
+    _add_multiple,
+    _clean,
+    _combination,
     _Echelon,
     minimal_polynomial,
     nullspace,
@@ -99,12 +105,12 @@ class Presentation:
             )
         return self._hom
 
-    def image_of_path(self, p: Path) -> tuple:
-        """The vector of the path's image in the reference algebra."""
+    def image_of_path(self, p: Path) -> dict:
+        """The sparse vector of the path's image in the reference algebra."""
         return self.algebra.vector_of(self.chi.apply_path(p))
 
     def adapted_basis_blocks(self) -> "SpecialBasis":
-        blocks: dict[tuple[str, str], list[tuple]] = {}
+        blocks: dict[tuple[str, str], list[dict]] = {}
         for p in self.kernel.normal_paths:
             if p.is_trivial:
                 continue
@@ -115,17 +121,23 @@ class Presentation:
 
     def embed_character(self, weights: dict) -> CohomologyClass:
         """Class of the derivation scaling each adapted-basis element by the
-        weight sum of its underlying path."""
+        weight sum of its underlying path.
+
+        Arrow a goes to chi(s * chi^-1(a)), where s scales each path by its
+        weight sum.  Weights that pass ``check_weights`` agree on both paths
+        of every homotopy pair of the kernel K = chi^-1(I), so p -> s_p * p
+        is a derivation of the path algebra that maps K into K; hence
+        chi(s * chi^-1(a)) = chi(s * nf_K(chi^-1(a))) modulo I, and
+        chi^-1(a) need not be reduced modulo K first.
+        """
         if not self.hom.check_weights(weights):
             raise ValueError("weights violate the tree normalization or a pair equation")
         f = self.field
         alg = self.algebra
-        kernel = self.kernel
-        # a = chi(c) modulo the ideal for c = nf_K(chi^-1(a)), since
-        # K = chi^-1(I); so a goes to chi(s * c)
+        self.kernel  # also sets self._chi_inverse
         imgs = {}
         for name in alg.quiver.arrow_names:
-            c = kernel.normal_form(self._chi_inverse.images[name])
+            c = self._chi_inverse.images[name]
             scaled = {p: f.mul(weight_of_path(f, weights, p), x) for p, x in c.coeffs.items()}
             imgs[name] = alg.vector_of(self.chi.apply(AlgebraElement(alg.quiver, f, scaled)))
         return self.space.class_of(Derivation(alg, imgs))
@@ -143,26 +155,25 @@ class Presentation:
 
 
 class SpecialBasis:
-    """A corridor-respecting basis of the algebra (idempotents implicit)."""
+    """A corridor-respecting basis of the algebra (idempotents implicit),
+    block by block as sparse vectors."""
 
     def __init__(self, algebra: FDAlgebra, blocks: dict[tuple[str, str], tuple]):
         self.algebra = algebra
         f = algebra.field
         clean = {}
-        for key in sorted(blocks, key=lambda st: (algebra.quiver.vertex_index[st[0]], algebra.quiver.vertex_index[st[1]])):
-            vecs = [tuple(f.coerce(x) for x in v) for v in blocks[key]]
+        for key in sorted(blocks, key=algebra.quiver.corridor_key):
+            vecs = tuple(_clean(f, v) for v in blocks[key])
             indices = set(algebra.blocks.get(key, ()))
             for v in vecs:
-                for i, x in enumerate(v):
-                    if not f.is_zero(x) and i not in indices:
-                        raise ValueError(f"basis vector escapes block {key}")
+                if not v.keys() <= indices:
+                    raise ValueError(f"basis vector escapes block {key}")
             if len(vecs) != len(indices):
                 raise ValueError(f"block {key} has {len(vecs)} vectors for dimension {len(indices)}")
-            if vecs:
-                sub = Subspace(f, algebra.dim, vecs)
-                if sub.dim != len(vecs):
-                    raise ValueError(f"block {key} vectors are dependent")
-            clean[key] = tuple(vecs)
+            independent = _Echelon(f)
+            if any(independent.insert(v) is None for v in vecs):
+                raise ValueError(f"block {key} vectors are dependent")
+            clean[key] = vecs
         # every nonempty corridor must be covered
         for key, idxs in algebra.blocks.items():
             if idxs and key not in clean:
@@ -179,24 +190,21 @@ class SpecialBasis:
 
 # ---------- diagonalizability ----------
 
-def _block_matrix(space: CohomologySpace, cls: CohomologyClass, block_key) -> Matrix:
-    alg = space.algebra
-    idxs = alg.blocks[block_key]
+def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> list[dict]:
+    """The representative on one radical block, as sparse columns in block
+    coordinates (position of each basis index within the block)."""
+    idxs = space.algebra.blocks[block_key]
+    position = {i: k for k, i in enumerate(idxs)}
     d = cls.representative()
-    cols = [d.image_of_basis(j) for j in idxs]
-    zero = space.field.zero
-    return Matrix(space.field, [[col.get(i, zero) for col in cols] for i in idxs], ncols=len(idxs))
+    return [{position[i]: x for i, x in d.image_of_basis(j).items()} for j in idxs]
 
 
 def diagonalizability_witness(cls: CohomologyClass):
     """None when diagonalizable; else the offending block and minimal polynomial."""
     space = cls.space
     f = space.field
-    for key in sorted(space.algebra.blocks, key=lambda st: (space.algebra.quiver.vertex_index[st[0]], space.algebra.quiver.vertex_index[st[1]])):
-        sub = _block_matrix(space, cls, key)
-        if sub.nrows == 0:
-            continue
-        mp = minimal_polynomial(sub)
+    for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
+        mp = minimal_polynomial(f, _block_columns(space, cls, key))
         roots, splits = roots_over_field(f, mp)
         if not splits or not poly_is_squarefree(f, mp):
             return (key, mp)
@@ -237,77 +245,55 @@ def common_eigenbasis(classes) -> SpecialBasis:
     alg = space.algebra
     f = space.field
     blocks_out: dict[tuple[str, str], tuple] = {}
-    for key in sorted(alg.blocks, key=lambda st: (alg.quiver.vertex_index[st[0]], alg.quiver.vertex_index[st[1]])):
+    for key in sorted(alg.blocks, key=alg.quiver.corridor_key):
         idxs = alg.blocks[key]
-        k = len(idxs)
-        if k == 0:
-            continue
-        # subspaces in block coordinates, each a tuple of basis vectors
-        subspaces = [tuple(tuple(f.one if i == j else f.zero for i in range(k)) for j in range(k))]
+        # invariant subspaces in block coordinates, each a list of basis vectors
+        subspaces = [[{j: f.one} for j in range(len(idxs))]]
         for cls in classes:
-            op = _block_matrix(space, cls, key)
-            mp = minimal_polynomial(op)
-            roots, splits = roots_over_field(f, mp)
+            op = _block_columns(space, cls, key)
+            roots, splits = roots_over_field(f, minimal_polynomial(f, op))
             assert splits
             refined = []
             for basis in subspaces:
-                cols = Matrix.from_columns(f, list(basis))
                 total = 0
                 for lam in sorted(set(roots)):
-                    shifted = Matrix(
-                        f,
-                        [
-                            [
-                                f.sub(op.rows[i][j], lam) if i == j else op.rows[i][j]
-                                for j in range(k)
-                            ]
-                            for i in range(k)
-                        ],
-                    )
-                    reduced = shifted.mul(cols)
-                    kernel = nullspace(reduced)
+                    # y with (op - lam)(sum_t y_t basis[t]) = 0: one row per
+                    # block coordinate, one unknown per basis vector
+                    rows: dict[int, dict] = {}
+                    for t, b in enumerate(basis):
+                        column = _combination(f, op, b)
+                        _add_multiple(f, column, f.neg(lam), b)
+                        for i, x in column.items():
+                            rows.setdefault(i, {})[t] = x
+                    kernel = nullspace(f, len(basis), rows.values())
                     if not kernel:
                         continue
-                    new_basis = tuple(cols.mul_vec(v) for v in kernel)
-                    refined.append(new_basis)
-                    total += len(new_basis)
+                    refined.append([_combination(f, basis, y) for y in kernel])
+                    total += len(kernel)
                 assert total == len(basis), "eigen refinement lost dimension"
             subspaces = refined
-        vectors = []
-        for basis in subspaces:
-            for v in basis:
-                full = [f.zero] * alg.dim
-                for pos, i in enumerate(idxs):
-                    full[i] = v[pos]
-                vectors.append(tuple(full))
-        blocks_out[key] = tuple(vectors)
+        blocks_out[key] = tuple({idxs[i]: x for i, x in v.items()} for basis in subspaces for v in basis)
     basis = SpecialBasis(alg, blocks_out)
-    _assert_diagonal(space, classes, basis)
-    return basis
-
-
-def _assert_diagonal(space: CohomologySpace, classes, basis: SpecialBasis):
-    f = space.field
     for cls in classes:
         d = cls.representative()
         for vecs in basis.blocks.values():
             for v in vecs:
-                image = d.apply_vector(v)
-                lam = None
-                for i, x in enumerate(v):
-                    if not f.is_zero(x):
-                        lam = f.div(image[i], x)
-                        break
-                expected = tuple(f.mul(lam, x) for x in v)
-                assert tuple(image) == expected, "basis fails to diagonalize a class"
+                _eigenvalue(d, v)
+    return basis
+
+
+def _eigenvalue(d: Derivation, vec: dict):
+    """The eigenvalue of ``d`` on ``vec``; asserts that ``vec`` is an eigenvector."""
+    f = d.algebra.field
+    image = d.apply(vec)
+    i = min(vec)
+    lam = f.div(image.get(i, f.zero), vec[i])
+    expected = {} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}
+    assert image == expected, "vector is not an eigenvector of the class"
+    return lam
 
 
 # ---------- adapted presentations and realization ----------
-
-def _candidate_order(f: Field, block_indices, vec):
-    support = [i for i, x in enumerate(vec) if not f.is_zero(x)]
-    return (min(support), tuple(vec[i] for i in block_indices))
-
 
 def adapted_presentation(space: CohomologySpace, basis: SpecialBasis, tree: SpanningTree) -> Presentation:
     """A presentation whose arrow images are drawn from the given basis.
@@ -320,16 +306,11 @@ def adapted_presentation(space: CohomologySpace, basis: SpecialBasis, tree: Span
     alg = space.algebra
     f = space.field
     q = alg.quiver
-    classes: dict[tuple[str, str], list[str]] = {}
-    for name in q.arrow_names:
-        a = q.arrow(name)
-        classes.setdefault((a.source, a.target), []).append(name)
     images = {}
-    for key in sorted(classes, key=lambda st: (q.vertex_index[st[0]], q.vertex_index[st[1]])):
-        arrow_names = classes[key]
-        idxs = list(alg.blocks[key])
+    for key, arrow_names in q.parallel_classes().items():
+        idxs = alg.blocks[key]
         arrow_positions = [alg.index[q.arrow_path(n)] for n in arrow_names]
-        candidates = sorted(basis.block(*key), key=lambda v: _candidate_order(f, idxs, v))
+        candidates = sorted(basis.block(*key), key=lambda v: (min(v), tuple(v.get(i, f.zero) for i in idxs)))
         # residues of the chosen elements; a candidate is independent of them
         # exactly when inserting its residue adds a pivot
         chosen = _Echelon(f)
@@ -339,7 +320,7 @@ def adapted_presentation(space: CohomologySpace, basis: SpecialBasis, tree: Span
             for ci, cand in enumerate(candidates):
                 if ci in used:
                     continue
-                residue = {k: cand[i] for k, i in enumerate(arrow_positions) if not f.is_zero(cand[i])}
+                residue = {k: cand[i] for k, i in enumerate(arrow_positions) if i in cand}
                 if chosen.insert(residue) is not None:
                     picked = (ci, cand)
                     break
@@ -367,18 +348,7 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
     weights_out = []
     for cls in classes:
         d = cls.representative()
-        raw = {}
-        for name in q.arrow_names:
-            vec = pres.image_of_path(q.arrow_path(name))
-            image = d.apply_vector(vec)
-            lam = None
-            for i, x in enumerate(vec):
-                if not f.is_zero(x):
-                    lam = f.div(image[i], x)
-                    break
-            assert lam is not None
-            assert tuple(image) == tuple(f.mul(lam, x) for x in vec), "arrow image is not an eigenvector"
-            raw[name] = lam
+        raw = {name: _eigenvalue(d, pres.image_of_path(q.arrow_path(name))) for name in q.arrow_names}
         # tree correction keeps the character and lands in the normalized section
         t = {}
         for name in q.arrow_names:
@@ -404,17 +374,14 @@ def centralizer(space: CohomologySpace, span: ClassSpan) -> ClassSpan:
     rows = []
     for s in span.basis_classes():
         cols = [space.bracket(b, s).vector for b in basis]
-        # constraint matrix: each class coordinate of the bracket must vanish
+        # each class coordinate of the bracket must vanish: one sparse row
         for coord in range(len(cols[0])):
-            rows.append([cols[j][coord] for j in range(len(basis))])
-    if not rows:
-        return space.span(basis)
-    system = Matrix(f, rows, ncols=len(basis))
+            rows.append({j: col[coord] for j, col in enumerate(cols) if not f.is_zero(col[coord])})
     out = []
-    for y in nullspace(system):
+    for y in nullspace(f, len(basis), rows):
         cls = space.zero_class()
-        for c, b in zip(y, basis):
-            cls = cls + b.scale(c)
+        for j, c in y.items():
+            cls = cls + basis[j].scale(c)
         out.append(cls)
     return space.span(out)
 

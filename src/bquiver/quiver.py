@@ -111,6 +111,7 @@ class Quiver:
         self.arrow_by_name = {a.name: a for a in self.arrows}
         self.arrow_names = tuple(sorted(self.arrow_by_name))
         self._all_paths: tuple[Path, ...] | None = None
+        self._parallel_classes: dict[tuple[str, str], tuple[str, ...]] | None = None
 
     # ---------- basic structure ----------
 
@@ -122,9 +123,6 @@ class Quiver:
 
     def outgoing(self, vertex: str) -> list[Arrow]:
         return [self.arrow_by_name[n] for n in self.arrow_names if self.arrow_by_name[n].source == vertex]
-
-    def incoming(self, vertex: str) -> list[Arrow]:
-        return [self.arrow_by_name[n] for n in self.arrow_names if self.arrow_by_name[n].target == vertex]
 
     def validate(self) -> dict:
         """Check finiteness, acyclicity and connectedness.
@@ -219,6 +217,21 @@ class Quiver:
     def path_key(self, p: Path):
         """The global deterministic path order key: length, endpoints, names."""
         return (p.length, self.vertex_index[p.source], self.vertex_index[p.target], p.arrows)
+
+    def corridor_key(self, corridor: tuple[str, str]):
+        """The corridor order key: (source, target) by vertex position."""
+        source, target = corridor
+        return (self.vertex_index[source], self.vertex_index[target])
+
+    def parallel_classes(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """Arrow names grouped by (source, target), in corridor order."""
+        if self._parallel_classes is None:
+            classes: dict[tuple[str, str], list[str]] = {}
+            for name in self.arrow_names:
+                a = self.arrow_by_name[name]
+                classes.setdefault((a.source, a.target), []).append(name)
+            self._parallel_classes = {k: tuple(classes[k]) for k in sorted(classes, key=self.corridor_key)}
+        return self._parallel_classes
 
     def sort_paths(self, paths: Iterable[Path]) -> list[Path]:
         return sorted(paths, key=self.path_key)

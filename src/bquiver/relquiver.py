@@ -300,11 +300,7 @@ def sources_report(rq: RelationQuiver) -> dict:
     sources = [i for i, d in enumerate(indeg) if d == 0]
     quiver = rq.seed.quiver
     dbp, dbp_witness = has_double_bypass(quiver)
-    parallel_counts: dict[tuple[str, str], int] = {}
-    for name in quiver.arrow_names:
-        a = quiver.arrow(name)
-        parallel_counts[(a.source, a.target)] = parallel_counts.get((a.source, a.target), 0) + 1
-    multiple_arrows = any(c > 1 for c in parallel_counts.values())
+    multiple_arrows = any(len(names) > 1 for names in quiver.parallel_classes().values())
     monomial_vertices = [i for i, v in enumerate(rq.vertices) if v.ideal.is_monomial()]
     char = rq.seed.field.characteristic
     return {

@@ -1,8 +1,10 @@
-"""Shared instance builders: the golden corpus and random desk-scale inputs."""
+"""Shared instance builders (the golden corpus and random desk-scale inputs)
+and the dense references the tests compare against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from bquiver import (
     AlgebraElement,
@@ -172,7 +174,7 @@ def random_admissible_ideal(rng, quiver, field):
         if p.length >= 2:
             corridors.setdefault((p.source, p.target), []).append(p)
     gens = []
-    keys = sorted(corridors, key=lambda st: (quiver.vertex_index[st[0]], quiver.vertex_index[st[1]]))
+    keys = sorted(corridors, key=quiver.corridor_key)
     for _ in range(rng.randint(0, 2)):
         if not keys:
             break
@@ -215,3 +217,71 @@ def random_fixing_automorphism(rng, ideal):
         out = identity_automorphism(quiver, field)
     assert out.apply_to_ideal(ideal) == ideal
     return out
+
+
+# ---------- dense references ----------
+
+def sparse_rows(field, rows):
+    """Dense rows as the sparse ``{column: coeff}`` rows of a linear system."""
+    out = []
+    for row in rows:
+        coerced = {j: field.coerce(x) for j, x in enumerate(row)}
+        out.append({j: x for j, x in coerced.items() if not field.is_zero(x)})
+    return out
+
+
+def columns_of(field, m):
+    """The columns of a dense square matrix as sparse ``{row: coeff}`` maps."""
+    return sparse_rows(field, [[row[j] for row in m] for j in range(len(m))])
+
+
+def mat_mul(field, a, b):
+    """Dense product of two matrices given as lists of rows."""
+    return [
+        [field.sum(field.mul(field.coerce(x), field.coerce(b[k][j])) for k, x in enumerate(row)) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def mat_inverse(field, m):
+    """Dense inverse by Gauss-Jordan elimination on [m | I]."""
+    n = len(m)
+    work = [[field.coerce(x) for x in row] + [field.one if i == j else field.zero for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        pr = next(i for i in range(c, n) if not field.is_zero(work[i][c]))
+        work[c], work[pr] = work[pr], work[c]
+        inv = field.inv(work[c][c])
+        work[c] = [field.mul(inv, x) for x in work[c]]
+        for i in range(n):
+            if i != c and not field.is_zero(work[i][c]):
+                factor = work[i][c]
+                work[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(work[i], work[c])]
+    return [row[n:] for row in work]
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant (via rational elimination); for small checks."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("not square")
+    det = Fraction(1)
+    work = [list(map(Fraction, row)) for row in rows]
+    sign = 1
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if work[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            return 0
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            sign = -sign
+        det *= work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] / work[c][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    result = det * sign
+    assert result.denominator == 1
+    return int(result)

@@ -30,11 +30,12 @@ from bquiver import (
     transvection_of,
     verify_main_theorem,
 )
-from bquiver.linalg import int_det, smith_normal_form
+from bquiver.linalg import smith_normal_form
 
 from conftest import (
     chain_with_monomials,
     commutative_square,
+    int_det,
     kronecker,
     parallel_pair,
     random_admissible_ideal,
@@ -137,13 +138,12 @@ def test_criterion_04_char_two_twisted_presentations_differ():
     c2 = mu.embed_character(weights)
     assert c1 != c2
     alg = space.algebra
-    diff_images = {
-        name: tuple(
-            GF(2).sub(x, y)
-            for x, y in zip(c2.representative().arrow_images[name], c1.representative().arrow_images[name])
-        )
-        for name in q.arrow_names
-    }
+    diff_images = {}
+    for name in q.arrow_names:
+        first, second = c1.representative().arrow_image(name), c2.representative().arrow_image(name)
+        diff_images[name] = {
+            i: GF(2).sub(second.get(i, 0), first.get(i, 0)) for i in first.keys() | second.keys()
+        }
     assert not space.is_inner(Derivation(alg, diff_images))
 
 
@@ -361,7 +361,7 @@ def test_criterion_12_structural_invariant_suite():
         for d in space.der_basis:
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    assert all(alg.field.is_zero(x) for x in d.leibniz_defect(i, j))
+                    assert d.leibniz_defect(i, j) == {}
         basis = space.basis_classes()
         for _ in range(5):
             if not basis:

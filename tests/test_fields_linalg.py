@@ -4,21 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from bquiver import GF, QQ, FieldMismatchError, Matrix
+from bquiver import GF, QQ, FieldMismatchError
 from bquiver.linalg import (
-    int_det,
-    inverse,
     minimal_polynomial,
     nullspace,
     poly_eval,
     poly_is_squarefree,
-    rank,
     roots_over_field,
-    rref,
     smith_normal_form,
-    solve,
     Subspace,
 )
+
+from conftest import columns_of, int_det, mat_mul, sparse_rows
 
 
 def random_scalar(rng, field):
@@ -46,25 +43,23 @@ def test_gf_requires_prime():
 
 
 def test_rref_rank_one_dependency():
-    m = Matrix(QQ, [[2, 4], [1, 2]])
-    reduced, pivots = rref(m)
-    assert reduced.rows == ((Fraction(1), Fraction(2)),)
-    assert pivots == (0,)
+    s = Subspace(QQ, 2, [[2, 4], [1, 2]])
+    assert s.basis == ((Fraction(1), Fraction(2)),)
+    assert s.pivots == (0,)
 
 
 def test_rref_identity_fixed():
-    m = Matrix.identity(QQ, 3)
-    reduced, pivots = rref(m)
-    assert reduced == m
-    assert pivots == (0, 1, 2)
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    s = Subspace(QQ, 3, identity)
+    assert s.basis == tuple(map(tuple, identity))
+    assert s.pivots == (0, 1, 2)
 
 
 def test_rref_gf2_invertible():
     # hand elimination: swap-free, row1 += row2 after pivoting
-    m = Matrix(GF(2), [[1, 1], [1, 0]])
-    reduced, pivots = rref(m)
-    assert reduced == Matrix.identity(GF(2), 2)
-    assert pivots == (0, 1)
+    s = Subspace(GF(2), 2, [[1, 1], [1, 0]])
+    assert s.basis == ((1, 0), (0, 1))
+    assert s.pivots == (0, 1)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
@@ -72,65 +67,72 @@ def test_rref_idempotent(field):
     rng = random.Random(11)
     for _ in range(20):
         rows = [[random_scalar(rng, field) for _ in range(4)] for _ in range(3)]
-        reduced, _ = rref(Matrix(field, rows))
-        again, _ = rref(reduced)
-        assert again == reduced
+        reduced = Subspace(field, 4, rows)
+        again = Subspace(field, 4, reduced.basis)
+        assert again.basis == reduced.basis and again.pivots == reduced.pivots
 
 
-def test_matrix_rejects_foreign_scalars():
+def test_foreign_scalars_are_rejected():
     with pytest.raises(TypeError):
-        Matrix(QQ, [[0.5]])
+        Subspace(QQ, 1, [[0.5]])
     with pytest.raises(ZeroDivisionError):
-        Matrix(GF(2), [[Fraction(1, 2)]])  # denominator vanishes mod 2
+        Subspace(GF(2), 1, [[Fraction(1, 2)]])  # denominator vanishes mod 2
     with pytest.raises(FieldMismatchError):
-        Matrix(QQ, [[1]]).mul(Matrix(GF(2), [[1]]))
+        QQ.require_same(GF(2))
 
 
 def test_nullspace_zero_matrix_gives_units():
-    basis = nullspace(Matrix.zeros(QQ, 2, 3))
-    assert basis == [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-    ]
+    basis = nullspace(QQ, 3, [])
+    assert basis == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
 
 
 def test_nullspace_symmetry_case():
-    basis = nullspace(Matrix(QQ, [[1, -1]]))
-    assert basis == [(Fraction(1), Fraction(1))]
+    basis = nullspace(QQ, 2, sparse_rows(QQ, [[1, -1]]))
+    assert basis == [{0: Fraction(1), 1: Fraction(1)}]
 
 
 def test_nullspace_gf2_exhaustive_oracle():
-    m = Matrix(GF(2), [[1, 1], [1, 1]])
+    m = [[1, 1], [1, 1]]
     # oracle: enumerate all of GF(2)^2
     expected = [
         v
         for v in [(0, 0), (0, 1), (1, 0), (1, 1)]
-        if all(x == 0 for x in m.mul_vec(v))
+        if all(x == 0 for (x,) in mat_mul(GF(2), m, [[x] for x in v]))
     ]
-    basis = nullspace(m)
-    assert basis == [(1, 1)]
-    assert set(basis) <= set(expected)
-    assert len(basis) == 2 - rank(m)
+    basis = nullspace(GF(2), 2, sparse_rows(GF(2), m))
+    assert basis == [{0: 1, 1: 1}]
+    assert {tuple(v.get(j, 0) for j in range(2)) for v in basis} <= set(expected)
+    assert len(basis) == 2 - Subspace(GF(2), 2, m).dim
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_nullspace_vectors_annihilate(field):
     rng = random.Random(3)
     for _ in range(20):
-        m = Matrix(field, [[random_scalar(rng, field) for _ in range(5)] for _ in range(3)])
-        basis = nullspace(m)
-        assert len(basis) == 5 - rank(m)
+        m = [[random_scalar(rng, field) for _ in range(5)] for _ in range(3)]
+        basis = nullspace(field, 5, sparse_rows(field, m))
+        assert len(basis) == 5 - Subspace(field, 5, m).dim
         for v in basis:
-            assert all(field.is_zero(x) for x in m.mul_vec(v))
+            # unit on its free column, its greatest index
+            assert v[max(v)] == field.one
+            column = [[v.get(j, field.zero)] for j in range(5)]
+            assert all(field.is_zero(x) for (x,) in mat_mul(field, m, column))
 
 
 def test_solve_and_inverse():
-    m = Matrix(QQ, [[2, 1], [1, 1]])
-    x = solve(m, (3, 2))
-    assert x == (Fraction(1), Fraction(1))
-    assert inverse(m).mul(m) == Matrix.identity(QQ, 2)
-    assert solve(Matrix(QQ, [[1, 1], [1, 1]]), (0, 1)) is None
+    # m x = rhs through the kernel of [m | -rhs]: the vector unit on the
+    # last column, when that column is free, carries x
+    m = [[2, 1], [1, 1]]
+    kernel = nullspace(QQ, 3, sparse_rows(QQ, [row + [-r] for row, r in zip(m, (3, 2))]))
+    assert kernel == [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}]
+    # the echelon of [m | I] is [I | m^-1]
+    aug = Subspace(QQ, 4, [row + [int(i == j) for j in range(2)] for i, row in enumerate(m)])
+    assert aug.pivots == (0, 1)
+    inv = [list(row[2:]) for row in aug.basis]
+    assert mat_mul(QQ, inv, m) == [[1, 0], [0, 1]]
+    # an inconsistent system: the last column is a pivot, so no solution
+    kernel = nullspace(QQ, 3, sparse_rows(QQ, [[1, 1, 0], [1, 1, -1]]))
+    assert all(2 not in v for v in kernel)
 
 
 def test_subspace_membership_and_equality():
@@ -143,23 +145,22 @@ def test_subspace_membership_and_equality():
 
 
 def random_matrix(rng, field, kind):
-    """A random matrix of one of the shapes the echelon must handle."""
+    """A random matrix of one of the shapes the echelon must handle, as
+    ``(ncols, rows)``."""
     nrows, ncols = {"wide": (2, 7), "tall": (7, 3)}.get(kind, (rng.randint(1, 5), rng.randint(1, 6)))
     if kind == "rank-deficient":
         r = rng.randint(0, min(nrows, ncols) - 1)
         left = [[random_scalar(rng, field) for _ in range(r)] for _ in range(nrows)]
         right = [[random_scalar(rng, field) for _ in range(ncols)] for _ in range(r)]
-        return Matrix(
-            field,
-            [[field.sum(field.mul(left[i][k], right[k][j]) for k in range(r)) for j in range(ncols)] for i in range(nrows)],
-            ncols=ncols,
-        )
+        return ncols, [
+            tuple(field.sum(field.mul(left[i][k], right[k][j]) for k in range(r)) for j in range(ncols))
+            for i in range(nrows)
+        ]
     density = 0.25 if kind == "sparse" else 1.0
-    return Matrix(
-        field,
-        [[random_scalar(rng, field) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)],
-        ncols=ncols,
-    )
+    return ncols, [
+        tuple(field.coerce(random_scalar(rng, field)) if rng.random() < density else field.zero for _ in range(ncols))
+        for _ in range(nrows)
+    ]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
@@ -167,33 +168,39 @@ def random_matrix(rng, field, kind):
 def test_echelon_is_the_unique_rref(field, kind):
     rng = random.Random(f"{field}-{kind}")
     for _ in range(25):
-        m = random_matrix(rng, field, kind)
-        reduced, pivots = rref(m)
-        space = Subspace(field, m.ncols, m.rows)
-        assert space.basis == reduced.rows and space.pivots == pivots
+        ncols, rows = random_matrix(rng, field, kind)
+        space = Subspace(field, ncols, rows)
+        reduced, pivots = space.basis, space.pivots
         # the definition: increasing pivots, each entry 1 and alone in its column
         assert list(pivots) == sorted(set(pivots))
-        for i, (row, pc) in enumerate(zip(reduced.rows, pivots)):
+        assert len(reduced) == len(pivots)
+        for i, (row, pc) in enumerate(zip(reduced, pivots)):
             assert all(field.is_zero(x) for x in row[:pc])
             assert row[pc] == field.one
-            assert all(field.is_zero(other[pc]) for k, other in enumerate(reduced.rows) if k != i)
+            assert all(field.is_zero(other[pc]) for k, other in enumerate(reduced) if k != i)
         # every input row is the combination of its own pivot entries
-        for row in m.rows:
-            combo = [field.zero] * m.ncols
-            for red, pc in zip(reduced.rows, pivots):
+        for row in rows:
+            combo = [field.zero] * ncols
+            for red, pc in zip(reduced, pivots):
                 combo = [field.add(x, field.mul(row[pc], y)) for x, y in zip(combo, red)]
             assert tuple(combo) == row
+        # the nullspace is the kernel of the same echelon: one unit vector
+        # per free column, each annihilating every row
+        kernel = nullspace(field, ncols, sparse_rows(field, rows))
+        assert [max(v) for v in kernel] == [c for c in range(ncols) if c not in pivots]
+        for v in kernel:
+            assert all(field.is_zero(field.sum(field.mul(row[j], x) for j, x in v.items())) for row in rows)
         # neither the order of the rows nor redundant rows change the result
-        shuffled = list(m.rows)
+        shuffled = list(rows)
         rng.shuffle(shuffled)
         for _ in range(3):
-            coeffs = [random_scalar(rng, field) for _ in m.rows]
+            coeffs = [random_scalar(rng, field) for _ in rows]
             shuffled.insert(
                 rng.randrange(len(shuffled) + 1),
-                [field.sum(field.mul(c, r[j]) for c, r in zip(coeffs, m.rows)) for j in range(m.ncols)],
+                [field.sum(field.mul(c, r[j]) for c, r in zip(coeffs, rows)) for j in range(ncols)],
             )
-        assert rref(Matrix(field, shuffled, ncols=m.ncols)) == (reduced, pivots)
-        assert Subspace(field, m.ncols, shuffled) == space
+        assert Subspace(field, ncols, shuffled) == space
+        assert nullspace(field, ncols, sparse_rows(field, shuffled)) == kernel
 
 
 # ---------- Smith normal form ----------
@@ -235,18 +242,18 @@ def test_snf_transforms_are_unimodular_and_exact(seed):
 # ---------- minimal polynomials and roots ----------
 
 def test_minimal_polynomial_jordan_block():
-    m = Matrix(QQ, [[1, 1], [0, 1]])
+    m = [[1, 1], [0, 1]]
     # oracle: (m - I) != 0 while (m - I)^2 == 0, so the answer is (x-1)^2
-    shifted = Matrix(QQ, [[0, 1], [0, 0]])
-    assert not shifted.is_zero()
-    assert shifted.mul(shifted).is_zero()
-    assert minimal_polynomial(m) == (Fraction(1), Fraction(-2), Fraction(1))
+    shifted = [[0, 1], [0, 0]]
+    assert not _is_zero_matrix(QQ, shifted)
+    assert mat_mul(QQ, shifted, shifted) == [[0, 0], [0, 0]]
+    assert minimal_polynomial(QQ, columns_of(QQ, m)) == (Fraction(1), Fraction(-2), Fraction(1))
 
 
 def test_minimal_polynomial_scalar_and_diagonal():
-    assert minimal_polynomial(Matrix(QQ, [[5, 0], [0, 5]])) == (Fraction(-5), Fraction(1))
+    assert minimal_polynomial(QQ, columns_of(QQ, [[5, 0], [0, 5]])) == (Fraction(-5), Fraction(1))
     # distinct eigenvalues 1, 2: (x-1)(x-2) = 2 - 3x + x^2
-    assert minimal_polynomial(Matrix(QQ, [[1, 0], [0, 2]])) == (
+    assert minimal_polynomial(QQ, columns_of(QQ, [[1, 0], [0, 2]])) == (
         Fraction(2),
         Fraction(-3),
         Fraction(1),
@@ -254,8 +261,23 @@ def test_minimal_polynomial_scalar_and_diagonal():
 
 
 def test_minimal_polynomial_requires_square():
+    # three columns reaching row 3 do not make a square matrix
     with pytest.raises(ValueError):
-        minimal_polynomial(Matrix.zeros(QQ, 2, 3))
+        minimal_polynomial(QQ, [{0: Fraction(1)}, {}, {3: Fraction(1)}])
+
+
+def _evaluate(field, coeffs, m):
+    """The polynomial at the dense matrix m, by Horner: acc = acc * m + c I."""
+    n = len(m)
+    acc = [[field.zero] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = mat_mul(field, acc, m)
+        acc = [[field.add(x, field.coerce(c) if i == j else field.zero) for j, x in enumerate(row)] for i, row in enumerate(acc)]
+    return acc
+
+
+def _is_zero_matrix(field, m):
+    return all(field.is_zero(x) for row in m for x in row)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
@@ -263,15 +285,9 @@ def test_minimal_polynomial_annihilates(field):
     rng = random.Random(5)
     for _ in range(10):
         n = rng.randint(1, 3)
-        m = Matrix(field, [[random_scalar(rng, field) for _ in range(n)] for _ in range(n)])
-        coeffs = minimal_polynomial(m)
-        acc = Matrix.zeros(field, n, n)
-        power = Matrix.identity(field, n)
-        for c in coeffs:
-            scaled = Matrix(field, [[field.mul(c, x) for x in row] for row in power.rows])
-            acc = Matrix(field, [[field.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(acc.rows, scaled.rows)])
-            power = power.mul(m)
-        assert acc.is_zero()
+        m = [[field.coerce(random_scalar(rng, field)) for _ in range(n)] for _ in range(n)]
+        coeffs = minimal_polynomial(field, columns_of(field, m))
+        assert _is_zero_matrix(field, _evaluate(field, coeffs, m))
         assert coeffs[-1] == field.one
 
 
@@ -284,24 +300,15 @@ def test_minimal_polynomial_is_minimal(field):
     p = field.p
     shapes = [(n, range(p ** (n * n))) for n in (1, 2)]
     shapes.append((3, range(p ** 9) if p == 2 else [rng.randrange(p ** 9) for _ in range(150)]))
-
-    def evaluate(coeffs, m):
-        n = m.nrows
-        acc = Matrix.zeros(field, n, n)
-        for c in reversed(coeffs):  # Horner: acc = acc * m + c I
-            acc = acc.mul(m)
-            acc = Matrix(field, [[field.add(x, c if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(acc.rows)])
-        return acc
-
     for n, codes in shapes:
         for code in codes:
-            m = Matrix(field, [[(code // p ** (i * n + j)) % p for j in range(n)] for i in range(n)])
-            mp = minimal_polynomial(m)
-            assert mp[-1] == field.one and evaluate(mp, m).is_zero()
+            m = [[(code // p ** (i * n + j)) % p for j in range(n)] for i in range(n)]
+            mp = minimal_polynomial(field, columns_of(field, m))
+            assert mp[-1] == field.one and _is_zero_matrix(field, _evaluate(field, mp, m))
             degree = len(mp) - 1
             for d in range(degree):
                 for low in itertools.product(range(p), repeat=d):
-                    assert not evaluate(low + (1,), m).is_zero()
+                    assert not _is_zero_matrix(field, _evaluate(field, low + (1,), m))
 
 
 def test_roots_gf2_splits():

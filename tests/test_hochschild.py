@@ -9,7 +9,6 @@ from bquiver import (
     Derivation,
     FDAlgebra,
     GF,
-    Matrix,
     Presentation,
     QQ,
     Quiver,
@@ -21,12 +20,13 @@ from bquiver import (
     zero_ideal,
 )
 from bquiver.homotopy import weight_of_path
-from bquiver.linalg import inverse
 
 from conftest import (
     commutative_square,
     elem,
     kronecker,
+    mat_inverse,
+    mat_mul,
     parallel_pair,
     random_admissible_ideal,
     random_field,
@@ -72,16 +72,14 @@ def test_unit_and_associativity():
     rng = random.Random(5)
     for alg in [FDAlgebra(two_triangles_full(GF(2))[1]), FDAlgebra(parallel_pair(QQ)[1])]:
         one = alg.unit_vector()
+        assert len(one) == len(alg.quiver.vertices)
         for i in range(alg.dim):
-            e = [alg.field.zero] * alg.dim
-            e[i] = alg.field.one
-            assert alg.multiply_vectors(one, e) == tuple(e)
-            assert alg.multiply_vectors(e, one) == tuple(e)
+            e = {i: alg.field.one}
+            assert alg.multiply_vectors(one, e) == e
+            assert alg.multiply_vectors(e, one) == e
         for _ in range(20):
             i, j, k = (rng.randrange(alg.dim) for _ in range(3))
-            ei = tuple(alg.field.one if x == i else alg.field.zero for x in range(alg.dim))
-            ej = tuple(alg.field.one if x == j else alg.field.zero for x in range(alg.dim))
-            ek = tuple(alg.field.one if x == k else alg.field.zero for x in range(alg.dim))
+            ei, ej, ek = {i: alg.field.one}, {j: alg.field.one}, {k: alg.field.one}
             left = alg.multiply_vectors(alg.multiply_vectors(ei, ej), ek)
             right = alg.multiply_vectors(ei, alg.multiply_vectors(ej, ek))
             assert left == right
@@ -118,11 +116,7 @@ def test_derivation_count_brute_force_gf2():
     solutions = []
     for bits in itertools.product([0, 1], repeat=n):
         d = Derivation.from_coordinates(alg, bits)
-        ok = all(
-            all(x == 0 for x in d.leibniz_defect(i, j))
-            for i in range(alg.dim)
-            for j in range(alg.dim)
-        )
+        ok = all(not d.leibniz_defect(i, j) for i in range(alg.dim) for j in range(alg.dim))
         if ok:
             solutions.append(bits)
     assert len(solutions) == 2 ** len(space.der_basis)
@@ -184,11 +178,24 @@ def test_class_of_rejects_non_derivation():
     q, mono, _, _ = parallel_pair(QQ)
     alg = FDAlgebra(mono)
     space = CohomologySpace(alg)
-    bad_vec = [QQ.zero] * alg.dim
-    bad_vec[alg.index[q.arrow_path("b")]] = QQ.one
-    bad = Derivation(alg, {"a": tuple(bad_vec)})  # a -> b breaks the relation
+    bad = Derivation(alg, {"a": {alg.index[q.arrow_path("b")]: QQ.one}})  # a -> b breaks the relation
     with pytest.raises(ValueError):
         space.class_of(bad)
+
+
+def test_derivation_rejects_an_image_outside_its_corridor():
+    q, mono, _, _ = parallel_pair(QQ)
+    alg = FDAlgebra(mono)
+    # c runs 2 -> 3, a runs 1 -> 2; the idempotent e_1 lies in no corridor
+    for image in ({alg.index[q.arrow_path("a")]: 1}, {alg.idempotent_index["1"]: 1}):
+        with pytest.raises(ValueError, match="leaves its corridor"):
+            Derivation(alg, {"c": image})
+    # zero entries are not images: they are dropped, not checked
+    assert Derivation(alg, {"c": {alg.index[q.arrow_path("a")]: 0}}) == Derivation(alg, {})
+    # a parallel arrow is inside the corridor
+    d = Derivation(alg, {"a": {alg.index[q.arrow_path("b")]: 2}})
+    assert d.arrow_image("a") == {alg.index[q.arrow_path("b")]: QQ.coerce(2)}
+    assert d.arrow_image("c") == {}
 
 
 def test_leibniz_full_check_on_corpus():
@@ -197,20 +204,18 @@ def test_leibniz_full_check_on_corpus():
         for d in space.der_basis:
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    assert all(alg.field.is_zero(x) for x in d.leibniz_defect(i, j))
+                    assert d.leibniz_defect(i, j) == {}
 
 
 def test_derivations_preserve_corridors():
     for space in spaces_for_corpus():
         alg = space.algebra
         for d in space.der_basis:
-            m = d.matrix()
             for j, p in enumerate(alg.basis):
-                col = m.column(j)
-                for i, x in enumerate(col):
-                    if not alg.field.is_zero(x):
-                        target = alg.basis[i]
-                        assert (target.source, target.target) == (p.source, p.target)
+                for i, x in d.apply({j: alg.field.one}).items():
+                    assert not alg.field.is_zero(x)
+                    target = alg.basis[i]
+                    assert (target.source, target.target) == (p.source, p.target)
 
 
 def test_bracket_alternating_and_golden_value():
@@ -282,22 +287,31 @@ def test_derivation_space_matches_brute_force_on_random_instances():
         count = 0
         for bits in itertools.product([0, 1], repeat=n):
             d = Derivation.from_coordinates(alg, bits)
-            if all(
-                all(x == 0 for x in d.leibniz_defect(i, j))
-                for i in range(alg.dim)
-                for j in range(alg.dim)
-            ):
+            if all(not d.leibniz_defect(i, j) for i in range(alg.dim) for j in range(alg.dim)):
                 count += 1
         space = CohomologySpace(alg)
         assert count == 2 ** len(space.der_basis)
         checked += 1
 
 
+def _dense_matrix(d):
+    """The derivation's dense dim x dim matrix: column j is D(basis[j])."""
+    alg = d.algebra
+    f = alg.field
+    columns = [d.apply({j: f.one}) for j in range(alg.dim)]
+    return [[col.get(i, f.zero) for col in columns] for i in range(alg.dim)]
+
+
+def _dense_columns(f, n, vectors):
+    """The matrix whose columns are the given sparse vectors of length n."""
+    return [[v.get(i, f.zero) for v in vectors] for i in range(n)]
+
+
 def _class_of_arrow_columns(space, m):
     """The class of the derivation whose arrow images are m's arrow columns."""
     alg = space.algebra
     q = alg.quiver
-    imgs = {name: m.column(alg.index[q.arrow_path(name)]) for name in q.arrow_names}
+    imgs = {name: {i: row[alg.index[q.arrow_path(name)]] for i, row in enumerate(m)} for name in q.arrow_names}
     return space.class_of(Derivation(alg, imgs))
 
 
@@ -325,31 +339,32 @@ def test_arrow_image_lie_operations_match_dense_matrices():
         f = field
         for _ in range(3):
             x, y = _random_class(rng, space), _random_class(rng, space)
-            mf = x.representative().matrix()
-            mg = y.representative().matrix()
-            fg, gf = mf.mul(mg), mg.mul(mf)
-            comm = Matrix(f, [[f.sub(u, v) for u, v in zip(r1, r2)] for r1, r2 in zip(fg.rows, gf.rows)])
+            mf = _dense_matrix(x.representative())
+            mg = _dense_matrix(y.representative())
+            fg, gf = mat_mul(f, mf, mg), mat_mul(f, mg, mf)
+            comm = [[f.sub(u, v) for u, v in zip(r1, r2)] for r1, r2 in zip(fg, gf)]
             assert space.bracket(x, y) == _class_of_arrow_columns(space, comm)
         pres = Presentation.natural(space, q.spanning_tree(q.vertices[0]))
         bypasses = enumerate_bypasses(q)
         if bypasses:
             pres = pres.twist(transvection_of(q, f, rng.choice(bypasses), random_nonzero(rng, f)))
-        P = Matrix.from_columns(f, [pres.image_of_path(p) for p in pres.kernel.normal_paths])
+        alg = space.algebra
+        P = _dense_columns(f, alg.dim, [pres.image_of_path(p) for p in pres.kernel.normal_paths])
         hom = pres.hom
-        combo = [f.zero] * len(hom.arrow_order)
+        combo = {}
         for vec in hom.basis_vectors:
             c = random_nonzero(rng, f)
-            combo = [f.add(x, f.mul(c, v)) for x, v in zip(combo, vec)]
+            for i, v in vec.items():
+                combo[i] = f.add(combo.get(i, f.zero), f.mul(c, v))
         for w in hom.basis + [hom.weights_from_vector(combo)]:
             s = [weight_of_path(f, w, p) for p in pres.kernel.normal_paths]
-            scaled = Matrix.from_columns(f, [[f.mul(s[j], x) for x in P.column(j)] for j in range(P.ncols)])
-            dense = scaled.mul(inverse(P))
+            scaled = [[f.mul(s[j], x) for j, x in enumerate(row)] for row in P]
+            dense = mat_mul(f, scaled, mat_inverse(f, P))
             assert pres.embed_character(w) == _class_of_arrow_columns(space, dense)
         rho = random_fixing_automorphism(rng, ideal)
-        alg = space.algebra
-        psi_matrix = Matrix.from_columns(f, [alg.vector_of(rho.apply_path(p)) for p in alg.basis])
+        psi_matrix = _dense_columns(f, alg.dim, [alg.vector_of(rho.apply_path(p)) for p in alg.basis])
         for c in space.basis_classes():
-            dense = psi_matrix.mul(c.representative().matrix()).mul(inverse(psi_matrix))
+            dense = mat_mul(f, mat_mul(f, psi_matrix, _dense_matrix(c.representative())), mat_inverse(f, psi_matrix))
             assert conjugate_class(space, rho, c) == _class_of_arrow_columns(space, dense)
         done += 1
     assert QQ in fields_seen and len(fields_seen) > 1

@@ -17,6 +17,7 @@ from bquiver import (
     relations_equal,
 )
 from bquiver.budgets import Budgets
+from bquiver.homotopy import RewriteTrace
 
 from conftest import (
     kronecker,
@@ -125,7 +126,7 @@ def test_decide_homotopic_golden_cases():
     a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
     yes = decide_homotopic(a, b, diff)
     assert yes.verdict == YES
-    assert yes.certificate.replay()
+    assert yes.certificate.replay(HomotopyOracle(diff).presentation)
     no = decide_homotopic(a, b, mono)
     assert no.verdict == NO
     oracle = HomotopyOracle(mono, tree)
@@ -188,6 +189,33 @@ def test_relations_equal_golden():
         assert relations_equal(diff, D.apply_to_ideal(diff)).verdict == YES
 
 
+def test_replay_rejects_a_forged_insertion():
+    # the two-relation ideal has relators; inserting the inverse of the
+    # start word reduces it to the unit, but that word is no relator
+    q, ideal, _, tree = two_triangles_pair(GF(2))
+    oracle = HomotopyOracle(ideal, tree)
+    pres = oracle.presentation
+    assert pres.relators
+    relator = pres.relators[0]
+    start = (1,)
+    forged = RewriteTrace(start, ((0, (-1,)),))
+    assert all((-1,) not in (r, tuple(-x for x in reversed(r))) for r in pres.relators)
+    assert not forged.replay(pres)
+    # the same start cancelled by a genuine relator step replays; so do a
+    # cyclic conjugate of a relator and an inverse relator
+    genuine = RewriteTrace(relator, ((len(relator), tuple(-x for x in reversed(relator))),))
+    assert genuine.replay(pres)
+    rotated = relator[1:] + relator[:1]
+    assert RewriteTrace(tuple(-x for x in reversed(rotated)), ((0, rotated),)).replay(pres)
+    # positions outside the word are rejected too
+    assert not RewriteTrace(relator, ((len(relator) + 1, tuple(-x for x in reversed(relator))),)).replay(pres)
+    # a certified "yes" from the search replays under its presentation
+    for u, v in oracle.pairs:
+        d = oracle.decide_paths(u, v)
+        if d.verdict == YES:
+            assert d.certificate.replay(pres)
+
+
 def test_relations_equal_random_dilatations():
     rng = random.Random(17)
     for _ in range(10):
@@ -207,7 +235,7 @@ def test_relations_equal_random_dilatations():
             d = second.decide_closed_word(word)
             again = second.decide_closed_word(word)
             assert again.verdict == d.verdict == YES
-            assert again.certificate.replay()
+            assert again.certificate.replay(second.presentation)
     # equal ideals over two separately built quivers are not comparable
     with pytest.raises(ValueError):
         relations_equal(parallel_pair(QQ)[1], parallel_pair(QQ)[1])

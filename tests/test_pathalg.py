@@ -227,6 +227,57 @@ def test_compose_is_associative_and_inverse_cancels():
     assert composite.compose(composite.invert()).is_identity()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_invert_round_trip_mixes_parallel_arrows(field):
+    # random instances with parallel arrows; each arrow goes to a random
+    # combination of its parallel arrows (an invertible arrow-level block)
+    # plus random multiples of the longer parallel paths
+    rng = random.Random(f"invert-{field}")
+    mixed_blocks = longer_terms = 0
+    done = 0
+    while done < 12:
+        q = random_quiver(rng, max_vertices=5, max_paths=30)
+        classes = [names for names in q.parallel_classes().values() if len(names) > 1]
+        if not classes:
+            continue
+        images = {}
+        for (src, tgt), names in q.parallel_classes().items():
+            longer = [p for p in q.paths_between(src, tgt) if p.length > 1]
+            while True:
+                block = {
+                    n: {m: rng.randrange(3) if field is QQ else rng.randrange(field.p) for m in names}
+                    for n in names
+                }
+                try:
+                    Automorphism(q, field, {n: _arrow_combination(q, field, block[n]) for n in names})
+                    break
+                except ValueError:
+                    continue
+            for n in names:
+                img = _arrow_combination(q, field, block[n])
+                for p in longer:
+                    if rng.random() < 0.5:
+                        img = img + AlgebraElement.from_path(q, field, p, random_nonzero(rng, field))
+                        longer_terms += 1
+                images[n] = img
+            mixed_blocks += len(names) > 1 and any(
+                not field.is_zero(field.coerce(block[n][m])) for n in names for m in names if m != n
+            )
+        phi = Automorphism(q, field, images)
+        inv = phi.invert()
+        assert phi.compose(inv).is_identity()
+        assert inv.compose(phi).is_identity()
+        done += 1
+    assert mixed_blocks and longer_terms
+
+
+def _arrow_combination(q, field, coeffs):
+    out = AlgebraElement.zero(q, field)
+    for name, c in coeffs.items():
+        out = out + AlgebraElement.from_path(q, field, q.arrow_path(name), c)
+    return out
+
+
 def test_twist_fixes_three_relation_ideal_in_char_two():
     q, ideal, _ = two_triangles_full(GF(2))
     psi = two_triangles_twist(q, GF(2))

@@ -154,7 +154,8 @@ def test_adapted_presentation_kronecker_mixed_basis():
     alg = space.algebra
     a_vec = alg.path_vector(q.arrow_path("a"))
     b_vec = alg.path_vector(q.arrow_path("b"))
-    mixed = SpecialBasis(alg, {("1", "2"): (a_vec, tuple(QQ.add(x, y) for x, y in zip(a_vec, b_vec)))})
+    a_plus_b = {i: QQ.add(a_vec.get(i, QQ.zero), b_vec.get(i, QQ.zero)) for i in a_vec.keys() | b_vec.keys()}
+    mixed = SpecialBasis(alg, {("1", "2"): (a_vec, a_plus_b)})
     pres = adapted_presentation(space, mixed, tree)
     images = sorted(str(pres.chi.images[n]) for n in ("a", "b"))
     assert images == ["a", "a + b"]
