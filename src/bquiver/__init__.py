@@ -37,7 +37,6 @@ from .quiver import (
     reduce_walk,
 )
 from .pathalg import (
-    AlgebraElement,
     Automorphism,
     IdealData,
     apply_to_ideal,

@@ -19,6 +19,7 @@ from . import __version__
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .dsl import InputDocument, InputError, parse_input
 from .hochschild import CohomologySpace, FDAlgebra
+from .pathalg import _render
 from .homotopy import (
     abelian_invariants,
     hom_space,
@@ -120,7 +121,7 @@ def _cmd_validate(document: InputDocument, args, budgets) -> tuple[dict, bool]:
             payload["ideals"][name] = {
                 "admissible": admissible,
                 "violations": [[i, str(p)] for i, p in violations],
-                "reduced_basis": [str(e) for e in ideal.basis],
+                "reduced_basis": [_render(ideal.quiver, ideal.field, e) for e in ideal.basis],
                 "monomial": ideal.is_monomial(),
             }
             ok = ok and admissible

@@ -26,7 +26,8 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 
 from .fields import Field, GF, QQ, is_prime
-from .pathalg import AlgebraElement, IdealData
+from .linalg import _add_multiple
+from .pathalg import IdealData, _render
 from .quiver import Quiver, QuiverError, SpanningTree
 
 
@@ -85,7 +86,7 @@ def _tokenize(text: str) -> list[Token]:
 class InputDocument:
     field: Field
     quiver: Quiver
-    ideal_generators: dict[str, list[AlgebraElement]]
+    ideal_generators: dict[str, list[dict]]
     ideal_order: list[str]
     tree_arrows: tuple[str, ...] | None = None
     budget_settings: dict[str, int] = dataclass_field(default_factory=dict)
@@ -198,7 +199,7 @@ class _Parser:
         except QuiverError as exc:
             self.fail(str(exc), first)
 
-    def parse_ideal_decl(self, doc: InputDocument) -> tuple[str, list[AlgebraElement]]:
+    def parse_ideal_decl(self, doc: InputDocument) -> tuple[str, list[dict]]:
         self.expect("ideal")
         name = self.expect_name().text
         self.expect("{")
@@ -212,14 +213,16 @@ class _Parser:
         self.expect("}")
         return name, gens
 
-    def parse_relation(self, doc: InputDocument) -> AlgebraElement:
-        elem = self.parse_term(doc, negative=False)
+    def parse_relation(self, doc: InputDocument) -> dict:
+        f = doc.field
+        elem: dict = {}
+        _add_multiple(f, elem, f.one, self.parse_term(doc, negative=False))
         while self.peek().text in ("+", "-"):
             sign = self.next().text
-            elem = elem + self.parse_term(doc, negative=sign == "-")
+            _add_multiple(f, elem, f.one, self.parse_term(doc, negative=sign == "-"))
         return elem
 
-    def parse_term(self, doc: InputDocument, negative: bool) -> AlgebraElement:
+    def parse_term(self, doc: InputDocument, negative: bool) -> dict:
         f = doc.field
         coeff = f.one
         tok = self.peek()
@@ -252,7 +255,7 @@ class _Parser:
             path = doc.quiver.path(tuple(reversed(names)))
         except QuiverError as exc:
             self.fail(str(exc), self.tokens[self.pos - 1])
-        return AlgebraElement.from_path(doc.quiver, f, path, coeff)
+        return {path: coeff}
 
     def _arrow_name(self, doc: InputDocument) -> str:
         tok = self.expect_name()
@@ -297,18 +300,8 @@ def render_document(doc: InputDocument) -> str:
         lines.append(f"  arrow {a.name}: {a.source} -> {a.target}")
     lines.append("}")
     for name in doc.ideal_order:
-        rels = []
-        for g in doc.ideal_generators[name]:
-            parts = []
-            for i, p in enumerate(g.support()):
-                c = g.coeffs[p]
-                body = str(p)
-                piece = body if c == f.one else f"{c}*{body}"
-                if i == 0:
-                    parts.append(piece)
-                else:
-                    parts.append(f"+ {piece}")
-            rels.append(" ".join(parts))
+        # a zero generator renders empty, as the empty body of the zero ideal
+        rels = [_render(doc.quiver, f, g) if g else "" for g in doc.ideal_generators[name]]
         lines.append(f"ideal {name} {{ " + " ; ".join(rels) + " }")
     if doc.tree_arrows:
         lines.append("tree { " + ", ".join(doc.tree_arrows) + " }")

@@ -36,7 +36,7 @@ membership in the derivation span is confirmed on its support only.
 from __future__ import annotations
 
 from .linalg import Subspace, _add_multiple, _clean, _Echelon, nullspace
-from .pathalg import AlgebraElement, IdealData
+from .pathalg import IdealData, _product, _render
 from .quiver import Path
 
 
@@ -82,22 +82,24 @@ class FDAlgebra:
 
     # ---------- vectors and products ----------
 
-    def vector_of(self, elem: AlgebraElement) -> dict:
-        """The normal form of ``elem`` as ``{basis index: coeff}``."""
-        return {self.index[p]: c for p, c in self.ideal.normal_form(elem).coeffs.items()}
+    def vector_of(self, elem: dict) -> dict:
+        """The normal form of the path-algebra element ``elem`` as
+        ``{basis index: coeff}``."""
+        return {self.index[p]: c for p, c in self.ideal.normal_form(elem).items()}
 
-    def element_of(self, vec: dict) -> AlgebraElement:
-        return AlgebraElement(self.quiver, self.field, {self.basis[i]: c for i, c in vec.items()})
+    def element_of(self, vec: dict) -> dict:
+        """The path-algebra element ``{Path: coeff}`` of an algebra vector."""
+        return {self.basis[i]: c for i, c in vec.items()}
 
     def path_vector(self, p: Path) -> dict:
-        return self.vector_of(AlgebraElement.from_path(self.quiver, self.field, p))
+        return self.vector_of({p: self.field.one})
 
     def basis_product(self, i: int, j: int) -> dict:
         """Vector of basis[i] * basis[j] (right-to-left, j traversed first)."""
         key = (i, j)
         if key not in self._table:
-            prod = AlgebraElement.from_path(self.quiver, self.field, self.basis[i]) * AlgebraElement.from_path(self.quiver, self.field, self.basis[j])
-            self._table[key] = self.vector_of(prod)
+            one = self.field.one
+            self._table[key] = self.vector_of(_product(self.field, {self.basis[i]: one}, {self.basis[j]: one}))
         return self._table[key]
 
     def multiply_vectors(self, u: dict, v: dict) -> dict:
@@ -122,8 +124,7 @@ class FDAlgebra:
                     w = self.basis[bi]
                     u = self._unknown_index[(name, w)]
                     term = Path(path.source, path.target, names[:i] + w.arrows + names[i + 1:])
-                    nf = self.ideal.normal_form(AlgebraElement.from_path(self.quiver, f, term))
-                    for p, c in nf.coeffs.items():
+                    for p, c in self.ideal.normal_form({term: f.one}).items():
                         cell = table.setdefault(self.index[p], {})
                         cell[u] = f.add(cell.get(u, f.zero), c)
             self._leibniz[path] = table
@@ -235,7 +236,7 @@ class Derivation:
         for name in alg.quiver.arrow_names:
             image = self.arrow_image(name)
             if image:
-                parts.append(f"{name} -> {alg.element_of(image)}")
+                parts.append(f"{name} -> {_render(alg.quiver, alg.field, alg.element_of(image))}")
         return "Derivation(" + ("; ".join(parts) or "0") + ")"
 
 
@@ -246,7 +247,7 @@ def derivation_space(algebra: FDAlgebra) -> list[Derivation]:
     for rel in algebra.ideal.basis:
         # D(rel) must vanish: each normal-path coordinate is one equation
         contrib: dict[int, dict[int, object]] = {}  # basis idx -> unknown idx -> coeff
-        for u_path, u_coeff in rel.coeffs.items():
+        for u_path, u_coeff in rel.items():
             for k, row in algebra.leibniz(u_path).items():
                 _add_multiple(f, contrib.setdefault(k, {}), u_coeff, row)
         rows.extend(row for row in contrib.values() if row)

@@ -39,7 +39,7 @@ def homotopy_pairs(ideal: IdealData) -> tuple[tuple[Path, Path], ...]:
     seen = set()
     out = []
     for elem in ideal.basis:
-        support = elem.support()
+        support = q.sort_paths(elem)
         for i in range(len(support)):
             for j in range(i + 1, len(support)):
                 u, v = support[i], support[j]

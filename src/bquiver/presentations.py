@@ -56,7 +56,7 @@ from .linalg import (
     poly_is_squarefree,
     roots_over_field,
 )
-from .pathalg import AlgebraElement, Automorphism, IdealData, identity_automorphism
+from .pathalg import Automorphism, IdealData, identity_automorphism
 from .quiver import Path, SpanningTree
 
 
@@ -137,9 +137,10 @@ class Presentation:
         self.kernel  # also sets self._chi_inverse
         imgs = {}
         for name in alg.quiver.arrow_names:
-            c = self._chi_inverse.images[name]
-            scaled = {p: f.mul(weight_of_path(f, weights, p), x) for p, x in c.coeffs.items()}
-            imgs[name] = alg.vector_of(self.chi.apply(AlgebraElement(alg.quiver, f, scaled)))
+            image: dict = {}
+            for p, x in self._chi_inverse.images[name].items():
+                _add_multiple(f, image, f.mul(weight_of_path(f, weights, p), x), self.chi.apply_path(p))
+            imgs[name] = alg.vector_of(image)
         return self.space.class_of(Derivation(alg, imgs))
 
     def character_image(self) -> ClassSpan:

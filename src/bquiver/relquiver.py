@@ -77,7 +77,7 @@ def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
     for elem in ideal.basis:
         # coefficient of each resulting path is c0 + c1 * tau
         linear: dict = {}
-        for p, c in elem.coeffs.items():
+        for p, c in elem.items():
             cell = linear.setdefault(p, [f.zero, f.zero])
             cell[0] = f.add(cell[0], c)
             if arrow in p.arrows:
@@ -371,14 +371,13 @@ def match_dilatation(source: IdealData, target: IdealData):
     arrow_idx = {n: i for i, n in enumerate(arrows)}
     exponent_rows = []
     ratios = []
-    for es, et in zip(source.basis, target.basis):
-        if set(es.coeffs) != set(et.coeffs):
+    for pivot, es, et in zip(source.pivot_paths, source.basis, target.basis):
+        if es.keys() != et.keys():
             return None
-        pivot = es.leading_path()
         pivot_exp = [0] * len(arrows)
         for nm in pivot.arrows:
             pivot_exp[arrow_idx[nm]] += 1
-        for p in es.support():
+        for p in source.quiver.sort_paths(es):
             if p == pivot:
                 continue
             row = [0] * len(arrows)
@@ -386,7 +385,7 @@ def match_dilatation(source: IdealData, target: IdealData):
                 row[arrow_idx[nm]] += 1
             row = [r - pe for r, pe in zip(row, pivot_exp)]
             exponent_rows.append(row)
-            ratios.append(f.div(et.coeffs[p], es.coeffs[p]))
+            ratios.append(f.div(et[p], es[p]))
     if not exponent_rows:
         return {n: f.one for n in arrows}
     d, u, v = smith_normal_form(exponent_rows)
@@ -482,7 +481,7 @@ def factor_to_source(
     done = finish(start, ())
     if done is not None:
         return done
-    visited = {start.basis_key()}
+    visited = {start.basis_key}
     queue = [(start, ())]
     nodes = 0
     while queue and nodes < budgets.factor_max_nodes:
@@ -492,7 +491,7 @@ def factor_to_source(
             for tau in critical_taus(current, bp):
                 phi = transvection_of(quiver, f, bp, tau)
                 nxt = phi.apply_to_ideal(current)
-                key = nxt.basis_key()
+                key = nxt.basis_key
                 if key in visited:
                     continue
                 visited.add(key)

@@ -7,7 +7,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from bquiver import (
-    AlgebraElement,
     GF,
     IdealData,
     QQ,
@@ -19,13 +18,20 @@ from bquiver import (
 )
 
 
+def combine(field, *terms):
+    """sum(c * x for (c, x) in terms) of sparse ``{Path: coeff}`` elements,
+    coefficients coerced and zero entries dropped."""
+    out = {}
+    for c, x in terms:
+        c = field.coerce(c)
+        for p, y in x.items():
+            out[p] = field.add(out.get(p, field.zero), field.mul(c, y))
+    return {p: y for p, y in out.items() if not field.is_zero(y)}
+
+
 def elem(quiver, field, *terms):
     """Build sum of (coeff, arrow-names-in-right-to-left-notation) terms."""
-    out = AlgebraElement.zero(quiver, field)
-    for coeff, notation in terms:
-        path = quiver.path(tuple(reversed(notation.split("*"))))
-        out = out + AlgebraElement.from_path(quiver, field, path, coeff)
-    return out
+    return combine(field, *((coeff, {path_of(quiver, notation): field.one}) for coeff, notation in terms))
 
 
 def path_of(quiver, notation):
@@ -181,10 +187,10 @@ def random_admissible_ideal(rng, quiver, field):
         key = rng.choice(keys)
         paths = corridors[key]
         p1 = rng.choice(paths)
-        g = AlgebraElement.from_path(quiver, field, p1, random_nonzero(rng, field))
+        g = {p1: random_nonzero(rng, field)}
         if len(paths) > 1 and rng.random() < 0.6:
             p2 = rng.choice([p for p in paths if p != p1])
-            g = g + AlgebraElement.from_path(quiver, field, p2, random_nonzero(rng, field))
+            g[p2] = random_nonzero(rng, field)
         gens.append(g)
     ideal = IdealData(quiver, field, gens)
     assert ideal.is_admissible()[0]

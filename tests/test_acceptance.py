@@ -8,7 +8,6 @@ import functools
 import random
 
 from bquiver import (
-    AlgebraElement,
     CohomologySpace,
     Derivation,
     FDAlgebra,
@@ -34,6 +33,7 @@ from bquiver.linalg import smith_normal_form
 
 from conftest import (
     chain_with_monomials,
+    combine,
     commutative_square,
     int_det,
     kronecker,
@@ -337,21 +337,17 @@ def test_criterion_12_structural_invariant_suite():
         q, field = ideal.quiver, ideal.field
         pivots = ideal.pivot_paths
         for j, e in enumerate(ideal.basis):
-            assert e.coefficient(pivots[j]) == field.one
-            lead_key = q.path_key(e.leading_path())
-            assert all(q.path_key(p) <= lead_key for p in e.support())
+            assert e.get(pivots[j], field.zero) == field.one
+            lead_key = q.path_key(max(e, key=q.path_key))
+            assert all(q.path_key(p) <= lead_key for p in e)
             for jp, other in enumerate(ideal.basis):
                 if jp != j:
-                    assert field.is_zero(other.coefficient(pivots[j]))
+                    assert field.is_zero(other.get(pivots[j], field.zero))
         keys = [q.path_key(p) for p in pivots]
         assert keys == sorted(keys)
         for _ in range(5):
-            r = AlgebraElement.zero(q, field)
-            for e in ideal.basis:
-                r = r + e.scale(rng.randint(1, 4))
-            rebuilt = AlgebraElement.zero(q, field)
-            for j, e in enumerate(ideal.basis):
-                rebuilt = rebuilt + e.scale(r.coefficient(pivots[j]))
+            r = combine(field, *((rng.randint(1, 4), e) for e in ideal.basis))
+            rebuilt = combine(field, *((r.get(pivots[j], field.zero), e) for j, e in enumerate(ideal.basis)))
             assert rebuilt == r
     # cohomology invariants per instance
     for ideal, tree in corpus:

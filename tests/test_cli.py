@@ -4,6 +4,7 @@ import pytest
 
 from bquiver import InputError, parse_input, render_document
 from bquiver.cli import main, build_arg_parser, resolve_budgets
+from bquiver.pathalg import _render
 
 PARALLEL_PAIR_DOC = """\
 # two routes into a third arrow
@@ -61,7 +62,7 @@ def test_parse_golden_document():
     assert doc.ideal_order == ["I", "J"]
     assert doc.tree_arrows == ("a", "c")
     ideal = doc.ideal("I")
-    assert [str(e) for e in ideal.basis] == ["c*a"]
+    assert [_render(doc.quiver, doc.field, e) for e in ideal.basis] == ["c*a"]
 
 
 def test_parse_errors_are_positioned():
@@ -101,8 +102,8 @@ def test_parse_render_parse_is_stable():
         assert sorted(doc2.quiver.arrows, key=key) == sorted(doc1.quiver.arrows, key=key)
         for name in doc1.ideal_order:
             # documents carry distinct quiver objects, so compare canonically
-            assert [str(e) for e in doc1.ideal(name).basis] == [
-                str(e) for e in doc2.ideal(name).basis
+            assert [_render(doc1.quiver, doc1.field, e) for e in doc1.ideal(name).basis] == [
+                _render(doc2.quiver, doc2.field, e) for e in doc2.ideal(name).basis
             ]
 
 

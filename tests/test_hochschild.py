@@ -4,7 +4,6 @@ import random
 import pytest
 
 from bquiver import (
-    AlgebraElement,
     CohomologySpace,
     Derivation,
     FDAlgebra,
@@ -63,7 +62,7 @@ def test_algebra_rejects_inadmissible_ideal():
     q, mono, _, _ = parallel_pair(QQ)
     from bquiver import IdealData
 
-    bad = IdealData(q, QQ, [AlgebraElement.from_path(q, QQ, q.arrow_path("a"))])
+    bad = IdealData(q, QQ, [{q.arrow_path("a"): QQ.one}])
     with pytest.raises(ValueError):
         FDAlgebra(bad)
 

@@ -20,6 +20,7 @@ from bquiver import (
     realize_in_image,
 )
 from bquiver.homotopy import weight_of_walk
+from bquiver.pathalg import _render
 
 from conftest import (
     chain_with_monomials,
@@ -157,7 +158,7 @@ def test_adapted_presentation_kronecker_mixed_basis():
     a_plus_b = {i: QQ.add(a_vec.get(i, QQ.zero), b_vec.get(i, QQ.zero)) for i in a_vec.keys() | b_vec.keys()}
     mixed = SpecialBasis(alg, {("1", "2"): (a_vec, a_plus_b)})
     pres = adapted_presentation(space, mixed, tree)
-    images = sorted(str(pres.chi.images[n]) for n in ("a", "b"))
+    images = sorted(_render(q, QQ, pres.chi.images[n]) for n in ("a", "b"))
     assert images == ["a", "a + b"]
     assert pres.kernel.basis == ()  # the zero ideal stays admissible
 
