@@ -34,7 +34,6 @@ from .quiver import (
     Walk,
     enumerate_bypasses,
     has_double_bypass,
-    reduce_walk,
 )
 from .pathalg import (
     Automorphism,

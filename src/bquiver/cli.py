@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -315,7 +316,10 @@ def emit(report: dict, json_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged, so every call shares it)."""
     parser = argparse.ArgumentParser(
         prog="bquiver",
         description=(

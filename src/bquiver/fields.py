@@ -73,10 +73,6 @@ class Field:
             acc = self.add(acc, v)
         return acc
 
-    def to_json(self, a):
-        """JSON-safe rendering: rationals as 'p/q' strings, GF(p) as ints."""
-        raise NotImplementedError
-
     def require_same(self, other: "Field"):
         if self != other:
             raise FieldMismatchError(f"field mismatch: {self} vs {other}")
@@ -109,9 +105,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def to_json(self, a):
-        return str(a)
 
     def __repr__(self):
         return "QQ"
@@ -157,9 +150,6 @@ class PrimeField(Field):
 
     def elements(self):
         return range(self.p)
-
-    def to_json(self, a):
-        return a
 
     def __repr__(self):
         return f"GF({self.p})"

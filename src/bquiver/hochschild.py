@@ -2,7 +2,9 @@
 
 The algebra attached to an admissible ideal carries the normal paths as a
 basis (trivial paths first), with the product computed through normal forms;
-its vectors are sparse ``{basis index: coeff}`` maps.  A unitary derivation
+its vectors are sparse ``{basis index: coeff}`` maps, and ``vector_of`` and
+``element_of`` convert between them and path-algebra elements, the sparse
+``{Path: coeff}`` maps of :mod:`bquiver.pathalg`.  A unitary derivation
 kills the idempotents and preserves every corridor ``e_y A e_x``, so it is
 determined by one vector per arrow: the image inside the span of the normal
 paths parallel to that arrow.  The coordinates of those vectors are the

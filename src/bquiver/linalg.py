@@ -242,16 +242,6 @@ def poly_eval(field: Field, a, x):
     return acc
 
 
-def poly_is_squarefree(field: Field, a) -> bool:
-    a = poly_trim(field, a)
-    if poly_degree(a) < 1:
-        return True
-    d = poly_derivative(field, a)
-    if not d:
-        return False
-    return poly_degree(poly_gcd(field, a, d)) == 0
-
-
 def minimal_polynomial(field: Field, columns: Sequence[dict]) -> tuple:
     """Monic least-degree polynomial annihilating the square matrix whose
     column j is the sparse vector ``columns[j]`` (``{row: coeff}``).

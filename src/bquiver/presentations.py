@@ -22,10 +22,13 @@ operators); matching that eigenbasis to the arrows yields an adapted
 presentation and recovers the family inside one character image, which is
 the constructive path used by the maximality analysis.  Algebra vectors,
 basis blocks and linear systems are sparse ``{index: coeff}`` maps
-throughout.
+throughout, and the arrow images of chi are path-algebra elements, sparse
+``{Path: coeff}`` maps.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import PrimeField
@@ -53,7 +56,6 @@ from .linalg import (
     _Echelon,
     minimal_polynomial,
     nullspace,
-    poly_is_squarefree,
     roots_over_field,
 )
 from .pathalg import Automorphism, IdealData, identity_automorphism
@@ -206,8 +208,10 @@ def diagonalizability_witness(cls: CohomologyClass):
     f = space.field
     for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
         mp = minimal_polynomial(f, _block_columns(space, cls, key))
+        # roots come with multiplicity, so a split mp is squarefree exactly
+        # when they are distinct
         roots, splits = roots_over_field(f, mp)
-        if not splits or not poly_is_squarefree(f, mp):
+        if not splits or len(set(roots)) != len(roots):
             return (key, mp)
     return None
 
@@ -412,12 +416,10 @@ def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Bu
             for v, b in zip(coeffs, basis):
                 cls = cls + b.scale(v)
             emitted += 1
-            yield cls, True  # True: stream is exhaustive if not truncated
+            yield cls
     else:
         grid = budgets.rational_grid
         emitted = 0
-        import itertools
-
         for coeffs in itertools.product(grid + (f.zero,), repeat=c):
             if all(f.is_zero(v) for v in coeffs):
                 continue
@@ -427,7 +429,7 @@ def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Bu
             for v, b in zip(coeffs, basis):
                 cls = cls + b.scale(v)
             emitted += 1
-            yield cls, False
+            yield cls
 
 
 def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGETS):
@@ -446,7 +448,7 @@ def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGET
         return YES, None
     exhaustive = isinstance(space.field, PrimeField)
     count = 0
-    for cls, _ in _iter_candidate_classes(space, cent, budgets):
+    for cls in _iter_candidate_classes(space, cent, budgets):
         count += 1
         if span.contains(cls):
             continue

@@ -393,7 +393,3 @@ def has_double_bypass(quiver: Quiver) -> tuple[bool, tuple | None]:
             for other in by_arrow.get(inner, ()):
                 return True, (bp.arrow, bp.path, other.arrow, other.path)
     return False, None
-
-
-def reduce_walk(walk: Walk) -> Walk:
-    return walk.reduced()

@@ -9,7 +9,6 @@ from bquiver.linalg import (
     minimal_polynomial,
     nullspace,
     poly_eval,
-    poly_is_squarefree,
     roots_over_field,
     smith_normal_form,
     Subspace,
@@ -338,8 +337,6 @@ def test_roots_with_multiplicity_and_squarefree_flag():
     roots, splits = roots_over_field(QQ, poly)
     assert roots == [0, 0, Fraction(1, 2)]
     assert splits
-    assert not poly_is_squarefree(QQ, poly)
-    assert poly_is_squarefree(QQ, (Fraction(0), Fraction(1)))
 
 
 def test_roots_zero_polynomial_rejected():
