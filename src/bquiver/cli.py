@@ -20,13 +20,13 @@ from . import __version__
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .dsl import InputDocument, InputError, parse_input
 from .hochschild import CohomologySpace, FDAlgebra
-from .pathalg import _render
 from .homotopy import (
     abelian_invariants,
     hom_space,
     homotopy_pairs,
     pi1_presentation,
 )
+from .pathalg import _render
 from .presentations import (
     Presentation,
     is_diagonalizable_set,

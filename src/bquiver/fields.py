@@ -3,8 +3,8 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always stored reduced), canonical representatives ``0..p-1`` (ints) over
 GF(p).  Containers that hold scalars carry a :class:`Field` object and all
-arithmetic is routed through it; mixing scalars from different fields raises
-:class:`FieldMismatchError`.  Everything is immutable and side-effect free.
+arithmetic is routed through it; ``Field.require_same`` raises
+:class:`FieldMismatchError` when two fields differ.  Everything is immutable and side-effect free.
 """
 
 from __future__ import annotations

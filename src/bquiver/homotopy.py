@@ -67,8 +67,21 @@ def _invert_word(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
+def _cyclic_reduce(w: Word) -> Word:
+    """The freely reduced ``w`` with its mutually inverse end letters cut."""
+    i, j = 0, len(w)
+    while j - i > 1 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
+
+
 class GroupPresentation:
-    """Spanning-tree presentation of the fundamental group at the base vertex."""
+    """Spanning-tree presentation of the fundamental group at the base vertex.
+
+    ``symmetrized`` lists the words a rewriting may insert: every rotation of
+    the cyclically reduced form of each relator and of its inverse, each a
+    conjugate of a relator or of its inverse, once, in relator order.
+    """
 
     def __init__(self, quiver: Quiver, tree: SpanningTree, pairs):
         self.quiver = quiver
@@ -84,6 +97,13 @@ class GroupPresentation:
             if w:
                 relators.append(w)
         self.relators = tuple(relators)
+        words: dict[Word, None] = {}
+        for r in self.relators:
+            c = _cyclic_reduce(r)
+            for word in (c, _invert_word(c)):
+                for i in range(len(word)):
+                    words.setdefault(word[i:] + word[:i])
+        self.symmetrized = tuple(words)
 
     def word_of_walk(self, walk: Walk) -> Word:
         letters = []
@@ -221,15 +241,11 @@ class RewriteTrace:
     steps: tuple[tuple[int, Word], ...]  # (position, inserted relator word)
 
     def replay(self, presentation: GroupPresentation) -> bool:
-        """Redo the insertions; each inserted word must be a relator of the
-        presentation, the inverse of one, or a cyclic conjugate of either."""
-        allowed = set()
-        for r in presentation.relators:
-            for word in (r, _invert_word(r)):
-                allowed.update(word[i:] + word[:i] for i in range(len(word)))
+        """Redo the insertions; each inserted word must be one of the
+        presentation's symmetrized relators."""
         w = self.start
         for pos, rel in self.steps:
-            if rel not in allowed or pos < 0 or pos > len(w):
+            if rel not in presentation.symmetrized or pos < 0 or pos > len(w):
                 return False
             w = _free_reduce(w[:pos] + rel + w[pos:])
         return w == ()
@@ -309,12 +325,7 @@ class HomotopyOracle:
     def _search_trivial(self, word: Word) -> RewriteTrace | None:
         if word == ():
             return RewriteTrace((), ())
-        rels = []
-        for r in self.presentation.relators:
-            rels.append(r)
-            inv = _invert_word(r)
-            if inv != r:
-                rels.append(inv)
+        rels = self.presentation.symmetrized
         if not rels:
             return None
         max_len = self.budgets.word_max_len

@@ -114,7 +114,7 @@ class IdealData:
         return self._echelon.reduce(elem)
 
     def contains(self, elem: dict) -> bool:
-        return not self._echelon.reduce(elem)
+        return not self.normal_form(elem)
 
     # ---------- predicates ----------
 

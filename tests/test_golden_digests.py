@@ -106,9 +106,9 @@ GOLDEN = {
     ("fractions", "R", "homk"): (0, "efe2c42ac98a9611091c146075caec9d9389d322fbd08bc18969350f1dfb517f"),
     ("fractions", "R", "hh1"): (0, "2d055851dea602034fac4573df415bf0a456c81618cc06a898c7dd92b6e2657c"),
     ("fractions", "R", "theta"): (0, "c7a95c4025c62776ca75904d896bcd79c6d26757d2973d418cc5bef79a00857a"),
-    ("fractions", "R", "gamma"): (3, "50e2d0d25a9a1c2b639c13bfb34434f2732949caa3c3bbb03cf20854c55d60f1"),
+    ("fractions", "R", "gamma"): (0, "181e09321f670e1ea19eb53e0357f84a5898164476f59d51aa8ff286ab1fe773"),
     ("fractions", "R", "maxdiag"): (0, "e43a2d3504be09e92a94233e467b808e60e7dec9d93b1f84459390983a6747ad"),
-    ("fractions", "R", "verify"): (3, "c66b739d2994e43232bc0317c3017cd8b62173141a4f05e4f20efedc436751d5"),
+    ("fractions", "R", "verify"): (0, "44d5e371ac22ba08915533555481a4646be98fe13f05a4fd6b92bb86458328e8"),
     ("fractions", "S", "validate"): (0, "24a3bb5e4dc28dd5d4434938c5016bbe6342becfe7d12010aac3a70690c38afc"),
     ("fractions", "S", "pi1"): (0, "79d544cd54b3819fd174aa8189bb88336c3e4e4d60ea573c5430c9eb92eccdb3"),
     ("fractions", "S", "homk"): (0, "695042568f2d0d9646b8bc226a03e6667fe9dc7b69a2c2512a38b662674c13be"),

@@ -6,6 +6,7 @@ from bquiver import (
     GF,
     QQ,
     HomotopyOracle,
+    IdealData,
     NO,
     UNKNOWN,
     YES,
@@ -15,11 +16,14 @@ from bquiver import (
     homotopy_pairs,
     pi1_presentation,
     relations_equal,
+    Quiver,
 )
 from bquiver.budgets import Budgets
 from bquiver.homotopy import RewriteTrace
 
 from conftest import (
+    commutative_square,
+    elem,
     kronecker,
     parallel_pair,
     random_admissible_ideal,
@@ -307,3 +311,34 @@ def test_relator_preimages_are_closed_walks():
         closed = q.concat_walks(q.path_walk(v).inverse(), q.path_walk(u))
         assert closed.source == closed.target
         assert pres.word_of_walk(closed) in pres.relators or pres.word_of_walk(closed) == ()
+
+
+def test_symmetrized_relators_insert_cyclic_reductions():
+    # the relator f*e^-1*f^-1 is not cyclically reduced; its symmetrized
+    # set holds e^-1 and e, so e is decided trivial at once
+    q = Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "4", "5"), ("f", "2", "4")],
+    )
+    ideal = IdealData(q, QQ, [elem(q, QQ, (1, "e*f*a"), (-1, "d*f*a"))])
+    oracle = HomotopyOracle(ideal)
+    pres = oracle.presentation
+    assert pres.generators == ("e", "f")
+    assert [pres.show_word(r) for r in pres.relators] == ["f*e^-1*f^-1"]
+    assert [pres.show_word(w) for w in pres.symmetrized] == ["e^-1", "e"]
+    d = oracle.decide_arrow_path("e", q.arrow_path("d"))
+    assert d.verdict == YES
+    assert d.certificate.steps == ((0, (-1,)),)
+    assert d.certificate.replay(pres)
+    # every rotation of a cyclically reduced relator and of its inverse
+    # is listed once, in relator order
+    for golden in (two_triangles_pair(GF(2))[1], commutative_square(QQ)[1]):
+        p = HomotopyOracle(golden).presentation
+        assert p.relators
+        expected = []
+        for r in p.relators:
+            for w in (r, tuple(-x for x in reversed(r))):
+                for i in range(len(w)):
+                    if w[i:] + w[:i] not in expected:
+                        expected.append(w[i:] + w[:i])
+        assert list(p.symmetrized) == expected

@@ -430,3 +430,26 @@ def test_relation_quiver_robust_on_random_instances():
                     reachable.add(a.target)
                     changed = True
         assert reachable == set(range(len(rq.vertices))) or rq.unknown_candidates or rq.ambiguous_vertices
+
+
+def test_seed3_75_gamma_is_complete_with_one_arrow():
+    # Random(3), iteration 75: the transvection e -> e - d gives the ideal
+    # <e*f*a - d*f*a>, whose one relator f*e^-1*f^-1 makes e trivial only
+    # through its cyclic reduction e^-1
+    from conftest import random_admissible_ideal, random_quiver
+
+    rng = random.Random(3)
+    for _ in range(76):
+        q = random_quiver(rng, 6, 40)
+        ideal = random_admissible_ideal(rng, q, QQ)
+    assert [(a.name, a.source, a.target) for a in q.arrows] == [
+        ("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "4", "5"), ("f", "2", "4"),
+    ]
+    assert [str(p) for p in ideal.pivot_paths] == ["e*f*a"] and ideal.is_monomial()
+    rq = build_relation_quiver(ideal)
+    report = sources_report(rq)
+    assert (len(rq.vertices), len(rq.arrows), len(rq.unknown_candidates)) == (2, 1, 0)
+    assert report["complete"] and report["unique_source"]
+    arrow = rq.arrows[0]
+    assert (arrow.bypass.arrow, str(arrow.bypass.path)) == ("e", "d")
+    assert arrow.before.verdict == NO and arrow.after.verdict == YES
