@@ -17,9 +17,8 @@ Everything is exact (rational or mod-p arithmetic) and deterministic.
 
 __version__ = "0.1.0"
 
-from .fields import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
+from .fields import GF, QQ, Field, PrimeField, RationalField
 from .linalg import (
-    Subspace,
     minimal_polynomial,
     nullspace,
     roots_over_field,

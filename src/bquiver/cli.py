@@ -191,6 +191,12 @@ def _cmd_hh1(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     return payload, True
 
 
+def _class_vector(cls) -> list:
+    """A class's coordinates as the dense list the reports print."""
+    zero = cls.space.field.zero
+    return [cls.coords.get(j, zero) for j in range(len(cls.space.der_basis))]
+
+
 def _cmd_theta(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
@@ -202,7 +208,7 @@ def _cmd_theta(document: InputDocument, args, budgets) -> tuple[dict, bool]:
         "hom_dim": pres.hom.dim,
         "image_dim": image.dim,
         "cohomology_dim": space.dim,
-        "image_basis": [list(c.vector) for c in image.basis_classes()],
+        "image_basis": [_class_vector(c) for c in image.basis_classes()],
         "diagonalizable": is_diagonalizable_set(image.basis_classes()),
     }
     return payload, True
@@ -240,7 +246,7 @@ def _cmd_maxdiag(document: InputDocument, args, budgets) -> tuple[dict, bool]:
         "image_dim": image.dim,
         "cohomology_dim": space.dim,
         "verdict": verdict,
-        "witness": None if witness is None else list(witness.vector),
+        "witness": None if witness is None else _class_vector(witness),
     }
     return payload, verdict != "no"
 

@@ -300,8 +300,10 @@ def render_document(doc: InputDocument) -> str:
         lines.append(f"  arrow {a.name}: {a.source} -> {a.target}")
     lines.append("}")
     for name in doc.ideal_order:
-        # a zero generator renders empty, as the empty body of the zero ideal
-        rels = [_render(doc.quiver, f, g) if g else "" for g in doc.ideal_generators[name]]
+        # a zero generator renders as zero times an arrow (it was written
+        # with one), which parses back to a zero generator
+        gens = doc.ideal_generators[name]
+        rels = [_render(doc.quiver, f, g) if g else f"0*{doc.quiver.arrow_names[0]}" for g in gens]
         lines.append(f"ideal {name} {{ " + " ; ".join(rels) + " }")
     if doc.tree_arrows:
         lines.append("tree { " + ", ".join(doc.tree_arrows) + " }")

@@ -3,18 +3,13 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always stored reduced), canonical representatives ``0..p-1`` (ints) over
 GF(p).  Containers that hold scalars carry a :class:`Field` object and all
-arithmetic is routed through it; ``Field.require_same`` raises
-:class:`FieldMismatchError` when two fields differ.  Everything is immutable and side-effect free.
+arithmetic is routed through it.  Everything is immutable and side-effect free.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-
-
-class FieldMismatchError(ValueError):
-    """Raised when values from two different fields meet in one computation."""
 
 
 def is_prime(n: int) -> bool:
@@ -72,10 +67,6 @@ class Field:
         for v in values:
             acc = self.add(acc, v)
         return acc
-
-    def require_same(self, other: "Field"):
-        if self != other:
-            raise FieldMismatchError(f"field mismatch: {self} vs {other}")
 
 
 class RationalField(Field):

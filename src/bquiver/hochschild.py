@@ -28,16 +28,18 @@ Lie operations act on sparse arrow images only: the bracket is
 induced by an ideal-fixing path-algebra automorphism rho conjugates D to the
 derivation a -> Psi(D(Psi^-1(a))), where Psi^-1(a) is the normal form of
 rho^-1(a) and Psi applies rho to a normal-path combination.  Each class is
-stored through a canonical coset representative: coordinates in the
-derivation basis with the echelon-pivot coordinates of the inner subspace
-zeroed out, so class equality is plain vector equality.  A derivation's
-coordinate on basis derivation j is its entry on j's free unknown, and
-membership in the derivation span is confirmed on its support only.
+held by sparse coordinates ``{derivation-basis index: coeff}``, reduced
+modulo the echelon of the inner derivations, so no coordinate sits on an
+inner pivot and class equality is dict equality; the basis classes are unit
+coordinates on the other columns, and a span of classes is the echelon of
+their coordinates.  A derivation's coordinate on basis derivation j is its
+entry on j's free unknown, and membership in the derivation span is
+confirmed by rebuilding the derivation from those coordinates.
 """
 
 from __future__ import annotations
 
-from .linalg import Subspace, _add_multiple, _clean, _Echelon, nullspace
+from .linalg import _add_multiple, _clean, _combination, _Echelon, nullspace
 from .pathalg import IdealData, _product, _render
 from .quiver import Path
 
@@ -279,50 +281,47 @@ def inner_derivation_space(algebra: FDAlgebra) -> list[Derivation]:
 
 
 class CohomologyClass:
-    """A cohomology class held by its canonical coset-representative vector."""
+    """A cohomology class held by its canonical coordinates: a sparse
+    ``{derivation-basis index: coeff}`` map with no zeros and no pivot column
+    of the inner span, so equal classes have equal coordinates."""
 
-    __slots__ = ("space", "vector", "_representative")
+    __slots__ = ("space", "coords", "_representative")
 
-    def __init__(self, space: "CohomologySpace", vector):
+    def __init__(self, space: "CohomologySpace", coords: dict):
         self.space = space
-        self.vector = tuple(space.field.coerce(x) for x in vector)
+        self.coords = coords
         self._representative = None
 
     def is_zero(self) -> bool:
-        z = self.space.field.zero
-        return all(x == z for x in self.vector)
+        return not self.coords
 
     def representative(self) -> Derivation:
         """The canonical representative, built once: classes are immutable."""
         if self._representative is None:
-            self._representative = self.space.representative(self.vector)
+            self._representative = self.space.representative(self.coords)
         return self._representative
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        f = self.space.field
-        return CohomologyClass(self.space, tuple(f.add(x, y) for x, y in zip(self.vector, other.vector)))
-
-    def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        f = self.space.field
-        return CohomologyClass(self.space, tuple(f.sub(x, y) for x, y in zip(self.vector, other.vector)))
+        coords = dict(self.coords)
+        _add_multiple(self.space.field, coords, self.space.field.one, other.coords)
+        return CohomologyClass(self.space, coords)
 
     def scale(self, s) -> "CohomologyClass":
         f = self.space.field
-        s = f.coerce(s)
-        return CohomologyClass(self.space, tuple(f.mul(s, x) for x in self.vector))
+        return CohomologyClass(self.space, _combination(f, [self.coords], {0: f.coerce(s)}))
 
     def __eq__(self, other):
         return (
             isinstance(other, CohomologyClass)
             and self.space is other.space
-            and self.vector == other.vector
+            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash(self.vector)
+        return hash(frozenset(self.coords.items()))
 
     def __repr__(self):
-        return f"CohomologyClass{self.vector}"
+        return f"CohomologyClass({dict(sorted(self.coords.items()))})"
 
 
 class CohomologySpace:
@@ -333,25 +332,22 @@ class CohomologySpace:
         self.field = algebra.field
         self.der_basis = derivation_space(algebra)
         self.inner_basis = inner_derivation_space(algebra)
-        f = self.field
+        self._der_vectors = [d.coords for d in self.der_basis]
         # canonical nullspace vectors are unit on their free column, their
         # greatest unknown, so the coefficient of a derivation on basis
         # vector j is its entry there
-        self._free_columns = tuple(max(d.coords) for d in self.der_basis)
-        self._inner = Subspace(f, len(self.der_basis), [self._der_coefficients(d) for d in self.inner_basis])
-        self.dim = len(self.der_basis) - self._inner.dim
+        self._free_columns = tuple(max(v) for v in self._der_vectors)
+        self._inner = _Echelon(self.field)
+        for d in self.inner_basis:
+            self._inner.insert(self._der_coefficients(d))
+        self.dim = len(self.der_basis) - len(self._inner.rows)
 
-    def _der_coefficients(self, derivation: Derivation) -> tuple:
-        f = self.field
+    def _der_coefficients(self, derivation: Derivation) -> dict:
         coords = derivation.coords
-        coeffs = tuple(coords.get(c, f.zero) for c in self._free_columns)
-        # confirm the derivation lies in the span: subtracting the basis
-        # derivations with those coefficients must leave nothing
-        rest = dict(coords)
-        for c, d in zip(coeffs, self.der_basis):
-            if not f.is_zero(c):
-                _add_multiple(f, rest, f.neg(c), d.coords)
-        if rest:
+        coeffs = {j: coords[c] for j, c in enumerate(self._free_columns) if c in coords}
+        # confirm the derivation lies in the span: the basis derivations
+        # with those coefficients must give it back
+        if _combination(self.field, self._der_vectors, coeffs) != coords:
             raise ValueError("derivation does not satisfy the Leibniz system")
         return coeffs
 
@@ -361,27 +357,15 @@ class CohomologySpace:
         return CohomologyClass(self, self._inner.reduce(self._der_coefficients(derivation)))
 
     def zero_class(self) -> CohomologyClass:
-        return CohomologyClass(self, [self.field.zero] * len(self.der_basis))
+        return CohomologyClass(self, {})
 
     def basis_classes(self) -> list[CohomologyClass]:
-        f = self.field
-        pivots = set(self._inner.pivots)
-        out = []
-        for j in range(len(self.der_basis)):
-            if j in pivots:
-                continue
-            vec = [f.zero] * len(self.der_basis)
-            vec[j] = f.one
-            out.append(CohomologyClass(self, vec))
-        return out
+        """Unit coordinates on the columns that are not inner pivots."""
+        one = self.field.one
+        return [CohomologyClass(self, {j: one}) for j in range(len(self.der_basis)) if j not in self._inner.rows]
 
-    def representative(self, class_vector) -> Derivation:
-        f = self.field
-        coords: dict = {}
-        for c, d in zip(class_vector, self.der_basis):
-            if not f.is_zero(c):
-                _add_multiple(f, coords, c, d.coords)
-        return Derivation._of(self.algebra, coords)
+    def representative(self, coords: dict) -> Derivation:
+        return Derivation._of(self.algebra, _combination(self.field, self._der_vectors, coords))
 
     def bracket(self, f1: CohomologyClass, g1: CohomologyClass) -> CohomologyClass:
         """Commutator bracket [D, E](a) = D(E(a)) - E(D(a)) on the arrows of
@@ -410,48 +394,52 @@ class CohomologySpace:
 
 
 class ClassSpan:
-    """A subspace of the cohomology, canonical under echelon reduction."""
+    """A subspace of the cohomology, held by the echelon of its classes'
+    coordinates (canonical, so equal spans have equal rows)."""
 
     def __init__(self, space: CohomologySpace, classes):
         self.space = space
-        vectors = [c.vector for c in classes]
-        ambient = len(space.der_basis)
-        self.subspace = Subspace(space.field, ambient, vectors)
+        self._echelon = _Echelon(space.field)
+        for c in classes:
+            self._echelon.insert(c.coords)
 
     @property
     def dim(self) -> int:
-        return self.subspace.dim
+        return len(self._echelon.rows)
 
     def basis_classes(self) -> list[CohomologyClass]:
-        return [CohomologyClass(self.space, row) for row in self.subspace.basis]
+        rows = self._echelon.rows
+        return [CohomologyClass(self.space, rows[p]) for p in sorted(rows)]
 
     def contains(self, cls: CohomologyClass) -> bool:
-        return self.subspace.contains(cls.vector)
+        return not self._echelon.reduce(cls.coords)
 
     def contains_span(self, other: "ClassSpan") -> bool:
-        return self.subspace.contains_subspace(other.subspace)
+        return all(not self._echelon.reduce(row) for row in other._echelon.rows.values())
 
     def __eq__(self, other):
-        return isinstance(other, ClassSpan) and self.space is other.space and self.subspace == other.subspace
+        return isinstance(other, ClassSpan) and self.space is other.space and self._echelon.rows == other._echelon.rows
 
     def __hash__(self):
-        return hash(self.subspace)
+        return hash(frozenset((p, frozenset(row.items())) for p, row in self._echelon.rows.items()))
 
     def __repr__(self):
         return f"ClassSpan(dim {self.dim})"
 
 
-def conjugate_class(space: CohomologySpace, rho, cls: CohomologyClass) -> CohomologyClass:
-    """Push a class forward along the algebra automorphism Psi induced by an
-    ideal-fixing path-algebra automorphism rho: the conjugate derivation
-    sends each arrow a to Psi(D(Psi^-1(a))), where Psi^-1(a) = rho^-1(a)."""
+def conjugate_class(space: CohomologySpace, rho, classes) -> list[CohomologyClass]:
+    """Push classes forward along the algebra automorphism Psi induced by an
+    ideal-fixing path-algebra automorphism rho, in order: the conjugate
+    derivation sends each arrow a to Psi(D(Psi^-1(a))), where
+    Psi^-1(a) = rho^-1(a).  The ideal check and the inversion are done once
+    for all the classes."""
     alg = space.algebra
     if rho.apply_to_ideal(alg.ideal) != alg.ideal:
         raise ValueError("automorphism does not fix the defining ideal")
-    rho_inverse = rho.invert()
-    d = cls.representative()
-    imgs = {}
-    for name in alg.quiver.arrow_names:
-        image = d.apply(alg.vector_of(rho_inverse.images[name]))
-        imgs[name] = alg.vector_of(rho.apply(alg.element_of(image)))
-    return space.class_of(Derivation(alg, imgs))
+    preimages = {name: alg.vector_of(image) for name, image in rho.invert().images.items()}
+    out = []
+    for cls in classes:
+        d = cls.representative()
+        imgs = {name: alg.vector_of(rho.apply(alg.element_of(d.apply(x)))) for name, x in preimages.items()}
+        out.append(space.class_of(Derivation(alg, imgs)))
+    return out

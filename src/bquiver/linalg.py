@@ -5,10 +5,10 @@ entries, the format of the one elimination, ``_Echelon``: it holds a span
 by its fully reduced, monic echelon basis, with the column order as its one
 parameter.  Matrix columns are ordered by ascending index; ideals of the
 path algebra order paths descending, so each pivot is the greatest path of
-its row.  That basis is unique, so ``Subspace`` bases and pivots (the RREF),
+its row.  That basis is unique, so echelon rows and pivots (the RREF),
 nullspace bases (free columns in increasing order each receive a unit
 coordinate), remainders and minimal polynomials do not depend on the order
-rows arrive in.  ``Subspace`` is the dense public view of the echelon.  The
+rows arrive in, and two spans are equal exactly when their rows are.  The
 Smith normal form works on arbitrary-precision integers while tracking the
 unimodular row/column transforms.
 
@@ -104,14 +104,6 @@ def _clean(f: Field, vec: dict) -> dict:
     return out
 
 
-def _sparse(f: Field, vec: Sequence) -> dict:
-    return {j: x for j, x in enumerate(vec) if not f.is_zero(x)}
-
-
-def _dense(f: Field, row: dict, n: int) -> tuple:
-    return tuple(row.get(j, f.zero) for j in range(n))
-
-
 def nullspace(field: Field, ncols: int, rows) -> list[dict]:
     """Canonical kernel basis of a system of sparse rows over ``ncols``
     unknowns: one vector per free column, in increasing order, unit there.
@@ -131,53 +123,6 @@ def nullspace(field: Field, ncols: int, rows) -> list[dict]:
         vec[fc] = field.one
         basis.append(vec)
     return basis
-
-
-class Subspace:
-    """A subspace of k^n held by its unique reduced echelon basis."""
-
-    def __init__(self, field: Field, dimension_ambient: int, vectors: Sequence[Sequence] = ()):
-        self.field = field
-        self.ambient = dimension_ambient
-        self._echelon = _Echelon(field)
-        for v in vectors:
-            if len(v) != dimension_ambient:
-                raise ValueError("vector length mismatch")
-            self._echelon.insert(_sparse(field, [field.coerce(x) for x in v]))
-        self.pivots = tuple(sorted(self._echelon.rows))
-        self.basis = tuple(_dense(field, self._echelon.rows[p], dimension_ambient) for p in self.pivots)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def _remainder(self, vec: Sequence) -> dict:
-        f = self.field
-        return self._echelon.reduce(_sparse(f, [f.coerce(x) for x in vec]))
-
-    def reduce(self, vec: Sequence) -> tuple:
-        """Remainder of ``vec`` after elimination against the echelon basis."""
-        return _dense(self.field, self._remainder(vec), self.ambient)
-
-    def contains(self, vec: Sequence) -> bool:
-        return not self._remainder(vec)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
 
 # ---------- polynomials (ascending coefficient tuples) ----------

@@ -373,63 +373,42 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
 def centralizer(space: CohomologySpace, span: ClassSpan) -> ClassSpan:
     """All classes whose bracket with the whole span vanishes."""
     basis = space.basis_classes()
-    if not basis:
-        return space.span([])
     f = space.field
+    # each class coordinate of [b_j, s] must vanish: one sparse row per
+    # (s, coordinate) over the unknowns j
     rows = []
     for s in span.basis_classes():
-        cols = [space.bracket(b, s).vector for b in basis]
-        # each class coordinate of the bracket must vanish: one sparse row
-        for coord in range(len(cols[0])):
-            rows.append({j: col[coord] for j, col in enumerate(cols) if not f.is_zero(col[coord])})
-    out = []
-    for y in nullspace(f, len(basis), rows):
-        cls = space.zero_class()
-        for j, c in y.items():
-            cls = cls + basis[j].scale(c)
-        out.append(cls)
-    return space.span(out)
+        system: dict[int, dict] = {}
+        for j, b in enumerate(basis):
+            for coord, x in space.bracket(b, s).coords.items():
+                system.setdefault(coord, {})[j] = x
+        rows.extend(system.values())
+    vectors = [b.coords for b in basis]
+    return space.span(CohomologyClass(space, _combination(f, vectors, y)) for y in nullspace(f, len(basis), rows))
 
 
 def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Budgets):
-    """Deterministic candidate stream through a span, field-appropriate."""
+    """Deterministic candidate stream through a span: every nonzero
+    combination of its basis with coefficients from the field (over GF(p),
+    the first coordinate varying fastest) or from the rational grid and zero
+    (the last coordinate varying fastest), up to the candidate budget."""
     f = space.field
-    basis = pool.basis_classes()
-    c = len(basis)
-    if c == 0:
+    vectors = [b.coords for b in pool.basis_classes()]
+    if not vectors:
         return
     if isinstance(f, PrimeField):
-        values = list(f.elements())
-        total = len(values) ** c
-        emitted = 0
-        for code in range(total):
-            if emitted >= budgets.maxdiag_max_candidates:
-                return
-            coeffs = []
-            x = code
-            for _ in range(c):
-                coeffs.append(values[x % len(values)])
-                x //= len(values)
-            if all(f.is_zero(v) for v in coeffs):
-                continue
-            cls = space.zero_class()
-            for v, b in zip(coeffs, basis):
-                cls = cls + b.scale(v)
-            emitted += 1
-            yield cls
+        values, order = tuple(f.elements()), slice(None, None, -1)
     else:
-        grid = budgets.rational_grid
-        emitted = 0
-        for coeffs in itertools.product(grid + (f.zero,), repeat=c):
-            if all(f.is_zero(v) for v in coeffs):
-                continue
-            if emitted >= budgets.maxdiag_max_candidates:
-                return
-            cls = space.zero_class()
-            for v, b in zip(coeffs, basis):
-                cls = cls + b.scale(v)
-            emitted += 1
-            yield cls
+        values, order = budgets.rational_grid + (f.zero,), slice(None)
+    emitted = 0
+    for digits in itertools.product(values, repeat=len(vectors)):
+        coeffs = {t: v for t, v in enumerate(digits[order]) if not f.is_zero(v)}
+        if not coeffs:
+            continue
+        if emitted >= budgets.maxdiag_max_candidates:
+            return
+        emitted += 1
+        yield CohomologyClass(space, _combination(f, vectors, coeffs))
 
 
 def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGETS):

@@ -234,7 +234,7 @@ def test_criterion_08_ideal_fixing_automorphisms_conjugate_the_image():
         nu = Presentation.natural(space, tree)
         mu = nu.twist(psi)
         assert mu.kernel == ideal
-        pushed = space.span([conjugate_class(space, psi, c) for c in nu.character_image().basis_classes()])
+        pushed = space.span(conjugate_class(space, psi, nu.character_image().basis_classes()))
         image_mu = mu.character_image()
         assert pushed.contains_span(image_mu) and image_mu.contains_span(pushed)
         done += 1

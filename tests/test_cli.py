@@ -88,14 +88,17 @@ def test_tree_setting_must_span():
 
 
 def test_parse_render_parse_is_stable():
-    # the hereditary documents render their zero ideal as an empty body
+    # an empty body (no generators) and zero generators, alone or next to a
+    # nonzero one, keep their generator lists
     hereditary = KRONECKER_DOC.replace("0*a", "")
-    for text in (PARALLEL_PAIR_DOC, TWO_TRIANGLES_DOC, KRONECKER_DOC, hereditary):
+    with_zero = PARALLEL_PAIR_DOC.replace("ideal I { c*a }", "ideal I { c*a ; 0*a }")
+    for text in (PARALLEL_PAIR_DOC, TWO_TRIANGLES_DOC, KRONECKER_DOC, hereditary, with_zero):
         doc1 = parse_input(text)
         rendered = render_document(doc1)
         doc2 = parse_input(rendered)
         assert render_document(doc2) == rendered
         assert doc2.ideal_order == doc1.ideal_order
+        assert doc2.ideal_generators == doc1.ideal_generators
         assert doc2.quiver.vertices == doc1.quiver.vertices
         # rendering lists arrows in canonical name order
         key = lambda a: a.name
