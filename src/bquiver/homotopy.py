@@ -93,7 +93,7 @@ class GroupPresentation:
         for u, v in pairs:
             if u.source != v.source or u.target != v.target:
                 raise ValueError("homotopy pair is not parallel")
-            w = _free_reduce(self.word_of_path(u) + _invert_word(self.word_of_path(v)))
+            w = self.word_of_pair(u, v)
             if w:
                 relators.append(w)
         self.relators = tuple(relators)
@@ -115,6 +115,10 @@ class GroupPresentation:
 
     def word_of_path(self, path: Path) -> Word:
         return self.word_of_walk(self.quiver.path_walk(path))
+
+    def word_of_pair(self, u: Path, v: Path) -> Word:
+        """The word of the closed walk along ``u`` and back along ``v``."""
+        return _free_reduce(self.word_of_path(u) + _invert_word(self.word_of_path(v)))
 
     def exponent_vector(self, word: Word) -> tuple[int, ...]:
         vec = [0] * len(self.generators)

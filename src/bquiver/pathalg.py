@@ -160,13 +160,14 @@ class Automorphism:
     The image of each arrow must be a combination of paths parallel to it;
     the induced matrix on arrows is then block lower-triangular with respect
     to path length, so invertibility reduces to the arrow-level blocks,
-    which is checked at construction time.  Images, and the path images
-    ``apply_path`` caches, are shared dicts and must not be mutated.
+    which the public constructor checks; compositions, inverses,
+    transvections and dilatations are invertible by construction and skip
+    it.  Images, and the path images ``apply_path`` caches, are shared dicts
+    and must not be mutated.
     """
 
     def __init__(self, quiver: Quiver, field: Field, images: dict[str, dict]):
-        self.quiver = quiver
-        self.field = field
+        self.quiver, self.field = quiver, field
         imgs = {}
         for name in quiver.arrow_names:
             a = quiver.arrow(name)
@@ -179,6 +180,14 @@ class Automorphism:
         self.images = imgs
         self._check_arrow_level_invertible()
         self._path_cache: dict[Path, dict] = {}
+
+    @classmethod
+    def _of(cls, quiver: Quiver, field: Field, images: dict[str, dict]) -> "Automorphism":
+        """Unchecked, for automorphisms invertible by construction: ``images``
+        must hold a clean parallel image of every arrow."""
+        phi = cls.__new__(cls)
+        phi.quiver, phi.field, phi.images, phi._path_cache = quiver, field, images, {}
+        return phi
 
     def _check_arrow_level_invertible(self):
         for names in self.quiver.parallel_classes().values():
@@ -217,7 +226,7 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         """``self . other``: apply ``other`` first."""
         imgs = {n: self.apply(other.images[n]) for n in self.quiver.arrow_names}
-        return Automorphism(self.quiver, self.field, imgs)
+        return Automorphism._of(self.quiver, self.field, imgs)
 
     def invert(self) -> "Automorphism":
         """The inverse arrow images, one elimination per corridor.
@@ -244,7 +253,7 @@ class Automorphism:
             for name in names:
                 row = ech.rows[index[q.arrow_path(name)]]
                 inv_images[name] = {corridor[c - n]: x for c, x in row.items() if c >= n}
-        return Automorphism(q, f, inv_images)
+        return Automorphism._of(q, f, inv_images)
 
     def _moved_arrows(self) -> list[str]:
         q, one = self.quiver, self.field.one
@@ -267,15 +276,20 @@ class Automorphism:
 
 
 def identity_automorphism(quiver: Quiver, field: Field) -> Automorphism:
-    return Automorphism(quiver, field, {})
+    return Automorphism._of(quiver, field, {n: {quiver.arrow_path(n): field.one} for n in quiver.arrow_names})
 
 
 def transvection(quiver: Quiver, field: Field, arrow: str, parallel: Path, tau) -> Automorphism:
-    """The automorphism adding ``tau`` times a parallel path to one arrow."""
+    """The automorphism adding ``tau`` (nonzero) times a parallel path to one arrow."""
     a = quiver.arrow(arrow)
     if parallel.source != a.source or parallel.target != a.target or parallel.arrows == (arrow,):
         raise ValueError(f"({arrow}, {parallel}) is not a bypass")
-    return Automorphism(quiver, field, {arrow: {quiver.arrow_path(arrow): field.one, parallel: tau}})
+    tau = field.coerce(tau)
+    if field.is_zero(tau):
+        raise ValueError("transvection scalar must be nonzero")
+    images = identity_automorphism(quiver, field).images
+    images[arrow] = {quiver.arrow_path(arrow): field.one, parallel: tau}
+    return Automorphism._of(quiver, field, images)
 
 
 def transvection_of(quiver: Quiver, field: Field, bypass: Bypass, tau) -> Automorphism:
@@ -290,7 +304,7 @@ def dilatation(quiver: Quiver, field: Field, weights: dict[str, object]) -> Auto
         if field.is_zero(w):
             raise ValueError(f"dilatation weight for {name!r} is zero")
         images[name] = {quiver.arrow_path(name): w}
-    return Automorphism(quiver, field, images)
+    return Automorphism._of(quiver, field, images)
 
 
 def apply_to_ideal(auto: Automorphism, ideal: IdealData) -> IdealData:

@@ -220,16 +220,14 @@ def is_diagonalizable_class(cls: CohomologyClass) -> bool:
     return diagonalizability_witness(cls) is None
 
 
+def is_commuting_set(classes) -> bool:
+    """Does every pair of the classes bracket to zero?"""
+    return all(c.space.bracket(c, d).is_zero() for c, d in itertools.combinations(classes, 2))
+
+
 def is_diagonalizable_set(classes) -> bool:
     classes = list(classes)
-    for c in classes:
-        if not is_diagonalizable_class(c):
-            return False
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if not classes[i].space.bracket(classes[i], classes[j]).is_zero():
-                return False
-    return True
+    return all(is_diagonalizable_class(c) for c in classes) and is_commuting_set(classes)
 
 
 def common_eigenbasis(classes) -> SpecialBasis:

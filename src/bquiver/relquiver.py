@@ -6,11 +6,17 @@ represented by ideals reachable from a seed ideal through transvections
 arrow between two relations when some transvection turns one ideal into the
 other while the bypass pair is non-homotopic before and homotopic after;
 both sides are certified by the three-valued homotopy oracle and undecided
-candidates are quarantined rather than silently dropped.
+candidates are quarantined rather than silently dropped.  A transvection
+that fixes the ideal relates no two relations and is not classified.
+
+Γ keeps the tree and the budgets it was built under and owns one memoized
+homotopy oracle per ideal (``RelationQuiver.oracle``), which the sweep, the
+factorization search and the verification harness share.
 
 On top of the graph sit source detection (with the two sufficient uniqueness
 hypotheses reported), factorization of an ideal through certified
-transvection steps from a source, and the full verification report tying
+transvection steps from a source (each step's rewriting trace is replayed by
+``FactorizationWitness.verify``), and the full verification report tying
 maximal diagonalizable subalgebras of the cohomology to character images of
 source presentations, including the conjugating automorphisms between pairs
 of maximal subalgebras.
@@ -18,6 +24,7 @@ of maximal subalgebras.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -33,10 +40,13 @@ from .hochschild import (
 )
 from .homotopy import (
     Decision,
+    GroupPresentation,
     HomotopyOracle,
     NO,
+    RewriteTrace,
     UNKNOWN,
     YES,
+    homotopy_pairs,
 )
 from .linalg import smith_normal_form
 from .pathalg import (
@@ -48,6 +58,8 @@ from .pathalg import (
 )
 from .presentations import (
     Presentation,
+    is_commuting_set,
+    is_diagonalizable_class,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     realize_in_image,
@@ -97,37 +109,15 @@ def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
 @dataclass(frozen=True)
 class TransvectionCase:
     label: str
-    image_ideal: IdealData
     source_decision: Decision
     target_decision: Decision
-    oracle: HomotopyOracle  # of the image ideal
 
 
-def classify_transvection(
-    ideal: IdealData,
-    bypass: Bypass,
-    tau,
-    tree: SpanningTree | None = None,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    source_oracle: HomotopyOracle | None = None,
-    phi: Automorphism | None = None,
-) -> TransvectionCase:
-    """Apply one transvection and classify the pair of homotopy relations.
-
-    ``source_oracle``, when given, is the oracle of ``ideal`` under ``tree``
-    and ``budgets``; ``phi``, when given, is the transvection of ``bypass``
-    at ``tau``.
-    """
-    f = ideal.field
-    if f.is_zero(f.coerce(tau)):
-        raise ValueError("transvection scalar must be nonzero")
-    if phi is None:
-        phi = transvection_of(ideal.quiver, f, bypass, tau)
-    image = phi.apply_to_ideal(ideal)
-    src = source_oracle or HomotopyOracle(ideal, tree, budgets)
-    tgt = src if image == ideal else HomotopyOracle(image, tree, budgets)
-    a = src.decide_arrow_path(bypass.arrow, bypass.path)
-    b = tgt.decide_arrow_path(bypass.arrow, bypass.path)
+def classify_transvection(source: HomotopyOracle, target: HomotopyOracle, bypass: Bypass) -> TransvectionCase:
+    """Classify the bypass pair under the oracles of an ideal (``source``)
+    and of its image under a transvection along ``bypass`` (``target``)."""
+    a = source.decide_arrow_path(bypass.arrow, bypass.path)
+    b = target.decide_arrow_path(bypass.arrow, bypass.path)
     if a.verdict == YES and b.verdict == YES:
         label = COINCIDE
     elif a.verdict == NO and b.verdict == YES:
@@ -135,22 +125,18 @@ def classify_transvection(
     elif a.verdict == YES and b.verdict == NO:
         label = DIRECT_PREDECESSOR
     elif a.verdict == NO and b.verdict == NO:
-        if image != ideal:
-            raise RuntimeError(
-                "soundness violation: both sides non-homotopic but the ideals differ"
-            )
+        if target.ideal != source.ideal:
+            raise RuntimeError("soundness violation: both sides non-homotopic but the ideals differ")
         label = EQUAL_IDEALS
     else:
         label = UNKNOWN
-    return TransvectionCase(label, image, a, b, tgt)
+    return TransvectionCase(label, a, b)
 
 
 @dataclass
 class RelationVertex:
     ideal: IdealData
-    back_auto: Automorphism
-    back_steps: tuple  # ((bypass, tau), ...) mapping the seed ideal here
-    oracle: HomotopyOracle
+    back_auto: Automorphism  # maps the seed ideal here
 
 
 @dataclass(frozen=True)
@@ -170,18 +156,24 @@ class RelationArrow:
 class RelationQuiver:
     seed: IdealData
     tree: SpanningTree
+    budgets: Budgets
     vertices: list
     arrows: list
     unknown_candidates: list
     exhaustive_taus: bool
     truncated: bool
     ambiguous_vertices: list = dataclass_field(default_factory=list)
+    _oracles: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+
+    def oracle(self, ideal: IdealData) -> HomotopyOracle:
+        """The one homotopy oracle of the ideal under Γ's tree and budgets."""
+        oracle = self._oracles.get(ideal)
+        if oracle is None:
+            oracle = self._oracles[ideal] = HomotopyOracle(ideal, self.tree, self.budgets)
+        return oracle
 
     def vertex_of_ideal(self, ideal: IdealData) -> int | None:
-        for i, v in enumerate(self.vertices):
-            if v.ideal == ideal:
-                return i
-        return None
+        return next((i for i, v in enumerate(self.vertices) if v.ideal == ideal), None)
 
 
 def build_relation_quiver(
@@ -193,11 +185,11 @@ def build_relation_quiver(
         raise ValueError(f"seed ideal is not admissible: {bad}")
     quiver = seed.quiver
     f = seed.field
-    tree = tree or quiver.spanning_tree(quiver.vertices[0])
     bypasses = enumerate_bypasses(quiver)
     rq = RelationQuiver(
         seed=seed,
-        tree=tree,
+        tree=tree or quiver.spanning_tree(quiver.vertices[0]),
+        budgets=budgets,
         vertices=[],
         arrows=[],
         unknown_candidates=[],
@@ -210,34 +202,28 @@ def build_relation_quiver(
     # ideal again would reach the same vertex.
     located: dict[IdealData, int] = {}
     # One transvection per (bypass, tau), shared by every vertex.
-    transvections: dict[tuple, Automorphism] = {}
+    transvection = functools.cache(functools.partial(transvection_of, quiver, f))
 
-    def transvection(bp: Bypass, tau) -> Automorphism:
-        phi = transvections.get((bp, tau))
-        if phi is None:
-            phi = transvections[(bp, tau)] = transvection_of(quiver, f, bp, tau)
-        return phi
-
-    def add_vertex(oracle: HomotopyOracle, back_auto: Automorphism, back_steps: tuple) -> int:
-        rq.vertices.append(RelationVertex(oracle.ideal, back_auto, back_steps, oracle))
-        located[oracle.ideal] = len(rq.vertices) - 1
+    def add_vertex(ideal: IdealData, back_auto: Automorphism) -> int:
+        rq.vertices.append(RelationVertex(ideal, back_auto))
+        located[ideal] = len(rq.vertices) - 1
         return len(rq.vertices) - 1
 
-    def locate(oracle: HomotopyOracle) -> tuple[int | None, bool]:
+    def locate(ideal: IdealData) -> tuple[int | None, bool]:
         """Existing vertex carrying the same relation, plus an ambiguity flag."""
-        if oracle.ideal in located:
-            return located[oracle.ideal], False
+        if ideal in located:
+            return located[ideal], False
         ambiguous = False
         for i, v in enumerate(rq.vertices):
-            d = v.oracle.same_relation(oracle)
+            d = rq.oracle(v.ideal).same_relation(rq.oracle(ideal))
             if d.verdict == YES:
-                located[oracle.ideal] = i
+                located[ideal] = i
                 return i, False
             if d.verdict == UNKNOWN:
                 ambiguous = True
         return None, ambiguous
 
-    add_vertex(HomotopyOracle(seed, tree, budgets), identity_automorphism(quiver, f), ())
+    add_vertex(seed, identity_automorphism(quiver, f))
     queue = [0]
     seen_arrows = set()
     candidates = 0
@@ -251,18 +237,14 @@ def build_relation_quiver(
                     rq.truncated = True
                     return rq
                 phi = transvection(bp, tau)
-                case = classify_transvection(
-                    vertex.ideal, bp, tau, tree, budgets, source_oracle=vertex.oracle, phi=phi
-                )
-                if case.label == EQUAL_IDEALS:
+                image = phi.apply_to_ideal(vertex.ideal)
+                # a transvection fixing the ideal relates no two relations
+                if image == vertex.ideal:
                     continue
-                widx, ambiguous = locate(case.oracle)
+                case = classify_transvection(rq.oracle(vertex.ideal), rq.oracle(image), bp)
+                widx, ambiguous = locate(image)
                 if widx is None:
-                    widx = add_vertex(
-                        case.oracle,
-                        phi.compose(vertex.back_auto),
-                        vertex.back_steps + ((bp, tau),),
-                    )
+                    widx = add_vertex(image, phi.compose(vertex.back_auto))
                     if ambiguous:
                         rq.ambiguous_vertices.append(widx)
                     queue.append(widx)
@@ -272,21 +254,20 @@ def build_relation_quiver(
                 if case.label == COINCIDE:
                     continue
                 if case.label == DIRECT_SUCCESSOR:
-                    edge = (vi, widx)
                     arrow = RelationArrow(
                         vi, widx, bp, tau,
-                        vertex.ideal, case.image_ideal, vertex.back_auto,
+                        vertex.ideal, image, vertex.back_auto,
                         case.source_decision, case.target_decision,
                     )
                 else:
                     # direct predecessor: the inverse transvection witnesses
                     # the succession from the image ideal back onto ours
-                    edge = (widx, vi)
                     arrow = RelationArrow(
                         widx, vi, bp, f.neg(f.coerce(tau)),
-                        case.image_ideal, vertex.ideal, phi.compose(vertex.back_auto),
+                        image, vertex.ideal, phi.compose(vertex.back_auto),
                         case.target_decision, case.source_decision,
                     )
+                edge = (arrow.source, arrow.target)
                 if edge[0] != edge[1] and edge not in seen_arrows:
                     seen_arrows.add(edge)
                     rq.arrows.append(arrow)
@@ -308,9 +289,8 @@ def sources_report(rq: RelationQuiver) -> dict:
         "sources": sources,
         "unique_source": len(sources) == 1,
         "no_double_bypass": not dbp,
-        "double_bypass_witness": None
-        if not dbp
-        else [dbp_witness[0], str(dbp_witness[1]), dbp_witness[2], str(dbp_witness[3])],
+        "double_bypass_witness":
+            [dbp_witness[0], str(dbp_witness[1]), dbp_witness[2], str(dbp_witness[3])] if dbp else None,
         "characteristic": char,
         "hypothesis_no_double_bypass_char0": (not dbp) and char == 0,
         "monomial_vertices": monomial_vertices,
@@ -441,29 +421,31 @@ class FactorizationWitness:
     steps: tuple  # ((bypass, tau, certificate Decision), ...)
     dilatation_weights: dict
     end: IdealData
+    tree: SpanningTree  # the certificates' words are over its presentations
 
-    def verify(self, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+    def verify(self) -> bool:
+        """Replay the chain: each step's certificate must be a "yes" trace of
+        the bypass pair's word under the image ideal's presentation."""
         current = self.start
         quiver = self.start.quiver
         f = self.start.field
-        for bp, tau, _cert in self.steps:
-            phi = transvection_of(quiver, f, bp, tau)
-            current = phi.apply_to_ideal(current)
-            d = HomotopyOracle(current, budgets=budgets).decide_arrow_path(bp.arrow, bp.path)
-            if d.verdict != YES:
+        for bp, tau, cert in self.steps:
+            current = transvection_of(quiver, f, bp, tau).apply_to_ideal(current)
+            presentation = GroupPresentation(quiver, self.tree, homotopy_pairs(current))
+            word = presentation.word_of_pair(quiver.arrow_path(bp.arrow), bp.path)
+            trace = cert.certificate if cert is not None and cert.verdict == YES else None
+            if not isinstance(trace, RewriteTrace) or trace.start != word or not trace.replay(presentation):
                 return False
         D = dilatation(quiver, f, self.dilatation_weights)
         return D.apply_to_ideal(current) == self.end
 
 
-def factor_to_source(
-    rq: RelationQuiver, source_index: int, target_index: int, budgets: Budgets = DEFAULT_BUDGETS
-) -> FactorizationWitness | None:
+def factor_to_source(rq: RelationQuiver, source_index: int, target_index: int) -> FactorizationWitness | None:
     """Search a certified transvection chain from a source representative.
 
     Every step must carry a homotopy certificate at its image ideal; the
-    chain may end with a dilatation.  Returns None when the node budget runs
-    out before the target ideal is reached.
+    chain may end with a dilatation.  Returns None when Γ's
+    ``factor_max_nodes`` budget runs out before the target ideal is reached.
     """
     start = rq.vertices[source_index].ideal
     target = rq.vertices[target_index].ideal
@@ -473,30 +455,29 @@ def factor_to_source(
 
     def finish(ideal: IdealData, steps) -> FactorizationWitness | None:
         if ideal == target:
-            return FactorizationWitness(start, tuple(steps), {n: f.one for n in quiver.arrow_names}, target)
-        weights = match_dilatation(ideal, target)
-        if weights is not None:
-            return FactorizationWitness(start, tuple(steps), weights, target)
-        return None
+            weights = {n: f.one for n in quiver.arrow_names}
+        else:
+            weights = match_dilatation(ideal, target)
+            if weights is None:
+                return None
+        return FactorizationWitness(start, tuple(steps), weights, target, rq.tree)
 
     done = finish(start, ())
     if done is not None:
         return done
-    visited = {start.basis_key}
+    visited = {start}
     queue = [(start, ())]
     nodes = 0
-    while queue and nodes < budgets.factor_max_nodes:
+    while queue and nodes < rq.budgets.factor_max_nodes:
         current, steps = queue.pop(0)
         nodes += 1
         for bp in bypasses:
             for tau in critical_taus(current, bp):
-                phi = transvection_of(quiver, f, bp, tau)
-                nxt = phi.apply_to_ideal(current)
-                key = nxt.basis_key
-                if key in visited:
+                nxt = transvection_of(quiver, f, bp, tau).apply_to_ideal(current)
+                if nxt in visited:
                     continue
-                visited.add(key)
-                cert = HomotopyOracle(nxt, rq.tree, budgets).decide_arrow_path(bp.arrow, bp.path)
+                visited.add(nxt)
+                cert = rq.oracle(nxt).decide_arrow_path(bp.arrow, bp.path)
                 if cert.verdict != YES:
                     continue
                 new_steps = steps + ((bp, tau, cert),)
@@ -576,8 +557,8 @@ def verify_main_theorem(
     def record_source_relation(name: str, kernel: IdealData):
         """Pass when the kernel carries the relation of some source, fail
         when it carries none, unknown otherwise."""
-        oracle = HomotopyOracle(kernel, tree, budgets)
-        verdicts = [oracle.same_relation(rq.vertices[s].oracle).verdict for s in sorted(source_set)]
+        oracle = rq.oracle(kernel)
+        verdicts = [oracle.same_relation(rq.oracle(rq.vertices[s].ideal)).verdict for s in sorted(source_set)]
         if YES in verdicts:
             record(name, "pass")
         elif all(v == NO for v in verdicts):
@@ -611,7 +592,11 @@ def verify_main_theorem(
     if isinstance(seed.field, PrimeField) and space.dim <= 4:
         brute["enabled"] = True
         spans = enumerate_spans(space)
-        diagonalizable = [s for s in spans if is_diagonalizable_set(s.basis_classes())]
+        # one class lies in many spans: decide each class once
+        diagonal = functools.cache(is_diagonalizable_class)
+        diagonalizable = [
+            s for s in spans if all(map(diagonal, s.basis_classes())) and is_commuting_set(s.basis_classes())
+        ]
         maximal = [
             s
             for s in diagonalizable
@@ -651,13 +636,8 @@ def verify_main_theorem(
             record("conjugacy pair: automorphism carries one image onto the other", "pass" if ok else "fail")
         brute["conjugacy_pairs_checked"] = pair_count
 
-    statuses = {
-        "pass": sum(1 for c in checks if c["status"] == "pass"),
-        "fail": sum(1 for c in checks if c["status"] == "fail"),
-        "unknown": sum(1 for c in checks if c["status"] == "unknown"),
-    }
-    if rq.unknown_candidates:
-        statuses["unknown"] += len(rq.unknown_candidates)
+    statuses = {status: sum(1 for c in checks if c["status"] == status) for status in ("pass", "fail", "unknown")}
+    statuses["unknown"] += len(rq.unknown_candidates)
     return {
         "gamma": {
             "vertex_count": len(rq.vertices),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from bquiver.relquiver import (
     FactorizationWitness,
     enumerate_spans,
 )
+from bquiver.homotopy import Decision, RewriteTrace
 
 from conftest import (
     chain_with_monomials,
@@ -72,28 +74,35 @@ def test_critical_taus_rational_cancellations():
 
 def test_classify_transvection_cases():
     q, mono, diff, tree = parallel_pair(QQ)
-    case = classify_transvection(mono, bypass_named(q, "a"), -1, tree)
+    bp_a, bp_b = bypass_named(q, "a"), bypass_named(q, "b")
+    image = transvection_of(q, QQ, bp_a, -1).apply_to_ideal(mono)
+    case = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image, tree), bp_a)
     assert case.label == DIRECT_SUCCESSOR
-    assert case.image_ideal == diff
+    assert image == diff
     assert case.source_decision.verdict == NO
     assert case.target_decision.verdict == YES
     # the untouched bypass leaves the ideal alone
-    case2 = classify_transvection(mono, bypass_named(q, "b"), 1, tree)
+    image2 = transvection_of(q, QQ, bp_b, 1).apply_to_ideal(mono)
+    assert image2 == mono
+    case2 = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image2, tree), bp_b)
     assert case2.label == EQUAL_IDEALS
     # from the finer relation back: the inverse scalar exposes a predecessor
-    case3 = classify_transvection(diff, bypass_named(q, "a"), 1, tree)
+    image3 = transvection_of(q, QQ, bp_a, 1).apply_to_ideal(diff)
+    case3 = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image3, tree), bp_a)
     assert case3.label == DIRECT_PREDECESSOR
-    assert case3.image_ideal == mono
+    assert image3 == mono
     with pytest.raises(ValueError):
-        classify_transvection(mono, bypass_named(q, "a"), 0, tree)
+        transvection_of(q, QQ, bp_a, 0)
 
 
 def test_classify_transvection_coincide_case():
     q, _, diff, tree = parallel_pair(GF(3))
+    bp_a = bypass_named(q, "a")
     # tau = 2 maps <c*a - c*b> to <c*a + c*b>, another trivial-group relation
-    case = classify_transvection(diff, bypass_named(q, "a"), 2, tree)
+    image = transvection_of(q, GF(3), bp_a, 2).apply_to_ideal(diff)
+    case = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image, tree), bp_a)
     assert case.label == COINCIDE
-    assert relations_equal(diff, case.image_ideal).verdict == YES
+    assert relations_equal(diff, image).verdict == YES
 
 
 def test_build_relation_quiver_parallel_pair():
@@ -226,6 +235,8 @@ def test_gamma_builds_one_oracle_per_classified_transvection(monkeypatch):
     # the seed's oracle plus at most one image oracle per classified
     # candidate; vertices and relation comparisons reuse those
     assert len(built) <= len(classified) + 1
+    # and Γ never builds a second oracle for an ideal it already holds
+    assert len(set(built)) == len(built)
 
 
 def test_definite_arrows_form_a_dag():
@@ -275,15 +286,19 @@ def test_factorization_witness_for_the_char_two_twist():
     mid = transvection_of(q, GF(2), bp_a, 1).apply_to_ideal(ideal)
     end = transvection_of(q, GF(2), bp_d, 1).apply_to_ideal(mid)
     assert end == ideal
-    assert HomotopyOracle(mid, tree).decide_arrow_path("a", bp_a.path).verdict == YES
-    assert HomotopyOracle(end, tree).decide_arrow_path("d", bp_d.path).verdict == NO
+    first = HomotopyOracle(mid, tree).decide_arrow_path("a", bp_a.path)
+    second = HomotopyOracle(end, tree).decide_arrow_path("d", bp_d.path)
+    assert first.verdict == YES and second.verdict == NO
     witness = FactorizationWitness(
         start=ideal,
-        steps=((bp_a, 1, None), (bp_d, 1, None)),
+        steps=((bp_a, 1, first), (bp_d, 1, second)),
         dilatation_weights={n: 1 for n in q.arrow_names},
         end=ideal,
+        tree=tree,
     )
     assert not witness.verify()
+    # the certified first stage alone replays
+    assert replace(witness, steps=witness.steps[:1], end=mid).verify()
     rq = build_relation_quiver(ideal, tree)
     trivial = factor_to_source(rq, 0, 0)
     assert trivial is not None and trivial.steps == () and trivial.verify()
@@ -293,8 +308,28 @@ def test_factor_to_source_budget_exhaustion_is_unknown():
     from bquiver.budgets import Budgets
 
     q, mono, diff, tree = parallel_pair(QQ)
+    rq = build_relation_quiver(mono, tree, Budgets(factor_max_nodes=0))
+    assert factor_to_source(rq, 0, 1) is None
+
+
+def test_factorization_witness_replays_its_certificates():
+    q, mono, diff, tree = parallel_pair(QQ)
     rq = build_relation_quiver(mono, tree)
-    assert factor_to_source(rq, 0, 1, Budgets(factor_max_nodes=0)) is None
+    witness = factor_to_source(rq, 0, 1)
+    (bp, tau, cert), = witness.steps
+    assert cert.verdict == YES and witness.verify()
+    # a missing certificate, a "no" and a trace of another word all fail
+    no = HomotopyOracle(mono, tree).decide_arrow_path(bp.arrow, bp.path)
+    assert no.verdict == NO
+    for bad in (None, no, Decision(YES, RewriteTrace((), ()))):
+        assert not replace(witness, steps=((bp, tau, bad),)).verify()
+    # a forged one: the genuine trace, which inserts a relator of the ideal
+    # it was found under, claimed for the step back onto the monomial
+    # ideal, whose presentation has no relator
+    back = FactorizationWitness(diff, ((bp, QQ.neg(tau), cert),), witness.dilatation_weights, mono, tree)
+    assert transvection_of(q, QQ, bp, QQ.neg(tau)).apply_to_ideal(diff) == mono
+    assert not HomotopyOracle(mono, tree).presentation.relators
+    assert not back.verify()
 
 
 def test_match_dilatation_roundtrip():
