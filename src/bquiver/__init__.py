@@ -37,13 +37,10 @@ from .quiver import (
 from .pathalg import (
     Automorphism,
     IdealData,
-    apply_to_ideal,
     dilatation,
-    ideal_closure,
     identity_automorphism,
     transvection,
     transvection_of,
-    zero_ideal,
 )
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .homotopy import (

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 from .fields import Field, GF, QQ, is_prime
 from .linalg import _add_multiple
@@ -238,9 +239,10 @@ class _Parser:
                 den_tok = self.expect_name()
                 if not den_tok.text.isdigit():
                     self.fail("expected a denominator", den_tok)
-                from fractions import Fraction
-
-                coeff = f.coerce(Fraction(value, int(den_tok.text)))
+                try:
+                    coeff = f.coerce(Fraction(value, int(den_tok.text)))
+                except ZeroDivisionError:
+                    self.fail(f"denominator {den_tok.text} is zero in {f!r}", den_tok)
             else:
                 coeff = f.coerce(value)
             self.expect("*")

@@ -91,8 +91,6 @@ class GroupPresentation:
         self._gen_index = {n: i + 1 for i, n in enumerate(self.generators)}
         relators = []
         for u, v in pairs:
-            if u.source != v.source or u.target != v.target:
-                raise ValueError("homotopy pair is not parallel")
             w = self.word_of_pair(u, v)
             if w:
                 relators.append(w)
@@ -106,18 +104,16 @@ class GroupPresentation:
         self.symmetrized = tuple(words)
 
     def word_of_walk(self, walk: Walk) -> Word:
-        letters = []
-        for name, eps in walk.steps:
-            if self.tree.contains(name):
-                continue
-            letters.append(eps * self._gen_index[name])
-        return _free_reduce(letters)
+        return _free_reduce(eps * self._gen_index[n] for n, eps in walk.steps if n in self._gen_index)
 
     def word_of_path(self, path: Path) -> Word:
-        return self.word_of_walk(self.quiver.path_walk(path))
+        """A path's letters are all positive, so there is nothing to reduce."""
+        return tuple(self._gen_index[n] for n in path.arrows if n in self._gen_index)
 
     def word_of_pair(self, u: Path, v: Path) -> Word:
         """The word of the closed walk along ``u`` and back along ``v``."""
+        if u.source != v.source or u.target != v.target:
+            raise ValueError("homotopy pair is not parallel")
         return _free_reduce(self.word_of_path(u) + _invert_word(self.word_of_path(v)))
 
     def exponent_vector(self, word: Word) -> tuple[int, ...]:
@@ -378,11 +374,11 @@ class HomotopyOracle:
     def decide_walks(self, u: Walk, v: Walk) -> Decision:
         if u.source != v.source or u.target != v.target:
             raise ValueError("walks are not parallel")
-        closed = self.quiver.concat_walks(v.inverse(), u).reduced()
+        closed = self.quiver.concat_walks(v.inverse(), u)
         return self.decide_closed_word(self.presentation.word_of_walk(closed))
 
     def decide_paths(self, u: Path, v: Path) -> Decision:
-        return self.decide_walks(self.quiver.path_walk(u), self.quiver.path_walk(v))
+        return self.decide_closed_word(self.presentation.word_of_pair(u, v))
 
     def decide_arrow_path(self, arrow_name: str, path: Path) -> Decision:
         return self.decide_paths(self.quiver.arrow_path(arrow_name), path)

@@ -10,6 +10,9 @@ path (the pivot), pivots are mutually eliminated, and the basis is listed by
 increasing pivot.  Every path outside the pivot set is a *normal path*;
 normal paths index the canonical basis of the quotient algebra and
 ``normal_form`` computes the unique representative supported on them.
+Generators from outside are closed under arrows on both sides; an ideal
+carried across by an automorphism is not closed again, since the images of
+its basis already span the image ideal, so transport is one elimination.
 
 Idempotent-fixing automorphisms are stored by their arrow images (each a
 combination of paths parallel to the arrow).  Transvections (one arrow gets
@@ -83,11 +86,6 @@ def _closure(quiver: Quiver, field: Field, generators: Sequence[dict]) -> _Echel
     return ech
 
 
-def ideal_closure(quiver: Quiver, field: Field, generators: Sequence[dict]) -> list[dict]:
-    """Reduced basis of the two-sided ideal generated by the elements."""
-    return list(IdealData(quiver, field, generators).basis)
-
-
 class IdealData:
     """An admissible-candidate ideal with its canonical reduced basis.
 
@@ -96,16 +94,26 @@ class IdealData:
     """
 
     def __init__(self, quiver: Quiver, field: Field, generators: Sequence[dict]):
-        self.quiver = quiver
-        self.field = field
-        self.generators = tuple(_clean(field, g) for g in generators)
-        self._echelon = _closure(quiver, field, self.generators)
-        self.pivot_paths = tuple(quiver.sort_paths(self._echelon.rows))
-        self.basis = tuple(self._echelon.rows[p] for p in self.pivot_paths)
+        generators = tuple(_clean(field, g) for g in generators)
+        vars(self).update(vars(IdealData._of(quiver, field, _closure(quiver, field, generators))))
+        self.generators = generators
+
+    @classmethod
+    def _of(cls, quiver: Quiver, field: Field, echelon: _Echelon) -> "IdealData":
+        """Unchecked, for an echelon in the global path order whose rows
+        already span an ideal; its basis is also its generating set."""
+        ideal = cls.__new__(cls)
+        ideal.quiver, ideal.field, ideal._echelon = quiver, field, echelon
+        ideal.pivot_paths = tuple(quiver.sort_paths(echelon.rows))
+        ideal.basis = ideal.generators = tuple(echelon.rows[p] for p in ideal.pivot_paths)
         # hashable canonical key: the reduced basis determines the ideal
-        self.basis_key = tuple(tuple((p, e[p]) for p in quiver.sort_paths(e)) for e in self.basis)
-        pivot_set = set(self.pivot_paths)
-        self.normal_paths = tuple(p for p in quiver.all_paths() if p not in pivot_set)
+        ideal.basis_key = tuple(tuple((p, e[p]) for p in quiver.sort_paths(e)) for e in ideal.basis)
+        ideal._hash = hash(ideal.basis_key)
+        return ideal
+
+    @functools.cached_property
+    def normal_paths(self) -> tuple[Path, ...]:
+        return tuple(p for p in self.quiver.all_paths() if p not in self._echelon.rows)
 
     # ---------- membership and normal forms ----------
 
@@ -143,15 +151,11 @@ class IdealData:
         )
 
     def __hash__(self):
-        return hash(self.basis_key)
+        return self._hash
 
     def __repr__(self):
         gens = ", ".join(_render(self.quiver, self.field, e) for e in self.basis) or "0"
         return f"<{gens}>"
-
-
-def zero_ideal(quiver: Quiver, field: Field) -> IdealData:
-    return IdealData(quiver, field, ())
 
 
 class Automorphism:
@@ -219,7 +223,11 @@ class Automorphism:
         return out
 
     def apply_to_ideal(self, ideal: IdealData) -> IdealData:
-        return IdealData(self.quiver, self.field, [self.apply(e) for e in ideal.basis])
+        # an algebra automorphism maps I onto an ideal, so span phi(B) = phi(I)
+        echelon = _Echelon(self.field, ideal._echelon.lead)
+        for e in ideal.basis:
+            echelon.insert(self.apply(e))
+        return IdealData._of(self.quiver, self.field, echelon)
 
     # ---------- algebraic structure ----------
 
@@ -305,7 +313,3 @@ def dilatation(quiver: Quiver, field: Field, weights: dict[str, object]) -> Auto
             raise ValueError(f"dilatation weight for {name!r} is zero")
         images[name] = {quiver.arrow_path(name): w}
     return Automorphism._of(quiver, field, images)
-
-
-def apply_to_ideal(auto: Automorphism, ideal: IdealData) -> IdealData:
-    return auto.apply_to_ideal(ideal)

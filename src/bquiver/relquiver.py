@@ -172,9 +172,6 @@ class RelationQuiver:
             oracle = self._oracles[ideal] = HomotopyOracle(ideal, self.tree, self.budgets)
         return oracle
 
-    def vertex_of_ideal(self, ideal: IdealData) -> int | None:
-        return next((i for i, v in enumerate(self.vertices) if v.ideal == ideal), None)
-
 
 def build_relation_quiver(
     seed: IdealData, tree: SpanningTree | None = None, budgets: Budgets = DEFAULT_BUDGETS

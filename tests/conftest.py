@@ -14,7 +14,6 @@ from bquiver import (
     dilatation,
     enumerate_bypasses,
     transvection_of,
-    zero_ideal,
 )
 
 
@@ -59,7 +58,7 @@ def kronecker_quiver():
 
 def kronecker(field):
     q = kronecker_quiver()
-    return q, zero_ideal(q, field), q.spanning_tree("1")
+    return q, IdealData(q, field, ()), q.spanning_tree("1")
 
 
 def two_triangles_quiver():
@@ -119,7 +118,7 @@ def commutative_square(field, bound=True):
     if bound:
         ideal = IdealData(q, field, [elem(q, field, (1, "c*a"), (-1, "d*b"))])
     else:
-        ideal = zero_ideal(q, field)
+        ideal = IdealData(q, field, ())
     return q, ideal, q.spanning_tree("1")
 
 

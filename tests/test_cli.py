@@ -198,6 +198,17 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["pi1", write(tmp_path, "field QQ nonsense", "bad.bq")]) == 2
 
 
+def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
+    # 1/0 has no value anywhere, and 2 is zero in GF(2)
+    for field, coeff in (("QQ", "1/0"), ("GF(2)", "1/2")):
+        doc = PARALLEL_PAIR_DOC.replace("field QQ", f"field {field}").replace("{ c*a }", "{ %s*c*a }" % coeff)
+        with pytest.raises(InputError) as err:
+            parse_input(doc)
+        assert (err.value.line, err.value.column) == (9, 13)
+        assert main(["validate", write(tmp_path, doc)]) == 2
+    assert "line 9, column 13" in capsys.readouterr().err
+
+
 def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):
     path = write(tmp_path, PARALLEL_PAIR_DOC)
     code = main(["gamma", path, "--ideal", "I", "--json", "--search-max-nodes", "1"])

@@ -8,6 +8,7 @@ from bquiver import (
     Derivation,
     FDAlgebra,
     GF,
+    IdealData,
     Presentation,
     QQ,
     Quiver,
@@ -16,7 +17,6 @@ from bquiver import (
     enumerate_bypasses,
     inner_derivation,
     transvection_of,
-    zero_ideal,
 )
 from bquiver.homotopy import weight_of_path
 
@@ -55,13 +55,11 @@ def test_algebra_dimensions():
     # eight paths, one pivot
     assert FDAlgebra(mono).dim == 7
     single = Quiver(["1"], [])
-    assert FDAlgebra(zero_ideal(single, QQ)).dim == 1
+    assert FDAlgebra(IdealData(single, QQ, ())).dim == 1
 
 
 def test_algebra_rejects_inadmissible_ideal():
     q, mono, _, _ = parallel_pair(QQ)
-    from bquiver import IdealData
-
     bad = IdealData(q, QQ, [{q.arrow_path("a"): QQ.one}])
     with pytest.raises(ValueError):
         FDAlgebra(bad)
@@ -393,4 +391,4 @@ def test_happel_formula_on_hereditary_algebras():
                 sum(1 for p in paths if (p.source, p.target) == (a.source, a.target))
                 for a in q.arrows
             )
-            assert CohomologySpace(FDAlgebra(zero_ideal(q, field))).dim == happel
+            assert CohomologySpace(FDAlgebra(IdealData(q, field, ()))).dim == happel

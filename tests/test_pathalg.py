@@ -8,12 +8,10 @@ from bquiver import (
     GF,
     IdealData,
     QQ,
-    apply_to_ideal,
     dilatation,
-    ideal_closure,
+    enumerate_bypasses,
     identity_automorphism,
     transvection,
-    zero_ideal,
 )
 from bquiver.pathalg import _product, _render
 
@@ -74,16 +72,16 @@ def test_render_terms_by_increasing_path():
 
 def test_ideal_closure_maximal_length_generator():
     q = parallel_pair_quiver()
-    basis = ideal_closure(q, QQ, [elem(q, QQ, (1, "c*a"))])
+    basis = list(IdealData(q, QQ, [elem(q, QQ, (1, "c*a"))]).basis)
     assert [_render(q, QQ, e) for e in basis] == ["c*a"]
     q5 = two_triangles_quiver()
-    basis5 = ideal_closure(q5, QQ, [elem(q5, QQ, (1, "f*e*a"), (1, "d*c*b"))])
+    basis5 = list(IdealData(q5, QQ, [elem(q5, QQ, (1, "f*e*a"), (1, "d*c*b"))]).basis)
     assert len(basis5) == 1
 
 
 def test_ideal_closure_multiplies_by_arrows():
     q = chain_quiver(3)  # a: 1->2, b: 2->3
-    basis = ideal_closure(q, QQ, [elem(q, QQ, (1, "a"))])
+    basis = list(IdealData(q, QQ, [elem(q, QQ, (1, "a"))]).basis)
     assert sorted(_render(q, QQ, e) for e in basis) == ["a", "b*a"]
 
 
@@ -155,7 +153,7 @@ def test_is_admissible_cases():
     arrow_ideal = IdealData(q, QQ, [elem(q, QQ, (1, "a"))])
     ok, bad = arrow_ideal.is_admissible()
     assert not ok and bad
-    assert zero_ideal(q, QQ).is_admissible() == (True, [])
+    assert IdealData(q, QQ, ()).is_admissible() == (True, [])
 
 
 def test_normal_form_basics():
@@ -314,25 +312,57 @@ def test_apply_to_ideal_functorial():
         q = random_quiver(rng)
         field = rng.choice([QQ, GF(2), GF(3)])
         ideal = random_admissible_ideal(rng, q, field)
-        from bquiver import enumerate_bypasses
-
         bypasses = enumerate_bypasses(q)
         if not bypasses:
             continue
         bp = rng.choice(bypasses)
-        phi = transvection(q, field, bp.arrow, bp.path, 1)
-        d = dilatation(q, field, {n: 1 for n in q.arrow_names})
-        lhs = apply_to_ideal(phi.compose(d), ideal)
-        rhs = apply_to_ideal(phi, apply_to_ideal(d, ideal))
+        phi = transvection(q, field, bp.arrow, bp.path, random_nonzero(rng, field))
+        d = dilatation(q, field, {n: random_nonzero(rng, field) for n in q.arrow_names})
+        lhs = phi.compose(d).apply_to_ideal(ideal)
+        rhs = phi.apply_to_ideal(d.apply_to_ideal(ideal))
         assert lhs == rhs
-        assert apply_to_ideal(identity_automorphism(q, field), ideal) == ideal
+        assert identity_automorphism(q, field).apply_to_ideal(ideal) == ideal
+
+
+def _random_automorphisms(rng, q, field):
+    """Transvections with random scalars, dilatations with non-unit weights
+    where the field has them, their compositions and their inverses."""
+    weights = [x for x in (random_nonzero(rng, field) for _ in range(8)) if field.coerce(x) != field.one]
+    autos = [dilatation(q, field, {n: rng.choice(weights or [1]) for n in q.arrow_names})]
+    for bp in enumerate_bypasses(q):
+        autos.append(transvection(q, field, bp.arrow, bp.path, random_nonzero(rng, field)))
+    for _ in range(3):
+        autos.append(rng.choice(autos).compose(rng.choice(autos)))
+    return autos + [phi.invert() for phi in autos]
+
+
+def test_apply_to_ideal_is_the_closure_of_the_images():
+    rng = random.Random(29)
+    transported = 0
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        instances = [parallel_pair(field)[2], two_triangles_full(field)[1], two_triangles_pair(field)[2]]
+        while len(instances) < 9:
+            ideal = random_admissible_ideal(rng, random_quiver(rng), field)
+            if ideal.basis:
+                instances.append(ideal)
+        for ideal in instances:
+            q = ideal.quiver
+            for phi in _random_automorphisms(rng, q, field):
+                image = phi.apply_to_ideal(ideal)
+                closure = IdealData(q, field, [phi.apply(b) for b in ideal.basis])
+                assert image.basis == closure.basis
+                assert image.pivot_paths == closure.pivot_paths
+                assert image.normal_paths == closure.normal_paths
+                assert image == closure and hash(image) == hash(closure)
+                transported += image != ideal
+    assert transported
 
 
 def test_is_monomial_cases():
     q, mono, diff, _ = parallel_pair(QQ)
     assert mono.is_monomial()
     assert not diff.is_monomial()
-    assert zero_ideal(q, QQ).is_monomial()
+    assert IdealData(q, QQ, ()).is_monomial()
 
 
 def test_reduced_basis_independent_of_generator_presentation():

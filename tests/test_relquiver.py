@@ -156,7 +156,7 @@ def test_relation_quiver_two_triangles_pair_has_two_sources():
     rq = build_relation_quiver(ideal, tree)
     assert len(rq.vertices) == 3
     report = sources_report(rq)
-    twisted_index = rq.vertex_of_ideal(twisted)
+    twisted_index = [v.ideal for v in rq.vertices].index(twisted)
     assert twisted_index is not None
     assert sorted(report["sources"]) == sorted([0, twisted_index])
     assert not report["unique_source"]
