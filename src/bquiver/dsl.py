@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .fields import Field, GF, QQ, is_prime
 from .linalg import _add_multiple
@@ -239,10 +238,11 @@ class _Parser:
                 den_tok = self.expect_name()
                 if not den_tok.text.isdigit():
                     self.fail("expected a denominator", den_tok)
-                try:
-                    coeff = f.coerce(Fraction(value, int(den_tok.text)))
-                except ZeroDivisionError:
+                # map both into the field first: a zero denominator there must not cancel
+                den = f.coerce(int(den_tok.text))
+                if f.is_zero(den):
                     self.fail(f"denominator {den_tok.text} is zero in {f!r}", den_tok)
+                coeff = f.div(f.coerce(value), den)
             else:
                 coeff = f.coerce(value)
             self.expect("*")

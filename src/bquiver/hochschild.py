@@ -272,11 +272,18 @@ def inner_derivation(algebra: FDAlgebra, coefficients: dict[str, object]) -> Der
 
 def inner_derivation_space(algebra: FDAlgebra) -> list[Derivation]:
     """The span of the per-vertex inner derivations (dimension |Q0| - 1),
-    by its reduced echelon basis."""
+    by its reduced echelon basis: vertex v's is +1 on the own unknown of each
+    arrow into v and -1 on each arrow out of v (arrows are normal paths)."""
     f = algebra.field
+    q = algebra.quiver
+    coords: dict[str, dict] = {v: {} for v in q.vertices}
+    for name in q.arrow_names:
+        a = q.arrow(name)
+        u = algebra._unknown_index[(name, q.arrow_path(name))]
+        coords[a.target][u], coords[a.source][u] = f.one, f.neg(f.one)
     ech = _Echelon(f)
-    for v in algebra.quiver.vertices:
-        ech.insert(inner_derivation(algebra, {v: f.one}).coords)
+    for row in coords.values():
+        ech.insert(row)
     return [Derivation._of(algebra, ech.rows[p]) for p in sorted(ech.rows)]
 
 

@@ -13,17 +13,16 @@ derivation of the path algebra mapping the kernel K = chi^-1(I) into K, so
 chi^-1(a) need not be reduced modulo K, and no matrix of the adapted basis
 is built or inverted.
 
-Diagonalizability of a class is decided corridor by corridor: the canonical
-representative, as sparse block columns, must have a squarefree, completely
-split minimal polynomial on every radical block.  A commuting family of
-diagonalizable classes has a common eigenbasis, obtained by refining each
-block through the eigenspaces of the family (sparse kernels of the shifted
-operators); matching that eigenbasis to the arrows yields an adapted
-presentation and recovers the family inside one character image, which is
-the constructive path used by the maximality analysis.  Algebra vectors,
-basis blocks and linear systems are sparse ``{index: coeff}`` maps
-throughout, and the arrow images of chi are path-algebra elements, sparse
-``{Path: coeff}`` maps.
+A family whose canonical representatives scale every vector of a corridor
+basis (an image on its adapted basis) is diagonalizable and commutes; else
+each representative must have a squarefree, split minimal polynomial on
+every radical block, and each pair must bracket to zero.  A common eigenbasis
+refines each block through the eigenspaces of the family (sparse kernels of
+the shifted operators), a stage losing dimension being a nonzero bracket;
+matched to the arrows, it yields a presentation whose character image holds
+the family, as the maximality analysis needs.  Vectors, basis blocks and
+linear systems are sparse ``{index: coeff}`` maps, and the arrow images of
+chi are path-algebra elements, sparse ``{Path: coeff}`` maps.
 """
 
 from __future__ import annotations
@@ -183,6 +182,9 @@ class SpecialBasis:
                 raise ValueError(f"missing block {key}")
         self.blocks = clean
 
+    def __iter__(self):  # every basis vector, block by block
+        return (v for vecs in self.blocks.values() for v in vecs)
+
     def block(self, source: str, target: str) -> tuple:
         return self.blocks.get((source, target), ())
 
@@ -202,18 +204,21 @@ def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> l
     return [{position[i]: x for i, x in d.image_of_basis(j).items()} for j in idxs]
 
 
-def diagonalizability_witness(cls: CohomologyClass):
-    """None when diagonalizable; else the offending block and minimal polynomial."""
+def _spectra(cls: CohomologyClass):
+    """Per radical block: key, columns, minimal polynomial, sorted roots (None unless distinct and split)."""
     space = cls.space
     f = space.field
     for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
-        mp = minimal_polynomial(f, _block_columns(space, cls, key))
-        # roots come with multiplicity, so a split mp is squarefree exactly
-        # when they are distinct
+        columns = _block_columns(space, cls, key)
+        mp = minimal_polynomial(f, columns)
+        # roots come with multiplicity: a split mp is squarefree iff they are distinct
         roots, splits = roots_over_field(f, mp)
-        if not splits or len(set(roots)) != len(roots):
-            return (key, mp)
-    return None
+        yield key, columns, mp, sorted(roots) if splits and len(set(roots)) == len(roots) else None
+
+
+def diagonalizability_witness(cls: CohomologyClass):
+    """None when diagonalizable; else the offending block and minimal polynomial."""
+    return next(((key, mp) for key, _, mp, roots in _spectra(cls) if roots is None), None)
 
 
 def is_diagonalizable_class(cls: CohomologyClass) -> bool:
@@ -225,41 +230,45 @@ def is_commuting_set(classes) -> bool:
     return all(c.space.bracket(c, d).is_zero() for c, d in itertools.combinations(classes, 2))
 
 
-def is_diagonalizable_set(classes) -> bool:
+def is_diagonalizable_set(classes, eigenbasis: SpecialBasis | None = None) -> bool:
+    """A family diagonal on ``eigenbasis`` is; else every class is decided
+    and every pair bracketed, so the answer does not depend on the hint."""
     classes = list(classes)
+    if eigenbasis is not None and _diagonal_on(classes, eigenbasis) is not None:
+        return True
     return all(is_diagonalizable_class(c) for c in classes) and is_commuting_set(classes)
 
 
 def common_eigenbasis(classes) -> SpecialBasis:
     """Simultaneous eigenbasis of a commuting diagonalizable family.
 
-    Each radical block is refined through the eigenspaces of the canonical
-    representatives; commutation makes every refinement stage invariant
-    under the remaining operators.
+    Each class is decided once per radical block, then each block is refined
+    through the eigenspaces of the canonical representatives; a stage that
+    the next operator does not leave invariant means a nonzero bracket.
     """
     classes = list(classes)
     if not classes:
         raise ValueError("need at least one class (use the zero class for the trivial family)")
     space = classes[0].space
-    if not is_diagonalizable_set(classes):
-        bad = next((c for c in classes if not is_diagonalizable_class(c)), None)
-        witness = diagonalizability_witness(bad) if bad is not None else "nonzero bracket"
-        raise NotDiagonalizableError(witness)
     alg = space.algebra
     f = space.field
+    spectra = {}
+    for c, cls in enumerate(classes):
+        for key, op, mp, roots in _spectra(cls):
+            if roots is None:
+                raise NotDiagonalizableError((key, mp))
+            spectra[c, key] = (op, roots)
     blocks_out: dict[tuple[str, str], tuple] = {}
     for key in sorted(alg.blocks, key=alg.quiver.corridor_key):
         idxs = alg.blocks[key]
         # invariant subspaces in block coordinates, each a list of basis vectors
         subspaces = [[{j: f.one} for j in range(len(idxs))]]
-        for cls in classes:
-            op = _block_columns(space, cls, key)
-            roots, splits = roots_over_field(f, minimal_polynomial(f, op))
-            assert splits
+        for c in range(len(classes)):
+            op, roots = spectra[c, key]
             refined = []
             for basis in subspaces:
                 total = 0
-                for lam in sorted(set(roots)):
+                for lam in roots:
                     # y with (op - lam)(sum_t y_t basis[t]) = 0: one row per
                     # block coordinate, one unknown per basis vector
                     rows: dict[int, dict] = {}
@@ -273,27 +282,33 @@ def common_eigenbasis(classes) -> SpecialBasis:
                         continue
                     refined.append([_combination(f, basis, y) for y in kernel])
                     total += len(kernel)
-                assert total == len(basis), "eigen refinement lost dimension"
+                if total != len(basis):
+                    raise NotDiagonalizableError("nonzero bracket")
             subspaces = refined
         blocks_out[key] = tuple({idxs[i]: x for i, x in v.items()} for basis in subspaces for v in basis)
     basis = SpecialBasis(alg, blocks_out)
-    for cls in classes:
-        d = cls.representative()
-        for vecs in basis.blocks.values():
-            for v in vecs:
-                _eigenvalue(d, v)
+    assert _diagonal_on(classes, basis) is not None
     return basis
 
 
-def _eigenvalue(d: Derivation, vec: dict):
-    """The eigenvalue of ``d`` on ``vec``; asserts that ``vec`` is an eigenvector."""
-    f = d.algebra.field
-    image = d.apply(vec)
-    i = min(vec)
-    lam = f.div(image.get(i, f.zero), vec[i])
-    expected = {} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}
-    assert image == expected, "vector is not an eigenvector of the class"
-    return lam
+def _diagonal_on(classes, vectors):
+    """Each class's eigenvalues on the vectors (a sequence or a :class:`SpecialBasis`),
+    or None if one is not an eigenvector; on a basis, a certificate that the
+    family is diagonalizable and commutes (diagonal on one basis per block)."""
+    out = []
+    for cls in classes:
+        d = cls.representative()
+        f = d.algebra.field
+        eigenvalues = []
+        for vec in vectors:
+            image = d.apply(vec)
+            i = min(vec)
+            lam = f.div(image.get(i, f.zero), vec[i])
+            if image != ({} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}):
+                return None
+            eigenvalues.append(lam)
+        out.append(eigenvalues)
+    return out
 
 
 # ---------- adapted presentations and realization ----------
@@ -349,9 +364,10 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
     f = space.field
     q = space.algebra.quiver
     weights_out = []
-    for cls in classes:
-        d = cls.representative()
-        raw = {name: _eigenvalue(d, pres.image_of_path(q.arrow_path(name))) for name in q.arrow_names}
+    eigenvalues = _diagonal_on(classes, [pres.image_of_path(q.arrow_path(name)) for name in q.arrow_names])
+    assert eigenvalues is not None
+    for cls, lams in zip(classes, eigenvalues):
+        raw = dict(zip(q.arrow_names, lams))
         # tree correction keeps the character and lands in the normalized section
         t = {}
         for name in q.arrow_names:
@@ -409,15 +425,16 @@ def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Bu
         yield CohomologyClass(space, _combination(f, vectors, coeffs))
 
 
-def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGETS):
+def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGETS, eigenbasis=None):
     """Three-valued maximality test for a diagonalizable span.
 
     Returns ``(verdict, witness)``: a definite "no" carries a diagonalizable
     class extending the span; "yes" is definite when the centralizer equals
     the span or the finite-field sweep finishes; otherwise "unknown".
+    ``eigenbasis`` is the hint handed to :func:`is_diagonalizable_set`.
     """
     space = span.space
-    if not is_diagonalizable_set(span.basis_classes()):
+    if not is_diagonalizable_set(span.basis_classes(), eigenbasis):
         raise ValueError("span is not diagonalizable")
     cent = centralizer(space, span)
     assert cent.contains_span(span)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -207,6 +208,24 @@ def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
         assert (err.value.line, err.value.column) == (9, 13)
         assert main(["validate", write(tmp_path, doc)]) == 2
     assert "line 9, column 13" in capsys.readouterr().err
+
+
+def test_cli_fraction_maps_into_the_field_before_it_divides(tmp_path, capsys):
+    def with_coefficient(field, coeff):
+        return PARALLEL_PAIR_DOC.replace("field QQ", f"field {field}").replace("{ c*a }", "{ %s*c*a }" % coeff)
+
+    # 2 is zero in GF(2), so 2/2 and 4/2 have no value there, although they
+    # cancel over QQ
+    for coeff in ("2/2", "4/2"):
+        doc = with_coefficient("GF(2)", coeff)
+        with pytest.raises(InputError) as err:
+            parse_input(doc)
+        assert (err.value.line, err.value.column) == (9, 13)
+        assert main(["validate", write(tmp_path, doc)]) == 2
+    assert "line 9, column 13" in capsys.readouterr().err
+    for field, value in (("GF(3)", 2), ("QQ", Fraction(2))):
+        parsed = parse_input(with_coefficient(field, "4/2"))
+        assert parsed.ideal_generators["I"] == [{parsed.quiver.path(("a", "c")): value}]
 
 
 def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):

@@ -16,9 +16,11 @@ from bquiver import (
     dilatation,
     enumerate_bypasses,
     inner_derivation,
+    inner_derivation_space,
     transvection_of,
 )
 from bquiver.homotopy import weight_of_path
+from bquiver.linalg import _Echelon
 
 from conftest import (
     commutative_square,
@@ -141,6 +143,20 @@ def test_displayed_derivations_solve_the_system():
         alg, {"a": vec_of([(1, "c*b")]), "d": vec_of([(1, "f*e")])}
     )
     assert not space.is_inner(diff)
+
+
+def test_inner_derivation_space_is_the_echelon_of_the_vertex_derivations():
+    rng = random.Random(43)
+    for _ in range(40):
+        q = random_quiver(rng)
+        field = random_field(rng)
+        alg = FDAlgebra(random_admissible_ideal(rng, q, field))
+        reference = _Echelon(field)
+        for v in q.vertices:
+            reference.insert(inner_derivation(alg, {v: field.one}).coords)
+        inner = inner_derivation_space(alg)
+        assert [d.coords for d in inner] == [reference.rows[p] for p in sorted(reference.rows)]
+        assert len(inner) == len(q.vertices) - 1
 
 
 def test_inner_derivations_and_classes():

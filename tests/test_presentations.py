@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bquiver import (
@@ -14,13 +16,17 @@ from bquiver import (
     adapted_presentation,
     centralizer,
     common_eigenbasis,
+    diagonalizability_witness,
+    enumerate_bypasses,
     is_diagonalizable_class,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     realize_in_image,
+    transvection_of,
 )
 from bquiver.homotopy import weight_of_walk
 from bquiver.pathalg import _render
+from bquiver.presentations import _diagonal_on
 
 from conftest import (
     chain_with_monomials,
@@ -28,6 +34,10 @@ from conftest import (
     elem,
     kronecker,
     parallel_pair,
+    random_admissible_ideal,
+    random_dilatation,
+    random_nonzero,
+    random_quiver,
     two_triangles_full,
     two_triangles_twist,
 )
@@ -106,9 +116,15 @@ def test_diagonalizability_of_classes():
 def test_common_eigenbasis_requires_diagonalizable_family():
     q, mono, _, tree = parallel_pair(QQ)
     space = CohomologySpace(FDAlgebra(mono))
+    h = displayed_class(space, {"a": [(1, "a")]})
     n = displayed_class(space, {"b": [(1, "a")]})
-    with pytest.raises(NotDiagonalizableError):
-        common_eigenbasis([n])
+    # the nilpotent class's block and minimal polynomial are the witness
+    witness = diagonalizability_witness(n)
+    assert witness is not None
+    for family in ([n], [h, n]):
+        with pytest.raises(NotDiagonalizableError) as err:
+            common_eigenbasis(family)
+        assert err.value.witness == witness
 
 
 def test_common_eigenbasis_diagonalizes_image():
@@ -120,6 +136,67 @@ def test_common_eigenbasis_diagonalizes_image():
     alg = pres.space.algebra
     for key, idxs in alg.blocks.items():
         assert len(basis.block(*key)) == len(idxs)
+
+
+def test_character_images_are_diagonal_on_their_adapted_bases():
+    # the certificate holds for natural and twisted presentations, and the
+    # hint never changes the answer
+    rng = random.Random(37)
+    certified = 0
+    for field in (QQ, GF(2), GF(3)):
+        for _ in range(10):
+            q = random_quiver(rng, max_vertices=5)
+            ideal = random_admissible_ideal(rng, q, field)
+            nu = natural_of(ideal)
+            twists = [random_dilatation(rng, q, field)]
+            twists += [transvection_of(q, field, bp, random_nonzero(rng, field)) for bp in enumerate_bypasses(q)]
+            twists.append(twists[-1].compose(twists[0]))
+            for pres in [nu] + [nu.twist(phi) for phi in twists]:
+                classes = pres.character_image().basis_classes()
+                basis = pres.adapted_basis_blocks()
+                assert _diagonal_on(classes, basis) is not None
+                assert is_diagonalizable_set(classes, basis) is True
+                assert is_diagonalizable_set(classes) is True
+                certified += bool(classes)
+    assert certified > 100
+
+
+def kronecker_classes():
+    """The natural presentation of the Kronecker algebra over QQ, with the
+    swap a -> b, b -> a and the rotation a -> b, b -> -a."""
+    pres = natural_of(kronecker(QQ)[1])
+    swap = displayed_class(pres.space, {"a": [(1, "b")], "b": [(1, "a")]})
+    rotation = displayed_class(pres.space, {"a": [(1, "b")], "b": [(-1, "a")]})
+    return pres, swap, rotation
+
+
+def test_a_basis_that_is_not_an_eigenbasis_falls_back_to_the_decision():
+    pres, swap, rotation = kronecker_classes()
+    natural = pres.adapted_basis_blocks()
+    assert _diagonal_on([swap], natural) is None
+    assert is_diagonalizable_set([swap], natural) is True  # eigenvalues 1 and -1
+    assert _diagonal_on([rotation], natural) is None
+    assert is_diagonalizable_set([rotation], natural) is False  # x^2 + 1 does not split
+    assert is_diagonalizable_set([rotation]) is False
+    # the swap's own eigenbasis certifies it
+    eigen = common_eigenbasis([swap])
+    assert _diagonal_on([swap], eigen) is not None
+    assert is_diagonalizable_set([swap], eigen) is True
+
+
+def test_common_eigenbasis_finds_a_nonzero_bracket_by_refinement(monkeypatch):
+    pres, swap, _ = kronecker_classes()
+    scale_a = displayed_class(pres.space, {"a": [(1, "a")]})
+    assert is_diagonalizable_class(scale_a) and is_diagonalizable_class(swap)
+    assert not is_diagonalizable_set([scale_a, swap])
+
+    def no_bracket(*args):
+        raise AssertionError("common_eigenbasis must not bracket")
+
+    monkeypatch.setattr(CohomologySpace, "bracket", no_bracket)
+    with pytest.raises(NotDiagonalizableError) as err:
+        common_eigenbasis([scale_a, swap])
+    assert err.value.witness == "nonzero bracket"
 
 
 def test_special_basis_validation():
