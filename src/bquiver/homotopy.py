@@ -285,13 +285,24 @@ class Decision:
 
 
 class HomotopyOracle:
-    """Decides homotopy of parallel walks under one admissible ideal."""
+    """Decides homotopy of parallel walks under one admissible ideal.
 
-    def __init__(self, ideal: IdealData, tree: SpanningTree | None = None, budgets: Budgets = DEFAULT_BUDGETS):
+    The oracle reads the ideal only through its quiver and its homotopy
+    pairs (``pairs``, when the caller already has them), so it decides for
+    every ideal with the same pairs; ``ideal`` is the one it was built from.
+    """
+
+    def __init__(
+        self,
+        ideal: IdealData,
+        tree: SpanningTree | None = None,
+        budgets: Budgets = DEFAULT_BUDGETS,
+        pairs: tuple[tuple[Path, Path], ...] | None = None,
+    ):
         self.ideal = ideal
         self.quiver = ideal.quiver
         self.tree = tree or self.quiver.spanning_tree(self.quiver.vertices[0])
-        self.pairs = homotopy_pairs(ideal)
+        self.pairs = homotopy_pairs(ideal) if pairs is None else pairs
         self.presentation = GroupPresentation(self.quiver, self.tree, self.pairs)
         self.budgets = budgets
         rows = self.presentation.relator_matrix()

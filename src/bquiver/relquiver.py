@@ -9,9 +9,17 @@ both sides are certified by the three-valued homotopy oracle and undecided
 candidates are quarantined rather than silently dropped.  A transvection
 that fixes the ideal relates no two relations and is not classified.
 
+The quiver is acyclic, so a bypass arrow occurs at most once in a path and
+the transvection by tau maps each reduced-basis element b to b + tau*d(b),
+where the splice d(b) replaces the arrow by the bypass path.  It fixes the
+ideal exactly when every d(b) lies in the ideal, which does not depend on
+tau: the sweep tests this once per (ideal, bypass) and otherwise spans the
+image from the rows b + tau*d(b), building no automorphism.
+
 Γ keeps the tree and the budgets it was built under and owns one memoized
-homotopy oracle per ideal (``RelationQuiver.oracle``), which the sweep, the
-factorization search and the verification harness share.
+homotopy oracle per homotopy relation (``RelationQuiver.oracle``): ideals
+with the same homotopy pairs share it, and with it its decisions.  The
+sweep, the factorization search and the verification harness all ask Γ.
 
 On top of the graph sit source detection (with the two sufficient uniqueness
 hypotheses reported), factorization of an ideal through certified
@@ -48,7 +56,7 @@ from .homotopy import (
     YES,
     homotopy_pairs,
 )
-from .linalg import smith_normal_form
+from .linalg import _add_multiple, _Echelon, smith_normal_form
 from .pathalg import (
     Automorphism,
     IdealData,
@@ -64,12 +72,46 @@ from .presentations import (
     is_maximal_diagonalizable,
     realize_in_image,
 )
-from .quiver import Bypass, SpanningTree, enumerate_bypasses, has_double_bypass
+from .quiver import Bypass, Path, SpanningTree, enumerate_bypasses, has_double_bypass
 
 COINCIDE = "coincide"
 DIRECT_SUCCESSOR = "direct-successor"
 DIRECT_PREDECESSOR = "direct-predecessor"
 EQUAL_IDEALS = "equal-ideals"
+
+
+def _splice(elem: dict, bypass: Bypass) -> dict:
+    """d(elem): the terms of ``elem`` through the bypass arrow, with the
+    arrow replaced by the bypass path.  A path visits each vertex once, so
+    the arrow occurs at most once in it and distinct paths splice to
+    distinct paths; the transvection by tau maps elem to elem + tau*d(elem).
+    """
+    arrow, route = bypass.arrow, bypass.path.arrows
+    out = {}
+    for p, c in elem.items():
+        if arrow in p.arrows:
+            i = p.arrows.index(arrow)
+            out[Path(p.source, p.target, p.arrows[:i] + route + p.arrows[i + 1:])] = c
+    return out
+
+
+def _moving_splices(ideal: IdealData, bypass: Bypass) -> list[dict] | None:
+    """The splices of the reduced basis, or None when they all lie in the
+    ideal: then every transvection along the bypass fixes it."""
+    splices = [_splice(b, bypass) for b in ideal.basis]
+    return None if all(ideal.contains(d) for d in splices) else splices
+
+
+def _transvected(ideal: IdealData, splices: list[dict], tau) -> IdealData:
+    """The image of the ideal under the transvection by tau (a field
+    element), spanned by the rows b + tau*d(b) of its reduced basis."""
+    f = ideal.field
+    echelon = _Echelon(f, ideal._echelon.lead)
+    for b, d in zip(ideal.basis, splices):
+        row = dict(b)
+        _add_multiple(f, row, tau, d)
+        echelon.insert(row)
+    return IdealData._of(ideal.quiver, f, echelon)
 
 
 def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
@@ -84,25 +126,13 @@ def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
     f = ideal.field
     if isinstance(f, PrimeField):
         return tuple(x for x in f.elements() if x != 0)
-    q = ideal.quiver
     candidates = {Fraction(1), Fraction(-1)}
-    arrow = bypass.arrow
     for elem in ideal.basis:
-        # coefficient of each resulting path is c0 + c1 * tau
-        linear: dict = {}
-        for p, c in elem.items():
-            cell = linear.setdefault(p, [f.zero, f.zero])
-            cell[0] = f.add(cell[0], c)
-            if arrow in p.arrows:
-                i = p.arrows.index(arrow)
-                spliced = q.path(p.arrows[:i] + bypass.path.arrows + p.arrows[i + 1:])
-                cell2 = linear.setdefault(spliced, [f.zero, f.zero])
-                cell2[1] = f.add(cell2[1], c)
-        for c0, c1 in linear.values():
-            if not f.is_zero(c1):
-                root = f.neg(f.div(c0, c1))
-                if not f.is_zero(root):
-                    candidates.add(root)
+        # the coefficient of each spliced path in elem + tau*d(elem) is c0 + c1*tau
+        for p, c1 in _splice(elem, bypass).items():
+            root = f.neg(f.div(elem.get(p, f.zero), c1))
+            if not f.is_zero(root):
+                candidates.add(root)
     return tuple(sorted(candidates))
 
 
@@ -113,9 +143,19 @@ class TransvectionCase:
     target_decision: Decision
 
 
-def classify_transvection(source: HomotopyOracle, target: HomotopyOracle, bypass: Bypass) -> TransvectionCase:
+def classify_transvection(
+    source: HomotopyOracle,
+    target: HomotopyOracle,
+    bypass: Bypass,
+    source_ideal: IdealData,
+    target_ideal: IdealData,
+) -> TransvectionCase:
     """Classify the bypass pair under the oracles of an ideal (``source``)
-    and of its image under a transvection along ``bypass`` (``target``)."""
+    and of its image under a transvection along ``bypass`` (``target``).
+
+    The ideals are passed as well: an oracle may be shared by every ideal
+    with its homotopy pairs, so its own ``ideal`` need not be either one.
+    """
     a = source.decide_arrow_path(bypass.arrow, bypass.path)
     b = target.decide_arrow_path(bypass.arrow, bypass.path)
     if a.verdict == YES and b.verdict == YES:
@@ -125,7 +165,7 @@ def classify_transvection(source: HomotopyOracle, target: HomotopyOracle, bypass
     elif a.verdict == YES and b.verdict == NO:
         label = DIRECT_PREDECESSOR
     elif a.verdict == NO and b.verdict == NO:
-        if target.ideal != source.ideal:
+        if target_ideal != source_ideal:
             raise RuntimeError("soundness violation: both sides non-homotopic but the ideals differ")
         label = EQUAL_IDEALS
     else:
@@ -164,12 +204,24 @@ class RelationQuiver:
     truncated: bool
     ambiguous_vertices: list = dataclass_field(default_factory=list)
     _oracles: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    _relations: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     def oracle(self, ideal: IdealData) -> HomotopyOracle:
-        """The one homotopy oracle of the ideal under Γ's tree and budgets."""
+        """The one homotopy oracle of the ideal's relation under Γ's tree
+        and budgets.
+
+        An oracle reads only the tree, the budgets and the homotopy pairs,
+        and decides each word deterministically, so the pairs are computed
+        once per ideal and every ideal with the same pairs gets the same
+        oracle, and shares its memoized decisions.
+        """
         oracle = self._oracles.get(ideal)
         if oracle is None:
-            oracle = self._oracles[ideal] = HomotopyOracle(ideal, self.tree, self.budgets)
+            pairs = homotopy_pairs(ideal)
+            oracle = self._relations.get(pairs)
+            if oracle is None:
+                oracle = self._relations[pairs] = HomotopyOracle(ideal, self.tree, self.budgets, pairs)
+            self._oracles[ideal] = oracle
         return oracle
 
 
@@ -198,8 +250,6 @@ def build_relation_quiver(
     # deterministic and vertices are only appended, so scanning the same
     # ideal again would reach the same vertex.
     located: dict[IdealData, int] = {}
-    # One transvection per (bypass, tau), shared by every vertex.
-    transvection = functools.cache(functools.partial(transvection_of, quiver, f))
 
     def add_vertex(ideal: IdealData, back_auto: Automorphism) -> int:
         rq.vertices.append(RelationVertex(ideal, back_auto))
@@ -228,20 +278,20 @@ def build_relation_quiver(
         vi = queue.pop(0)
         vertex = rq.vertices[vi]
         for bp in bypasses:
+            splices = _moving_splices(vertex.ideal, bp)
             for tau in critical_taus(vertex.ideal, bp):
                 candidates += 1
                 if candidates > budgets.graph_max_candidates or len(rq.vertices) > budgets.graph_max_vertices:
                     rq.truncated = True
                     return rq
-                phi = transvection(bp, tau)
-                image = phi.apply_to_ideal(vertex.ideal)
                 # a transvection fixing the ideal relates no two relations
-                if image == vertex.ideal:
+                if splices is None:
                     continue
-                case = classify_transvection(rq.oracle(vertex.ideal), rq.oracle(image), bp)
+                image = _transvected(vertex.ideal, splices, tau)
+                case = classify_transvection(rq.oracle(vertex.ideal), rq.oracle(image), bp, vertex.ideal, image)
                 widx, ambiguous = locate(image)
                 if widx is None:
-                    widx = add_vertex(image, phi.compose(vertex.back_auto))
+                    widx = add_vertex(image, transvection_of(quiver, f, bp, tau).compose(vertex.back_auto))
                     if ambiguous:
                         rq.ambiguous_vertices.append(widx)
                     queue.append(widx)
@@ -261,7 +311,7 @@ def build_relation_quiver(
                     # the succession from the image ideal back onto ours
                     arrow = RelationArrow(
                         widx, vi, bp, f.neg(f.coerce(tau)),
-                        image, vertex.ideal, phi.compose(vertex.back_auto),
+                        image, vertex.ideal, transvection_of(quiver, f, bp, tau).compose(vertex.back_auto),
                         case.target_decision, case.source_decision,
                     )
                 edge = (arrow.source, arrow.target)
@@ -469,8 +519,12 @@ def factor_to_source(rq: RelationQuiver, source_index: int, target_index: int) -
         current, steps = queue.pop(0)
         nodes += 1
         for bp in bypasses:
+            # a transvection fixing the ideal leads back to it, already visited
+            splices = _moving_splices(current, bp)
+            if splices is None:
+                continue
             for tau in critical_taus(current, bp):
-                nxt = transvection_of(quiver, f, bp, tau).apply_to_ideal(current)
+                nxt = _transvected(current, splices, tau)
                 if nxt in visited:
                     continue
                 visited.add(nxt)

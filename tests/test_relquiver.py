@@ -76,7 +76,7 @@ def test_classify_transvection_cases():
     q, mono, diff, tree = parallel_pair(QQ)
     bp_a, bp_b = bypass_named(q, "a"), bypass_named(q, "b")
     image = transvection_of(q, QQ, bp_a, -1).apply_to_ideal(mono)
-    case = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image, tree), bp_a)
+    case = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image, tree), bp_a, mono, image)
     assert case.label == DIRECT_SUCCESSOR
     assert image == diff
     assert case.source_decision.verdict == NO
@@ -84,11 +84,11 @@ def test_classify_transvection_cases():
     # the untouched bypass leaves the ideal alone
     image2 = transvection_of(q, QQ, bp_b, 1).apply_to_ideal(mono)
     assert image2 == mono
-    case2 = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image2, tree), bp_b)
+    case2 = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image2, tree), bp_b, mono, image2)
     assert case2.label == EQUAL_IDEALS
     # from the finer relation back: the inverse scalar exposes a predecessor
     image3 = transvection_of(q, QQ, bp_a, 1).apply_to_ideal(diff)
-    case3 = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image3, tree), bp_a)
+    case3 = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image3, tree), bp_a, diff, image3)
     assert case3.label == DIRECT_PREDECESSOR
     assert image3 == mono
     with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ def test_classify_transvection_coincide_case():
     bp_a = bypass_named(q, "a")
     # tau = 2 maps <c*a - c*b> to <c*a + c*b>, another trivial-group relation
     image = transvection_of(q, GF(3), bp_a, 2).apply_to_ideal(diff)
-    case = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image, tree), bp_a)
+    case = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image, tree), bp_a, diff, image)
     assert case.label == COINCIDE
     assert relations_equal(diff, image).verdict == YES
 
@@ -217,26 +217,95 @@ def test_gamma_builds_one_oracle_per_classified_transvection(monkeypatch):
 
     class CountingOracle(HomotopyOracle):
         def __init__(self, ideal, *args, **kwargs):
-            built.append(ideal)
             super().__init__(ideal, *args, **kwargs)
+            built.append((ideal, self.pairs))
 
     classify = relquiver.classify_transvection
 
     def counting_classify(*args, **kwargs):
-        classified.append(args[:3])
+        classified.append(args)
         return classify(*args, **kwargs)
 
     monkeypatch.setattr(relquiver, "HomotopyOracle", CountingOracle)
     monkeypatch.setattr(homotopy, "HomotopyOracle", CountingOracle)
     monkeypatch.setattr(relquiver, "classify_transvection", counting_classify)
-    q, ideal, twisted, tree = two_triangles_pair(GF(2))
+    # over GF(3), <c*a + c*b> and <c*a + 2*c*b> carry the same pairs
+    for (q, ideal, twisted, tree), vertex_count in ((two_triangles_pair(GF(2)), 3), (parallel_pair(GF(3)), 2)):
+        built.clear()
+        classified.clear()
+        rq = build_relation_quiver(ideal, tree)
+        assert len(rq.vertices) == vertex_count and classified
+        # the seed's oracle plus at most one image oracle per classified
+        # candidate; vertices and relation comparisons reuse those
+        assert len(built) <= len(classified) + 1
+        # and Γ never builds a second oracle for an ideal it already holds,
+        # nor for a homotopy relation it already holds: one oracle per pair set
+        ideals = [i for i, _ in built]
+        assert len(set(ideals)) == len(ideals)
+        pairs = [p for _, p in built]
+        assert len(set(pairs)) == len(pairs)
+        held = {ideal} | {i for args in classified for i in args[3:]}
+        assert all(rq.oracle(i).pairs == homotopy.homotopy_pairs(i) for i in held)
+    # the last Γ held more ideals than relations
+    assert len(held) > len(built)
+
+
+def test_a_shared_oracle_keeps_the_equal_ideals_guard():
+    # monomial ideals have no homotopy pairs, so Γ gives <c*a> and <c*b>
+    # one oracle, whose own ideal is the first of them it saw
+    q, mono, _, tree = parallel_pair(QQ)
+    other = type(mono)(q, QQ, [elem(q, QQ, (1, "c*b"))])
+    rq = build_relation_quiver(mono, tree)
+    oracle = rq.oracle(mono)
+    assert rq.oracle(other) is oracle and oracle.ideal == mono != other
+    bp_b = bypass_named(q, "b")
+    assert oracle.decide_arrow_path(bp_b.arrow, bp_b.path).verdict == NO
+    assert classify_transvection(oracle, oracle, bp_b, mono, mono).label == EQUAL_IDEALS
+    # both sides non-homotopic while the ideals the caller holds differ
+    with pytest.raises(RuntimeError, match="soundness"):
+        classify_transvection(oracle, oracle, bp_b, mono, other)
+    with pytest.raises(RuntimeError, match="soundness"):
+        classify_transvection(oracle, oracle, bp_b, other, mono)
+
+
+def test_splices_decide_the_fixed_ideals_and_span_the_images():
+    # the sweep's fix test and image rows against the transvection itself,
+    # for every bypass and every critical tau of random bound quivers
+    from bquiver.relquiver import _moving_splices, _splice, _transvected
+    from conftest import random_admissible_ideal, random_quiver
+
+    rng = random.Random(12)
+    for field in (GF(2), GF(3), GF(5), QQ):
+        seen = {True: 0, False: 0}
+        for _ in range(20):
+            q = random_quiver(rng, 6, 40)
+            ideal = random_admissible_ideal(rng, q, field)
+            for bp in enumerate_bypasses(q):
+                fixed = _moving_splices(ideal, bp) is None
+                splices = [_splice(b, bp) for b in ideal.basis]
+                for tau in critical_taus(ideal, bp):
+                    image = transvection_of(q, field, bp, tau).apply_to_ideal(ideal)
+                    assert fixed == (image == ideal)
+                    assert _transvected(ideal, splices, tau) == image
+                    seen[fixed] += 1
+        assert seen[True] and seen[False], field
+
+
+def test_fixed_candidates_still_count_towards_truncation():
+    from bquiver.budgets import Budgets
+    from bquiver.relquiver import _moving_splices
+
+    q, ideal, _, tree = parallel_pair(GF(3))
     rq = build_relation_quiver(ideal, tree)
-    assert len(rq.vertices) == 3 and classified
-    # the seed's oracle plus at most one image oracle per classified
-    # candidate; vertices and relation comparisons reuse those
-    assert len(built) <= len(classified) + 1
-    # and Γ never builds a second oracle for an ideal it already holds
-    assert len(set(built)) == len(built)
+    assert not rq.truncated and len(rq.vertices) > 1
+    bypasses = enumerate_bypasses(q)
+    n = sum(len(critical_taus(v.ideal, bp)) for v in rq.vertices for bp in bypasses)
+    # some candidates are skipped by the fix test, yet they are counted
+    assert any(_moving_splices(v.ideal, bp) is None for v in rq.vertices for bp in bypasses)
+    exact = build_relation_quiver(ideal, tree, Budgets(graph_max_candidates=n))
+    assert not exact.truncated
+    assert [v.ideal for v in exact.vertices] == [v.ideal for v in rq.vertices]
+    assert build_relation_quiver(ideal, tree, Budgets(graph_max_candidates=n - 1)).truncated
 
 
 def test_definite_arrows_form_a_dag():
