@@ -10,7 +10,7 @@ The package computes, over the rationals or a prime field:
   of classes and commuting families, adapted presentations, and maximality
   of character images among diagonalizable subalgebras,
 * the succession graph of homotopy relations under transvections, with
-  certified arrows, source detection, and factorization witnesses.
+  certified arrows and source detection.
 
 Everything is exact (rational or mod-p arithmetic) and deterministic.
 """
@@ -84,13 +84,10 @@ from .presentations import (
     realize_in_image,
 )
 from .relquiver import (
-    FactorizationWitness,
     RelationQuiver,
     build_relation_quiver,
     classify_transvection,
     critical_taus,
-    factor_to_source,
-    match_dilatation,
     presentation_for_vertex,
     sources_report,
     verify_main_theorem,

@@ -19,7 +19,6 @@ class Budgets:
     graph_max_vertices: int = 64
     graph_max_candidates: int = 20_000
     maxdiag_max_candidates: int = 20_000
-    factor_max_nodes: int = 2_000
     # rational grid used when searching over an infinite field
     rational_grid: tuple = (
         Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),

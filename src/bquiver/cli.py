@@ -35,14 +35,8 @@ from .presentations import (
 from .quiver import QuiverError
 from .relquiver import build_relation_quiver, sources_report, verify_main_theorem
 
-_BUDGET_KEYS = (
-    "word_max_len",
-    "search_max_nodes",
-    "graph_max_vertices",
-    "graph_max_candidates",
-    "maxdiag_max_candidates",
-    "factor_max_nodes",
-)
+# every integer budget is a flag, an environment variable and a document key
+_BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(Budgets) if isinstance(f.default, int))
 
 _ENV_PREFIX = "BQUIVER_"
 

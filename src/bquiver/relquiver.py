@@ -19,15 +19,13 @@ image from the rows b + tau*d(b), building no automorphism.
 Γ keeps the tree and the budgets it was built under and owns one memoized
 homotopy oracle per homotopy relation (``RelationQuiver.oracle``): ideals
 with the same homotopy pairs share it, and with it its decisions.  The
-sweep, the factorization search and the verification harness all ask Γ.
+sweep and the verification harness both ask Γ.
 
 On top of the graph sit source detection (with the two sufficient uniqueness
-hypotheses reported), factorization of an ideal through certified
-transvection steps from a source (each step's rewriting trace is replayed by
-``FactorizationWitness.verify``), and the full verification report tying
-maximal diagonalizable subalgebras of the cohomology to character images of
-source presentations, including the conjugating automorphisms between pairs
-of maximal subalgebras.
+hypotheses reported) and the full verification report tying maximal
+diagonalizable subalgebras of the cohomology to character images of source
+presentations, including the conjugating automorphisms between pairs of
+maximal subalgebras.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .budgets import Budgets, DEFAULT_BUDGETS
-from .fields import Field, PrimeField
+from .fields import PrimeField
 from .hochschild import (
     ClassSpan,
     CohomologyClass,
@@ -48,19 +46,16 @@ from .hochschild import (
 )
 from .homotopy import (
     Decision,
-    GroupPresentation,
     HomotopyOracle,
     NO,
-    RewriteTrace,
     UNKNOWN,
     YES,
     homotopy_pairs,
 )
-from .linalg import _add_multiple, _Echelon, smith_normal_form
+from .linalg import _add_multiple, _Echelon
 from .pathalg import (
     Automorphism,
     IdealData,
-    dilatation,
     identity_automorphism,
     transvection_of,
 )
@@ -347,198 +342,6 @@ def sources_report(rq: RelationQuiver) -> dict:
     }
 
 
-# ---------- factorization through certified transvections ----------
-
-def _integer_nth_root(value: int, n: int) -> int | None:
-    if value < 0:
-        if n % 2 == 0:
-            return None
-        r = _integer_nth_root(-value, n)
-        return None if r is None else -r
-    if value in (0, 1):
-        return value
-    lo, hi = 0, max(2, value)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** n < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** n == value else None
-
-
-def _field_nth_root(f: Field, value, n: int):
-    if n == 1:
-        return value
-    if isinstance(f, PrimeField):
-        for x in f.elements():
-            if pow(x, n, f.p) == value:
-                return x
-        return None
-    frac = Fraction(value)
-    num = _integer_nth_root(frac.numerator, n)
-    den = _integer_nth_root(frac.denominator, n)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def match_dilatation(source: IdealData, target: IdealData):
-    """Arrow weights with D(source) == target, or None.
-
-    The coefficient ratios give a multiplicative system in the weights; its
-    exponent matrix is solved through the integer Smith normal form, taking
-    roots in the field where the invariant factors demand them.
-    """
-    f = source.field
-    if len(source.basis) != len(target.basis):
-        return None
-    if source.pivot_paths != target.pivot_paths:
-        return None
-    arrows = source.quiver.arrow_names
-    arrow_idx = {n: i for i, n in enumerate(arrows)}
-    exponent_rows = []
-    ratios = []
-    for pivot, es, et in zip(source.pivot_paths, source.basis, target.basis):
-        if es.keys() != et.keys():
-            return None
-        pivot_exp = [0] * len(arrows)
-        for nm in pivot.arrows:
-            pivot_exp[arrow_idx[nm]] += 1
-        for p in source.quiver.sort_paths(es):
-            if p == pivot:
-                continue
-            row = [0] * len(arrows)
-            for nm in p.arrows:
-                row[arrow_idx[nm]] += 1
-            row = [r - pe for r, pe in zip(row, pivot_exp)]
-            exponent_rows.append(row)
-            ratios.append(f.div(et[p], es[p]))
-    if not exponent_rows:
-        return {n: f.one for n in arrows}
-    d, u, v = smith_normal_form(exponent_rows)
-    m = len(exponent_rows)
-    n = len(arrows)
-
-    def power(base, exp: int):
-        if exp >= 0:
-            out = f.one
-            for _ in range(exp):
-                out = f.mul(out, base)
-            return out
-        return f.inv(power(base, -exp))
-
-    # transformed right-hand sides
-    sigma = []
-    for i in range(m):
-        acc = f.one
-        for e in range(m):
-            if u[i][e]:
-                acc = f.mul(acc, power(ratios[e], u[i][e]))
-        sigma.append(acc)
-    y = [f.one] * n
-    for i in range(m):
-        if i < len(d):
-            root = _field_nth_root(f, sigma[i], d[i])
-            if root is None:
-                return None
-            y[i] = root
-        elif sigma[i] != f.one:
-            return None
-    weights = {}
-    for a_i, name in enumerate(arrows):
-        acc = f.one
-        for j in range(n):
-            if v[a_i][j]:
-                acc = f.mul(acc, power(y[j], v[a_i][j]))
-        if f.is_zero(acc):
-            return None
-        weights[name] = acc
-    D = dilatation(source.quiver, f, weights)
-    if D.apply_to_ideal(source) != target:
-        return None
-    return weights
-
-
-@dataclass
-class FactorizationWitness:
-    """A certified transvection chain (plus dilatation) between two ideals."""
-
-    start: IdealData
-    steps: tuple  # ((bypass, tau, certificate Decision), ...)
-    dilatation_weights: dict
-    end: IdealData
-    tree: SpanningTree  # the certificates' words are over its presentations
-
-    def verify(self) -> bool:
-        """Replay the chain: each step's certificate must be a "yes" trace of
-        the bypass pair's word under the image ideal's presentation."""
-        current = self.start
-        quiver = self.start.quiver
-        f = self.start.field
-        for bp, tau, cert in self.steps:
-            current = transvection_of(quiver, f, bp, tau).apply_to_ideal(current)
-            presentation = GroupPresentation(quiver, self.tree, homotopy_pairs(current))
-            word = presentation.word_of_pair(quiver.arrow_path(bp.arrow), bp.path)
-            trace = cert.certificate if cert is not None and cert.verdict == YES else None
-            if not isinstance(trace, RewriteTrace) or trace.start != word or not trace.replay(presentation):
-                return False
-        D = dilatation(quiver, f, self.dilatation_weights)
-        return D.apply_to_ideal(current) == self.end
-
-
-def factor_to_source(rq: RelationQuiver, source_index: int, target_index: int) -> FactorizationWitness | None:
-    """Search a certified transvection chain from a source representative.
-
-    Every step must carry a homotopy certificate at its image ideal; the
-    chain may end with a dilatation.  Returns None when Γ's
-    ``factor_max_nodes`` budget runs out before the target ideal is reached.
-    """
-    start = rq.vertices[source_index].ideal
-    target = rq.vertices[target_index].ideal
-    quiver = start.quiver
-    f = start.field
-    bypasses = enumerate_bypasses(quiver)
-
-    def finish(ideal: IdealData, steps) -> FactorizationWitness | None:
-        if ideal == target:
-            weights = {n: f.one for n in quiver.arrow_names}
-        else:
-            weights = match_dilatation(ideal, target)
-            if weights is None:
-                return None
-        return FactorizationWitness(start, tuple(steps), weights, target, rq.tree)
-
-    done = finish(start, ())
-    if done is not None:
-        return done
-    visited = {start}
-    queue = [(start, ())]
-    nodes = 0
-    while queue and nodes < rq.budgets.factor_max_nodes:
-        current, steps = queue.pop(0)
-        nodes += 1
-        for bp in bypasses:
-            # a transvection fixing the ideal leads back to it, already visited
-            splices = _moving_splices(current, bp)
-            if splices is None:
-                continue
-            for tau in critical_taus(current, bp):
-                nxt = _transvected(current, splices, tau)
-                if nxt in visited:
-                    continue
-                visited.add(nxt)
-                cert = rq.oracle(nxt).decide_arrow_path(bp.arrow, bp.path)
-                if cert.verdict != YES:
-                    continue
-                new_steps = steps + ((bp, tau, cert),)
-                done = finish(nxt, new_steps)
-                if done is not None:
-                    return done
-                queue.append((nxt, new_steps))
-    return None
-
-
 # ---------- the main verification harness ----------
 
 def presentation_for_vertex(space: CohomologySpace, rq: RelationQuiver, index: int) -> Presentation:
@@ -549,17 +352,31 @@ def presentation_for_vertex(space: CohomologySpace, rq: RelationQuiver, index: i
     return pres
 
 
-def enumerate_spans(space: CohomologySpace, max_count: int = 100_000) -> list[ClassSpan]:
-    """Every subspace of the cohomology over a prime field (echelon forms)."""
+_MAX_SPANS = 100_000
+
+
+def _span_count(n: int, q: int) -> int:
+    """The number of subspaces of GF(q)^n: the sum over r of the Gaussian binomials [n r]_q."""
+    total = binomial = 1
+    for r in range(n):
+        binomial = binomial * (q ** (n - r) - 1) // (q ** (r + 1) - 1)
+        total += binomial
+    return total
+
+
+def enumerate_spans(space: CohomologySpace, max_count: int = _MAX_SPANS) -> list[ClassSpan]:
+    """Every subspace of the cohomology over a prime field (echelon forms);
+    RuntimeError, before enumerating any, when there are more than ``max_count``."""
     f = space.field
     if not isinstance(f, PrimeField):
         raise ValueError("exhaustive span enumeration needs a finite field")
     # the basis classes are unit coordinates on these columns
     columns = [min(b.coords) for b in space.basis_classes()]
     n = len(columns)
+    if _span_count(n, f.p) > max_count:
+        raise RuntimeError("span enumeration budget exceeded")
     spans = [space.span([])]
     values = list(f.elements())
-    count = 0
     for r in range(1, n + 1):
         for pivots in itertools.combinations(range(n), r):
             free_positions = [
@@ -569,9 +386,6 @@ def enumerate_spans(space: CohomologySpace, max_count: int = 100_000) -> list[Cl
                 if j not in pivots
             ]
             for fill in itertools.product(values, repeat=len(free_positions)):
-                count += 1
-                if count > max_count:
-                    raise RuntimeError("span enumeration budget exceeded")
                 rows = [{columns[pivots[i]]: f.one} for i in range(r)]
                 for (i, j), val in zip(free_positions, fill):
                     if not f.is_zero(val):
@@ -588,7 +402,8 @@ def verify_main_theorem(
     Builds the relation quiver, checks that character images of source
     presentations are maximal diagonalizable, covers non-source images
     through realized presentations with source-related kernels, and (over a
-    prime field) compares against brute-force enumeration of all
+    prime field, when the cohomology has dimension at most 4 and at most
+    ``_MAX_SPANS`` subspaces) compares against brute-force enumeration of all
     diagonalizable subspaces, exhibiting a conjugating automorphism between
     each pair of maximal subalgebras.
     """
@@ -641,7 +456,7 @@ def verify_main_theorem(
         record_source_relation(f"vertex {i}: realized kernel has a source relation", covering.kernel)
 
     brute = {"enabled": False}
-    if isinstance(seed.field, PrimeField) and space.dim <= 4:
+    if isinstance(seed.field, PrimeField) and space.dim <= 4 and _span_count(space.dim, seed.field.p) <= _MAX_SPANS:
         brute["enabled"] = True
         spans = enumerate_spans(space)
         # one class lies in many spans: decide each class once

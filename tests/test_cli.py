@@ -167,6 +167,28 @@ def test_cli_verify_gf3(tmp_path, capsys):
     assert report["statuses"]["unknown"] == 0
 
 
+def test_cli_verify_skips_brute_force_beyond_the_span_cap(tmp_path, capsys):
+    # HH^1 has dimension 4, but GF(19)^4 has more subspaces than the
+    # enumeration may list, so the sweep is off as for dimension 5 and up
+    doc = """\
+field GF(19)
+quiver {
+  vertices 1, 2, 3
+  arrow a: 1 -> 2
+  arrow c: 2 -> 3
+  arrow e: 1 -> 3
+  arrow f: 1 -> 3
+}
+ideal I { c*a }
+"""
+    path = write(tmp_path, doc)
+    assert main(["verify", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cohomology_dim"] == 4
+    assert report["brute_force"] == {"enabled": False}
+    assert report["statuses"] == {"fail": 0, "pass": 2, "unknown": 0}
+
+
 def test_cli_validate_reports_failures(tmp_path, capsys):
     bad = """\
 field QQ
@@ -250,8 +272,13 @@ def test_cli_budget_document_and_env(tmp_path, monkeypatch, capsys):
     args2 = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
     budgets2 = resolve_budgets(parsed, vars(args2))
     assert budgets2.search_max_nodes == 5
-    with pytest.raises(InputError):
-        resolve_budgets(parse_input(doc.replace("search_max_nodes", "bogus_key")), vars(args))
+    # a key that is no budget is rejected on every surface
+    for key in ("bogus_key", "factor_max_nodes"):
+        with pytest.raises(InputError):
+            resolve_budgets(parse_input(doc.replace("search_max_nodes", key)), vars(args))
+    with pytest.raises(SystemExit) as exited:
+        build_arg_parser().parse_args(["gamma", "x", "--factor-max-nodes", "5"])
+    assert exited.value.code == 2
 
 
 def test_cli_validate_flags_inadmissible_ideal(tmp_path, capsys):

@@ -218,6 +218,17 @@ def test_replay_rejects_a_forged_insertion():
         d = oracle.decide_paths(u, v)
         if d.verdict == YES:
             assert d.certificate.replay(pres)
+    # but only under that one: the "yes" for c*a ~ c*b found under
+    # <c*a - c*b> inserts its relator, which the monomial ideal's
+    # presentation of the same word lacks
+    q, mono, diff, tree = parallel_pair(QQ)
+    (u, v), = homotopy_pairs(diff)
+    found = HomotopyOracle(diff, tree).decide_paths(u, v)
+    assert found.verdict == YES
+    bare = HomotopyOracle(mono, tree).presentation
+    assert not bare.relators
+    assert found.certificate.start == bare.word_of_pair(u, v)
+    assert not found.certificate.replay(bare)
 
 
 def test_relations_equal_random_dilatations():

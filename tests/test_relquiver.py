@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,8 +17,6 @@ from bquiver import (
     classify_transvection,
     critical_taus,
     enumerate_bypasses,
-    factor_to_source,
-    match_dilatation,
     presentation_for_vertex,
     relations_equal,
     sources_report,
@@ -31,10 +28,9 @@ from bquiver.relquiver import (
     DIRECT_PREDECESSOR,
     DIRECT_SUCCESSOR,
     EQUAL_IDEALS,
-    FactorizationWitness,
+    _span_count,
     enumerate_spans,
 )
-from bquiver.homotopy import Decision, RewriteTrace
 
 from conftest import (
     chain_with_monomials,
@@ -42,7 +38,6 @@ from conftest import (
     elem,
     kronecker,
     parallel_pair,
-    random_dilatation,
     two_triangles_full,
     two_triangles_pair,
 )
@@ -330,25 +325,11 @@ def test_definite_arrows_form_a_dag():
                 visit(v)
 
 
-def test_factor_to_source_trivial_and_single_step():
-    q, mono, diff, tree = parallel_pair(QQ)
-    rq = build_relation_quiver(mono, tree)
-    trivial = factor_to_source(rq, 0, 0)
-    assert trivial is not None
-    assert trivial.steps == ()
-    assert all(w == QQ.one for w in trivial.dilatation_weights.values())
-    assert trivial.verify()
-    witness = factor_to_source(rq, 0, 1)
-    assert witness is not None
-    assert len(witness.steps) == 1
-    assert witness.verify()
-
-
 def test_factorization_witness_for_the_char_two_twist():
-    # the two-step twist maps the three-relation ideal onto itself, but only
-    # the first stage carries a homotopy certificate: after returning to the
-    # seed, the shortcut pair is provably non-homotopic again, so the chain
-    # fails certification and the trivial witness is the certified one
+    # the two-step twist maps the three-relation ideal onto itself, but it is
+    # no certified factorization: only the first stage carries a homotopy
+    # certificate, and after returning to the seed the shortcut pair is
+    # provably non-homotopic again
     q, ideal, tree = two_triangles_full(GF(2))
     bp_a = bypass_named(q, "a")
     bp_d = bypass_named(q, "d")
@@ -358,64 +339,6 @@ def test_factorization_witness_for_the_char_two_twist():
     first = HomotopyOracle(mid, tree).decide_arrow_path("a", bp_a.path)
     second = HomotopyOracle(end, tree).decide_arrow_path("d", bp_d.path)
     assert first.verdict == YES and second.verdict == NO
-    witness = FactorizationWitness(
-        start=ideal,
-        steps=((bp_a, 1, first), (bp_d, 1, second)),
-        dilatation_weights={n: 1 for n in q.arrow_names},
-        end=ideal,
-        tree=tree,
-    )
-    assert not witness.verify()
-    # the certified first stage alone replays
-    assert replace(witness, steps=witness.steps[:1], end=mid).verify()
-    rq = build_relation_quiver(ideal, tree)
-    trivial = factor_to_source(rq, 0, 0)
-    assert trivial is not None and trivial.steps == () and trivial.verify()
-
-
-def test_factor_to_source_budget_exhaustion_is_unknown():
-    from bquiver.budgets import Budgets
-
-    q, mono, diff, tree = parallel_pair(QQ)
-    rq = build_relation_quiver(mono, tree, Budgets(factor_max_nodes=0))
-    assert factor_to_source(rq, 0, 1) is None
-
-
-def test_factorization_witness_replays_its_certificates():
-    q, mono, diff, tree = parallel_pair(QQ)
-    rq = build_relation_quiver(mono, tree)
-    witness = factor_to_source(rq, 0, 1)
-    (bp, tau, cert), = witness.steps
-    assert cert.verdict == YES and witness.verify()
-    # a missing certificate, a "no" and a trace of another word all fail
-    no = HomotopyOracle(mono, tree).decide_arrow_path(bp.arrow, bp.path)
-    assert no.verdict == NO
-    for bad in (None, no, Decision(YES, RewriteTrace((), ()))):
-        assert not replace(witness, steps=((bp, tau, bad),)).verify()
-    # a forged one: the genuine trace, which inserts a relator of the ideal
-    # it was found under, claimed for the step back onto the monomial
-    # ideal, whose presentation has no relator
-    back = FactorizationWitness(diff, ((bp, QQ.neg(tau), cert),), witness.dilatation_weights, mono, tree)
-    assert transvection_of(q, QQ, bp, QQ.neg(tau)).apply_to_ideal(diff) == mono
-    assert not HomotopyOracle(mono, tree).presentation.relators
-    assert not back.verify()
-
-
-def test_match_dilatation_roundtrip():
-    rng = random.Random(41)
-    for field in (QQ, GF(5)):
-        q, mono, diff, _ = parallel_pair(field)
-        for ideal in (mono, diff):
-            for _ in range(5):
-                D = random_dilatation(rng, q, field)
-                target = D.apply_to_ideal(ideal)
-                weights = match_dilatation(ideal, target)
-                assert weights is not None
-                from bquiver import dilatation
-
-                assert dilatation(q, field, weights).apply_to_ideal(ideal) == target
-    q, mono, diff, _ = parallel_pair(QQ)
-    assert match_dilatation(mono, diff) is None
 
 
 def test_inclusion_along_arrows_and_the_pullback_triangle():
@@ -459,6 +382,11 @@ def test_enumerate_spans_counts():
     # subspace counts of a 3-dimensional space over GF(2): 1 + 7 + 7 + 1
     assert len(spans) == 16
     assert len({s for s in spans}) == 16
+    assert _span_count(3, 2) == 16
+    # F_17^4 has 99472 subspaces, within the cap; F_19^4 has 152404
+    assert _span_count(4, 17) == 99472 and _span_count(4, 19) == 152404
+    with pytest.raises(RuntimeError):
+        enumerate_spans(space, max_count=15)
 
 
 def test_verify_main_theorem_parallel_pair_gf3():
