@@ -348,6 +348,8 @@ class CohomologySpace:
         for d in self.inner_basis:
             self._inner.insert(self._der_coefficients(d))
         self.dim = len(self.der_basis) - len(self._inner.rows)
+        # per class, its spectrum on the radical blocks (presentations._spectra)
+        self._spectra: dict = {}
 
     def _der_coefficients(self, derivation: Derivation) -> dict:
         coords = derivation.coords

@@ -311,6 +311,7 @@ class HomotopyOracle:
         else:
             self._snf = ((), (), ())
         self._decisions: dict[Word, Decision] = {}
+        self._pair_words: dict[tuple[Path, Path], Word] = {}
 
     # -- the abelian "no" side --
 
@@ -389,7 +390,11 @@ class HomotopyOracle:
         return self.decide_closed_word(self.presentation.word_of_walk(closed))
 
     def decide_paths(self, u: Path, v: Path) -> Decision:
-        return self.decide_closed_word(self.presentation.word_of_pair(u, v))
+        """The decision on the pair's closed word, which is built once per pair."""
+        word = self._pair_words.get((u, v))
+        if word is None:
+            word = self._pair_words[u, v] = self.presentation.word_of_pair(u, v)
+        return self.decide_closed_word(word)
 
     def decide_arrow_path(self, arrow_name: str, path: Path) -> Decision:
         return self.decide_paths(self.quiver.arrow_path(arrow_name), path)

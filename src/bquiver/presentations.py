@@ -16,7 +16,8 @@ is built or inverted.
 A family whose canonical representatives scale every vector of a corridor
 basis (an image on its adapted basis) is diagonalizable and commutes; else
 each representative must have a squarefree, split minimal polynomial on
-every radical block, and each pair must bracket to zero.  A common eigenbasis
+every radical block, and each pair must bracket to zero.  A class's spectrum
+on the blocks is decided once and kept on its cohomology space.  A common eigenbasis
 refines each block through the eigenspaces of the family (sparse kernels of
 the shifted operators), a stage losing dimension being a nonzero bracket;
 matched to the arrows, it yields a presentation whose character image holds
@@ -204,16 +205,32 @@ def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> l
     return [{position[i]: x for i, x in d.image_of_basis(j).items()} for j in idxs]
 
 
-def _spectra(cls: CohomologyClass):
-    """Per radical block: key, columns, minimal polynomial, sorted roots (None unless distinct and split)."""
+def _spectra(cls: CohomologyClass, remember: bool = True) -> tuple:
+    """Per radical block, up to the first that fails: key, columns, minimal
+    polynomial, sorted roots (None unless distinct and split).
+
+    Decided once per class: the tuple is kept in the space's memo, keyed by
+    the class (equal coordinates, equal key); ``remember=False`` reads the
+    memo without adding to it, for classes that are used once.
+    """
     space = cls.space
-    f = space.field
-    for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
-        columns = _block_columns(space, cls, key)
-        mp = minimal_polynomial(f, columns)
-        # roots come with multiplicity: a split mp is squarefree iff they are distinct
-        roots, splits = roots_over_field(f, mp)
-        yield key, columns, mp, sorted(roots) if splits and len(set(roots)) == len(roots) else None
+    spectra = space._spectra.get(cls)
+    if spectra is None:
+        f = space.field
+        out = []
+        for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
+            columns = _block_columns(space, cls, key)
+            mp = minimal_polynomial(f, columns)
+            # roots come with multiplicity: a split mp is squarefree iff they are distinct
+            roots, splits = roots_over_field(f, mp)
+            roots = sorted(roots) if splits and len(set(roots)) == len(roots) else None
+            out.append((key, columns, mp, roots))
+            if roots is None:
+                break
+        spectra = tuple(out)
+        if remember:
+            space._spectra[cls] = spectra
+    return spectra
 
 
 def diagonalizability_witness(cls: CohomologyClass):
@@ -221,8 +238,9 @@ def diagonalizability_witness(cls: CohomologyClass):
     return next(((key, mp) for key, _, mp, roots in _spectra(cls) if roots is None), None)
 
 
-def is_diagonalizable_class(cls: CohomologyClass) -> bool:
-    return diagonalizability_witness(cls) is None
+def is_diagonalizable_class(cls: CohomologyClass, remember: bool = True) -> bool:
+    """Is the class diagonalizable?  ``remember`` as for the spectrum memo."""
+    return all(roots is not None for *_, roots in _spectra(cls, remember))
 
 
 def is_commuting_set(classes) -> bool:
@@ -242,9 +260,14 @@ def is_diagonalizable_set(classes, eigenbasis: SpecialBasis | None = None) -> bo
 def common_eigenbasis(classes) -> SpecialBasis:
     """Simultaneous eigenbasis of a commuting diagonalizable family.
 
-    Each class is decided once per radical block, then each block is refined
-    through the eigenspaces of the canonical representatives; a stage that
-    the next operator does not leave invariant means a nonzero bracket.
+    Each class's spectrum on each radical block (columns, minimal
+    polynomial, roots) is read from the space's memo, so a class that
+    ``is_diagonalizable_class`` has already decided costs no minimal
+    polynomial here; the first class and block that does not split into
+    distinct roots raises with the witness ``diagonalizability_witness``
+    gives.  Then each block is refined through the eigenspaces of the
+    canonical representatives; a stage that the next operator does not
+    leave invariant means a nonzero bracket.
     """
     classes = list(classes)
     if not classes:
@@ -446,7 +469,8 @@ def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGET
         count += 1
         if span.contains(cls):
             continue
-        if is_diagonalizable_class(cls):
+        # each candidate is decided once: keep it out of the memo
+        if is_diagonalizable_class(cls, remember=False):
             return NO, cls
     if exhaustive and count < budgets.maxdiag_max_candidates:
         return YES, None

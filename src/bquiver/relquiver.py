@@ -30,7 +30,6 @@ maximal subalgebras.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -406,6 +405,13 @@ def verify_main_theorem(
     ``_MAX_SPANS`` subspaces) compares against brute-force enumeration of all
     diagonalizable subspaces, exhibiting a conjugating automorphism between
     each pair of maximal subalgebras.
+
+    Conjugacy is decided in one frame per kernel: the realizations sharing a
+    kernel take the first one's presentation r as reference, and each other
+    maximal span i is conjugated once, along rho_i = chi_r . chi_i^-1.  The
+    pair (i, j) passes exactly when the framed spans are equal, which is
+    exact because conjugation is a group action and rho_j . rho_ij = rho_i
+    for rho_ij = chi_j . chi_i^-1.  Each pair keeps its own check record.
     """
     checks: list[dict] = []
 
@@ -459,16 +465,26 @@ def verify_main_theorem(
     if isinstance(seed.field, PrimeField) and space.dim <= 4 and _span_count(space.dim, seed.field.p) <= _MAX_SPANS:
         brute["enabled"] = True
         spans = enumerate_spans(space)
-        # one class lies in many spans: decide each class once
-        diagonal = functools.cache(is_diagonalizable_class)
+        # the space's spectrum memo decides each class once, though it lies in many spans
         diagonalizable = [
-            s for s in spans if all(map(diagonal, s.basis_classes())) and is_commuting_set(s.basis_classes())
-        ]
-        maximal = [
             s
-            for s in diagonalizable
-            if not any(o.dim > s.dim and o.contains_span(s) for o in diagonalizable)
+            for s in spans
+            if all(map(is_diagonalizable_class, s.basis_classes())) and is_commuting_set(s.basis_classes())
         ]
+        # a span is maximal unless it lies in a diagonalizable span of higher
+        # dimension, and then it lies in a maximal one: so each dimension,
+        # from the top down, is tested against the maximal spans above it.
+        # A subspace of a diagonalizable span need not be diagonalizable
+        # (bracket zero in HH^1 does not make the representatives commute),
+        # so only the enumerated diagonalizable spans are candidates.
+        by_dim: dict[int, list[ClassSpan]] = {}
+        for s in diagonalizable:
+            by_dim.setdefault(s.dim, []).append(s)
+        above: list[ClassSpan] = []
+        for d in sorted(by_dim, reverse=True):
+            above += [s for s in by_dim[d] if not any(o.contains_span(s) for o in above)]
+        tops = set(above)
+        maximal = [s for s in diagonalizable if s in tops]
         brute["diagonalizable_count"] = len(diagonalizable)
         brute["maximal_count"] = len(maximal)
         realized: list[tuple[ClassSpan, Presentation]] = []
@@ -490,17 +506,22 @@ def verify_main_theorem(
             img = pres.character_image()
             found = any(img.contains_span(s) and s.contains_span(img) for s in maximal)
             record(f"source {i}: image occurs among maximal subalgebras", "pass" if found else "fail")
-        # pairwise conjugacy of maximal subalgebras
+        # pairwise conjugacy of maximal subalgebras, in one frame per kernel
+        references: dict[IdealData, Presentation] = {}
+        framed: list[tuple[ClassSpan, IdealData]] = []
+        for s, pres in realized:
+            ref = references.setdefault(pres.kernel, pres)
+            if ref is not pres:
+                rho = ref.chi.compose(pres.chi.invert())
+                s = space.span(conjugate_class(space, rho, s.basis_classes()))
+            framed.append((s, pres.kernel))
         pair_count = 0
-        for (s1, p1), (s2, p2) in itertools.combinations(realized, 2):
-            if p1.kernel != p2.kernel:
+        for (s1, k1), (s2, k2) in itertools.combinations(framed, 2):
+            if k1 != k2:
                 record("conjugacy pair: common kernel", "unknown", "kernels are different ideals")
                 continue
-            rho = p2.chi.compose(p1.chi.invert())
-            mapped = space.span(conjugate_class(space, rho, s1.basis_classes()))
-            ok = mapped.contains_span(s2) and s2.contains_span(mapped)
             pair_count += 1
-            record("conjugacy pair: automorphism carries one image onto the other", "pass" if ok else "fail")
+            record("conjugacy pair: automorphism carries one image onto the other", "pass" if s1 == s2 else "fail")
         brute["conjugacy_pairs_checked"] = pair_count
 
     statuses = {status: sum(1 for c in checks if c["status"] == status) for status in ("pass", "fail", "unknown")}

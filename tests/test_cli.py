@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from bquiver import InputError, parse_input, render_document
+from bquiver import InputError, parse_input, relquiver, render_document
 from bquiver.cli import main, build_arg_parser, resolve_budgets
 from bquiver.pathalg import _render
 
@@ -167,10 +168,9 @@ def test_cli_verify_gf3(tmp_path, capsys):
     assert report["statuses"]["unknown"] == 0
 
 
-def test_cli_verify_skips_brute_force_beyond_the_span_cap(tmp_path, capsys):
-    # HH^1 has dimension 4, but GF(19)^4 has more subspaces than the
-    # enumeration may list, so the sweep is off as for dimension 5 and up
-    doc = """\
+# HH^1 has dimension 4; the brute force enumerates its subspaces when the
+# field is small enough
+BYPASS_PAIR_DOC = """\
 field GF(19)
 quiver {
   vertices 1, 2, 3
@@ -181,12 +181,47 @@ quiver {
 }
 ideal I { c*a }
 """
-    path = write(tmp_path, doc)
+
+
+def test_cli_verify_skips_brute_force_beyond_the_span_cap(tmp_path, capsys):
+    # GF(19)^4 has more subspaces than the enumeration may list, so the
+    # sweep is off as for dimension 5 and up
+    path = write(tmp_path, BYPASS_PAIR_DOC)
     assert main(["verify", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["cohomology_dim"] == 4
     assert report["brute_force"] == {"enabled": False}
     assert report["statuses"] == {"fail": 0, "pass": 2, "unknown": 0}
+
+
+def test_cli_verify_pins_a_many_pair_brute_force_report(tmp_path, capsys):
+    # over GF(7) the sweep runs: 28 maximal subalgebras, all realized over
+    # one kernel, so every one of the 378 pairs has a conjugacy record
+    path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(7)"))
+    assert main(["verify", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["brute_force"] == {
+        "enabled": True,
+        "diagonalizable_count": 226,
+        "maximal_count": 28,
+        "conjugacy_pairs_checked": 378,
+    }
+    assert report["statuses"] == {"fail": 0, "pass": 410, "unknown": 0}
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ee65684c33ae88d84821ee1aa6805dd3fb28a2f287dee656831b7ce5d9282452"
+
+
+def test_cli_verify_conjugacy_check_fails_on_a_wrong_conjugation(tmp_path, capsys, monkeypatch):
+    # conjugating every class to zero must make some pairs fail, however
+    # the pairs are compared
+    monkeypatch.setattr(relquiver, "conjugate_class", lambda space, rho, classes: [space.zero_class() for _ in classes])
+    path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(7)"))
+    assert main(["verify", path, "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert failed
+    assert {c["name"] for c in failed} == {"conjugacy pair: automorphism carries one image onto the other"}
 
 
 def test_cli_validate_reports_failures(tmp_path, capsys):

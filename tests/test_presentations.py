@@ -24,7 +24,9 @@ from bquiver import (
     realize_in_image,
     transvection_of,
 )
+from bquiver import presentations
 from bquiver.homotopy import weight_of_walk
+from bquiver.linalg import minimal_polynomial
 from bquiver.pathalg import _render
 from bquiver.presentations import _diagonal_on
 
@@ -125,6 +127,55 @@ def test_common_eigenbasis_requires_diagonalizable_family():
         with pytest.raises(NotDiagonalizableError) as err:
             common_eigenbasis(family)
         assert err.value.witness == witness
+
+
+def test_each_class_spectrum_is_decided_once(monkeypatch):
+    calls = []
+
+    def counting(field, columns):
+        calls.append(len(columns))
+        return minimal_polynomial(field, columns)
+
+    monkeypatch.setattr(presentations, "minimal_polynomial", counting)
+    q, mono, _, tree = parallel_pair(QQ)
+    space = CohomologySpace(FDAlgebra(mono))
+    # equal classes built separately share one memo entry
+    h1 = displayed_class(space, {"a": [(1, "a")]})
+    h2 = displayed_class(space, {"a": [(1, "a")]})
+    assert h1 is not h2 and h1 == h2
+    assert is_diagonalizable_class(h1) and is_diagonalizable_class(h2)
+    assert len(calls) == len(space.algebra.blocks)
+    common_eigenbasis([h1])
+    common_eigenbasis([h2, h1])
+    assert len(calls) == len(space.algebra.blocks)
+    # a class kept out of the memo is decided again on every call
+    y = displayed_class(space, {"a": [(1, "a")], "b": [(2, "b")]})
+    before = len(calls)
+    assert is_diagonalizable_class(y, remember=False)
+    assert is_diagonalizable_class(y, remember=False)
+    assert len(calls) == before + 2 * len(space.algebra.blocks)
+    assert y not in space._spectra
+    # a non-diagonalizable class keeps its witness, decided up to the failing block once
+    n = displayed_class(space, {"b": [(1, "a")]})
+    before = len(calls)
+    witness = diagonalizability_witness(n)
+    assert witness is not None
+    decided = len(calls) - before
+    assert 1 <= decided <= len(space.algebra.blocks)
+    with pytest.raises(NotDiagonalizableError) as err:
+        common_eigenbasis([h1, n])
+    assert err.value.witness == witness
+    assert diagonalizability_witness(n) == witness and not is_diagonalizable_class(n)
+    assert len(calls) == before + decided
+
+
+def test_maximality_candidates_stay_out_of_the_spectrum_memo():
+    # the zero span of the Kronecker cohomology over GF(3) extends: the sweep
+    # decides candidates until a diagonalizable one turns up
+    q, ideal, tree = kronecker(GF(3))
+    space = CohomologySpace(FDAlgebra(ideal))
+    verdict, witness = is_maximal_diagonalizable(space.span([]))
+    assert verdict == NO and witness not in space._spectra
 
 
 def test_common_eigenbasis_diagonalizes_image():
