@@ -21,7 +21,7 @@ from .fields import GF, QQ, Field, PrimeField, RationalField
 from .linalg import (
     minimal_polynomial,
     nullspace,
-    roots_over_field,
+    roots_in_field,
     smith_normal_form,
 )
 from .quiver import (

@@ -13,12 +13,16 @@ Smith normal form works on arbitrary-precision integers while tracking the
 unimodular row/column transforms.
 
 Polynomials are coefficient tuples in ascending degree order with no trailing
-zeros; ``()`` is the zero polynomial.
+zeros; ``()`` is the zero polynomial.  None is divided or factored: a
+minimal polynomial of degree d is squarefree and split over the ground field
+exactly when it has d distinct roots there, so ``roots_in_field`` is the one
+root routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .fields import Field, PrimeField
@@ -127,59 +131,6 @@ def nullspace(field: Field, ncols: int, rows) -> list[dict]:
 
 # ---------- polynomials (ascending coefficient tuples) ----------
 
-def poly_trim(field: Field, coeffs) -> tuple:
-    cs = [field.coerce(c) for c in coeffs]
-    while cs and field.is_zero(cs[-1]):
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_degree(coeffs) -> int:
-    return len(coeffs) - 1
-
-
-def poly_scale(field: Field, a, s) -> tuple:
-    return poly_trim(field, [field.mul(s, c) for c in a])
-
-
-def poly_divmod(field: Field, a, b) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [field.zero] * max(len(a) - len(b) + 1, 0)
-    inv_lead = field.inv(b[-1])
-    while len(a) >= len(b) and any(not field.is_zero(c) for c in a):
-        while a and field.is_zero(a[-1]):
-            a.pop()
-        if len(a) < len(b):
-            break
-        coeff = field.mul(a[-1], inv_lead)
-        shift = len(a) - len(b)
-        q[shift] = coeff
-        for i, c in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(coeff, c))
-    return poly_trim(field, q), poly_trim(field, a)
-
-
-def poly_monic(field: Field, a) -> tuple:
-    a = poly_trim(field, a)
-    if not a:
-        return a
-    inv = field.inv(a[-1])
-    return poly_scale(field, a, inv)
-
-
-def poly_gcd(field: Field, a, b) -> tuple:
-    a, b = poly_trim(field, a), poly_trim(field, b)
-    while b:
-        a, b = b, poly_divmod(field, a, b)[1]
-    return poly_monic(field, a)
-
-
-def poly_derivative(field: Field, a) -> tuple:
-    return poly_trim(field, [field.mul(field.coerce(i), a[i]) for i in range(1, len(a))])
-
-
 def poly_eval(field: Field, a, x):
     acc = field.zero
     for c in reversed(a):
@@ -229,74 +180,33 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def roots_over_field(field: Field, coeffs) -> tuple[list, bool]:
-    """All roots in the field (with multiplicity) plus a splits-completely flag.
+def roots_in_field(field: Field, coeffs) -> list:
+    """The distinct roots in the field of a nonzero polynomial, sorted.
 
-    Over GF(p) the root search is exhaustive.  Over the rationals, candidates
-    come from the rational-root bound applied to the squarefree part; the
-    polynomial splits iff removing the rational linear factors leaves a
-    constant.
+    Over GF(p) every element is tried.  Over the rationals the coefficients
+    are cleared to coprime integers; a nonzero root p/q in lowest terms has
+    p dividing the lowest nonzero coefficient and q the leading one, and 0
+    is tried besides.  A monic polynomial of degree d is squarefree and
+    splits over the field exactly when it has d distinct roots there: their
+    linear factors are coprime, so their product, monic of degree d too,
+    divides it.
     """
-    poly = poly_trim(field, coeffs)
+    poly = [field.coerce(c) for c in coeffs]
+    while poly and field.is_zero(poly[-1]):
+        poly.pop()
     if not poly:
         raise ValueError("zero polynomial has no well-defined roots")
-    roots = []
-
-    def strip_root(p, r):
-        count = 0
-        while True:
-            q, rem = poly_divmod(field, p, (field.neg(r), field.one))
-            if rem:
-                return p, count
-            p = q
-            count += 1
-
     if isinstance(field, PrimeField):
-        remaining = poly
-        for c in field.elements():
-            if poly_degree(remaining) < 1:
-                break
-            if field.is_zero(poly_eval(field, remaining, c)):
-                remaining, mult = strip_root(remaining, c)
-                roots.extend([c] * mult)
-        return sorted(roots), poly_degree(remaining) == 0
-
-    # rationals: squarefree part for the candidate bound
-    deriv = poly_derivative(field, poly)
-    sf = poly if not deriv else poly_divmod(field, poly, poly_gcd(field, poly, deriv))[0]
-    remaining = poly
-    # strip powers of x first
-    if field.is_zero(poly[0]):
-        remaining, mult = strip_root(remaining, field.zero)
-        roots.extend([field.zero] * mult)
-    # integer-primitive version of the squarefree part
-    from math import lcm
-
-    denoms = lcm(*[Fraction(c).denominator for c in sf]) if len(sf) > 1 else 1
-    ints = [int(Fraction(c) * denoms) for c in sf]
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if ints:
-        from math import gcd
-
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
-        if content:
-            ints = [c // content for c in ints]
-        lead, const = ints[-1], ints[0]
-        candidates = set()
-        for p in _int_divisors(const):
-            for q in _int_divisors(lead):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        for cand in sorted(candidates):
-            if cand == 0:
-                continue
-            if field.is_zero(poly_eval(field, remaining, cand)):
-                remaining, mult = strip_root(remaining, cand)
-                roots.extend([cand] * mult)
-    return sorted(roots), poly_degree(remaining) == 0
+        candidates = field.elements()
+    else:
+        scale = lcm(*(c.denominator for c in poly))
+        ints = [int(c * scale) for c in poly if c]
+        content = gcd(*ints)
+        low, lead = ints[0] // content, ints[-1] // content
+        candidates = {field.zero} | {
+            Fraction(s * p, q) for p in _int_divisors(low) for q in _int_divisors(lead) for s in (1, -1)
+        }
+    return sorted(x for x in candidates if field.is_zero(poly_eval(field, poly, x)))
 
 
 # ---------- Smith normal form over the integers ----------

@@ -11,13 +11,16 @@ computed: arrow a goes to chi(s * chi^-1(a)), where s scales each path by
 its weight sum.  That is the derivation on a modulo the ideal I: s is a
 derivation of the path algebra mapping the kernel K = chi^-1(I) into K, so
 chi^-1(a) need not be reduced modulo K, and no matrix of the adapted basis
-is built or inverted.
+is built or inverted.  chi^-1 is computed once per presentation; it also
+transports the ideal to the kernel.
 
 A family whose canonical representatives scale every vector of a corridor
 basis (an image on its adapted basis) is diagonalizable and commutes; else
-each representative must have a squarefree, split minimal polynomial on
-every radical block, and each pair must bracket to zero.  A class's spectrum
-on the blocks is decided once and kept on its cohomology space.  A common eigenbasis
+the minimal polynomial of each representative on every radical block must
+have as many distinct roots in the ground field as its degree (exactly when
+it is squarefree and splits over that field, with no extension taken), and
+each pair must bracket to zero.  A class's spectrum on the blocks is decided
+once and kept on its cohomology space.  A common eigenbasis
 refines each block through the eigenspaces of the family (sparse kernels of
 the shifted operators), a stage losing dimension being a nonzero bracket;
 matched to the arrows, it yields a presentation whose character image holds
@@ -28,6 +31,7 @@ chi are path-algebra elements, sparse ``{Path: coeff}`` maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .budgets import Budgets, DEFAULT_BUDGETS
@@ -56,7 +60,7 @@ from .linalg import (
     _Echelon,
     minimal_polynomial,
     nullspace,
-    roots_over_field,
+    roots_in_field,
 )
 from .pathalg import Automorphism, IdealData, identity_automorphism
 from .quiver import Path, SpanningTree
@@ -78,7 +82,6 @@ class Presentation:
         self.chi = chi
         self.tree = tree
         self._kernel: IdealData | None = None
-        self._chi_inverse: Automorphism | None = None
         self._hom: HomSpace | None = None
         self._image: ClassSpan | None = None
 
@@ -90,11 +93,15 @@ class Presentation:
         """The presentation obtained by applying ``automorphism`` first."""
         return Presentation(self.space, self.chi.compose(automorphism), self.tree)
 
+    @functools.cached_property
+    def chi_inverse(self) -> Automorphism:
+        """chi^-1, inverted once; a caller that already holds it may set it."""
+        return self.chi.invert()
+
     @property
     def kernel(self) -> IdealData:
         if self._kernel is None:
-            self._chi_inverse = self.chi.invert()
-            self._kernel = self._chi_inverse.apply_to_ideal(self.algebra.ideal)
+            self._kernel = self.chi_inverse.apply_to_ideal(self.algebra.ideal)
             ok, bad = self._kernel.is_admissible()
             assert ok, f"kernel of a presentation must be admissible: {bad}"
         return self._kernel
@@ -136,11 +143,10 @@ class Presentation:
             raise ValueError("weights violate the tree normalization or a pair equation")
         f = self.field
         alg = self.algebra
-        self.kernel  # also sets self._chi_inverse
         imgs = {}
         for name in alg.quiver.arrow_names:
             image: dict = {}
-            for p, x in self._chi_inverse.images[name].items():
+            for p, x in self.chi_inverse.images[name].items():
                 _add_multiple(f, image, f.mul(weight_of_path(f, weights, p), x), self.chi.apply_path(p))
             imgs[name] = alg.vector_of(image)
         return self.space.class_of(Derivation(alg, imgs))
@@ -207,7 +213,8 @@ def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> l
 
 def _spectra(cls: CohomologyClass, remember: bool = True) -> tuple:
     """Per radical block, up to the first that fails: key, columns, minimal
-    polynomial, sorted roots (None unless distinct and split).
+    polynomial, its sorted distinct roots in the field (None unless there
+    are as many as its degree).
 
     Decided once per class: the tuple is kept in the space's memo, keyed by
     the class (equal coordinates, equal key); ``remember=False`` reads the
@@ -221,9 +228,10 @@ def _spectra(cls: CohomologyClass, remember: bool = True) -> tuple:
         for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
             columns = _block_columns(space, cls, key)
             mp = minimal_polynomial(f, columns)
-            # roots come with multiplicity: a split mp is squarefree iff they are distinct
-            roots, splits = roots_over_field(f, mp)
-            roots = sorted(roots) if splits and len(set(roots)) == len(roots) else None
+            # squarefree and split exactly when it has deg mp distinct roots
+            roots = roots_in_field(f, mp)
+            if len(roots) != len(mp) - 1:
+                roots = None
             out.append((key, columns, mp, roots))
             if roots is None:
                 break
@@ -243,18 +251,15 @@ def is_diagonalizable_class(cls: CohomologyClass, remember: bool = True) -> bool
     return all(roots is not None for *_, roots in _spectra(cls, remember))
 
 
-def is_commuting_set(classes) -> bool:
-    """Does every pair of the classes bracket to zero?"""
-    return all(c.space.bracket(c, d).is_zero() for c, d in itertools.combinations(classes, 2))
-
-
 def is_diagonalizable_set(classes, eigenbasis: SpecialBasis | None = None) -> bool:
     """A family diagonal on ``eigenbasis`` is; else every class is decided
     and every pair bracketed, so the answer does not depend on the hint."""
     classes = list(classes)
     if eigenbasis is not None and _diagonal_on(classes, eigenbasis) is not None:
         return True
-    return all(is_diagonalizable_class(c) for c in classes) and is_commuting_set(classes)
+    return all(is_diagonalizable_class(c) for c in classes) and all(
+        c.space.bracket(c, d).is_zero() for c, d in itertools.combinations(classes, 2)
+    )
 
 
 def common_eigenbasis(classes) -> SpecialBasis:

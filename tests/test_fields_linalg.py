@@ -11,7 +11,7 @@ from bquiver.linalg import (
     minimal_polynomial,
     nullspace,
     poly_eval,
-    roots_over_field,
+    roots_in_field,
     smith_normal_form,
 )
 
@@ -321,34 +321,62 @@ def test_minimal_polynomial_is_minimal(field):
 
 
 def test_roots_gf2_splits():
-    roots, splits = roots_over_field(GF(2), (0, 1, 1))  # x^2 + x
-    assert roots == [0, 1]
-    assert splits
+    roots = roots_in_field(GF(2), (0, 1, 1))  # x^2 + x
+    assert roots == [0, 1]  # two distinct roots for degree 2: squarefree and split
 
 
 def test_roots_irrational_does_not_split():
-    roots, splits = roots_over_field(QQ, (-2, 0, 1))  # x^2 - 2
+    roots = roots_in_field(QQ, (-2, 0, 1))  # x^2 - 2
     assert roots == []
-    assert not splits
 
 
 def test_roots_factorable_quadratic():
     poly = (Fraction(2), Fraction(-3), Fraction(1))  # (x-1)(x-2)
-    roots, splits = roots_over_field(QQ, poly)
+    roots = roots_in_field(QQ, poly)
     assert roots == [1, 2]
-    assert splits
     for r in roots:
         assert poly_eval(QQ, poly, r) == 0
 
 
 def test_roots_with_multiplicity_and_squarefree_flag():
-    # x^2 (x - 1/2)
+    # x^2 (x - 1/2): two distinct roots for degree 3, so not squarefree
     poly = (Fraction(0), Fraction(0), Fraction(-1, 2), Fraction(1))
-    roots, splits = roots_over_field(QQ, poly)
-    assert roots == [0, 0, Fraction(1, 2)]
-    assert splits
+    roots = roots_in_field(QQ, poly)
+    assert roots == [0, Fraction(1, 2)]
+    assert len(roots) == 2 < len(poly) - 1
 
 
 def test_roots_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        roots_over_field(QQ, ())
+        roots_in_field(QQ, ())
+
+
+def _poly_mul(field, a, b):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return tuple(out)
+
+
+def test_rational_roots_are_exactly_the_known_distinct_roots():
+    rng = random.Random(15)
+    pool = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 5)]
+    split_cases = other_cases = 0
+    for _ in range(300):
+        roots = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.3 and roots:
+            roots.append(rng.choice(roots))  # a repeated root
+        poly = (Fraction(rng.choice([1, -1]) * rng.randint(1, 30), rng.randint(1, 12)),)
+        for r in roots:
+            poly = _poly_mul(QQ, poly, (-r, Fraction(1)))
+        quadratic = rng.random() < 0.3
+        if quadratic:
+            poly = _poly_mul(QQ, poly, (Fraction(-2), Fraction(0), Fraction(1)))  # x^2 - 2
+        found = roots_in_field(QQ, poly)
+        assert found == sorted(set(roots))
+        squarefree_and_split = len(set(roots)) == len(roots) and not quadratic
+        assert (len(found) == len(poly) - 1) == squarefree_and_split
+        split_cases += squarefree_and_split
+        other_cases += not squarefree_and_split
+    assert split_cases > 50 and other_cases > 50

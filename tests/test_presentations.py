@@ -235,6 +235,32 @@ def test_a_basis_that_is_not_an_eigenbasis_falls_back_to_the_decision():
     assert is_diagonalizable_set([swap], eigen) is True
 
 
+@pytest.mark.parametrize(
+    "field, diagonalizable",
+    [
+        (GF(5), True),  # x^2 + 1 = (x - 2)(x - 3)
+        (GF(3), False),  # x^2 + 1 is irreducible
+        (GF(2), False),  # x^2 + 1 = (x + 1)^2: a repeated root
+        (QQ, False),  # no rational root
+    ],
+)
+def test_the_kronecker_rotation_is_diagonalizable_over_the_ground_field_only(field, diagonalizable):
+    # diagonalizable means over the ground field: no extension is taken
+    pres = natural_of(kronecker(field)[1])
+    rotation = displayed_class(pres.space, {"a": [(1, "b")], "b": [(-1, "a")]})
+    assert is_diagonalizable_class(rotation) is diagonalizable
+    assert is_diagonalizable_set([rotation]) is diagonalizable
+    if diagonalizable:
+        assert diagonalizability_witness(rotation) is None
+        assert _diagonal_on([rotation], common_eigenbasis([rotation])) is not None
+    else:
+        witness = diagonalizability_witness(rotation)
+        assert witness == (("1", "2"), (field.one, field.zero, field.one))
+        with pytest.raises(NotDiagonalizableError) as err:
+            common_eigenbasis([rotation])
+        assert err.value.witness == witness
+
+
 def test_common_eigenbasis_finds_a_nonzero_bracket_by_refinement(monkeypatch):
     pres, swap, _ = kronecker_classes()
     scale_a = displayed_class(pres.space, {"a": [(1, "a")]})
