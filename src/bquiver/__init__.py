@@ -47,17 +47,12 @@ from .homotopy import (
     AbelianInvariants,
     Decision,
     GroupPresentation,
-    HomSpace,
     HomotopyOracle,
     NO,
     UNKNOWN,
     YES,
     abelian_invariants,
-    decide_homotopic,
-    hom_space,
     homotopy_pairs,
-    pi1_presentation,
-    relations_equal,
 )
 from .hochschild import (
     ClassSpan,

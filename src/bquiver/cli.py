@@ -20,12 +20,7 @@ from . import __version__
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .dsl import InputDocument, InputError, parse_input
 from .hochschild import CohomologySpace, FDAlgebra
-from .homotopy import (
-    abelian_invariants,
-    hom_space,
-    homotopy_pairs,
-    pi1_presentation,
-)
+from .homotopy import GroupPresentation, abelian_invariants, homotopy_pairs
 from .pathalg import _render
 from .presentations import (
     Presentation,
@@ -146,7 +141,7 @@ def _cmd_pi1(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
     pairs = homotopy_pairs(ideal)
-    pres = pi1_presentation(document.quiver, tree, pairs)
+    pres = GroupPresentation(document.quiver, tree, pairs)
     inv = abelian_invariants(pres)
     payload = {
         "ideal": name,
@@ -163,11 +158,11 @@ def _cmd_pi1(document: InputDocument, args, budgets) -> tuple[dict, bool]:
 def _cmd_homk(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
-    hs = hom_space(document.quiver, tree, homotopy_pairs(ideal), document.field)
+    basis = GroupPresentation(document.quiver, tree, homotopy_pairs(ideal)).characters(document.field)
     payload = {
         "ideal": name,
-        "dim": hs.dim,
-        "basis": [dict(sorted(w.items())) for w in hs.basis],
+        "dim": len(basis),
+        "basis": [dict(sorted(w.items())) for w in basis],
     }
     return payload, True
 
@@ -199,7 +194,7 @@ def _cmd_theta(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     image = pres.character_image()
     payload = {
         "ideal": name,
-        "hom_dim": pres.hom.dim,
+        "hom_dim": len(pres.hom),
         "image_dim": image.dim,
         "cohomology_dim": space.dim,
         "image_basis": [_class_vector(c) for c in image.basis_classes()],

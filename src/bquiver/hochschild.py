@@ -95,9 +95,6 @@ class FDAlgebra:
         """The path-algebra element ``{Path: coeff}`` of an algebra vector."""
         return {self.basis[i]: c for i, c in vec.items()}
 
-    def path_vector(self, p: Path) -> dict:
-        return self.vector_of({p: self.field.one})
-
     def basis_product(self, i: int, j: int) -> dict:
         """Vector of basis[i] * basis[j] (right-to-left, j traversed first)."""
         key = (i, j)
@@ -134,13 +131,6 @@ class FDAlgebra:
             self._leibniz[path] = table
         return table
 
-    def unit_vector(self) -> dict:
-        return {self.idempotent_index[v]: self.field.one for v in self.quiver.vertices}
-
-    def is_constricted(self) -> bool:
-        """Every arrow corridor one-dimensional (the arrow itself spans it)."""
-        return all(len(r) == 1 for r in self.arrow_unknowns.values())
-
     def __repr__(self):
         return f"FDAlgebra(dim {self.dim} over {self.field}, ideal {self.ideal!r})"
 
@@ -175,18 +165,6 @@ class Derivation:
         d.algebra = algebra
         d.coords = coords
         return d
-
-    @classmethod
-    def from_coordinates(cls, algebra: FDAlgebra, coords) -> "Derivation":
-        """The derivation with the dense coordinate sequence ``coords``."""
-        if len(coords) != len(algebra.derivation_unknowns):
-            raise ValueError("one coordinate per derivation unknown expected")
-        return cls._of(algebra, _clean(algebra.field, dict(enumerate(coords))))
-
-    def coordinates(self) -> tuple:
-        """The dense coordinate tuple, one entry per unknown."""
-        zero = self.algebra.field.zero
-        return tuple(self.coords.get(u, zero) for u in range(len(self.algebra.derivation_unknowns)))
 
     def arrow_image(self, name: str) -> dict:
         alg = self.algebra
@@ -391,9 +369,6 @@ class CohomologySpace:
             _add_multiple(f, image, minus, e.apply(d.arrow_image(name)))
             imgs[name] = image
         return self.class_of(Derivation(self.algebra, imgs))
-
-    def is_inner(self, derivation: Derivation) -> bool:
-        return self.class_of(derivation).is_zero()
 
     def span(self, classes) -> "ClassSpan":
         return ClassSpan(self, classes)

@@ -7,11 +7,14 @@ pair up the paths appearing in one basis element).
 
 With a spanning tree fixed, closed walks map onto words over the non-tree
 arrows and the fundamental group gets the usual presentation: one generator
-per non-tree arrow, one relator per homotopy pair.  On top of that sit:
+per non-tree arrow, one relator per homotopy pair.  The relator matrix (one
+exponent row per relator, one column per generator) is the one linear form
+of the relation:
 
-* abelian invariants via the Smith normal form of the relator matrix,
-* the space of additive characters (weight vectors on arrows, zero on the
-  tree, equalized along each homotopy pair), computed as a nullspace,
+* the additive characters Hom(pi_1, k+) = Hom(pi_1^ab, k) are its kernel
+  over the field k, read as arrow weights that vanish on the tree,
+* its Smith normal form, computed once per presentation, gives the abelian
+  invariants and certifies the "no" answers of
 * a sound three-valued decision procedure for homotopy of parallel walks:
   "no" is certified by the abelianization, "yes" by a replayable rewriting
   trace, and anything the bounded search cannot settle stays "unknown".
@@ -19,7 +22,9 @@ per non-tree arrow, one relator per homotopy pair.  On top of that sit:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import functools
+import operator
+from collections import deque
 from dataclasses import dataclass
 
 from .budgets import Budgets, DEFAULT_BUDGETS
@@ -80,7 +85,8 @@ class GroupPresentation:
 
     ``symmetrized`` lists the words a rewriting may insert: every rotation of
     the cyclically reduced form of each relator and of its inverse, each a
-    conjugate of a relator or of its inverse, once, in relator order.
+    conjugate of a relator or of its inverse, once, in relator order.  It
+    and the Smith form are built on first use.
     """
 
     def __init__(self, quiver: Quiver, tree: SpanningTree, pairs):
@@ -95,13 +101,16 @@ class GroupPresentation:
             if w:
                 relators.append(w)
         self.relators = tuple(relators)
+
+    @functools.cached_property
+    def symmetrized(self) -> tuple[Word, ...]:
         words: dict[Word, None] = {}
         for r in self.relators:
             c = _cyclic_reduce(r)
             for word in (c, _invert_word(c)):
                 for i in range(len(word)):
                     words.setdefault(word[i:] + word[:i])
-        self.symmetrized = tuple(words)
+        return tuple(words)
 
     def word_of_walk(self, walk: Walk) -> Word:
         return _free_reduce(eps * self._gen_index[n] for n, eps in walk.steps if n in self._gen_index)
@@ -122,8 +131,44 @@ class GroupPresentation:
             vec[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(vec)
 
-    def relator_matrix(self) -> list[list[int]]:
-        return [list(self.exponent_vector(r)) for r in self.relators]
+    @functools.cached_property
+    def relator_matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.exponent_vector(r) for r in self.relators)
+
+    @functools.cached_property
+    def smith(self) -> tuple[tuple[int, ...], tuple]:
+        """``(d, v)`` of the relator matrix (see ``smith_normal_form``);
+        with no relator, ``d`` is empty and ``v`` the identity."""
+        if self.relators:
+            return smith_normal_form(self.relator_matrix)
+        g = len(self.generators)
+        return (), tuple(tuple(int(i == j) for j in range(g)) for i in range(g))
+
+    def smith_coordinates(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        """``x * v``: an exponent vector in the Smith basis, where it lies in
+        the relator row span exactly when coordinate j is a multiple of
+        ``d[j]`` and every coordinate past ``len(d)`` is zero."""
+        return tuple(sum(map(operator.mul, x, column)) for column in zip(*self.smith[1]))
+
+    def characters(self, field: Field) -> list[dict]:
+        """Basis of the characters over ``field`` as arrow weights
+        ``{arrow: weight}``, zero on the tree: the canonical nullspace of the
+        relator matrix, one generator per column."""
+        rows = [_clean(field, dict(enumerate(r))) for r in self.relator_matrix]
+        return [
+            {self.generators[i]: x for i, x in sorted(vec.items())}
+            for vec in nullspace(field, len(self.generators), rows)
+        ]
+
+    def check_weights(self, field: Field, weights: dict) -> bool:
+        """Do these arrow weights vanish on the tree and kill every relator?"""
+        w = {n: field.coerce(weights.get(n, field.zero)) for n in self.quiver.arrow_names}
+        if not all(field.is_zero(w[n]) for n in self.tree.arrow_names):
+            return False
+        return all(
+            field.is_zero(field.sum(field.mul(e, w[n]) for n, e in zip(self.generators, r) if e))
+            for r in self.relator_matrix
+        )
 
     def __repr__(self):
         rels = ", ".join(self.show_word(r) for r in self.relators) or "-"
@@ -137,10 +182,6 @@ class GroupPresentation:
             name = self.generators[abs(x) - 1]
             parts.append(name if x > 0 else f"{name}^-1")
         return "*".join(parts)
-
-
-def pi1_presentation(quiver: Quiver, tree: SpanningTree, pairs) -> GroupPresentation:
-    return GroupPresentation(quiver, tree, pairs)
 
 
 @dataclass(frozen=True)
@@ -160,59 +201,8 @@ class AbelianInvariants:
 
 
 def abelian_invariants(presentation: GroupPresentation) -> AbelianInvariants:
-    g = len(presentation.generators)
-    rows = presentation.relator_matrix()
-    if not rows:
-        return AbelianInvariants((), g)
-    d, _, _ = smith_normal_form(rows)
-    torsion = tuple(x for x in d if x > 1)
-    return AbelianInvariants(torsion, g - len(d))
-
-
-class HomSpace:
-    """Characters of the fundamental group as tree-normalized arrow weights."""
-
-    def __init__(self, quiver: Quiver, tree: SpanningTree, pairs, field: Field):
-        self.quiver = quiver
-        self.tree = tree
-        self.field = field
-        self.pairs = tuple(pairs)
-        self.arrow_order = quiver.arrow_names
-        idx = {n: i for i, n in enumerate(self.arrow_order)}
-        # sparse rows: each tree arrow weighs zero, each pair balances
-        rows = [{idx[n]: field.one} for n in tree.arrow_names]
-        for u, v in pairs:
-            count = Counter(u.arrows)
-            count.subtract(v.arrows)
-            rows.append(_clean(field, {idx[n]: c for n, c in count.items()}))
-        self.basis_vectors = nullspace(field, len(self.arrow_order), rows)
-        self.basis = [{self.arrow_order[i]: vec[i] for i in sorted(vec)} for vec in self.basis_vectors]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_vectors)
-
-    def weights_from_vector(self, vec: dict) -> dict[str, object]:
-        """Arrow weights of a sparse vector ``{arrow position: weight}``."""
-        return {self.arrow_order[i]: c for i, c in vec.items()}
-
-    def check_weights(self, weights: dict) -> bool:
-        """Do these arrow weights satisfy tree-normalization and all pairs?"""
-        f = self.field
-        w = {n: f.coerce(weights.get(n, f.zero)) for n in self.arrow_order}
-        for n in self.tree.arrow_names:
-            if not f.is_zero(w[n]):
-                return False
-        for u, v in self.pairs:
-            su = f.sum(w[a] for a in u.arrows)
-            sv = f.sum(w[a] for a in v.arrows)
-            if su != sv:
-                return False
-        return True
-
-
-def hom_space(quiver: Quiver, tree: SpanningTree, pairs, field: Field) -> HomSpace:
-    return HomSpace(quiver, tree, pairs, field)
+    d = presentation.smith[0]
+    return AbelianInvariants(tuple(x for x in d if x > 1), len(presentation.generators) - len(d))
 
 
 def weight_of_walk(field: Field, weights: dict, walk: Walk):
@@ -261,21 +251,16 @@ class AbelianCertificate:
     modulus: int  # 0 means the coordinate had to vanish
 
     def verify(self, presentation: GroupPresentation, word: Word) -> bool:
+        """Recompute the Smith coordinates of the word; the modulus must be
+        the invariant factor at the position (0 past them), and the
+        coordinate must not be a multiple of it."""
         if presentation.exponent_vector(word) != self.exponents:
             return False
-        rows = presentation.relator_matrix()
-        if not rows:
-            y = self.exponents
-        else:
-            _, _, v = smith_normal_form(rows)
-            g = len(self.exponents)
-            y = tuple(
-                sum(self.exponents[i] * v[i][j] for i in range(g)) for j in range(g)
-            )
-        if y != self.transformed:
+        y = presentation.smith_coordinates(self.exponents)
+        d, j = presentation.smith[0], self.position
+        if y != self.transformed or not 0 <= j < len(y) or self.modulus != (d[j] if j < len(d) else 0):
             return False
-        val = y[self.position]
-        return val != 0 if self.modulus == 0 else val % self.modulus != 0
+        return y[j] != 0 if self.modulus == 0 else y[j] % self.modulus != 0
 
 
 @dataclass(frozen=True)
@@ -305,31 +290,19 @@ class HomotopyOracle:
         self.pairs = homotopy_pairs(ideal) if pairs is None else pairs
         self.presentation = GroupPresentation(self.quiver, self.tree, self.pairs)
         self.budgets = budgets
-        rows = self.presentation.relator_matrix()
-        if rows:
-            self._snf = smith_normal_form(rows)
-        else:
-            self._snf = ((), (), ())
         self._decisions: dict[Word, Decision] = {}
         self._pair_words: dict[tuple[Path, Path], Word] = {}
 
     # -- the abelian "no" side --
 
     def _abelian_reject(self, word: Word) -> AbelianCertificate | None:
-        g = len(self.presentation.generators)
         x = self.presentation.exponent_vector(word)
-        d, _, v = self._snf
-        if not self.presentation.relators:
-            y = x
-        else:
-            y = tuple(sum(x[i] * v[i][j] for i in range(g)) for j in range(g))
-        for j in range(g):
-            if j < len(d):
-                if y[j] % d[j] != 0:
-                    return AbelianCertificate(x, y, j, d[j])
-            else:
-                if y[j] != 0:
-                    return AbelianCertificate(x, y, j, 0)
+        y = self.presentation.smith_coordinates(x)
+        d = self.presentation.smith[0]
+        for j, yj in enumerate(y):
+            modulus = d[j] if j < len(d) else 0
+            if (yj % modulus if modulus else yj) != 0:
+                return AbelianCertificate(x, y, j, modulus)
         return None
 
     # -- the rewriting "yes" side --
@@ -421,12 +394,3 @@ class HomotopyOracle:
             if d.verdict == UNKNOWN:
                 sawunknown = True
         return Decision(UNKNOWN if sawunknown else YES)
-
-
-def decide_homotopic(u: Walk, v: Walk, ideal: IdealData, budgets: Budgets = DEFAULT_BUDGETS) -> Decision:
-    return HomotopyOracle(ideal, budgets=budgets).decide_walks(u, v)
-
-
-def relations_equal(first: IdealData, second: IdealData, budgets: Budgets = DEFAULT_BUDGETS) -> Decision:
-    """Do two admissible ideals generate the same homotopy relation?"""
-    return HomotopyOracle(first, budgets=budgets).same_relation(HomotopyOracle(second, budgets=budgets))

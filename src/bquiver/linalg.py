@@ -9,8 +9,8 @@ its row.  That basis is unique, so echelon rows and pivots (the RREF),
 nullspace bases (free columns in increasing order each receive a unit
 coordinate), remainders and minimal polynomials do not depend on the order
 rows arrive in, and two spans are equal exactly when their rows are.  The
-Smith normal form works on arbitrary-precision integers while tracking the
-unimodular row/column transforms.
+Smith normal form works on arbitrary-precision integers and tracks only the
+unimodular column transform, the one its callers read.
 
 Polynomials are coefficient tuples in ascending degree order with no trailing
 zeros; ``()`` is the zero polynomial.  None is divided or factored: a
@@ -211,22 +211,22 @@ def roots_in_field(field: Field, coeffs) -> list:
 
 # ---------- Smith normal form over the integers ----------
 
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple, tuple]:
-    """Smith normal form with unimodular transforms.
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple]:
+    """Smith normal form with its unimodular column transform.
 
-    Returns ``(d, u, v)`` where ``u * m * v`` is diagonal with the nonzero
-    invariant factors ``d`` (each positive, each dividing the next) in the
-    leading positions.  ``u`` and ``v`` have determinant +-1.
+    Returns ``(d, v)``: some unimodular ``u`` makes ``u * m * v`` diagonal
+    with the nonzero invariant factors ``d`` (each positive, each dividing
+    the next) in the leading positions, so column j of ``m * v`` is a
+    multiple of ``d[j]`` and every column past ``len(d)`` is zero.  ``v``
+    has determinant +-1.
     """
     A = [list(map(int, row)) for row in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in range(m):
@@ -236,7 +236,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], t
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in range(m):
@@ -288,9 +287,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], t
                 break
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
         t += 1
 
     d = tuple(A[i][i] for i in range(t) if A[i][i] != 0)
-    return d, tuple(tuple(r) for r in U), tuple(tuple(r) for r in V)
+    return d, tuple(tuple(r) for r in V)
 

@@ -267,9 +267,6 @@ class Automorphism:
         q, one = self.quiver, self.field.one
         return [n for n in q.arrow_names if self.images[n] != {q.arrow_path(n): one}]
 
-    def is_identity(self) -> bool:
-        return not self._moved_arrows()
-
     def __eq__(self, other):
         return (
             isinstance(other, Automorphism)

@@ -44,11 +44,10 @@ from .hochschild import (
     FDAlgebra,
 )
 from .homotopy import (
-    HomSpace,
+    GroupPresentation,
     UNKNOWN,
     YES,
     NO,
-    hom_space,
     homotopy_pairs,
     weight_of_path,
     weight_of_walk,
@@ -81,38 +80,32 @@ class Presentation:
         self.field = space.field
         self.chi = chi
         self.tree = tree
-        self._kernel: IdealData | None = None
-        self._hom: HomSpace | None = None
-        self._image: ClassSpan | None = None
 
     @classmethod
     def natural(cls, space: CohomologySpace, tree: SpanningTree) -> "Presentation":
         return cls(space, identity_automorphism(space.algebra.quiver, space.field), tree)
-
-    def twist(self, automorphism: Automorphism) -> "Presentation":
-        """The presentation obtained by applying ``automorphism`` first."""
-        return Presentation(self.space, self.chi.compose(automorphism), self.tree)
 
     @functools.cached_property
     def chi_inverse(self) -> Automorphism:
         """chi^-1, inverted once; a caller that already holds it may set it."""
         return self.chi.invert()
 
-    @property
+    @functools.cached_property
     def kernel(self) -> IdealData:
-        if self._kernel is None:
-            self._kernel = self.chi_inverse.apply_to_ideal(self.algebra.ideal)
-            ok, bad = self._kernel.is_admissible()
-            assert ok, f"kernel of a presentation must be admissible: {bad}"
-        return self._kernel
+        kernel = self.chi_inverse.apply_to_ideal(self.algebra.ideal)
+        ok, bad = kernel.is_admissible()
+        assert ok, f"kernel of a presentation must be admissible: {bad}"
+        return kernel
 
-    @property
-    def hom(self) -> HomSpace:
-        if self._hom is None:
-            self._hom = hom_space(
-                self.algebra.quiver, self.tree, homotopy_pairs(self.kernel), self.field
-            )
-        return self._hom
+    @functools.cached_property
+    def group(self) -> GroupPresentation:
+        """The fundamental group of the kernel's homotopy relation."""
+        return GroupPresentation(self.algebra.quiver, self.tree, homotopy_pairs(self.kernel))
+
+    @functools.cached_property
+    def hom(self) -> list[dict]:
+        """Basis of the characters of ``group`` over the field, as arrow weights."""
+        return self.group.characters(self.field)
 
     def image_of_path(self, p: Path) -> dict:
         """The sparse vector of the path's image in the reference algebra."""
@@ -139,8 +132,8 @@ class Presentation:
         chi(s * chi^-1(a)) = chi(s * nf_K(chi^-1(a))) modulo I, and
         chi^-1(a) need not be reduced modulo K first.
         """
-        if not self.hom.check_weights(weights):
-            raise ValueError("weights violate the tree normalization or a pair equation")
+        if not self.group.check_weights(self.field, weights):
+            raise ValueError("weights violate the tree normalization or a relator")
         f = self.field
         alg = self.algebra
         imgs = {}
@@ -151,12 +144,13 @@ class Presentation:
             imgs[name] = alg.vector_of(image)
         return self.space.class_of(Derivation(alg, imgs))
 
+    @functools.cached_property
+    def _image(self) -> ClassSpan:
+        span = self.space.span([self.embed_character(w) for w in self.hom])
+        assert span.dim == len(self.hom), "character embedding lost rank"
+        return span
+
     def character_image(self) -> ClassSpan:
-        if self._image is None:
-            classes = [self.embed_character(w) for w in self.hom.basis]
-            span = self.space.span(classes)
-            assert span.dim == self.hom.dim, "character embedding lost rank"
-            self._image = span
         return self._image
 
     def __repr__(self):
@@ -403,7 +397,7 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
             corr_in = weight_of_walk(f, raw, pres.tree.walk_to[a.source])
             corr_out = weight_of_walk(f, raw, pres.tree.walk_to[a.target])
             t[name] = f.add(f.sub(raw[name], corr_out), corr_in)
-        assert pres.hom.check_weights(t)
+        assert pres.group.check_weights(f, t)
         back = pres.embed_character(t)
         assert back == cls, "realized character does not re-embed onto the class"
         weights_out.append(t)

@@ -3,11 +3,14 @@ and the dense references the tests compare against."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from bquiver import (
     GF,
+    Derivation,
     IdealData,
     QQ,
     Quiver,
@@ -290,3 +293,41 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     result = det * sign
     assert result.denominator == 1
     return int(result)
+
+
+def check_smith_form(a, d, v):
+    """Assert that ``(d, v)`` is a Smith form of the integer matrix ``a``
+    without its row transform: ``v`` is unimodular, column j of ``a * v``
+    is a multiple of ``d[j]`` and every column past ``len(d)`` is zero, and
+    ``d[0] * ... * d[k-1]`` is the gcd of the k x k minors of ``a`` (which
+    is 0 past the rank).  The minors are all listed, so keep ``a`` small."""
+    m, n = len(a), len(v)
+    assert abs(int_det(v)) == 1
+    av = [[sum(row[k] * v[k][j] for k in range(n)) for j in range(n)] for row in a]
+    for row in av:
+        for j, x in enumerate(row):
+            assert (x % d[j] == 0) if j < len(d) else x == 0
+    for k in range(1, min(m, n) + 1):
+        minors = [
+            int_det([[a[r][c] for c in cols] for r in rows])
+            for rows in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        assert math.gcd(*minors) == (math.prod(d[:k]) if k <= len(d) else 0)
+
+
+# ---------- sparse references ----------
+
+def derivation_of_coords(algebra, coords):
+    """The derivation with coordinates ``{unknown index: coeff}``, built from
+    its arrow images through the public constructor."""
+    images = {}
+    for u, x in coords.items():
+        name, path = algebra.derivation_unknowns[u]
+        images.setdefault(name, {})[algebra.index[path]] = x
+    return Derivation(algebra, images)
+
+
+def is_constricted(algebra):
+    """Every arrow corridor one-dimensional (the arrow itself spans it)."""
+    return all(len(r) == 1 for r in algebra.arrow_unknowns.values())

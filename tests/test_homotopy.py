@@ -5,21 +5,20 @@ import pytest
 from bquiver import (
     GF,
     QQ,
+    GroupPresentation,
     HomotopyOracle,
     IdealData,
     NO,
     UNKNOWN,
     YES,
     abelian_invariants,
-    decide_homotopic,
-    hom_space,
     homotopy_pairs,
-    pi1_presentation,
-    relations_equal,
     Quiver,
 )
+from bquiver import homotopy
 from bquiver.budgets import Budgets
-from bquiver.homotopy import RewriteTrace
+from bquiver.homotopy import AbelianCertificate, RewriteTrace
+from bquiver.linalg import _clean, nullspace
 
 from conftest import (
     commutative_square,
@@ -28,6 +27,7 @@ from conftest import (
     parallel_pair,
     random_admissible_ideal,
     random_dilatation,
+    random_field,
     random_quiver,
     two_triangles_full,
     two_triangles_pair,
@@ -47,10 +47,10 @@ def test_homotopy_pairs_of_golden_ideals():
 
 def test_presentations_of_parallel_pair():
     q, mono, diff, tree = parallel_pair(QQ)
-    free = pi1_presentation(q, tree, homotopy_pairs(mono))
+    free = GroupPresentation(q, tree, homotopy_pairs(mono))
     assert free.generators == ("b",)
     assert free.relators == ()
-    killed = pi1_presentation(q, tree, homotopy_pairs(diff))
+    killed = GroupPresentation(q, tree, homotopy_pairs(diff))
     assert killed.generators == ("b",)
     assert [killed.show_word(r) for r in killed.relators] == ["b^-1"]
 
@@ -58,50 +58,51 @@ def test_presentations_of_parallel_pair():
 def test_presentation_requires_parallel_pairs():
     q, mono, _, tree = parallel_pair(QQ)
     with pytest.raises(ValueError):
-        pi1_presentation(q, tree, [(q.arrow_path("a"), q.arrow_path("c"))])
+        GroupPresentation(q, tree, [(q.arrow_path("a"), q.arrow_path("c"))])
 
 
 def test_abelian_invariants_golden():
     q, mono, diff, tree = parallel_pair(QQ)
-    inv_free = abelian_invariants(pi1_presentation(q, tree, homotopy_pairs(mono)))
+    inv_free = abelian_invariants(GroupPresentation(q, tree, homotopy_pairs(mono)))
     assert (inv_free.free_rank, inv_free.torsion) == (1, ())
-    inv_trivial = abelian_invariants(pi1_presentation(q, tree, homotopy_pairs(diff)))
+    inv_trivial = abelian_invariants(GroupPresentation(q, tree, homotopy_pairs(diff)))
     assert inv_trivial.is_trivial
 
     q5, pair_ideal, twisted, tree5 = two_triangles_pair(GF(2))
-    inv_pair = abelian_invariants(pi1_presentation(q5, tree5, homotopy_pairs(pair_ideal)))
+    inv_pair = abelian_invariants(GroupPresentation(q5, tree5, homotopy_pairs(pair_ideal)))
     assert (inv_pair.free_rank, inv_pair.torsion) == (1, ())
     # generators a and d with relations a = d and a + d = 0
-    inv_twisted = abelian_invariants(pi1_presentation(q5, tree5, homotopy_pairs(twisted)))
+    inv_twisted = abelian_invariants(GroupPresentation(q5, tree5, homotopy_pairs(twisted)))
     assert (inv_twisted.free_rank, inv_twisted.torsion) == (0, (2,))
     assert str(inv_twisted) == "Z/2"
 
 
 def test_abelian_invariants_free_case():
     q, ideal, tree = kronecker(QQ)
-    inv = abelian_invariants(pi1_presentation(q, tree, homotopy_pairs(ideal)))
+    inv = abelian_invariants(GroupPresentation(q, tree, homotopy_pairs(ideal)))
     assert (inv.free_rank, inv.torsion) == (1, ())
 
 
 def test_hom_space_dimensions():
     for field in (QQ, GF(2)):
         q, mono, diff, tree = parallel_pair(field)
-        assert hom_space(q, tree, homotopy_pairs(mono), field).dim == 1
-        assert hom_space(q, tree, homotopy_pairs(diff), field).dim == 0
+        assert len(GroupPresentation(q, tree, homotopy_pairs(mono)).characters(field)) == 1
+        assert len(GroupPresentation(q, tree, homotopy_pairs(diff)).characters(field)) == 0
     q5, pair_ideal, twisted, tree5 = two_triangles_pair(GF(2))
-    assert hom_space(q5, tree5, homotopy_pairs(twisted), GF(2)).dim == 1
+    assert len(GroupPresentation(q5, tree5, homotopy_pairs(twisted)).characters(GF(2))) == 1
     _, _, twisted_q, tree5q = two_triangles_pair(QQ)
-    assert hom_space(q5, tree5q, homotopy_pairs(twisted_q), QQ).dim == 0
+    assert len(GroupPresentation(q5, tree5q, homotopy_pairs(twisted_q)).characters(QQ)) == 0
 
 
 def test_hom_space_basis_weights():
     q, ideal, tree = two_triangles_full(GF(2))
-    hs = hom_space(q, tree, homotopy_pairs(ideal), GF(2))
-    assert hs.dim == 1
-    assert hs.basis == [{"a": 1, "d": 1}]
-    assert hs.check_weights({"a": 1, "d": 1})
-    assert not hs.check_weights({"a": 1})
-    assert not hs.check_weights({"a": 1, "d": 1, "b": 1})
+    pres = GroupPresentation(q, tree, homotopy_pairs(ideal))
+    basis = pres.characters(GF(2))
+    assert len(basis) == 1
+    assert basis == [{"a": 1, "d": 1}]
+    assert pres.check_weights(GF(2), {"a": 1, "d": 1})
+    assert not pres.check_weights(GF(2), {"a": 1})
+    assert not pres.check_weights(GF(2), {"a": 1, "d": 1, "b": 1})
 
 
 def test_hom_dimension_matches_abelian_invariants():
@@ -118,32 +119,32 @@ def test_hom_dimension_matches_abelian_invariants():
         field = ideal.field
         tree = q.spanning_tree(q.vertices[0])
         pairs = homotopy_pairs(ideal)
-        inv = abelian_invariants(pi1_presentation(q, tree, pairs))
+        inv = abelian_invariants(GroupPresentation(q, tree, pairs))
         expected = inv.free_rank
         if field.characteristic:
             expected += sum(1 for d in inv.torsion if d % field.characteristic == 0)
-        assert hom_space(q, tree, pairs, field).dim == expected
+        assert len(GroupPresentation(q, tree, pairs).characters(field)) == expected
 
 
 def test_decide_homotopic_golden_cases():
     q, mono, diff, tree = parallel_pair(QQ)
     a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
-    yes = decide_homotopic(a, b, diff)
+    yes = HomotopyOracle(diff).decide_walks(a, b)
     assert yes.verdict == YES
     assert yes.certificate.replay(HomotopyOracle(diff).presentation)
-    no = decide_homotopic(a, b, mono)
+    no = HomotopyOracle(mono).decide_walks(a, b)
     assert no.verdict == NO
     oracle = HomotopyOracle(mono, tree)
     word = oracle.presentation.word_of_walk(q.concat_walks(b.inverse(), a))
     assert no.certificate.verify(oracle.presentation, word)
-    trivial = decide_homotopic(q.walk((), at="1"), q.walk((), at="1"), mono)
+    trivial = HomotopyOracle(mono).decide_walks(q.walk((), at="1"), q.walk((), at="1"))
     assert trivial.verdict == YES
 
 
 def test_decide_homotopic_rejects_non_parallel():
     q, mono, _, _ = parallel_pair(QQ)
     with pytest.raises(ValueError):
-        decide_homotopic(q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("c")), mono)
+        HomotopyOracle(mono).decide_walks(q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("c")))
 
 
 def test_decide_tree_detour_is_homotopic():
@@ -151,14 +152,14 @@ def test_decide_tree_detour_is_homotopic():
     q, mono, _, _ = parallel_pair(QQ)
     walk1 = q.path_walk(q.path(["a", "c"]))
     walk2 = q.walk([("a", 1), ("a", -1), ("a", 1), ("c", 1)])
-    assert decide_homotopic(walk1, walk2, mono).verdict == YES
+    assert HomotopyOracle(mono).decide_walks(walk1, walk2).verdict == YES
 
 
 def test_decide_budget_exhaustion_goes_unknown():
     q, mono, diff, tree = parallel_pair(QQ)
     tiny = Budgets(word_max_len=64, search_max_nodes=1)
     a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
-    d = decide_homotopic(a, b, diff, budgets=tiny)
+    d = HomotopyOracle(diff, budgets=tiny).decide_walks(a, b)
     assert d.verdict == UNKNOWN
 
 
@@ -183,14 +184,14 @@ def test_decide_never_contradicts_itself():
 
 def test_relations_equal_golden():
     q, mono, diff, _ = parallel_pair(QQ)
-    assert relations_equal(mono, mono).verdict == YES
-    assert relations_equal(mono, diff).verdict == NO
+    assert HomotopyOracle(mono).same_relation(HomotopyOracle(mono)).verdict == YES
+    assert HomotopyOracle(mono).same_relation(HomotopyOracle(diff)).verdict == NO
     # dilatations never change the relation
     rng = random.Random(2)
     for _ in range(5):
         D = random_dilatation(rng, q, QQ)
-        assert relations_equal(mono, D.apply_to_ideal(mono)).verdict == YES
-        assert relations_equal(diff, D.apply_to_ideal(diff)).verdict == YES
+        assert HomotopyOracle(mono).same_relation(HomotopyOracle(D.apply_to_ideal(mono))).verdict == YES
+        assert HomotopyOracle(diff).same_relation(HomotopyOracle(D.apply_to_ideal(diff))).verdict == YES
 
 
 def test_replay_rejects_a_forged_insertion():
@@ -239,7 +240,7 @@ def test_relations_equal_random_dilatations():
         ideal = random_admissible_ideal(rng, q, field)
         D = random_dilatation(rng, q, field)
         image = D.apply_to_ideal(ideal)
-        assert relations_equal(ideal, image).verdict == YES
+        assert HomotopyOracle(ideal).same_relation(HomotopyOracle(image)).verdict == YES
         first, second = HomotopyOracle(ideal), HomotopyOracle(image)
         assert first.same_relation(second).verdict == YES
         # memoized decisions repeat, and a memoized "yes" still replays
@@ -253,7 +254,7 @@ def test_relations_equal_random_dilatations():
             assert again.certificate.replay(second.presentation)
     # equal ideals over two separately built quivers are not comparable
     with pytest.raises(ValueError):
-        relations_equal(parallel_pair(QQ)[1], parallel_pair(QQ)[1])
+        HomotopyOracle(parallel_pair(QQ)[1]).same_relation(HomotopyOracle(parallel_pair(QQ)[1]))
 
 
 def test_base_point_change_keeps_abelian_invariants():
@@ -265,7 +266,7 @@ def test_base_point_change_keeps_abelian_invariants():
         invariants = []
         for base in q.vertices:
             tree = q.spanning_tree(base)
-            invariants.append(abelian_invariants(pi1_presentation(q, tree, pairs)))
+            invariants.append(abelian_invariants(GroupPresentation(q, tree, pairs)))
         assert len(set(invariants)) == 1
 
 
@@ -280,9 +281,9 @@ def test_hom_basis_satisfies_every_generating_pair():
         q, field = ideal.quiver, ideal.field
         tree = q.spanning_tree(q.vertices[0])
         pairs = homotopy_pairs(ideal)
-        hs = hom_space(q, tree, pairs, field)
-        for weights in hs.basis:
-            assert hs.check_weights(weights)
+        pres = GroupPresentation(q, tree, pairs)
+        for weights in pres.characters(field):
+            assert pres.check_weights(field, weights)
             for u, v in pairs:
                 su = field.sum(field.coerce(weights.get(n, field.zero)) for n in u.arrows)
                 sv = field.sum(field.coerce(weights.get(n, field.zero)) for n in v.arrows)
@@ -298,8 +299,8 @@ def test_characters_are_constant_on_certified_homotopy_classes():
         field = rng.choice([QQ, GF(2), GF(3)])
         ideal = random_admissible_ideal(rng, q, field)
         tree = q.spanning_tree(q.vertices[0])
-        hs = hom_space(q, tree, homotopy_pairs(ideal), field)
-        if hs.dim == 0:
+        basis = GroupPresentation(q, tree, homotopy_pairs(ideal)).characters(field)
+        if not basis:
             continue
         oracle = HomotopyOracle(ideal, tree)
         paths = [p for p in q.all_paths() if not p.is_trivial]
@@ -308,7 +309,7 @@ def test_characters_are_constant_on_certified_homotopy_classes():
             partners = [p for p in paths if p.source == u.source and p.target == u.target]
             v = rng.choice(partners)
             if oracle.decide_paths(u, v).verdict == YES:
-                for weights in hs.basis:
+                for weights in basis:
                     su = field.sum(field.coerce(weights.get(n, field.zero)) for n in u.arrows)
                     sv = field.sum(field.coerce(weights.get(n, field.zero)) for n in v.arrows)
                     assert su == sv
@@ -317,7 +318,7 @@ def test_characters_are_constant_on_certified_homotopy_classes():
 
 def test_relator_preimages_are_closed_walks():
     q, ideal, tree = two_triangles_full(GF(2))
-    pres = pi1_presentation(q, tree, homotopy_pairs(ideal))
+    pres = GroupPresentation(q, tree, homotopy_pairs(ideal))
     for u, v in homotopy_pairs(ideal):
         closed = q.concat_walks(q.path_walk(v).inverse(), q.path_walk(u))
         assert closed.source == closed.target
@@ -353,3 +354,110 @@ def test_symmetrized_relators_insert_cyclic_reductions():
                     if w[i:] + w[:i] not in expected:
                         expected.append(w[i:] + w[:i])
         assert list(p.symmetrized) == expected
+
+
+def _pair_count_characters(q, tree, pairs, field):
+    """The characters as arrow weights by their first definition: the
+    canonical nullspace over all arrows of one unit row per tree arrow and
+    one arrow-count row (arrows of u minus arrows of v) per homotopy pair."""
+    index = {n: i for i, n in enumerate(q.arrow_names)}
+    rows = [{index[n]: field.one} for n in tree.arrow_names]
+    for u, v in pairs:
+        count = {}
+        for sign, path in ((1, u), (-1, v)):
+            for n in path.arrows:
+                count[index[n]] = count.get(index[n], 0) + sign
+        rows.append(_clean(field, count))
+    return [{q.arrow_names[i]: x for i, x in sorted(vec.items())} for vec in nullspace(field, len(q.arrow_names), rows)]
+
+
+def _pair_sums_agree(field, tree, pairs, weights):
+    """The first weight check: zero on the tree, equal sums along each pair."""
+    def w(n):
+        return field.coerce(weights.get(n, field.zero))
+
+    return all(field.is_zero(w(n)) for n in tree.arrow_names) and all(
+        field.sum(w(n) for n in u.arrows) == field.sum(w(n) for n in v.arrows) for u, v in pairs
+    )
+
+
+def test_characters_are_the_pair_count_nullspace_on_random_instances():
+    rng = random.Random(71)
+    verdicts = {True: 0, False: 0}
+    fields = set()
+    for _ in range(60):
+        q = random_quiver(rng)
+        field = random_field(rng)
+        fields.add(field)
+        ideal = random_admissible_ideal(rng, q, field)
+        tree = q.spanning_tree(rng.choice(q.vertices))
+        pairs = homotopy_pairs(ideal)
+        pres = GroupPresentation(q, tree, pairs)
+        basis = pres.characters(field)
+        assert basis == _pair_count_characters(q, tree, pairs, field)
+        for _ in range(4):
+            # a combination of the basis, then perhaps one arrow moved,
+            # the tree arrows included
+            weights = {}
+            for character in basis:
+                c = rng.randint(-3, 3)
+                for n, x in character.items():
+                    weights[n] = field.add(weights.get(n, field.zero), field.mul(field.coerce(c), x))
+            if rng.random() < 0.5:
+                n = rng.choice(q.arrow_names)
+                weights[n] = field.add(weights.get(n, field.zero), field.coerce(rng.randint(1, 4)))
+            verdict = pres.check_weights(field, weights)
+            assert verdict == _pair_sums_agree(field, tree, pairs, weights)
+            verdicts[verdict] += 1
+    assert QQ in fields and len(fields) > 2
+    assert verdicts[True] > 20 and verdicts[False] > 20
+
+
+def test_smith_form_is_computed_once_per_presentation(monkeypatch):
+    calls, reductions = [], []
+    smith, cyclic_reduce = homotopy.smith_normal_form, homotopy._cyclic_reduce
+    monkeypatch.setattr(homotopy, "smith_normal_form", lambda rows: calls.append(rows) or smith(rows))
+    monkeypatch.setattr(homotopy, "_cyclic_reduce", lambda w: reductions.append(w) or cyclic_reduce(w))
+    q, ideal, _, tree = two_triangles_pair(GF(2))
+    # the characters read the relator rows only: no Smith form, no
+    # symmetrized relators
+    pres = GroupPresentation(q, tree, homotopy_pairs(ideal))
+    assert pres.characters(GF(2)) == [{"a": 1, "d": 1}]
+    assert pres.check_weights(GF(2), {"a": 1, "d": 1})
+    assert not calls and not reductions
+    # the invariants, the oracle's decisions and their replays share one
+    oracle = HomotopyOracle(ideal, tree)
+    pres = oracle.presentation
+    assert (abelian_invariants(pres).free_rank, abelian_invariants(pres).torsion) == (1, ())
+    words = [(1,), (2,), (1, 1), (1, 2), (1, -2)]
+    decisions = [oracle.decide_closed_word(w) for w in words]
+    assert [d.verdict for d in decisions] == [NO, NO, NO, NO, YES]
+    for word, d in zip(words, decisions):
+        if d.verdict == NO:
+            assert d.certificate.verify(pres, word)
+    assert len(calls) == 1
+
+
+def test_abelian_certificate_replay_rejects_a_forged_modulus():
+    # a*d^-1 is the relator of the pair ideal, so it is trivial; a
+    # certificate claiming its first Smith coordinate is not a multiple of
+    # some modulus other than the invariant factor there must not replay
+    q, ideal, _, tree = two_triangles_pair(GF(2))
+    oracle = HomotopyOracle(ideal, tree)
+    pres = oracle.presentation
+    word = (1, -2)
+    assert oracle.decide_closed_word(word).verdict == YES
+    x = pres.exponent_vector(word)
+    y = pres.smith_coordinates(x)
+    assert pres.smith[0] == (1,) and y == (1, 0)
+    for position in (-2, -1, 0, 1, 2):
+        for modulus in (0, 1, 2, 3):
+            assert not AbelianCertificate(x, y, position, modulus).verify(pres, word)
+    # a genuine "no" replays, and the same claim with another modulus does not
+    no = oracle.decide_closed_word((1,))
+    assert no.verdict == NO and no.certificate.verify(pres, (1,))
+    cert = no.certificate
+    for modulus in (2, 3):
+        if modulus != cert.modulus:
+            forged = AbelianCertificate(cert.exponents, cert.transformed, cert.position, modulus)
+            assert not forged.verify(pres, (1,))

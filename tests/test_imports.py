@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,48 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def library_use_names():
+    """The identifiers in the code of the README's "Library use" section:
+    its Python block and its inline code spans."""
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"```.*?```|`[^`]*`", section, re.S)
+    return {name for span in spans for name in re.findall(r"\w+", span)}
+
+
+def public_definitions(tree):
+    """(qualified name, short name, line) of each public top-level function
+    and class of a module, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub.name, sub.lineno
+
+
+def test_every_public_definition_is_used_or_documented():
+    # a name counts as used when some name or attribute in the package
+    # spells it (an import in __init__ is neither, and neither is its own
+    # definition); the check is by name, not by binding
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    documented = library_use_names()
+    dead = [
+        f"{module}:{line} {qualified}"
+        for module, tree in trees.items()
+        for qualified, name, line in public_definitions(tree)
+        if name not in used and name not in documented
+    ]
+    assert not dead, f"defined but never used in src/bquiver nor named in the README's Library use: {', '.join(dead)}"

@@ -18,7 +18,6 @@ from bquiver import (
     critical_taus,
     enumerate_bypasses,
     presentation_for_vertex,
-    relations_equal,
     sources_report,
     transvection_of,
     verify_main_theorem,
@@ -97,7 +96,7 @@ def test_classify_transvection_coincide_case():
     image = transvection_of(q, GF(3), bp_a, 2).apply_to_ideal(diff)
     case = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image, tree), bp_a, diff, image)
     assert case.label == COINCIDE
-    assert relations_equal(diff, image).verdict == YES
+    assert HomotopyOracle(diff).same_relation(HomotopyOracle(image)).verdict == YES
 
 
 def test_build_relation_quiver_parallel_pair():
@@ -110,7 +109,7 @@ def test_build_relation_quiver_parallel_pair():
         assert not rq.truncated
         arrow = rq.arrows[0]
         assert (arrow.source, arrow.target) == (0, 1)
-        assert relations_equal(rq.vertices[1].ideal, diff).verdict == YES
+        assert HomotopyOracle(rq.vertices[1].ideal).same_relation(HomotopyOracle(diff)).verdict == YES
         report = sources_report(rq)
         assert report["sources"] == [0]
         assert report["unique_source"]
@@ -186,8 +185,8 @@ def test_arrow_witnesses_replay():
         # default-tree oracles, unless the sweep flagged them as ambiguous
         definite = [i for i in range(len(rq.vertices)) if i not in rq.ambiguous_vertices]
         for i, j in itertools.combinations(definite, 2):
-            verdict = relations_equal(rq.vertices[i].ideal, rq.vertices[j].ideal).verdict
-            assert verdict != YES
+            first, second = HomotopyOracle(rq.vertices[i].ideal), HomotopyOracle(rq.vertices[j].ideal)
+            assert first.same_relation(second).verdict != YES
         for arrow in rq.arrows:
             phi = transvection_of(seed.quiver, seed.field, arrow.bypass, arrow.tau)
             assert phi.apply_to_ideal(arrow.source_ideal) == arrow.target_ideal
@@ -200,8 +199,9 @@ def test_arrow_witnesses_replay():
             assert src_oracle.decide_arrow_path(arrow.bypass.arrow, arrow.bypass.path).verdict == NO
             assert tgt_oracle.decide_arrow_path(arrow.bypass.arrow, arrow.bypass.path).verdict == YES
             # the representatives carry the same relations as the endpoints
-            assert relations_equal(arrow.source_ideal, rq.vertices[arrow.source].ideal).verdict == YES
-            assert relations_equal(arrow.target_ideal, rq.vertices[arrow.target].ideal).verdict == YES
+            for ideal, vertex in ((arrow.source_ideal, arrow.source), (arrow.target_ideal, arrow.target)):
+                fresh = HomotopyOracle(rq.vertices[vertex].ideal)
+                assert HomotopyOracle(ideal).same_relation(fresh).verdict == YES
 
 
 def test_gamma_builds_one_oracle_per_classified_transvection(monkeypatch):
@@ -358,11 +358,11 @@ def test_inclusion_along_arrows_and_the_pullback_triangle():
             nu = Presentation(space, arrow.source_back.invert(), rq.tree)
             assert nu.kernel == arrow.source_ideal
             phi = transvection_of(seed.quiver, seed.field, arrow.bypass, arrow.tau)
-            mu = nu.twist(phi.invert())
+            mu = Presentation(space, nu.chi.compose(phi.invert()), nu.tree)
             assert mu.kernel == arrow.target_ideal
             assert nu.character_image().contains_span(mu.character_image())
-            for weights in mu.hom.basis:
-                assert nu.hom.check_weights(weights)
+            for weights in mu.hom:
+                assert nu.group.check_weights(nu.field, weights)
                 assert mu.embed_character(weights) == nu.embed_character(weights)
 
 
