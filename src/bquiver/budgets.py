@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,15 +18,6 @@ class Budgets:
     graph_max_vertices: int = 64
     graph_max_candidates: int = 20_000
     maxdiag_max_candidates: int = 20_000
-    # rational grid used when searching over an infinite field
-    rational_grid: tuple = (
-        Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-        Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2),
-    )
-
-    def with_overrides(self, **kwargs) -> "Budgets":
-        known = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **known)
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -30,34 +29,17 @@ from .presentations import (
 from .quiver import QuiverError
 from .relquiver import build_relation_quiver, sources_report, verify_main_theorem
 
-# every integer budget is a flag, an environment variable and a document key
-_BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(Budgets) if isinstance(f.default, int))
-
-_ENV_PREFIX = "BQUIVER_"
-
-
-def _env_budgets() -> dict:
-    out = {}
-    for key in _BUDGET_KEYS:
-        raw = os.environ.get(_ENV_PREFIX + key.upper())
-        if raw is not None:
-            try:
-                out[key] = int(raw)
-            except ValueError:
-                raise InputError(f"environment budget {key} must be an integer, got {raw!r}")
-    return out
+# every budget is a flag and a document key
+_BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(Budgets))
 
 
 def resolve_budgets(document: InputDocument, flag_values: dict) -> Budgets:
-    """Defaults, then environment, then document settings, then flags."""
-    budgets = DEFAULT_BUDGETS
-    budgets = budgets.with_overrides(**_env_budgets())
+    """Defaults, then the document's ``budget`` lines, then flags."""
     unknown = set(document.budget_settings) - set(_BUDGET_KEYS)
     if unknown:
         raise InputError(f"unknown budget keys {sorted(unknown)}")
-    budgets = budgets.with_overrides(**document.budget_settings)
-    budgets = budgets.with_overrides(**{k: v for k, v in flag_values.items() if k in _BUDGET_KEYS})
-    return budgets
+    flags = {k: flag_values[k] for k in _BUDGET_KEYS if flag_values.get(k) is not None}
+    return dataclasses.replace(DEFAULT_BUDGETS, **{**document.budget_settings, **flags})
 
 
 def _jsonable(obj):
@@ -69,8 +51,6 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
     return str(obj)
 
 
@@ -322,10 +302,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "presentations, character spaces, first Hochschild cohomology, "
             "character-image subalgebras, and the succession graph of homotopy "
             "relations."
-        ),
-        epilog=(
-            "Budget environment overrides (lowest precedence after defaults): "
-            + ", ".join(_ENV_PREFIX + k.upper() for k in _BUDGET_KEYS)
         ),
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .fields import Field, GF, QQ, is_prime
 from .linalg import _add_multiple
@@ -43,42 +44,35 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<arrowsym>->)
+  | (?P<sym>->|[{}(),;:*+\-=/])
   | (?P<name>[A-Za-z0-9_]+)
-  | (?P<sym>[{}(),;:*+\-=/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | sym | arrowsym | end
+class Token(NamedTuple):
+    kind: str  # name | sym | end
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset (a tab or a carriage return is
+    one column)."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise InputError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        raw = m.group()
+        if kind == "bad":
+            raise InputError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
         if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, raw, line, col))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(Token("end", "", line, col))
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 
@@ -110,6 +104,7 @@ class InputDocument:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -123,7 +118,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise InputError(message, tok.line, tok.column)
+        raise InputError(message, *_position(self.text, tok.offset))
 
     def expect(self, text: str) -> Token:
         tok = self.next()

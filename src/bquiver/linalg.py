@@ -9,8 +9,11 @@ its row.  That basis is unique, so echelon rows and pivots (the RREF),
 nullspace bases (free columns in increasing order each receive a unit
 coordinate), remainders and minimal polynomials do not depend on the order
 rows arrive in, and two spans are equal exactly when their rows are.  The
-Smith normal form works on arbitrary-precision integers and tracks only the
-unimodular column transform, the one its callers read.
+Smith normal form is one pivot loop on arbitrary-precision integers: an
+entry of least magnitude in the trailing block clears its row and column by
+floor division, again while a remainder is left or it fails to divide the
+block.  Only the unimodular column transform, the one its callers read, is
+tracked.
 
 Polynomials are coefficient tuples in ascending degree order with no trailing
 zeros; ``()`` is the zero polynomial.  None is divided or factored: a
@@ -224,71 +227,32 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], t
     m = len(A)
     n = len(A[0]) if m else 0
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(m):
-            A[r][i] -= q * A[r][j]
-        for r in range(n):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    while t < min(m, n):
-        # choose the nonzero entry of least magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+    d = []
+    for t in range(min(m, n)):
         while True:
-            again = False
+            # the pivot: an entry of least magnitude in the trailing block
+            block = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+            if not block:
+                return tuple(d), tuple(map(tuple, V))
+            _, pi, pj = min(block)
+            A[t], A[pi] = A[pi], A[t]
+            for row in A + V:
+                row[t], row[pj] = row[pj], row[t]
+            p = A[t][t]
             for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t] != 0:
-                        swap_rows(t, i)
-                        again = True
+                q = A[i][t] // p
+                A[i] = [a - q * b for a, b in zip(A[i], A[t])]
             for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j] != 0:
-                        swap_cols(t, j)
-                        again = True
-            if again:
-                continue
-            # enforce divisibility of the remaining block
-            fixed = True
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        row_op(t, i, -1)  # add row i to row t
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
+                q = A[t][j] // p
+                for row in A + V:
+                    row[j] -= q * row[t]
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1:]):
+                continue  # a remainder is a smaller pivot
+            # the pivot must divide the rest of the block; adding a row with
+            # an entry it does not divide leaves a remainder in row t
+            bad = next((i for i in range(t + 1, m) if any(a % p for a in A[i][t + 1:])), None)
+            if bad is None:
                 break
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-        t += 1
-
-    d = tuple(A[i][i] for i in range(t) if A[i][i] != 0)
-    return d, tuple(tuple(r) for r in V)
-
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+        d.append(abs(p))
+    return tuple(d), tuple(map(tuple, V))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import PrimeField
@@ -423,6 +424,10 @@ def centralizer(space: CohomologySpace, span: ClassSpan) -> ClassSpan:
     return space.span(CohomologyClass(space, _combination(f, vectors, y)) for y in nullspace(f, len(basis), rows))
 
 
+# the coefficients the maximality sweep tries over QQ, besides zero
+_RATIONAL_GRID = tuple(map(Fraction, (1, -1, 2, -2, 3, -3, "1/2", "-1/2")))
+
+
 def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Budgets):
     """Deterministic candidate stream through a span: every nonzero
     combination of its basis with coefficients from the field (over GF(p),
@@ -430,12 +435,10 @@ def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Bu
     (the last coordinate varying fastest), up to the candidate budget."""
     f = space.field
     vectors = [b.coords for b in pool.basis_classes()]
-    if not vectors:
-        return
     if isinstance(f, PrimeField):
         values, order = tuple(f.elements()), slice(None, None, -1)
     else:
-        values, order = budgets.rational_grid + (f.zero,), slice(None)
+        values, order = _RATIONAL_GRID + (f.zero,), slice(None)
     emitted = 0
     for digits in itertools.product(values, repeat=len(vectors)):
         coeffs = {t: v for t, v in enumerate(digits[order]) if not f.is_zero(v)}

@@ -305,24 +305,29 @@ class Quiver:
             if len(tree.walk_to) != len(self.vertices):
                 raise QuiverError("preferred arrow set does not span the quiver")
             return tree
-        # deterministic BFS: visit vertices in discovery order, arrows by name
-        chosen_list = []
-        visited = {base}
-        queue = [base]
-        while queue:
-            v = queue.pop(0)
-            for name in self.arrow_names:
-                a = self.arrow_by_name[name]
-                other = None
-                if a.source == v and a.target not in visited:
-                    other = a.target
-                elif a.target == v and a.source not in visited:
-                    other = a.source
-                if other is not None:
-                    chosen_list.append(name)
-                    visited.add(other)
-                    queue.append(other)
-        return SpanningTree(self, base, tuple(sorted(chosen_list)))
+        # each vertex is reached by the last arrow of its walk from the base
+        walks = _bfs_walks(self, base, self.arrow_names)
+        return SpanningTree(self, base, tuple(sorted(w.steps[-1][0] for w in walks.values() if w.steps)))
+
+
+def _bfs_walks(quiver: Quiver, base: str, arrow_names: Iterable[str]) -> dict[str, Walk]:
+    """The walk from ``base`` to each vertex it reaches through the given
+    arrows, by BFS: vertices in discovery order, arrows by name."""
+    walks = {base: quiver.walk((), at=base)}
+    names = sorted(arrow_names)
+    order = [base]
+    for v in order:  # grows while it is read
+        for name in names:
+            a = quiver.arrow(name)
+            step = None
+            if a.source == v and a.target not in walks:
+                step, other = (name, 1), a.target
+            elif a.target == v and a.source not in walks:
+                step, other = (name, -1), a.source
+            if step is not None:
+                walks[other] = Walk(base, other, walks[v].steps + (step,))
+                order.append(other)
+    return walks
 
 
 class SpanningTree:
@@ -332,25 +337,7 @@ class SpanningTree:
         self.quiver = quiver
         self.base = base
         self.arrow_names = frozenset(arrow_names)
-        self.walk_to = self._tree_walks()
-
-    def _tree_walks(self) -> dict[str, Walk]:
-        q = self.quiver
-        walks = {self.base: q.walk((), at=self.base)}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for name in sorted(self.arrow_names):
-                a = q.arrow(name)
-                step = None
-                if a.source == v and a.target not in walks:
-                    step, other = (name, 1), a.target
-                elif a.target == v and a.source not in walks:
-                    step, other = (name, -1), a.source
-                if step is not None:
-                    walks[other] = Walk(self.base, other, walks[v].steps + (step,))
-                    queue.append(other)
-        return walks
+        self.walk_to = _bfs_walks(quiver, base, self.arrow_names)
 
     def contains(self, arrow_name: str) -> bool:
         return arrow_name in self.arrow_names

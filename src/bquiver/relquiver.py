@@ -263,12 +263,10 @@ def build_relation_quiver(
         return None, ambiguous
 
     add_vertex(seed, identity_automorphism(quiver, f))
-    queue = [0]
     seen_arrows = set()
     candidates = 0
-    while queue:
-        vi = queue.pop(0)
-        vertex = rq.vertices[vi]
+    # vertices are visited in creation order, new ones as they are appended
+    for vi, vertex in enumerate(rq.vertices):
         for bp in bypasses:
             splices = _moving_splices(vertex.ideal, bp)
             for tau in critical_taus(vertex.ideal, bp):
@@ -286,7 +284,6 @@ def build_relation_quiver(
                     widx = add_vertex(image, transvection_of(quiver, f, bp, tau).compose(vertex.back_auto))
                     if ambiguous:
                         rq.ambiguous_vertices.append(widx)
-                    queue.append(widx)
                 if case.label == UNKNOWN:
                     rq.unknown_candidates.append((vi, widx, bp, tau, case))
                     continue

@@ -267,6 +267,20 @@ def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
     assert "line 9, column 13" in capsys.readouterr().err
 
 
+def test_parse_errors_carry_line_and_column():
+    # a carriage return and a tab are one column each; a comment is skipped
+    cases = (
+        ("field QQ\r\n# note\nquiver {\n\tvertices 1, 2\n  arrow a: 1 -> 2 @\n}\n",
+         "unexpected character '@'", (5, 19)),
+        ("field QQ\nquiver {\n  vertices 1, 2\n  arrow a: 1 -> 2\n", "expected '}', found ''", (5, 1)),
+    )
+    for text, message, (line, column) in cases:
+        with pytest.raises(InputError) as err:
+            parse_input(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
 def test_cli_fraction_maps_into_the_field_before_it_divides(tmp_path, capsys):
     def with_coefficient(field, coeff):
         return PARALLEL_PAIR_DOC.replace("field QQ", f"field {field}").replace("{ c*a }", "{ %s*c*a }" % coeff)
@@ -294,15 +308,16 @@ def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):
     assert report["status"]["unknowns"]
 
 
-def test_cli_budget_document_and_env(tmp_path, monkeypatch, capsys):
+def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
     doc = PARALLEL_PAIR_DOC + "budget search_max_nodes = 77\n"
     parsed = parse_input(doc)
     args = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I"])
     budgets = resolve_budgets(parsed, vars(args))
     assert budgets.search_max_nodes == 77
+    # the environment is no source of budgets
     monkeypatch.setenv("BQUIVER_WORD_MAX_LEN", "9")
     budgets = resolve_budgets(parsed, vars(args))
-    assert budgets.word_max_len == 9
+    assert budgets.word_max_len == 64
     # flags outrank the document
     args2 = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
     budgets2 = resolve_budgets(parsed, vars(args2))

@@ -218,6 +218,21 @@ def test_snf_hand_reduction():
     # hand row/column reduction: [[1,-1],[1,1]] ~ diag(1, 2)
     d, _ = smith_normal_form([[1, -1], [1, 1]])
     assert d == (1, 2)
+    # the pivot divides no other entry: a row is added to it and reduced again
+    for a, expected in (([[2, 0], [0, 3]], (1, 6)), ([[0, 6, 0], [4, 0, 0]], (2, 12))):
+        d, v = smith_normal_form(a)
+        assert d == expected
+        check_smith_form(a, d, v)
+
+
+def test_snf_settles_a_dense_matrix():
+    # an elimination that does not keep its pivots of least magnitude can
+    # let the entries of a dense matrix like this one grow without bound
+    a = [[39, 0, 16, -28, 7], [-8, 0, -13, -28, 0], [0, 29, 0, 0, 38],
+         [23, 0, -39, 0, 14], [40, 34, 27, 7, 0], [0, 24, -29, 0, 9]]
+    d, v = smith_normal_form(a)
+    assert d == (1, 1, 1, 1, 7)
+    check_smith_form(a, d, v)
 
 
 def test_snf_identity_and_zero():

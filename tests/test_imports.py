@@ -27,6 +27,27 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def reads_environment(node) -> bool:
+    """Whether the node is ``os.environ``, ``os.getenv`` or the like, or
+    imports one of them from ``os``."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in _ENVIRONMENT
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in _ENVIRONMENT for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # a report depends only on the document and the command line
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree) if reads_environment(node)]
+    assert not reads, f"{path.name} reads the environment on lines {reads}"
+
+
 README = PACKAGE.parent.parent / "README.md"
 
 
