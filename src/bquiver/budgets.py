@@ -7,17 +7,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Budgets:
-    """Knobs bounding the word-rewriting search and the graph sweeps.
-
-    The defaults comfortably settle every desk-scale instance shipped with
-    the test suite; raising them trades time for fewer Unknown outcomes.
+    """The one settable bound: the nodes the word-rewriting search visits
+    before a homotopy decision stays unknown; raising it trades time for
+    fewer unknown outcomes.  The other limits are module constants:
+    ``homotopy._WORD_MAX_LEN``, ``relquiver._GRAPH_MAX_CANDIDATES`` and
+    ``_GRAPH_MAX_VERTICES``, ``presentations._MAXDIAG_MAX_CANDIDATES``.
     """
 
-    word_max_len: int = 64
     search_max_nodes: int = 100_000
-    graph_max_vertices: int = 64
-    graph_max_candidates: int = 20_000
-    maxdiag_max_candidates: int = 20_000
 
 
 DEFAULT_BUDGETS = Budgets()

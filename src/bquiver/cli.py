@@ -29,7 +29,7 @@ from .presentations import (
 from .quiver import QuiverError
 from .relquiver import build_relation_quiver, sources_report, verify_main_theorem
 
-# every budget is a flag and a document key
+# the one budget is a flag and a document key
 _BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(Budgets))
 
 
@@ -209,7 +209,7 @@ def _cmd_maxdiag(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     space = CohomologySpace(FDAlgebra(ideal))
     pres = Presentation.natural(space, tree)
     image = pres.character_image()
-    verdict, witness = is_maximal_diagonalizable(image, budgets, pres.adapted_basis_blocks())
+    verdict, witness = is_maximal_diagonalizable(image, pres.adapted_basis_blocks())
     payload = {
         "ideal": name,
         "image_dim": image.dim,
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         document = parse_input(text)
         budgets = resolve_budgets(document, vars(args))
         report, code = run(args.command, document, args, budgets)
-    except (InputError, QuiverError, FileNotFoundError) as exc:
+    except (InputError, QuiverError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(emit(report, args.json))

@@ -269,6 +269,9 @@ class Decision:
     certificate: object = None
 
 
+_WORD_MAX_LEN = 64  # the rewriting search keeps no longer word
+
+
 class HomotopyOracle:
     """Decides homotopy of parallel walks under one admissible ideal.
 
@@ -313,7 +316,6 @@ class HomotopyOracle:
         rels = self.presentation.symmetrized
         if not rels:
             return None
-        max_len = self.budgets.word_max_len
         max_nodes = self.budgets.search_max_nodes
         parents: dict[Word, tuple[Word, int, Word]] = {word: None}
         queue = deque([word])
@@ -322,7 +324,7 @@ class HomotopyOracle:
             for rel in rels:
                 for pos in range(len(w) + 1):
                     nw = _free_reduce(w[:pos] + rel + w[pos:])
-                    if len(nw) > max_len or nw in parents:
+                    if len(nw) > _WORD_MAX_LEN or nw in parents:
                         continue
                     parents[nw] = (w, pos, rel)
                     if nw == ():
@@ -381,16 +383,11 @@ class HomotopyOracle:
         if self.quiver is not other.quiver:
             raise ValueError("ideals over different quivers")
         sawunknown = False
-        for u, v in self.pairs:
-            d = other.decide_paths(u, v)
-            if d.verdict == NO:
-                return Decision(NO, ((u, v), "second"))
-            if d.verdict == UNKNOWN:
-                sawunknown = True
-        for u, v in other.pairs:
-            d = self.decide_paths(u, v)
-            if d.verdict == NO:
-                return Decision(NO, ((u, v), "first"))
-            if d.verdict == UNKNOWN:
-                sawunknown = True
+        for pairs, judge, side in ((self.pairs, other, "second"), (other.pairs, self, "first")):
+            for u, v in pairs:
+                d = judge.decide_paths(u, v)
+                if d.verdict == NO:
+                    return Decision(NO, ((u, v), side))
+                if d.verdict == UNKNOWN:
+                    sawunknown = True
         return Decision(UNKNOWN if sawunknown else YES)

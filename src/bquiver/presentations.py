@@ -35,7 +35,6 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import PrimeField
 from .hochschild import (
     ClassSpan,
@@ -428,29 +427,33 @@ def centralizer(space: CohomologySpace, span: ClassSpan) -> ClassSpan:
 _RATIONAL_GRID = tuple(map(Fraction, (1, -1, 2, -2, 3, -3, "1/2", "-1/2")))
 
 
-def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan, budgets: Budgets):
-    """Deterministic candidate stream through a span: every nonzero
-    combination of its basis with coefficients from the field (over GF(p),
-    the first coordinate varying fastest) or from the rational grid and zero
-    (the last coordinate varying fastest), up to the candidate budget."""
+_MAXDIAG_MAX_CANDIDATES = 20_000  # the classes the maximality sweep tries, at most
+
+
+def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan):
+    """Deterministic candidate stream through a span, up to the candidate
+    limit.  Over GF(p), one class per line: the combinations of its basis
+    whose last nonzero coefficient is 1, by the position of that
+    coefficient, then the first coordinate varying fastest (scaling by a
+    unit changes neither "diagonalizable" nor "in the span").  Over QQ,
+    every nonzero combination with coefficients from the rational grid and
+    zero, the last coordinate varying fastest."""
     f = space.field
     vectors = [b.coords for b in pool.basis_classes()]
     if isinstance(f, PrimeField):
-        values, order = tuple(f.elements()), slice(None, None, -1)
+        combos = (
+            (*reversed(lower), f.one)
+            for top in range(len(vectors))
+            for lower in itertools.product(f.elements(), repeat=top)
+        )
     else:
-        values, order = _RATIONAL_GRID + (f.zero,), slice(None)
-    emitted = 0
-    for digits in itertools.product(values, repeat=len(vectors)):
-        coeffs = {t: v for t, v in enumerate(digits[order]) if not f.is_zero(v)}
-        if not coeffs:
-            continue
-        if emitted >= budgets.maxdiag_max_candidates:
-            return
-        emitted += 1
+        combos = itertools.product(_RATIONAL_GRID + (f.zero,), repeat=len(vectors))
+    nonzero = ({t: v for t, v in enumerate(c) if not f.is_zero(v)} for c in combos)
+    for coeffs in itertools.islice(filter(None, nonzero), _MAXDIAG_MAX_CANDIDATES):
         yield CohomologyClass(space, _combination(f, vectors, coeffs))
 
 
-def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGETS, eigenbasis=None):
+def is_maximal_diagonalizable(span: ClassSpan, eigenbasis=None):
     """Three-valued maximality test for a diagonalizable span.
 
     Returns ``(verdict, witness)``: a definite "no" carries a diagonalizable
@@ -467,13 +470,13 @@ def is_maximal_diagonalizable(span: ClassSpan, budgets: Budgets = DEFAULT_BUDGET
         return YES, None
     exhaustive = isinstance(space.field, PrimeField)
     count = 0
-    for cls in _iter_candidate_classes(space, cent, budgets):
+    for cls in _iter_candidate_classes(space, cent):
         count += 1
         if span.contains(cls):
             continue
         # each candidate is decided once: keep it out of the memo
         if is_diagonalizable_class(cls, remember=False):
             return NO, cls
-    if exhaustive and count < budgets.maxdiag_max_candidates:
+    if exhaustive and count < _MAXDIAG_MAX_CANDIDATES:
         return YES, None
     return UNKNOWN, None

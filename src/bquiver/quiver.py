@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -112,6 +113,7 @@ class Quiver:
         self.arrow_names = tuple(sorted(self.arrow_by_name))
         self._all_paths: tuple[Path, ...] | None = None
         self._parallel_classes: dict[tuple[str, str], tuple[str, ...]] | None = None
+        self._diagnostics = self._diagnose()
 
     # ---------- basic structure ----------
 
@@ -124,74 +126,49 @@ class Quiver:
     def outgoing(self, vertex: str) -> list[Arrow]:
         return [self.arrow_by_name[n] for n in self.arrow_names if self.arrow_by_name[n].source == vertex]
 
-    def validate(self) -> dict:
-        """Check finiteness, acyclicity and connectedness.
-
-        Returns a diagnostics dict with ``ok`` plus a cycle witness or the
-        connected components when the corresponding property fails.
-        """
-        diag: dict = {"ok": True, "cycle": None, "components": None}
-        # acyclicity by DFS with colors, witness reconstructed from the stack
-        color = {v: 0 for v in self.vertices}
-        parent_edge: dict[str, tuple[str, str]] = {}
+    def _diagnose(self) -> dict:
+        """Acyclicity and connectedness, as the diagnostics of ``validate``."""
+        # acyclicity by DFS; the cycle witness is the arrows of the DFS path
+        # from the back edge's target, then that edge
+        done: set[str] = set()
+        stack: list[str] = []
+        trail: list[str] = []
 
         def dfs(v: str):
-            color[v] = 1
+            stack.append(v)
             for a in self.outgoing(v):
-                w = a.target
-                if color[w] == 0:
-                    parent_edge[w] = (v, a.name)
-                    cyc = dfs(w)
-                    if cyc:
-                        return cyc
-                elif color[w] == 1:
-                    # unwind the stack from v back to w
-                    names = [a.name]
-                    cur = v
-                    while cur != w:
-                        prev, an = parent_edge[cur]
-                        names.append(an)
-                        cur = prev
-                    return list(reversed(names))
-            color[v] = 2
+                if a.target in stack:
+                    return trail[stack.index(a.target):] + [a.name]
+                if a.target not in done:
+                    trail.append(a.name)
+                    cycle = dfs(a.target)
+                    if cycle:
+                        return cycle
+                    trail.pop()
+            done.add(stack.pop())
             return None
 
+        cycle = next(filter(None, (dfs(v) for v in self.vertices if v not in done)), None)
+        # connected components of the underlying graph, by first vertex
+        components: list[list[str]] = []
         for v in self.vertices:
-            if color[v] == 0:
-                cyc = dfs(v)
-                if cyc:
-                    diag["ok"] = False
-                    diag["cycle"] = cyc
-                    break
-        # connectedness of the underlying graph
-        if self.vertices:
-            comp = {}
-            for v in self.vertices:
-                if v in comp:
-                    continue
-                stack = [v]
-                comp[v] = v
-                while stack:
-                    cur = stack.pop()
-                    for a in self.arrows:
-                        for nxt in ((a.target,) if a.source == cur else ()) + (
-                            (a.source,) if a.target == cur else ()
-                        ):
-                            if nxt not in comp:
-                                comp[nxt] = v
-                                stack.append(nxt)
-            roots = sorted(set(comp.values()), key=self.vertex_index.get)
-            if len(roots) > 1:
-                diag["ok"] = False
-                diag["components"] = [
-                    sorted((v for v in comp if comp[v] == r), key=self.vertex_index.get) for r in roots
-                ]
-        return diag
+            if not any(v in c for c in components):
+                components.append(sorted(_bfs_walks(self, v, self.arrow_names), key=self.vertex_index.get))
+        split = len(components) > 1
+        return {"ok": cycle is None and not split, "cycle": cycle, "components": components if split else None}
+
+    def validate(self) -> dict:
+        """Check acyclicity and connectedness.
+
+        Returns a diagnostics dict with ``ok`` plus a cycle witness or the
+        connected components when the corresponding property fails.  A
+        quiver never changes, so they are computed once, on construction.
+        """
+        return copy.deepcopy(self._diagnostics)
 
     def require_valid(self):
-        diag = self.validate()
-        if not diag["ok"]:
-            raise QuiverError(f"invalid quiver: {diag}")
+        if not self._diagnostics["ok"]:
+            raise QuiverError(f"invalid quiver: {self._diagnostics}")
 
     # ---------- paths ----------
 

@@ -217,6 +217,11 @@ class RelationQuiver:
         return oracle
 
 
+# the Γ sweep stops, truncated, past this many candidates or vertices
+_GRAPH_MAX_CANDIDATES = 20_000
+_GRAPH_MAX_VERTICES = 64
+
+
 def build_relation_quiver(
     seed: IdealData, tree: SpanningTree | None = None, budgets: Budgets = DEFAULT_BUDGETS
 ) -> RelationQuiver:
@@ -271,7 +276,7 @@ def build_relation_quiver(
             splices = _moving_splices(vertex.ideal, bp)
             for tau in critical_taus(vertex.ideal, bp):
                 candidates += 1
-                if candidates > budgets.graph_max_candidates or len(rq.vertices) > budgets.graph_max_vertices:
+                if candidates > _GRAPH_MAX_CANDIDATES or len(rq.vertices) > _GRAPH_MAX_VERTICES:
                     rq.truncated = True
                     return rq
                 # a transvection fixing the ideal relates no two relations
@@ -442,7 +447,7 @@ def verify_main_theorem(
         adapted = pres.adapted_basis_blocks()
         diag = is_diagonalizable_set(image.basis_classes(), adapted)
         record(f"source {i}: character image diagonalizable", "pass" if diag else "fail")
-        verdict, witness = is_maximal_diagonalizable(image, budgets, adapted)
+        verdict, witness = is_maximal_diagonalizable(image, adapted)
         status = {"yes": "pass", "no": "fail", "unknown": "unknown"}[verdict]
         record(f"source {i}: character image maximal", status)
 

@@ -256,6 +256,17 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert main(["pi1", write(tmp_path, "field QQ nonsense", "bad.bq")]) == 2
 
 
+def test_cli_unreadable_input_is_an_input_error(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8 (a UTF-16 byte-order mark)
+    utf16 = tmp_path / "utf16.bq"
+    utf16.write_bytes(b"\xff\xfe" + PARALLEL_PAIR_DOC.encode("utf-16-le"))
+    for path in (str(tmp_path), str(utf16)):
+        assert main(["hh1", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_cli_zero_denominator_is_an_input_error(tmp_path, capsys):
     # 1/0 has no value anywhere, and 2 is zero in GF(2)
     for field, coeff in (("QQ", "1/0"), ("GF(2)", "1/2")):
@@ -315,20 +326,23 @@ def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
     budgets = resolve_budgets(parsed, vars(args))
     assert budgets.search_max_nodes == 77
     # the environment is no source of budgets
-    monkeypatch.setenv("BQUIVER_WORD_MAX_LEN", "9")
+    monkeypatch.setenv("BQUIVER_SEARCH_MAX_NODES", "9")
     budgets = resolve_budgets(parsed, vars(args))
-    assert budgets.word_max_len == 64
+    assert budgets.search_max_nodes == 77
     # flags outrank the document
     args2 = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
     budgets2 = resolve_budgets(parsed, vars(args2))
     assert budgets2.search_max_nodes == 5
-    # a key that is no budget is rejected on every surface
-    for key in ("bogus_key", "factor_max_nodes"):
-        with pytest.raises(InputError):
+    # a key that is no budget is rejected on every surface; the fixed
+    # limits are no budgets
+    removed = ("word_max_len", "graph_max_vertices", "graph_max_candidates", "maxdiag_max_candidates")
+    for key in ("bogus_key", "factor_max_nodes") + removed:
+        with pytest.raises(InputError, match="unknown budget keys"):
             resolve_budgets(parse_input(doc.replace("search_max_nodes", key)), vars(args))
-    with pytest.raises(SystemExit) as exited:
-        build_arg_parser().parse_args(["gamma", "x", "--factor-max-nodes", "5"])
-    assert exited.value.code == 2
+    for key in ("factor_max_nodes",) + removed:
+        with pytest.raises(SystemExit) as exited:
+            build_arg_parser().parse_args(["gamma", "x", f"--{key.replace('_', '-')}", "5"])
+        assert exited.value.code == 2
 
 
 def test_cli_validate_flags_inadmissible_ideal(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_decide_tree_detour_is_homotopic():
 
 def test_decide_budget_exhaustion_goes_unknown():
     q, mono, diff, tree = parallel_pair(QQ)
-    tiny = Budgets(word_max_len=64, search_max_nodes=1)
+    tiny = Budgets(search_max_nodes=1)
     a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
     d = HomotopyOracle(diff, budgets=tiny).decide_walks(a, b)
     assert d.verdict == UNKNOWN

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from bquiver import (
+    CohomologyClass,
     CohomologySpace,
     Derivation,
     FDAlgebra,
@@ -27,7 +29,7 @@ from bquiver import (
 )
 from bquiver import presentations
 from bquiver.homotopy import weight_of_walk
-from bquiver.linalg import minimal_polynomial
+from bquiver.linalg import _combination, minimal_polynomial
 from bquiver.pathalg import _render
 from bquiver.presentations import _diagonal_on
 
@@ -417,16 +419,58 @@ def test_maximality_golden_cases():
     assert is_maximal_diagonalizable(pres.character_image())[0] == YES
 
 
-def test_maximality_budget_cap_yields_unknown():
-    from bquiver.budgets import Budgets
-
+def test_maximality_budget_cap_yields_unknown(monkeypatch):
     q, ideal, tree = kronecker(GF(5))
     space = CohomologySpace(FDAlgebra(ideal))
-    tiny = Budgets(maxdiag_max_candidates=1)
-    verdict, witness = is_maximal_diagonalizable(space.span([]), tiny)
+    with monkeypatch.context() as patched:
+        patched.setattr(presentations, "_MAXDIAG_MAX_CANDIDATES", 1)
+        verdict, witness = is_maximal_diagonalizable(space.span([]))
     assert verdict == "unknown" and witness is None
-    # with the default budget the sweep is exhaustive and finds a witness
+    # with the fixed limit the sweep is exhaustive and finds a witness
     assert is_maximal_diagonalizable(space.span([]))[0] == NO
+
+
+def _maximality_by_every_vector(span):
+    """The maximality sweep over GF(p) through every nonzero vector of the
+    centralizer, the first coordinate varying fastest, with no limit."""
+    space, f = span.space, span.space.field
+    cent = centralizer(space, span)
+    if cent.dim == span.dim:
+        return YES, None
+    vectors = [b.coords for b in cent.basis_classes()]
+    for digits in itertools.product(f.elements(), repeat=len(vectors)):
+        coeffs = {t: v for t, v in enumerate(reversed(digits)) if v}
+        cls = CohomologyClass(space, _combination(f, vectors, coeffs))
+        if coeffs and not span.contains(cls) and is_diagonalizable_class(cls, remember=False):
+            return NO, cls
+    return YES, None
+
+
+def test_maximality_sweep_by_lines_matches_every_vector():
+    # one class per line gives the verdict and the witness of the sweep
+    # through every vector, on the zero span, the character image and the
+    # line of each diagonalizable basis class
+    rng = random.Random(2026)
+    instances = swept = 0
+    while instances < 150:
+        field = rng.choice([GF(2), GF(3), GF(5)])
+        ideal = random_admissible_ideal(rng, random_quiver(rng), field)
+        space = CohomologySpace(FDAlgebra(ideal))
+        if not 1 <= space.dim <= 4:
+            continue
+        instances += 1
+        pres = Presentation.natural(space, ideal.quiver.spanning_tree(ideal.quiver.vertices[0]))
+        spans = [space.span([]), pres.character_image()]
+        spans += [space.span([b]) for b in space.basis_classes() if is_diagonalizable_class(b)]
+        for span in spans:
+            verdict, witness = is_maximal_diagonalizable(span)
+            expected, expected_witness = _maximality_by_every_vector(span)
+            assert verdict == expected
+            assert (witness is None) == (expected_witness is None)
+            if witness is not None:
+                assert witness.coords == expected_witness.coords
+            swept += centralizer(space, span).dim > span.dim
+    assert swept > 100
 
 
 def test_maximality_rejects_non_diagonalizable_input():

@@ -35,6 +35,18 @@ def test_validate_reports_components():
     assert diag["components"] == [["1", "2"], ["3"]]
 
 
+def test_validate_orders_components_by_first_vertex():
+    # components by their first declared vertex, members by declaration
+    q = Quiver(["1", "2", "3", "4", "5"], [("a", "4", "1"), ("b", "2", "5"), ("c", "3", "4")])
+    diag = q.validate()
+    assert diag == {"ok": False, "cycle": None, "components": [["1", "3", "4"], ["2", "5"]]}
+    # the diagnostics are a copy: changing them changes no later answer
+    diag["components"].clear()
+    assert q.validate()["components"] == [["1", "3", "4"], ["2", "5"]]
+    with pytest.raises(QuiverError, match="invalid quiver"):
+        q.require_valid()
+
+
 def test_unknown_endpoint_rejected():
     with pytest.raises(QuiverError):
         Quiver(["1"], [("a", "1", "9")])

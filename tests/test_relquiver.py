@@ -286,8 +286,8 @@ def test_splices_decide_the_fixed_ideals_and_span_the_images():
         assert seen[True] and seen[False], field
 
 
-def test_fixed_candidates_still_count_towards_truncation():
-    from bquiver.budgets import Budgets
+def test_fixed_candidates_still_count_towards_truncation(monkeypatch):
+    from bquiver import relquiver
     from bquiver.relquiver import _moving_splices
 
     q, ideal, _, tree = parallel_pair(GF(3))
@@ -297,10 +297,12 @@ def test_fixed_candidates_still_count_towards_truncation():
     n = sum(len(critical_taus(v.ideal, bp)) for v in rq.vertices for bp in bypasses)
     # some candidates are skipped by the fix test, yet they are counted
     assert any(_moving_splices(v.ideal, bp) is None for v in rq.vertices for bp in bypasses)
-    exact = build_relation_quiver(ideal, tree, Budgets(graph_max_candidates=n))
+    monkeypatch.setattr(relquiver, "_GRAPH_MAX_CANDIDATES", n)
+    exact = build_relation_quiver(ideal, tree)
     assert not exact.truncated
     assert [v.ideal for v in exact.vertices] == [v.ideal for v in rq.vertices]
-    assert build_relation_quiver(ideal, tree, Budgets(graph_max_candidates=n - 1)).truncated
+    monkeypatch.setattr(relquiver, "_GRAPH_MAX_CANDIDATES", n - 1)
+    assert build_relation_quiver(ideal, tree).truncated
 
 
 def test_definite_arrows_form_a_dag():
