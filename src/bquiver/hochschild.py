@@ -23,8 +23,9 @@ gives its value on any basis path.  Inner derivations come from idempotent
 combinations and act as integer multiples on each corridor.
 
 Degree-one cohomology is presented as derivations modulo inner derivations.
-Lie operations act on sparse arrow images only: the bracket is
-[D, E](a) = D(E(a)) - E(D(a)) per arrow, and the algebra automorphism Psi
+Lie operations act on sparse arrow images only: the bracket of two basis
+classes is [D, E](a) = D(E(a)) - E(D(a)) per arrow, once per pair, and it
+is bilinear in the class coordinates.  The algebra automorphism Psi
 induced by an ideal-fixing path-algebra automorphism rho conjugates D to the
 derivation a -> Psi(D(Psi^-1(a))), where Psi^-1(a) is the normal form of
 rho^-1(a) and Psi applies rho to a normal-path combination.  Each class is
@@ -328,6 +329,8 @@ class CohomologySpace:
         self.dim = len(self.der_basis) - len(self._inner.rows)
         # per class, its spectrum on the radical blocks (presentations._spectra)
         self._spectra: dict = {}
+        # per pair i < j of basis columns, the coordinates of [e_i, e_j]
+        self._brackets: dict[tuple[int, int], dict] = {}
 
     def _der_coefficients(self, derivation: Derivation) -> dict:
         coords = derivation.coords
@@ -355,20 +358,27 @@ class CohomologySpace:
         return Derivation._of(self.algebra, _combination(self.field, self._der_vectors, coords))
 
     def bracket(self, f1: CohomologyClass, g1: CohomologyClass) -> CohomologyClass:
-        """Commutator bracket [D, E](a) = D(E(a)) - E(D(a)) on the arrows of
-        the canonical representatives."""
+        """The bracket, bilinear in the coordinates: f1[i] * g1[j] times the
+        bracket of the unit classes on columns i and j, summed over both
+        supports.  That is computed once per pair, as the commutator
+        [D, E](a) = D(E(a)) - E(D(a)) on the arrows of the representatives."""
         if f1.space is not self or g1.space is not self:
             raise ValueError("classes from a different space")
-        d = f1.representative()
-        e = g1.representative()
         f = self.field
-        minus = f.neg(f.one)
-        imgs = {}
-        for name in self.algebra.quiver.arrow_names:
-            image = d.apply(e.arrow_image(name))
-            _add_multiple(f, image, minus, e.apply(d.arrow_image(name)))
-            imgs[name] = image
-        return self.class_of(Derivation(self.algebra, imgs))
+        coords: dict = {}
+        for i, x in f1.coords.items():
+            for j, y in g1.coords.items():
+                if i == j:  # [e_i, e_i] = 0 and [e_j, e_i] = -[e_i, e_j]
+                    continue
+                pair = (i, j) if i < j else (j, i)
+                if pair not in self._brackets:
+                    d, e = (self.representative({k: f.one}) for k in pair)
+                    imgs = {name: d.apply(e.arrow_image(name)) for name in self.algebra.quiver.arrow_names}
+                    for name, image in imgs.items():
+                        _add_multiple(f, image, f.neg(f.one), e.apply(d.arrow_image(name)))
+                    self._brackets[pair] = self.class_of(Derivation(self.algebra, imgs)).coords
+                _add_multiple(f, coords, f.mul(x, y) if i < j else f.neg(f.mul(x, y)), self._brackets[pair])
+        return CohomologyClass(self, coords)
 
     def span(self, classes) -> "ClassSpan":
         return ClassSpan(self, classes)

@@ -38,7 +38,6 @@ from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import PrimeField
 from .hochschild import (
     ClassSpan,
-    CohomologyClass,
     CohomologySpace,
     FDAlgebra,
     conjugate_class,
@@ -59,7 +58,11 @@ from .pathalg import (
     transvection_of,
 )
 from .presentations import (
+    _MAXDIAG_MAX_CANDIDATES,
     Presentation,
+    _iter_candidate_classes,
+    centralizer,
+    is_diagonalizable_class,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     realize_in_image,
@@ -352,46 +355,46 @@ def presentation_for_vertex(space: CohomologySpace, rq: RelationQuiver, index: i
     return pres
 
 
-_MAX_SPANS = 100_000
+def enumerate_spans(space: CohomologySpace) -> dict[ClassSpan, bool]:
+    """Every diagonalizable span of the cohomology over a prime field (each
+    echelon basis class diagonalizable, every pair commuting), by dimension,
+    then pivots, then entries, mapped to whether it is maximal.
 
-
-def _span_count(n: int, q: int) -> int:
-    """The number of subspaces of GF(q)^n: the sum over r of the Gaussian binomials [n r]_q."""
-    total = binomial = 1
-    for r in range(n):
-        binomial = binomial * (q ** (n - r) - 1) // (q ** (r + 1) - 1)
-        total += binomial
-    return total
-
-
-def enumerate_spans(space: CohomologySpace, max_count: int = _MAX_SPANS) -> list[ClassSpan]:
-    """Every subspace of the cohomology over a prime field (echelon forms);
-    RuntimeError, before enumerating any, when there are more than ``max_count``."""
+    Dropping the last echelon row leaves a diagonalizable span, so each one
+    grows from the zero span by diagonalizable lines of the centralizer, and
+    a span that none extends is maximal.  The lines are those of
+    ``_iter_candidate_classes``: exact up to ``_MAXDIAG_MAX_CANDIDATES`` lines.
+    """
     f = space.field
     if not isinstance(f, PrimeField):
         raise ValueError("exhaustive span enumeration needs a finite field")
-    # the basis classes are unit coordinates on these columns
-    columns = [min(b.coords) for b in space.basis_classes()]
-    n = len(columns)
-    if _span_count(n, f.p) > max_count:
-        raise RuntimeError("span enumeration budget exceeded")
-    spans = [space.span([])]
-    values = list(f.elements())
-    for r in range(1, n + 1):
-        for pivots in itertools.combinations(range(n), r):
-            free_positions = [
-                (i, j)
-                for i in range(r)
-                for j in range(pivots[i] + 1, n)
-                if j not in pivots
-            ]
-            for fill in itertools.product(values, repeat=len(free_positions)):
-                rows = [{columns[pivots[i]]: f.one} for i in range(r)]
-                for (i, j), val in zip(free_positions, fill):
-                    if not f.is_zero(val):
-                        rows[i][columns[j]] = val
-                spans.append(space.span(CohomologyClass(space, row) for row in rows))
-    return spans
+    spans: dict[ClassSpan, bool] = {}
+    level = [space.span([])]
+    while level:
+        grown: dict[ClassSpan, bool] = {}
+        for s in level:
+            maximal = True
+            basis = s.basis_classes()
+            for cls in _iter_candidate_classes(space, centralizer(space, s)):
+                if s.contains(cls):
+                    continue
+                # the line's monic row, the class the spectrum memo keeps
+                line = cls.scale(f.inv(cls.coords[min(cls.coords)]))
+                if not is_diagonalizable_class(line):
+                    continue
+                child = space.span(basis + [line])
+                if child not in grown:
+                    # it commutes, but its echelon rows need not be diagonalizable
+                    grown[child] = all(is_diagonalizable_class(c) for c in child.basis_classes())
+                maximal = maximal and not grown[child]
+            spans[s] = maximal
+        level = [t for t, diagonalizable in grown.items() if diagonalizable]
+
+    def order(item):
+        rows = [c.coords for c in item[0].basis_classes()]
+        return len(rows), [min(r) for r in rows], [r.get(j, 0) for r in rows for j in range(len(space.der_basis))]
+
+    return dict(sorted(spans.items(), key=order))
 
 
 def verify_main_theorem(
@@ -403,9 +406,9 @@ def verify_main_theorem(
     presentations are maximal diagonalizable, covers non-source images
     through realized presentations with source-related kernels, and (over a
     prime field, when the cohomology has dimension at most 4 and at most
-    ``_MAX_SPANS`` subspaces) compares against brute-force enumeration of all
-    diagonalizable subspaces, exhibiting a conjugating automorphism between
-    each pair of maximal subalgebras.
+    ``_MAXDIAG_MAX_CANDIDATES`` lines) compares against the brute-force list
+    of all diagonalizable spans (``enumerate_spans``), exhibiting a
+    conjugating automorphism between each pair of maximal subalgebras.
 
     Conjugacy is decided in one frame per kernel: the realizations sharing a
     kernel take the first one's presentation r as reference, and each other
@@ -463,26 +466,12 @@ def verify_main_theorem(
         record_source_relation(f"vertex {i}: realized kernel has a source relation", covering.kernel)
 
     brute = {"enabled": False}
-    if isinstance(seed.field, PrimeField) and space.dim <= 4 and _span_count(space.dim, seed.field.p) <= _MAX_SPANS:
+    f = seed.field
+    if isinstance(f, PrimeField) and space.dim <= 4 and (f.p ** space.dim - 1) // (f.p - 1) <= _MAXDIAG_MAX_CANDIDATES:
         brute["enabled"] = True
         spans = enumerate_spans(space)
-        # the space's spectrum memo decides each class once, though it lies in many spans
-        diagonalizable = [s for s in spans if is_diagonalizable_set(s.basis_classes())]
-        # a span is maximal unless it lies in a diagonalizable span of higher
-        # dimension, and then it lies in a maximal one: so each dimension,
-        # from the top down, is tested against the maximal spans above it.
-        # A subspace of a diagonalizable span need not be diagonalizable
-        # (bracket zero in HH^1 does not make the representatives commute),
-        # so only the enumerated diagonalizable spans are candidates.
-        by_dim: dict[int, list[ClassSpan]] = {}
-        for s in diagonalizable:
-            by_dim.setdefault(s.dim, []).append(s)
-        above: list[ClassSpan] = []
-        for d in sorted(by_dim, reverse=True):
-            above += [s for s in by_dim[d] if not any(o.contains_span(s) for o in above)]
-        tops = set(above)
-        maximal = [s for s in diagonalizable if s in tops]
-        brute["diagonalizable_count"] = len(diagonalizable)
+        maximal = [s for s, top in spans.items() if top]
+        brute["diagonalizable_count"] = len(spans)
         brute["maximal_count"] = len(maximal)
         realized: list[tuple[ClassSpan, Presentation]] = []
         family_ok = True
@@ -500,7 +489,7 @@ def verify_main_theorem(
         )
         # source images must re-appear among the maximal subalgebras
         for i, pres in source_presentations.items():
-            found = pres.character_image() in tops
+            found = spans.get(pres.character_image(), False)
             record(f"source {i}: image occurs among maximal subalgebras", "pass" if found else "fail")
         # pairwise conjugacy of maximal subalgebras, in one frame per kernel
         references: dict[IdealData, Presentation] = {}

@@ -168,8 +168,8 @@ def test_cli_verify_gf3(tmp_path, capsys):
     assert report["statuses"]["unknown"] == 0
 
 
-# HH^1 has dimension 4; the brute force enumerates its subspaces when the
-# field is small enough
+# HH^1 has dimension 4; the brute force lists its diagonalizable spans when
+# the field is small enough
 BYPASS_PAIR_DOC = """\
 field GF(19)
 quiver {
@@ -184,9 +184,9 @@ ideal I { c*a }
 
 
 def test_cli_verify_skips_brute_force_beyond_the_span_cap(tmp_path, capsys):
-    # GF(19)^4 has more subspaces than the enumeration may list, so the
-    # sweep is off as for dimension 5 and up
-    path = write(tmp_path, BYPASS_PAIR_DOC)
+    # GF(29)^4 has 25260 lines, more than the maximality sweep may try, so
+    # the brute force is off as for dimension 5 and up
+    path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(29)"))
     assert main(["verify", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["cohomology_dim"] == 4
@@ -210,6 +210,22 @@ def test_cli_verify_pins_a_many_pair_brute_force_report(tmp_path, capsys):
     assert report["statuses"] == {"fail": 0, "pass": 410, "unknown": 0}
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "ee65684c33ae88d84821ee1aa6805dd3fb28a2f287dee656831b7ce5d9282452"
+
+
+def test_cli_verify_pins_a_larger_brute_force_report(tmp_path, capsys):
+    # over GF(13): 91 maximal subalgebras over one kernel, 4095 pairs
+    path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(13)"))
+    assert main(["verify", path, "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["brute_force"] == {
+        "enabled": True,
+        "diagonalizable_count": 1276,
+        "maximal_count": 91,
+        "conjugacy_pairs_checked": 4095,
+    }
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "297da6d9246b018a001fb0666919b9afd840d057cfa56dcd5321e0d215086c57"
 
 
 def test_cli_verify_conjugacy_check_fails_on_a_wrong_conjugation(tmp_path, capsys, monkeypatch):

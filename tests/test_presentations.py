@@ -430,6 +430,17 @@ def test_maximality_budget_cap_yields_unknown(monkeypatch):
     assert is_maximal_diagonalizable(space.span([]))[0] == NO
 
 
+def test_maximality_after_a_sweep_that_finds_no_candidate(monkeypatch):
+    # the zero span of the Kronecker cohomology has a 3-dimensional
+    # centralizer; with every candidate rejected, only the finite-field
+    # sweep is exhaustive and so proves the span maximal
+    monkeypatch.setattr(presentations, "is_diagonalizable_class", lambda cls, remember=True: False)
+    for field, expected in ((GF(3), YES), (QQ, "unknown")):
+        space = CohomologySpace(FDAlgebra(kronecker(field)[1]))
+        assert centralizer(space, space.span([])).dim == 3
+        assert is_maximal_diagonalizable(space.span([])) == (expected, None)
+
+
 def _maximality_by_every_vector(span):
     """The maximality sweep over GF(p) through every nonzero vector of the
     centralizer, the first coordinate varying fastest, with no limit."""

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bquiver import (
+    CohomologyClass,
     CohomologySpace,
     FDAlgebra,
     GF,
@@ -17,6 +18,7 @@ from bquiver import (
     classify_transvection,
     critical_taus,
     enumerate_bypasses,
+    is_diagonalizable_set,
     presentation_for_vertex,
     sources_report,
     transvection_of,
@@ -27,7 +29,6 @@ from bquiver.relquiver import (
     DIRECT_PREDECESSOR,
     DIRECT_SUCCESSOR,
     EQUAL_IDEALS,
-    _span_count,
     enumerate_spans,
 )
 
@@ -377,18 +378,63 @@ def test_presentation_for_vertex_kernels():
         assert pres.kernel == rq.vertices[i].ideal
 
 
-def test_enumerate_spans_counts():
-    q, ideal, _ = kronecker(GF(2))
-    space = CohomologySpace(FDAlgebra(ideal))
-    spans = enumerate_spans(space)
-    # subspace counts of a 3-dimensional space over GF(2): 1 + 7 + 7 + 1
-    assert len(spans) == 16
-    assert len({s for s in spans}) == 16
-    assert _span_count(3, 2) == 16
-    # F_17^4 has 99472 subspaces, within the cap; F_19^4 has 152404
-    assert _span_count(4, 17) == 99472 and _span_count(4, 19) == 152404
-    with pytest.raises(RuntimeError):
-        enumerate_spans(space, max_count=15)
+def _every_span_filtered(space):
+    """The reference brute force: every subspace of the cohomology in echelon
+    form, by dimension, then pivots, then entries; the diagonalizable ones
+    (each echelon basis class diagonalizable, every pair commuting); and the
+    maximal ones, tested against the maximal spans of higher dimension from
+    the top down.  Returns ``{span: maximal}`` in that order."""
+    f = space.field
+    columns = [min(b.coords) for b in space.basis_classes()]
+    n = len(columns)
+    spans = [space.span([])]
+    for r in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), r):
+            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n) if j not in pivots]
+            for fill in itertools.product(f.elements(), repeat=len(free)):
+                rows = [{columns[pv]: f.one} for pv in pivots]
+                for (i, j), x in zip(free, fill):
+                    if x:
+                        rows[i][columns[j]] = x
+                spans.append(space.span(CohomologyClass(space, row) for row in rows))
+    diagonalizable = [s for s in spans if is_diagonalizable_set(s.basis_classes())]
+    above = []
+    for d in sorted({s.dim for s in diagonalizable}, reverse=True):
+        above += [s for s in diagonalizable if s.dim == d and not any(o.contains_span(s) for o in above)]
+    return {s: s in above for s in diagonalizable}
+
+
+def test_enumerate_spans_matches_every_subspace_filtered():
+    # seeded instances with dim HH^1 1..3 over GF(2), GF(3) and GF(5) and 4
+    # over GF(2), plus the Kronecker cohomology, whose lines do not all commute
+    from conftest import random_admissible_ideal, random_quiver
+
+    rng = random.Random(2)
+    wanted = {(2, "1-3"): 4, (3, "1-3"): 4, (5, "1-3"): 4, (2, "4"): 2}
+    seeds = [kronecker(GF(p))[1] for p in (2, 3, 5)]
+    while any(wanted.values()):
+        q = random_quiver(rng, 5, 30)
+        p = rng.choice([2, 3, 5])
+        ideal = random_admissible_ideal(rng, q, GF(p))
+        dim = CohomologySpace(FDAlgebra(ideal)).dim
+        key = (p, "1-3" if 1 <= dim <= 3 else str(dim))
+        if wanted.get(key):
+            wanted[key] -= 1
+            seeds.append(ideal)
+
+    def rows_of(span):
+        return [c.coords for c in span.basis_classes()]
+
+    maximal_dims = set()
+    for ideal in seeds:
+        # separate spaces, so neither side reads the other's memos
+        grown = enumerate_spans(CohomologySpace(FDAlgebra(ideal)))
+        reference = _every_span_filtered(CohomologySpace(FDAlgebra(ideal)))
+        assert [(rows_of(s), m) for s, m in grown.items()] == [(rows_of(s), m) for s, m in reference.items()]
+        maximal_dims |= {s.dim for s, m in grown.items() if m}
+    assert maximal_dims == {1, 2}
+    with pytest.raises(ValueError):
+        enumerate_spans(CohomologySpace(FDAlgebra(kronecker(QQ)[1])))
 
 
 def test_verify_main_theorem_parallel_pair_gf3():
