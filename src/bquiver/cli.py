@@ -291,6 +291,13 @@ def emit(report: dict, json_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _budget_value(text: str) -> int:
+    """A budget flag's value: a nonnegative integer, as on a ``budget`` line."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"budget values are nonnegative integers, not {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it
@@ -310,7 +317,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--base", help="base vertex for trees and fundamental groups")
     parser.add_argument("--json", action="store_true", help="emit canonical JSON")
     for key in _BUDGET_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
+        parser.add_argument(f"--{key.replace('_', '-')}", type=_budget_value, dest=key)
     return parser
 
 

@@ -20,13 +20,15 @@ the minimal polynomial of each representative on every radical block must
 have as many distinct roots in the ground field as its degree (exactly when
 it is squarefree and splits over that field, with no extension taken), and
 each pair must bracket to zero.  A class's spectrum on the blocks is decided
-once and kept on its cohomology space.  A common eigenbasis
-refines each block through the eigenspaces of the family (sparse kernels of
-the shifted operators), a stage losing dimension being a nonzero bracket;
-matched to the arrows, it yields a presentation whose character image holds
-the family, as the maximality analysis needs.  Vectors, basis blocks and
-linear systems are sparse ``{index: coeff}`` maps, and the arrow images of
-chi are path-algebra elements, sparse ``{Path: coeff}`` maps.
+once and kept on its cohomology space.  A common eigenbasis refines each
+block through the eigenspaces of the family (sparse kernels of the shifted
+operators), a stage losing dimension being a nonzero bracket; matched to the
+arrows, it yields a presentation whose character image holds the family, as
+the maximality analysis needs.  A span grows by one step (``_extensions``),
+a diagonalizable class of its centralizer outside it: the maximality test
+asks for one, the brute force of ``verify`` takes each.  Vectors, basis
+blocks and linear systems are sparse ``{index: coeff}`` maps, and the arrow
+images of chi are path-algebra elements, sparse ``{Path: coeff}`` maps.
 """
 
 from __future__ import annotations
@@ -205,14 +207,11 @@ def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> l
     return [{position[i]: x for i, x in d.image_of_basis(j).items()} for j in idxs]
 
 
-def _spectra(cls: CohomologyClass, remember: bool = True) -> tuple:
+def _spectra(cls: CohomologyClass) -> tuple:
     """Per radical block, up to the first that fails: key, columns, minimal
     polynomial, its sorted distinct roots in the field (None unless there
-    are as many as its degree).
-
-    Decided once per class: the tuple is kept in the space's memo, keyed by
-    the class (equal coordinates, equal key); ``remember=False`` reads the
-    memo without adding to it, for classes that are used once.
+    are as many as its degree).  Decided once per class: the tuple is kept
+    in the space's memo, keyed by the class (equal coordinates, equal key).
     """
     space = cls.space
     spectra = space._spectra.get(cls)
@@ -229,9 +228,7 @@ def _spectra(cls: CohomologyClass, remember: bool = True) -> tuple:
             out.append((key, columns, mp, roots))
             if roots is None:
                 break
-        spectra = tuple(out)
-        if remember:
-            space._spectra[cls] = spectra
+        spectra = space._spectra[cls] = tuple(out)
     return spectra
 
 
@@ -240,9 +237,9 @@ def diagonalizability_witness(cls: CohomologyClass):
     return next(((key, mp) for key, _, mp, roots in _spectra(cls) if roots is None), None)
 
 
-def is_diagonalizable_class(cls: CohomologyClass, remember: bool = True) -> bool:
-    """Is the class diagonalizable?  ``remember`` as for the spectrum memo."""
-    return all(roots is not None for *_, roots in _spectra(cls, remember))
+def is_diagonalizable_class(cls: CohomologyClass) -> bool:
+    """Is the class diagonalizable?  Decided once per class (``_spectra``)."""
+    return all(roots is not None for *_, roots in _spectra(cls))
 
 
 def is_diagonalizable_set(classes, eigenbasis: SpecialBasis | None = None) -> bool:
@@ -425,21 +422,32 @@ def centralizer(space: CohomologySpace, span: ClassSpan) -> ClassSpan:
 
 # the coefficients the maximality sweep tries over QQ, besides zero
 _RATIONAL_GRID = tuple(map(Fraction, (1, -1, 2, -2, 3, -3, "1/2", "-1/2")))
-
-
 _MAXDIAG_MAX_CANDIDATES = 20_000  # the classes the maximality sweep tries, at most
 
 
-def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan):
-    """Deterministic candidate stream through a span, up to the candidate
-    limit.  Over GF(p), one class per line: the combinations of its basis
-    whose last nonzero coefficient is 1, by the position of that
-    coefficient, then the first coordinate varying fastest (scaling by a
-    unit changes neither "diagonalizable" nor "in the span").  Over QQ,
-    every nonzero combination with coefficients from the rational grid and
-    zero, the last coordinate varying fastest."""
+def _lines_within_limit(field, dim: int) -> bool:
+    """Can one class per line sweep a space of this dimension?  Only over GF(p)."""
+    return isinstance(field, PrimeField) and (field.p ** dim - 1) // (field.p - 1) <= _MAXDIAG_MAX_CANDIDATES
+
+
+def _extensions(span: ClassSpan, cent: ClassSpan):
+    """Yield ``(cls, line)`` for each diagonalizable class of the centralizer
+    ``cent`` outside the span, ``line`` its monic multiple (first nonzero
+    coordinate 1), which the spectrum memo keeps.  At most
+    ``_MAXDIAG_MAX_CANDIDATES`` candidates, in a fixed order: over GF(p) one
+    per line, the combinations of ``cent``'s basis with last nonzero
+    coefficient 1, by its position, the first coordinate varying fastest;
+    over QQ every nonzero combination with coefficients from the rational
+    grid and zero, the last coordinate varying fastest.
+
+    Inner derivations are scalar on every corridor block, and a commutator
+    with a diagonalizable operator has zero diagonal on its eigenbasis.  So
+    commuting diagonalizable classes have exactly commuting representatives,
+    which share an eigenbasis: every class of ``span + line`` is diagonalizable.
+    """
+    space = span.space
     f = space.field
-    vectors = [b.coords for b in pool.basis_classes()]
+    vectors = [b.coords for b in cent.basis_classes()]
     if isinstance(f, PrimeField):
         combos = (
             (*reversed(lower), f.one)
@@ -450,15 +458,21 @@ def _iter_candidate_classes(space: CohomologySpace, pool: ClassSpan):
         combos = itertools.product(_RATIONAL_GRID + (f.zero,), repeat=len(vectors))
     nonzero = ({t: v for t, v in enumerate(c) if not f.is_zero(v)} for c in combos)
     for coeffs in itertools.islice(filter(None, nonzero), _MAXDIAG_MAX_CANDIDATES):
-        yield CohomologyClass(space, _combination(f, vectors, coeffs))
+        cls = CohomologyClass(space, _combination(f, vectors, coeffs))
+        if span.contains(cls):
+            continue
+        line = cls.scale(f.inv(cls.coords[min(cls.coords)]))
+        if is_diagonalizable_class(line):
+            yield cls, line
 
 
 def is_maximal_diagonalizable(span: ClassSpan, eigenbasis=None):
     """Three-valued maximality test for a diagonalizable span.
 
-    Returns ``(verdict, witness)``: a definite "no" carries a diagonalizable
-    class extending the span; "yes" is definite when the centralizer equals
-    the span or the finite-field sweep finishes; otherwise "unknown".
+    Returns ``(verdict, witness)``: a definite "no" carries the first
+    diagonalizable class extending the span (``_extensions``); "yes" is
+    definite when the centralizer equals the span or the sweep covered every
+    line of it (``_lines_within_limit``); otherwise "unknown".
     ``eigenbasis`` is the hint handed to :func:`is_diagonalizable_set`.
     """
     space = span.space
@@ -468,15 +482,6 @@ def is_maximal_diagonalizable(span: ClassSpan, eigenbasis=None):
     assert cent.contains_span(span)
     if cent.dim == span.dim:
         return YES, None
-    exhaustive = isinstance(space.field, PrimeField)
-    count = 0
-    for cls in _iter_candidate_classes(space, cent):
-        count += 1
-        if span.contains(cls):
-            continue
-        # each candidate is decided once: keep it out of the memo
-        if is_diagonalizable_class(cls, remember=False):
-            return NO, cls
-    if exhaustive and count < _MAXDIAG_MAX_CANDIDATES:
-        return YES, None
-    return UNKNOWN, None
+    for cls, _line in _extensions(span, cent):
+        return NO, cls
+    return (YES if _lines_within_limit(space.field, cent.dim) else UNKNOWN), None

@@ -58,11 +58,10 @@ from .pathalg import (
     transvection_of,
 )
 from .presentations import (
-    _MAXDIAG_MAX_CANDIDATES,
     Presentation,
-    _iter_candidate_classes,
+    _extensions,
+    _lines_within_limit,
     centralizer,
-    is_diagonalizable_class,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     realize_in_image,
@@ -361,34 +360,22 @@ def enumerate_spans(space: CohomologySpace) -> dict[ClassSpan, bool]:
     then pivots, then entries, mapped to whether it is maximal.
 
     Dropping the last echelon row leaves a diagonalizable span, so each one
-    grows from the zero span by diagonalizable lines of the centralizer, and
-    a span that none extends is maximal.  The lines are those of
-    ``_iter_candidate_classes``: exact up to ``_MAXDIAG_MAX_CANDIDATES`` lines.
+    grows from the zero span by the maximality test's step: the children of
+    a span are ``span + line`` for the lines ``_extensions`` yields, and a
+    span with none is maximal (exact up to ``_MAXDIAG_MAX_CANDIDATES`` lines).
     """
-    f = space.field
-    if not isinstance(f, PrimeField):
+    if not isinstance(space.field, PrimeField):
         raise ValueError("exhaustive span enumeration needs a finite field")
     spans: dict[ClassSpan, bool] = {}
     level = [space.span([])]
     while level:
-        grown: dict[ClassSpan, bool] = {}
+        children: dict[ClassSpan, None] = {}
         for s in level:
-            maximal = True
             basis = s.basis_classes()
-            for cls in _iter_candidate_classes(space, centralizer(space, s)):
-                if s.contains(cls):
-                    continue
-                # the line's monic row, the class the spectrum memo keeps
-                line = cls.scale(f.inv(cls.coords[min(cls.coords)]))
-                if not is_diagonalizable_class(line):
-                    continue
-                child = space.span(basis + [line])
-                if child not in grown:
-                    # it commutes, but its echelon rows need not be diagonalizable
-                    grown[child] = all(is_diagonalizable_class(c) for c in child.basis_classes())
-                maximal = maximal and not grown[child]
-            spans[s] = maximal
-        level = [t for t, diagonalizable in grown.items() if diagonalizable]
+            grown = [space.span(basis + [line]) for _cls, line in _extensions(s, centralizer(space, s))]
+            spans[s] = not grown
+            children.update(dict.fromkeys(grown))
+        level = list(children)
 
     def order(item):
         rows = [c.coords for c in item[0].basis_classes()]
@@ -405,10 +392,10 @@ def verify_main_theorem(
     Builds the relation quiver, checks that character images of source
     presentations are maximal diagonalizable, covers non-source images
     through realized presentations with source-related kernels, and (over a
-    prime field, when the cohomology has dimension at most 4 and at most
-    ``_MAXDIAG_MAX_CANDIDATES`` lines) compares against the brute-force list
-    of all diagonalizable spans (``enumerate_spans``), exhibiting a
-    conjugating automorphism between each pair of maximal subalgebras.
+    prime field, when the cohomology has dimension at most 4 and few enough
+    lines, ``_lines_within_limit``) compares against the brute-force list of
+    all diagonalizable spans (``enumerate_spans``), exhibiting a conjugating
+    automorphism between each pair of maximal subalgebras.
 
     Conjugacy is decided in one frame per kernel: the realizations sharing a
     kernel take the first one's presentation r as reference, and each other
@@ -466,8 +453,7 @@ def verify_main_theorem(
         record_source_relation(f"vertex {i}: realized kernel has a source relation", covering.kernel)
 
     brute = {"enabled": False}
-    f = seed.field
-    if isinstance(f, PrimeField) and space.dim <= 4 and (f.p ** space.dim - 1) // (f.p - 1) <= _MAXDIAG_MAX_CANDIDATES:
+    if space.dim <= 4 and _lines_within_limit(space.field, space.dim):
         brute["enabled"] = True
         spans = enumerate_spans(space)
         maximal = [s for s, top in spans.items() if top]

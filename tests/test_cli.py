@@ -228,6 +228,36 @@ def test_cli_verify_pins_a_larger_brute_force_report(tmp_path, capsys):
     assert digest == "297da6d9246b018a001fb0666919b9afd840d057cfa56dcd5321e0d215086c57"
 
 
+BUDGETED_SOURCES_DOC = """\
+field GF(2)
+quiver {
+  vertices 1, 2, 3, 4
+  arrow a: 1 -> 2
+  arrow d: 1 -> 2
+  arrow b: 1 -> 3
+  arrow c: 2 -> 4
+  arrow e: 3 -> 4
+}
+ideal I { c*a + e*b ; c*a + c*d }
+"""
+
+
+def test_cli_verify_source_relation_is_unknown_while_the_budget_runs_out(tmp_path, capsys):
+    # with one search node, Gamma keeps its 3 vertices but none of its arrows,
+    # so no source is known to share or to miss a maximal subalgebra's
+    # relation; the default budget decides both checks
+    path = write(tmp_path, BUDGETED_SOURCES_DOC)
+    name = "maximal subalgebra realizes over a source relation"
+    for flags, gamma, status in (
+        (["--search-max-nodes", "1"], {"vertex_count": 3, "arrow_count": 0, "unknown_candidates": 4}, "unknown"),
+        ([], {"vertex_count": 3, "arrow_count": 2, "unknown_candidates": 0}, "pass"),
+    ):
+        main(["verify", path, "--json", *flags])
+        report = json.loads(capsys.readouterr().out)
+        assert {k: report["gamma"][k] for k in gamma} == gamma
+        assert [c["status"] for c in report["checks"] if c["name"] == name] == [status, status]
+
+
 def test_cli_verify_conjugacy_check_fails_on_a_wrong_conjugation(tmp_path, capsys, monkeypatch):
     # conjugating every class to zero must make some pairs fail, however
     # the pairs are compared
@@ -359,6 +389,20 @@ def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exited:
             build_arg_parser().parse_args(["gamma", "x", f"--{key.replace('_', '-')}", "5"])
         assert exited.value.code == 2
+
+
+def test_cli_negative_budget_is_an_input_error(tmp_path, capsys):
+    # on both surfaces: the flag is refused while arguments are parsed, the
+    # document line by the parser; zero stays a budget
+    path = write(tmp_path, PARALLEL_PAIR_DOC)
+    for value in ("-5", "x"):
+        with pytest.raises(SystemExit) as exited:
+            main(["gamma", path, "--ideal", "I", "--search-max-nodes", value])
+        assert exited.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert main(["gamma", write(tmp_path, PARALLEL_PAIR_DOC + "budget search_max_nodes = -5\n", "neg.bq"), "--ideal", "I"]) == 2
+    assert "line 12" in capsys.readouterr().err
+    assert main(["gamma", path, "--ideal", "I", "--search-max-nodes", "0"]) == 3
 
 
 def test_cli_validate_flags_inadmissible_ideal(tmp_path, capsys):

@@ -32,6 +32,7 @@ from bquiver.homotopy import weight_of_walk
 from bquiver.linalg import _combination, minimal_polynomial
 from bquiver.pathalg import _render
 from bquiver.presentations import _diagonal_on
+from bquiver.relquiver import enumerate_spans
 
 from conftest import (
     chain_with_monomials,
@@ -133,7 +134,8 @@ def test_common_eigenbasis_requires_diagonalizable_family():
         assert err.value.witness == witness
 
 
-def test_each_class_spectrum_is_decided_once(monkeypatch):
+def count_minimal_polynomials(monkeypatch) -> list:
+    """The block sizes of the minimal polynomials presentations computes from now on."""
     calls = []
 
     def counting(field, columns):
@@ -141,6 +143,11 @@ def test_each_class_spectrum_is_decided_once(monkeypatch):
         return minimal_polynomial(field, columns)
 
     monkeypatch.setattr(presentations, "minimal_polynomial", counting)
+    return calls
+
+
+def test_each_class_spectrum_is_decided_once(monkeypatch):
+    calls = count_minimal_polynomials(monkeypatch)
     q, mono, _, tree = parallel_pair(QQ)
     space = CohomologySpace(FDAlgebra(mono))
     # equal classes built separately share one memo entry
@@ -152,13 +159,6 @@ def test_each_class_spectrum_is_decided_once(monkeypatch):
     common_eigenbasis([h1])
     common_eigenbasis([h2, h1])
     assert len(calls) == len(space.algebra.blocks)
-    # a class kept out of the memo is decided again on every call
-    y = displayed_class(space, {"a": [(1, "a")], "b": [(2, "b")]})
-    before = len(calls)
-    assert is_diagonalizable_class(y, remember=False)
-    assert is_diagonalizable_class(y, remember=False)
-    assert len(calls) == before + 2 * len(space.algebra.blocks)
-    assert y not in space._spectra
     # a non-diagonalizable class keeps its witness, decided up to the failing block once
     n = displayed_class(space, {"b": [(1, "a")]})
     before = len(calls)
@@ -173,13 +173,21 @@ def test_each_class_spectrum_is_decided_once(monkeypatch):
     assert len(calls) == before + decided
 
 
-def test_maximality_candidates_stay_out_of_the_spectrum_memo():
+def test_maximality_candidates_enter_the_spectrum_memo(monkeypatch):
     # the zero span of the Kronecker cohomology over GF(3) extends: the sweep
-    # decides candidates until a diagonalizable one turns up
+    # decides candidates through their monic lines until a diagonalizable one
+    # turns up, and keeps each decision, so asking again decides nothing new
+    calls = count_minimal_polynomials(monkeypatch)
     q, ideal, tree = kronecker(GF(3))
     space = CohomologySpace(FDAlgebra(ideal))
     verdict, witness = is_maximal_diagonalizable(space.span([]))
-    assert verdict == NO and witness not in space._spectra
+    assert verdict == NO
+    line = witness.scale(space.field.inv(witness.coords[min(witness.coords)]))
+    assert line in space._spectra
+    decided = len(calls)
+    assert decided > 0
+    assert is_maximal_diagonalizable(space.span([])) == (NO, witness)
+    assert len(calls) == decided
 
 
 def test_common_eigenbasis_diagonalizes_image():
@@ -434,7 +442,7 @@ def test_maximality_after_a_sweep_that_finds_no_candidate(monkeypatch):
     # the zero span of the Kronecker cohomology has a 3-dimensional
     # centralizer; with every candidate rejected, only the finite-field
     # sweep is exhaustive and so proves the span maximal
-    monkeypatch.setattr(presentations, "is_diagonalizable_class", lambda cls, remember=True: False)
+    monkeypatch.setattr(presentations, "is_diagonalizable_class", lambda cls: False)
     for field, expected in ((GF(3), YES), (QQ, "unknown")):
         space = CohomologySpace(FDAlgebra(kronecker(field)[1]))
         assert centralizer(space, space.span([])).dim == 3
@@ -452,7 +460,7 @@ def _maximality_by_every_vector(span):
     for digits in itertools.product(f.elements(), repeat=len(vectors)):
         coeffs = {t: v for t, v in enumerate(reversed(digits)) if v}
         cls = CohomologyClass(space, _combination(f, vectors, coeffs))
-        if coeffs and not span.contains(cls) and is_diagonalizable_class(cls, remember=False):
+        if coeffs and not span.contains(cls) and is_diagonalizable_class(cls):
             return NO, cls
     return YES, None
 
@@ -482,6 +490,44 @@ def test_maximality_sweep_by_lines_matches_every_vector():
                 assert witness.coords == expected_witness.coords
             swept += centralizer(space, span).dim > span.dim
     assert swept > 100
+
+
+def test_commuting_diagonalizable_classes_have_commuting_representatives():
+    # the lemma behind the maximality step: inner derivations are scalar on
+    # every corridor block, and a commutator with a diagonalizable operator
+    # has zero diagonal on its eigenbasis, so the canonical representatives
+    # of commuting diagonalizable classes commute exactly; hence every span
+    # that enumerate_spans grows has diagonalizable echelon rows
+    rng = random.Random(4242)
+    instances = pairs = rows = 0
+    while instances < 100:
+        field = rng.choice([GF(2), GF(3), GF(5), QQ])
+        ideal = random_admissible_ideal(rng, random_quiver(rng), field)
+        space = CohomologySpace(FDAlgebra(ideal))
+        if space.dim < 2:
+            continue
+        instances += 1
+        basis = space.basis_classes()
+        classes = basis + [
+            b1.scale(random_nonzero(rng, field)) + b2.scale(random_nonzero(rng, field))
+            for b1, b2 in (rng.sample(basis, 2) for _ in range(3))
+        ]
+        diagonalizable = [c for c in classes if not c.is_zero() and is_diagonalizable_class(c)]
+        for c, d in itertools.combinations(diagonalizable, 2):
+            if not space.bracket(c, d).is_zero():
+                continue
+            pairs += 1
+            rc, rd = c.representative(), d.representative()
+            for name in ideal.quiver.arrow_names:
+                assert rc.apply(rd.arrow_image(name)) == rd.apply(rc.arrow_image(name))
+        if field is not QQ and space.dim <= 4:
+            # decided afresh, in a space whose memo enumerate_spans never saw
+            fresh = CohomologySpace(FDAlgebra(ideal))
+            for span in enumerate_spans(space):
+                for row in span.basis_classes():
+                    assert is_diagonalizable_class(CohomologyClass(fresh, row.coords))
+                    rows += 1
+    assert pairs > 300 and rows > 500
 
 
 def test_maximality_rejects_non_diagonalizable_input():

@@ -19,6 +19,7 @@ from bquiver import (
     critical_taus,
     enumerate_bypasses,
     is_diagonalizable_set,
+    is_maximal_diagonalizable,
     presentation_for_vertex,
     sources_report,
     transvection_of,
@@ -435,6 +436,26 @@ def test_enumerate_spans_matches_every_subspace_filtered():
     assert maximal_dims == {1, 2}
     with pytest.raises(ValueError):
         enumerate_spans(CohomologySpace(FDAlgebra(kronecker(QQ)[1])))
+
+
+def test_enumerate_spans_agrees_with_the_maximality_test():
+    # both grow a span by the same step, so a span is flagged maximal exactly
+    # when is_maximal_diagonalizable says "yes" on it
+    from conftest import random_admissible_ideal, random_quiver
+
+    rng = random.Random(2027)
+    instances = checked = 0
+    for _ in range(120):
+        field = rng.choice([GF(2), GF(3), GF(5)])
+        ideal = random_admissible_ideal(rng, random_quiver(rng), field)
+        space = CohomologySpace(FDAlgebra(ideal))
+        if not 1 <= space.dim <= 4:
+            continue
+        instances += 1
+        for span, maximal in enumerate_spans(space).items():
+            assert (is_maximal_diagonalizable(span)[0] == YES) == maximal
+            checked += 1
+    assert instances > 40 and checked > 800
 
 
 def test_verify_main_theorem_parallel_pair_gf3():
