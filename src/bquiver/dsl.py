@@ -276,9 +276,9 @@ class _Parser:
         else:
             key = self.expect_name().text
             self.expect("=")
-            value_tok = self.expect_name()
+            value_tok = self.next()
             if not value_tok.text.isdigit():
-                self.fail("budget values are integers", value_tok)
+                self.fail("budget values are nonnegative integers", value_tok)
             doc.budget_settings[key] = int(value_tok.text)
 
 

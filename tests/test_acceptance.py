@@ -318,13 +318,11 @@ def test_criterion_11_main_theorem_harness_gf3():
         c["name"] == "maximal family equals realized character-image family" and c["status"] == "pass"
         for c in report["checks"]
     )
-    # part two: a conjugating automorphism was exhibited for every pair
-    assert report["brute_force"]["conjugacy_pairs_checked"] == 3
-    assert all(
-        c["status"] == "pass"
-        for c in report["checks"]
-        if c["name"].startswith("conjugacy pair")
-    )
+    # part two: a conjugating automorphism carries every maximal subalgebra
+    # onto a source image
+    assert report["brute_force"]["conjugated_onto_source"] == 3
+    conjugacy = [c["status"] for c in report["checks"] if c["name"] == "maximal subalgebra conjugate onto a source image"]
+    assert conjugacy == ["pass"] * 3
 
 
 @criterion(12, "structural invariants hold across the corpus")

@@ -194,9 +194,9 @@ def test_cli_verify_skips_brute_force_beyond_the_span_cap(tmp_path, capsys):
     assert report["statuses"] == {"fail": 0, "pass": 2, "unknown": 0}
 
 
-def test_cli_verify_pins_a_many_pair_brute_force_report(tmp_path, capsys):
+def test_cli_verify_pins_a_one_source_brute_force_report(tmp_path, capsys):
     # over GF(7) the sweep runs: 28 maximal subalgebras, all realized over
-    # one kernel, so every one of the 378 pairs has a conjugacy record
+    # the one source's kernel, so each is carried onto its image
     path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(7)"))
     assert main(["verify", path, "--json"]) == 0
     out = capsys.readouterr().out
@@ -205,15 +205,15 @@ def test_cli_verify_pins_a_many_pair_brute_force_report(tmp_path, capsys):
         "enabled": True,
         "diagonalizable_count": 226,
         "maximal_count": 28,
-        "conjugacy_pairs_checked": 378,
+        "conjugated_onto_source": 28,
     }
-    assert report["statuses"] == {"fail": 0, "pass": 410, "unknown": 0}
+    assert report["statuses"] == {"fail": 0, "pass": 60, "unknown": 0}
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "ee65684c33ae88d84821ee1aa6805dd3fb28a2f287dee656831b7ce5d9282452"
+    assert digest == "45f0ecbd47dbc3a832f3a48242308e7c46541d009273dad4c4a875296bd3e937"
 
 
 def test_cli_verify_pins_a_larger_brute_force_report(tmp_path, capsys):
-    # over GF(13): 91 maximal subalgebras over one kernel, 4095 pairs
+    # over GF(13): 91 maximal subalgebras over one kernel, 91 conjugacy records
     path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(13)"))
     assert main(["verify", path, "--json"]) == 0
     out = capsys.readouterr().out
@@ -222,10 +222,38 @@ def test_cli_verify_pins_a_larger_brute_force_report(tmp_path, capsys):
         "enabled": True,
         "diagonalizable_count": 1276,
         "maximal_count": 91,
-        "conjugacy_pairs_checked": 4095,
+        "conjugated_onto_source": 91,
     }
+    assert report["statuses"] == {"fail": 0, "pass": 186, "unknown": 0}
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "297da6d9246b018a001fb0666919b9afd840d057cfa56dcd5321e0d215086c57"
+    assert digest == "3a1613d93aabbfe2d0f3f6b3b24972762f91d854ef7446dc03f4fbc30fa4968a"
+
+
+# a double bypass over GF(2): two of the four maximal subalgebras realize
+# over kernels that no source presentation has
+FOREIGN_KERNEL_DOC = """\
+field GF(2)
+quiver {
+  vertices 1, 2, 3
+  arrow a: 1 -> 2
+  arrow b: 2 -> 3
+  arrow c: 2 -> 3
+  arrow d: 1 -> 3
+}
+ideal I { b*a + c*a }
+"""
+
+
+def test_cli_verify_conjugacy_is_unknown_without_a_source_kernel(tmp_path, capsys):
+    path = write(tmp_path, FOREIGN_KERNEL_DOC)
+    main(["verify", path, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["brute_force"]["maximal_count"] == 4
+    assert report["brute_force"]["conjugated_onto_source"] == 2
+    conjugacy = [c for c in report["checks"] if c["name"] == "maximal subalgebra conjugate onto a source image"]
+    assert [c["status"] for c in conjugacy].count("pass") == 2
+    unknown = [c for c in conjugacy if c["status"] == "unknown"]
+    assert [c["detail"] for c in unknown] == ["no source presentation has its kernel"] * 2
 
 
 BUDGETED_SOURCES_DOC = """\
@@ -259,15 +287,15 @@ def test_cli_verify_source_relation_is_unknown_while_the_budget_runs_out(tmp_pat
 
 
 def test_cli_verify_conjugacy_check_fails_on_a_wrong_conjugation(tmp_path, capsys, monkeypatch):
-    # conjugating every class to zero must make some pairs fail, however
-    # the pairs are compared
+    # conjugating every class to zero must fail every maximal subalgebra
+    # that is carried onto a source image
     monkeypatch.setattr(relquiver, "conjugate_class", lambda space, rho, classes: [space.zero_class() for _ in classes])
     path = write(tmp_path, BYPASS_PAIR_DOC.replace("GF(19)", "GF(7)"))
     assert main(["verify", path, "--json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     failed = [c for c in checks if c["status"] == "fail"]
-    assert failed
-    assert {c["name"] for c in failed} == {"conjugacy pair: automorphism carries one image onto the other"}
+    assert len(failed) == 28
+    assert {c["name"] for c in failed} == {"maximal subalgebra conjugate onto a source image"}
 
 
 def test_cli_validate_reports_failures(tmp_path, capsys):
@@ -400,8 +428,11 @@ def test_cli_negative_budget_is_an_input_error(tmp_path, capsys):
             main(["gamma", path, "--ideal", "I", "--search-max-nodes", value])
         assert exited.value.code == 2
     assert "nonnegative" in capsys.readouterr().err
-    assert main(["gamma", write(tmp_path, PARALLEL_PAIR_DOC + "budget search_max_nodes = -5\n", "neg.bq"), "--ideal", "I"]) == 2
-    assert "line 12" in capsys.readouterr().err
+    for value in ("-5", "x"):
+        doc = PARALLEL_PAIR_DOC + f"budget search_max_nodes = {value}\n"
+        assert main(["gamma", write(tmp_path, doc, "neg.bq"), "--ideal", "I"]) == 2
+        err = capsys.readouterr().err
+        assert "line 12" in err and "budget values are nonnegative integers" in err
     assert main(["gamma", path, "--ideal", "I", "--search-max-nodes", "0"]) == 3
 
 

@@ -84,7 +84,7 @@ GOLDEN = {
     ("two_triangles", "I", "theta"): (0, "d0ee16f20d22e9baf30892804f03b07c844df8de0923edbcd20983b51d6d5c54"),
     ("two_triangles", "I", "gamma"): (0, "85d40c923202acc5f8afe4d99726ee822f14196662ea6ee9e307d89d5283c006"),
     ("two_triangles", "I", "maxdiag"): (0, "c693c10c8105c1eb05198dd7ac0837d01ca06a69b539f9fe1e33a5fbf8e4ad12"),
-    ("two_triangles", "I", "verify"): (3, "801cff68cd31a9a0ea5317bd5cd1ab31921ee7a7b19c880d3733b8df56ddd466"),
+    ("two_triangles", "I", "verify"): (0, "b108f3a6ea8ae674bfc05c87e7461b2cd94b6dc99e852ea7d045a96a1f2f5c2c"),
     ("two_triangles", "K", "validate"): (0, "eac218bad760066fc93d88452bf4fec13bb0eecd0a1e8fae3849ac3ae10d15f5"),
     ("two_triangles", "K", "pi1"): (0, "8d488189f43ecdab888755b676ab6347bdfef1da80ce9cd1124fe0d007f3de84"),
     ("two_triangles", "K", "homk"): (0, "a949b2a83453204a8e76c914652ff67c678f260cb6f225fd5fc97f413e0f2cb8"),
@@ -92,7 +92,7 @@ GOLDEN = {
     ("two_triangles", "K", "theta"): (0, "47632f5797c13f53a918f8d976bc8a821aee270f676f4790d8e06c504cb8b71e"),
     ("two_triangles", "K", "gamma"): (0, "637bcf8a1d048490a69364f1c822766ec4a70dc5143ffde31ccff0b7e53dafb1"),
     ("two_triangles", "K", "maxdiag"): (0, "f5ecabc505bf4ef7dddbb42d32164bf45c4e1da93309ac494454624063a76912"),
-    ("two_triangles", "K", "verify"): (3, "2f42dd115746110a2b9170c71daa2adeae3e6920dd04591b077d7bb5df00706d"),
+    ("two_triangles", "K", "verify"): (0, "94ee90b2bdd3d86f0c95162febcc4e92ff09db933710f5926f1cb74cb8f7f16d"),
     ("kronecker", "Z", "validate"): (0, "89f8837c00e48f2f1634928802dea8d471c33681fca772020eb1c900e53ae6a5"),
     ("kronecker", "Z", "pi1"): (0, "e2fc2c1946fdd5f5970e59717d1bfce71d1147ff24d28778b38836bfbb3032b6"),
     ("kronecker", "Z", "homk"): (0, "aac5eb2994b1708f0000eccc9c62a2833f4df95d86b2c2f01a02897d3cbf4070"),
@@ -124,7 +124,7 @@ GOLDEN = {
     ("gf3", "I", "theta"): (0, "726561a634c3b9c0097bfb833bdcca96641c972b67725521a95192b6b732635c"),
     ("gf3", "I", "gamma"): (0, "15da2215b20e5f32a106e1ccadf8e251c816b6e151e65c33a08d6269a5b8f773"),
     ("gf3", "I", "maxdiag"): (1, "ef7d8e624669539a4211668f5a13f145e569a281610d299ec2a3ff62fc095d75"),
-    ("gf3", "I", "verify"): (1, "fc2b1b8441d7fbae9bd60893ef0a1115acb82824851440b094be7cd972838b83"),
+    ("gf3", "I", "verify"): (1, "7d2b558493216771052b4c2268ca5b8b8b17c7c3ec73451a88ff973f0143a448"),
     ("gf3", "M", "validate"): (0, "1540e0961925162900cf594fe92e284adbdc2406b96e2fb95a41c1fb1946d38a"),
     ("gf3", "M", "pi1"): (0, "ec59730a7071c4ff9c9db81e1a7912766328f314487bf08e13adfcab02c91c66"),
     ("gf3", "M", "homk"): (0, "ed0cf6e2b41c4f2161eb7872d462ef335533b17a33913c04003a160278268a00"),
@@ -132,7 +132,7 @@ GOLDEN = {
     ("gf3", "M", "theta"): (0, "cc661dc8ce67b67621f98fe8722f3e9762c1841abaf6882d2ca4e4975d0e1c57"),
     ("gf3", "M", "gamma"): (0, "bbae5475dbb6a0d4f233855d489981407fb360bb629461b6adc3b540e3eaac4e"),
     ("gf3", "M", "maxdiag"): (0, "949f458d09716033c9af98f89b755cf06c1430ae96a8f1607dca075b91aa223a"),
-    ("gf3", "M", "verify"): (0, "7c5721ecd5c702b5789f7308f211a0756f375c841f40db9e8a4ebaff31444f4d"),
+    ("gf3", "M", "verify"): (0, "6416764ba71378dca298f4b6d1cd761f9be750d4a43b68afd47c2fb774c273eb"),
 }
 
 

@@ -21,6 +21,7 @@ from bquiver import (
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     presentation_for_vertex,
+    realize_in_image,
     sources_report,
     transvection_of,
     verify_main_theorem,
@@ -469,7 +470,7 @@ def test_verify_main_theorem_parallel_pair_gf3():
     assert report["sources"]["unique_source"]
     assert report["brute_force"]["enabled"]
     assert report["brute_force"]["maximal_count"] == 3
-    assert report["brute_force"]["conjugacy_pairs_checked"] == 3
+    assert report["brute_force"]["conjugated_onto_source"] == 3
 
 
 def test_verify_main_theorem_kronecker():
@@ -495,15 +496,21 @@ def test_verify_main_theorem_two_triangles_variants():
     assert report["brute_force"]["maximal_count"] == 2
     assert report["gamma"]["vertex_count"] == 2
     # the two-relation ideal has two sources with different homotopy
-    # relations; the conjugacy construction has no common kernel to work
-    # over, so that one comparison stays honestly unknown
+    # relations; each of its two maximal subalgebras realizes over the
+    # kernel of its own source and is carried onto that source's image
     q, pair_ideal, twisted, tree = two_triangles_pair(GF(2))
     report = verify_main_theorem(pair_ideal, tree)
-    assert report["statuses"]["fail"] == 0
-    assert report["statuses"]["unknown"] == 1
+    assert report["statuses"] == {"pass": 13, "fail": 0, "unknown": 0}
     assert not report["sources"]["unique_source"]
-    unknowns = [c for c in report["checks"] if c["status"] == "unknown"]
-    assert unknowns and unknowns[0]["name"].startswith("conjugacy pair")
+    assert report["brute_force"]["maximal_count"] == 2
+    assert report["brute_force"]["conjugated_onto_source"] == 2
+    rq = build_relation_quiver(pair_ideal, tree)
+    space = CohomologySpace(FDAlgebra(pair_ideal))
+    kernels = [realize_in_image(s.basis_classes(), tree)[0].kernel for s, top in enumerate_spans(space).items() if top]
+    assert len(kernels) == 2
+    assert set(kernels) == {rq.vertices[i].ideal for i in report["sources"]["sources"]}
+    conjugacy = [c["status"] for c in report["checks"] if c["name"] == "maximal subalgebra conjugate onto a source image"]
+    assert conjugacy == ["pass", "pass"]
 
 
 def test_relation_quiver_robust_on_random_instances():
