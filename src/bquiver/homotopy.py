@@ -23,6 +23,7 @@ of the relation:
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -39,20 +40,11 @@ UNKNOWN = "unknown"
 
 
 def homotopy_pairs(ideal: IdealData) -> tuple[tuple[Path, Path], ...]:
-    """All unordered support pairs of the ideal's reduced-basis elements."""
+    """All unordered support pairs of the ideal's reduced-basis elements,
+    each once, in order of first appearance."""
     q = ideal.quiver
-    seen = set()
-    out = []
-    for elem in ideal.basis:
-        support = q.sort_paths(elem)
-        for i in range(len(support)):
-            for j in range(i + 1, len(support)):
-                u, v = support[i], support[j]
-                key = (q.path_key(u), q.path_key(v))
-                if key not in seen:
-                    seen.add(key)
-                    out.append((u, v))
-    return tuple(out)
+    pairs = (pair for elem in ideal.basis for pair in itertools.combinations(q.sort_paths(elem), 2))
+    return tuple(dict.fromkeys(pairs))
 
 
 Word = tuple[int, ...]  # signed 1-based generator indices, freely reduced

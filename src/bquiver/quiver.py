@@ -11,13 +11,16 @@ Conventions used throughout the package:
 * All enumeration orders are deterministic: vertices by declaration order,
   arrows by name, paths by (length, source index, target index, arrow-name
   sequence).
+* A ``Path`` is a named tuple ``(source, target, arrows)``: it hashes and
+  compares equal as a tuple, so ``{Path: coeff}`` elements key on it at C
+  speed, but it is not orderable.  Sort paths with ``Quiver.path_key``.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -27,8 +30,7 @@ class Arrow:
     target: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """An oriented path; ``arrows`` lists traversed arrow names in order."""
 
     source: str
@@ -47,6 +49,12 @@ class Path:
         if not self.arrows:
             return f"e_{self.source}"
         return "*".join(reversed(self.arrows))
+
+    # paths have no order of their own: sort them with ``Quiver.path_key``
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,14 @@ class Quiver:
         self.arrows = tuple(arrow_list)
         self.arrow_by_name = {a.name: a for a in self.arrows}
         self.arrow_names = tuple(sorted(self.arrow_by_name))
+        self._arrow_paths = {a.name: Path(a.source, a.target, (a.name,)) for a in self.arrows}
+        outgoing: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        for name in self.arrow_names:
+            a = self.arrow_by_name[name]
+            outgoing[a.source].append(a)
+        self._outgoing = {v: tuple(arrows) for v, arrows in outgoing.items()}
         self._all_paths: tuple[Path, ...] | None = None
+        self._corridors: dict[tuple[str, str], tuple[Path, ...]] = {}
         self._parallel_classes: dict[tuple[str, str], tuple[str, ...]] | None = None
         self._diagnostics = self._diagnose()
 
@@ -123,32 +138,40 @@ class Quiver:
         except KeyError:
             raise QuiverError(f"unknown arrow {name!r}") from None
 
-    def outgoing(self, vertex: str) -> list[Arrow]:
-        return [self.arrow_by_name[n] for n in self.arrow_names if self.arrow_by_name[n].source == vertex]
+    def outgoing(self, vertex: str) -> tuple[Arrow, ...]:
+        """The arrows leaving ``vertex``, by name."""
+        return self._outgoing.get(vertex, ())
 
     def _diagnose(self) -> dict:
         """Acyclicity and connectedness, as the diagnostics of ``validate``."""
         # acyclicity by DFS; the cycle witness is the arrows of the DFS path
         # from the back edge's target, then that edge
         done: set[str] = set()
-        stack: list[str] = []
-        trail: list[str] = []
-
-        def dfs(v: str):
-            stack.append(v)
-            for a in self.outgoing(v):
-                if a.target in stack:
-                    return trail[stack.index(a.target):] + [a.name]
-                if a.target not in done:
+        depth: dict[str, int] = {}  # the vertices on the DFS path, by position
+        trail: list[str] = []  # the arrows of the DFS path
+        cycle = None
+        for root in self.vertices:
+            if root in done:
+                continue
+            depth[root] = 0
+            frames = [(root, iter(self.outgoing(root)))]
+            while frames and cycle is None:
+                v, pending = frames[-1]
+                a = next(pending, None)
+                if a is None:
+                    frames.pop()
+                    del depth[v]
+                    done.add(v)
+                    if frames:
+                        trail.pop()
+                elif a.target in depth:
+                    cycle = trail[depth[a.target]:] + [a.name]
+                elif a.target not in done:
                     trail.append(a.name)
-                    cycle = dfs(a.target)
-                    if cycle:
-                        return cycle
-                    trail.pop()
-            done.add(stack.pop())
-            return None
-
-        cycle = next(filter(None, (dfs(v) for v in self.vertices if v not in done)), None)
+                    depth[a.target] = len(frames)
+                    frames.append((a.target, iter(self.outgoing(a.target))))
+            if cycle is not None:
+                break
         # connected components of the underlying graph, by first vertex
         components: list[list[str]] = []
         for v in self.vertices:
@@ -188,12 +211,14 @@ class Quiver:
         return Path(arrows[0].source, arrows[-1].target, tuple(a.name for a in arrows))
 
     def arrow_path(self, name: str) -> Path:
-        a = self.arrow(name)
-        return Path(a.source, a.target, (a.name,))
+        try:
+            return self._arrow_paths[name]
+        except KeyError:
+            raise QuiverError(f"unknown arrow {name!r}") from None
 
     def path_key(self, p: Path):
         """The global deterministic path order key: length, endpoints, names."""
-        return (p.length, self.vertex_index[p.source], self.vertex_index[p.target], p.arrows)
+        return (len(p.arrows), self.vertex_index[p.source], self.vertex_index[p.target], p.arrows)
 
     def corridor_key(self, corridor: tuple[str, str]):
         """The corridor order key: (source, target) by vertex position."""
@@ -227,12 +252,18 @@ class Quiver:
                         nxt.append(Path(p.source, a.target, p.arrows + (a.name,)))
                 frontier = nxt
             self._all_paths = tuple(self.sort_paths(found))
+            corridors: dict[tuple[str, str], list[Path]] = {}
+            for p in self._all_paths:
+                corridors.setdefault((p.source, p.target), []).append(p)
+            self._corridors = {k: tuple(ps) for k, ps in corridors.items()}
         return self._all_paths
 
     def paths_between(self, source: str, target: str) -> list[Path]:
+        """The paths from ``source`` to ``target``, in path order."""
         if source not in self.vertex_index or target not in self.vertex_index:
             raise QuiverError("unknown vertex")
-        return [p for p in self.all_paths() if p.source == source and p.target == target]
+        self.all_paths()  # which indexes the paths by corridor as well
+        return list(self._corridors.get((source, target), ()))
 
     # ---------- walks ----------
 

@@ -1,10 +1,16 @@
+import random
+import sys
+
 import pytest
 
-from bquiver import Quiver, QuiverError, enumerate_bypasses, has_double_bypass
+from bquiver import QQ, Path, Quiver, QuiverError, enumerate_bypasses, has_double_bypass
 
 from conftest import (
     chain_quiver,
+    commutative_square,
+    kronecker_quiver,
     parallel_pair_quiver,
+    random_quiver,
     two_triangles_quiver,
 )
 
@@ -45,6 +51,17 @@ def test_validate_orders_components_by_first_vertex():
     assert q.validate()["components"] == [["1", "3", "4"], ["2", "5"]]
     with pytest.raises(QuiverError, match="invalid quiver"):
         q.require_valid()
+
+
+def test_validate_reads_quivers_deeper_than_the_recursion_limit():
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    vertices = [f"v{i}" for i in range(n)]
+    chain = Quiver(vertices, [(f"a{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)])
+    assert chain.validate() == {"ok": True, "cycle": None, "components": None}
+    # the witness of an oriented cycle is all of its arrows, from the first vertex
+    cycle = Quiver(vertices, [(f"a{i}", vertices[i], vertices[(i + 1) % n]) for i in range(n)])
+    assert cycle.validate() == {"ok": False, "cycle": [f"a{i}" for i in range(n)], "components": None}
 
 
 def test_unknown_endpoint_rejected():
@@ -205,3 +222,48 @@ def test_double_bypass_cases():
     assert (witness[0], str(witness[1]), witness[2], str(witness[3])) == ("a", "b", "b", "a")
     assert not has_double_bypass(two_triangles_quiver())[0]
     assert not has_double_bypass(chain_quiver(3))[0]
+
+
+def test_path_hashes_and_compares_as_a_tuple():
+    # {Path: coeff} elements key on paths everywhere: their hash and
+    # equality are tuple's own, with no Python-level call
+    assert Path.__hash__ is tuple.__hash__
+    assert Path.__eq__ is tuple.__eq__
+    p = Path("1", "3", ("a", "c"))
+    assert repr(p) == "Path(source='1', target='3', arrows=('a', 'c'))"
+    assert str(p) == "c*a" and p.length == 2 and not p.is_trivial
+    e = Path("2", "2", ())
+    assert repr(e) == "Path(source='2', target='2', arrows=())"
+    assert str(e) == "e_2" and e.length == 0 and e.is_trivial
+
+
+def test_paths_are_not_orderable():
+    a, b = Path("1", "2", ("a",)), Path("1", "2", ("b",))
+    for compare in (a.__lt__, a.__le__, a.__gt__, a.__ge__):
+        assert compare(b) is NotImplemented
+    with pytest.raises(TypeError):
+        a < b
+    with pytest.raises(TypeError):
+        sorted([b, a])
+    assert parallel_pair_quiver().sort_paths([b, a]) == [a, b]
+
+
+def test_quiver_constants_match_their_definitions():
+    rng = random.Random(2207)
+    square = commutative_square(QQ, bound=False)[0]
+    golden = [parallel_pair_quiver(), kronecker_quiver(), two_triangles_quiver(), square, chain_quiver(5)]
+    for q in golden + [random_quiver(rng) for _ in range(12)]:
+        paths = q.all_paths()
+        for p in paths:
+            assert q.path_key(p) == (len(p.arrows), q.vertex_index[p.source], q.vertex_index[p.target], p.arrows)
+        for s in q.vertices:
+            for t in q.vertices:
+                corridor = q.paths_between(s, t)
+                assert corridor == [p for p in paths if p.source == s and p.target == t]
+                corridor.append(Path(s, t, ("x",)))
+                assert q.paths_between(s, t) == corridor[:-1]
+        for name in q.arrow_names:
+            a = q.arrow(name)
+            assert q.arrow_path(name) == Path(a.source, a.target, (name,))
+        with pytest.raises(QuiverError, match="unknown arrow"):
+            q.arrow_path("no such arrow")
