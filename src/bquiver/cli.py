@@ -178,7 +178,7 @@ def _cmd_theta(document: InputDocument, args, budgets) -> tuple[dict, bool]:
         "image_dim": image.dim,
         "cohomology_dim": space.dim,
         "image_basis": [_class_vector(c) for c in image.basis_classes()],
-        "diagonalizable": is_diagonalizable_set(image.basis_classes(), pres.adapted_basis_blocks()),
+        "diagonalizable": is_diagonalizable_set(image.basis_classes(), pres),
     }
     return payload, True
 
@@ -209,7 +209,7 @@ def _cmd_maxdiag(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     space = CohomologySpace(FDAlgebra(ideal))
     pres = Presentation.natural(space, tree)
     image = pres.character_image()
-    verdict, witness = is_maximal_diagonalizable(image, pres.adapted_basis_blocks())
+    verdict, witness = is_maximal_diagonalizable(image, pres)
     payload = {
         "ideal": name,
         "image_dim": image.dim,

@@ -12,14 +12,18 @@ its weight sum.  That is the derivation on a modulo the ideal I: s is a
 derivation of the path algebra mapping the kernel K = chi^-1(I) into K, so
 chi^-1(a) need not be reduced modulo K, and no matrix of the adapted basis
 is built or inverted.  chi^-1 is computed once per presentation; it also
-transports the ideal to the kernel.
+transports the ideal to the kernel.  The natural presentation is the
+identity, its own inverse, with the ideal itself as kernel: neither is
+computed.
 
-A family whose canonical representatives scale every vector of a corridor
-basis (an image on its adapted basis) is diagonalizable and commutes; else
-the minimal polynomial of each representative on every radical block must
-have as many distinct roots in the ground field as its degree (exactly when
-it is squarefree and splits over that field, with no extension taken), and
-each pair must bracket to zero.  A class's spectrum on the blocks is decided
+A family whose canonical representatives scale the arrow images of a
+presentation is diagonalizable and commutes: by the Leibniz rule they then
+scale the whole adapted basis (``is_diagonalizable_set``), so a character
+image is certified on its |Q_1| arrow images alone.  Else the minimal
+polynomial of each representative on every radical block must have as many
+distinct roots in the ground field as its degree (exactly when it is
+squarefree and splits over that field, with no extension taken), and each
+pair must bracket to zero.  A class's spectrum on the blocks is decided
 once and kept on its cohomology space.  A common eigenbasis refines each
 block through the eigenspaces of the family (sparse kernels of the shifted
 operators), a stage losing dimension being a nonzero bracket; matched to the
@@ -85,7 +89,11 @@ class Presentation:
 
     @classmethod
     def natural(cls, space: CohomologySpace, tree: SpanningTree) -> "Presentation":
-        return cls(space, identity_automorphism(space.algebra.quiver, space.field), tree)
+        """The identity presentation: chi^-1 is chi and the kernel is the ideal."""
+        pres = cls(space, identity_automorphism(space.algebra.quiver, space.field), tree)
+        pres.chi_inverse = pres.chi
+        pres.kernel = space.algebra.ideal
+        return pres
 
     @functools.cached_property
     def chi_inverse(self) -> Automorphism:
@@ -112,6 +120,11 @@ class Presentation:
     def image_of_path(self, p: Path) -> dict:
         """The sparse vector of the path's image in the reference algebra."""
         return self.algebra.vector_of(self.chi.apply_path(p))
+
+    def arrow_images(self) -> list[dict]:
+        """chi(a) for each arrow a, by name, as sparse vectors."""
+        q = self.algebra.quiver
+        return [self.image_of_path(q.arrow_path(name)) for name in q.arrow_names]
 
     def adapted_basis_blocks(self) -> "SpecialBasis":
         blocks: dict[tuple[str, str], list[dict]] = {}
@@ -242,11 +255,24 @@ def is_diagonalizable_class(cls: CohomologyClass) -> bool:
     return all(roots is not None for *_, roots in _spectra(cls))
 
 
-def is_diagonalizable_set(classes, eigenbasis: SpecialBasis | None = None) -> bool:
-    """A family diagonal on ``eigenbasis`` is; else every class is decided
-    and every pair bracketed, so the answer does not depend on the hint."""
+def is_diagonalizable_set(classes, presentation: Presentation | None = None) -> bool:
+    """A family diagonal on the presentation's arrow images is; else every
+    class is decided and every pair bracketed, so the answer does not depend
+    on the hint.
+
+    The arrow images certify exactly.  Let chi be the presentation, K its
+    kernel, and D a unitary derivation with D(chi(a)) = l_a * chi(a) for
+    every arrow a.  For a path p = a_n...a_1, chi(p) = chi(a_n)...chi(a_1),
+    so by the Leibniz rule D(chi(p)) = (l_(a_1) + ... + l_(a_n)) * chi(p);
+    D kills the idempotents, which chi fixes.  chi maps kQ/K isomorphically
+    onto A = kQ/I, so the images of K's normal paths, the adapted basis, form
+    a basis of A, and D is diagonal on it.  A family diagonal on one basis is
+    diagonalizable and its representatives commute.  Conversely the arrows
+    are normal paths of the admissible K, so a family diagonal on the
+    adapted basis is diagonal on the arrow images.
+    """
     classes = list(classes)
-    if eigenbasis is not None and _diagonal_on(classes, eigenbasis) is not None:
+    if presentation is not None and _diagonal_on(classes, presentation.arrow_images()) is not None:
         return True
     return all(is_diagonalizable_class(c) for c in classes) and all(
         c.space.bracket(c, d).is_zero() for c, d in itertools.combinations(classes, 2)
@@ -312,8 +338,9 @@ def common_eigenbasis(classes) -> SpecialBasis:
 
 def _diagonal_on(classes, vectors):
     """Each class's eigenvalues on the vectors (a sequence or a :class:`SpecialBasis`),
-    or None if one is not an eigenvector; on a basis, a certificate that the
-    family is diagonalizable and commutes (diagonal on one basis per block)."""
+    or None if one is not an eigenvector; on a basis, or on the arrow images
+    of a presentation (``is_diagonalizable_set``), a certificate that the
+    family is diagonalizable and commutes."""
     out = []
     for cls in classes:
         d = cls.representative()
@@ -383,7 +410,7 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
     f = space.field
     q = space.algebra.quiver
     weights_out = []
-    eigenvalues = _diagonal_on(classes, [pres.image_of_path(q.arrow_path(name)) for name in q.arrow_names])
+    eigenvalues = _diagonal_on(classes, pres.arrow_images())
     assert eigenvalues is not None
     for cls, lams in zip(classes, eigenvalues):
         raw = dict(zip(q.arrow_names, lams))
@@ -466,17 +493,17 @@ def _extensions(span: ClassSpan, cent: ClassSpan):
             yield cls, line
 
 
-def is_maximal_diagonalizable(span: ClassSpan, eigenbasis=None):
+def is_maximal_diagonalizable(span: ClassSpan, presentation: Presentation | None = None):
     """Three-valued maximality test for a diagonalizable span.
 
     Returns ``(verdict, witness)``: a definite "no" carries the first
     diagonalizable class extending the span (``_extensions``); "yes" is
     definite when the centralizer equals the span or the sweep covered every
     line of it (``_lines_within_limit``); otherwise "unknown".
-    ``eigenbasis`` is the hint handed to :func:`is_diagonalizable_set`.
+    ``presentation`` is the hint handed to :func:`is_diagonalizable_set`.
     """
     space = span.space
-    if not is_diagonalizable_set(span.basis_classes(), eigenbasis):
+    if not is_diagonalizable_set(span.basis_classes(), presentation):
         raise ValueError("span is not diagonalizable")
     cent = centralizer(space, span)
     assert cent.contains_span(span)

@@ -121,10 +121,15 @@ class Quiver:
         self.arrow_names = tuple(sorted(self.arrow_by_name))
         self._arrow_paths = {a.name: Path(a.source, a.target, (a.name,)) for a in self.arrows}
         outgoing: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        incident: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for name in self.arrow_names:
             a = self.arrow_by_name[name]
             outgoing[a.source].append(a)
+            incident[a.source].append(a)
+            if a.target != a.source:
+                incident[a.target].append(a)
         self._outgoing = {v: tuple(arrows) for v, arrows in outgoing.items()}
+        self._incident = {v: tuple(arrows) for v, arrows in incident.items()}
         self._all_paths: tuple[Path, ...] | None = None
         self._corridors: dict[tuple[str, str], tuple[Path, ...]] = {}
         self._parallel_classes: dict[tuple[str, str], tuple[str, ...]] | None = None
@@ -174,9 +179,12 @@ class Quiver:
                 break
         # connected components of the underlying graph, by first vertex
         components: list[list[str]] = []
+        reached: set[str] = set()
         for v in self.vertices:
-            if not any(v in c for c in components):
-                components.append(sorted(_bfs_walks(self, v, self.arrow_names), key=self.vertex_index.get))
+            if v not in reached:
+                component = _bfs_walks(self, v, self.arrow_names)
+                reached.update(component)
+                components.append(sorted(component, key=self.vertex_index.get))
         split = len(components) > 1
         return {"ok": cycle is None and not split, "cycle": cycle, "components": components if split else None}
 
@@ -320,18 +328,23 @@ class Quiver:
 
 def _bfs_walks(quiver: Quiver, base: str, arrow_names: Iterable[str]) -> dict[str, Walk]:
     """The walk from ``base`` to each vertex it reaches through the given
-    arrows, by BFS: vertices in discovery order, arrows by name."""
+    arrows, by BFS: vertices in discovery order, the arrows at each vertex
+    by name (its incidence list)."""
+    allowed = frozenset(arrow_names)
+    unknown = sorted(allowed - quiver.arrow_by_name.keys())
+    if unknown:
+        raise QuiverError(f"unknown arrow {unknown[0]!r}")
     walks = {base: quiver.walk((), at=base)}
-    names = sorted(arrow_names)
     order = [base]
     for v in order:  # grows while it is read
-        for name in names:
-            a = quiver.arrow(name)
+        for a in quiver._incident[v]:
+            if a.name not in allowed:
+                continue
             step = None
             if a.source == v and a.target not in walks:
-                step, other = (name, 1), a.target
+                step, other = (a.name, 1), a.target
             elif a.target == v and a.source not in walks:
-                step, other = (name, -1), a.source
+                step, other = (a.name, -1), a.source
             if step is not None:
                 walks[other] = Walk(base, other, walks[v].steps + (step,))
                 order.append(other)

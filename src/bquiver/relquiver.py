@@ -430,10 +430,9 @@ def verify_main_theorem(
         pres = presentation_for_vertex(space, rq, i)
         source_presentations[i] = pres
         image = pres.character_image()
-        adapted = pres.adapted_basis_blocks()
-        diag = is_diagonalizable_set(image.basis_classes(), adapted)
+        diag = is_diagonalizable_set(image.basis_classes(), pres)
         record(f"source {i}: character image diagonalizable", "pass" if diag else "fail")
-        verdict, witness = is_maximal_diagonalizable(image, adapted)
+        verdict, witness = is_maximal_diagonalizable(image, pres)
         status = {"yes": "pass", "no": "fail", "unknown": "unknown"}[verdict]
         record(f"source {i}: character image maximal", status)
 

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import random
 
 import pytest
 
 from bquiver import (
+    Budgets,
     CohomologyClass,
     CohomologySpace,
     Derivation,
@@ -24,6 +26,7 @@ from bquiver import (
     is_diagonalizable_class,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
+    parse_input,
     realize_in_image,
     transvection_of,
 )
@@ -32,7 +35,7 @@ from bquiver.homotopy import weight_of_walk
 from bquiver.linalg import _combination, minimal_polynomial
 from bquiver.pathalg import _render
 from bquiver.presentations import _diagonal_on
-from bquiver.relquiver import enumerate_spans
+from bquiver.relquiver import build_relation_quiver, enumerate_spans, presentation_for_vertex
 
 from conftest import (
     chain_with_monomials,
@@ -48,6 +51,7 @@ from conftest import (
     two_triangles_full,
     two_triangles_twist,
 )
+from test_golden_digests import DOCUMENTS
 
 
 def natural_of(ideal, tree=None):
@@ -201,9 +205,13 @@ def test_common_eigenbasis_diagonalizes_image():
         assert len(basis.block(*key)) == len(idxs)
 
 
-def test_character_images_are_diagonal_on_their_adapted_bases():
-    # the certificate holds for natural and twisted presentations, and the
-    # hint never changes the answer
+def no_spectrum(cls):
+    raise AssertionError("the certificate must decide no spectrum")
+
+
+def test_character_images_are_diagonal_on_their_adapted_bases(monkeypatch):
+    # the certificate holds for natural and twisted presentations, it needs
+    # no spectrum, and the hint never changes the answer
     rng = random.Random(37)
     certified = 0
     for field in (QQ, GF(2), GF(3)):
@@ -216,12 +224,55 @@ def test_character_images_are_diagonal_on_their_adapted_bases():
             twists.append(twists[-1].compose(twists[0]))
             for pres in [nu] + [Presentation(nu.space, nu.chi.compose(phi), nu.tree) for phi in twists]:
                 classes = pres.character_image().basis_classes()
-                basis = pres.adapted_basis_blocks()
-                assert _diagonal_on(classes, basis) is not None
-                assert is_diagonalizable_set(classes, basis) is True
+                assert _diagonal_on(classes, pres.arrow_images()) is not None
+                assert _diagonal_on(classes, pres.adapted_basis_blocks()) is not None
+                with monkeypatch.context() as patch:
+                    patch.setattr(presentations, "_spectra", no_spectrum)
+                    assert is_diagonalizable_set(classes, pres) is True
                 assert is_diagonalizable_set(classes) is True
                 certified += bool(classes)
     assert certified > 100
+
+
+def certificate_presentations(space, ideal, tree):
+    """The natural presentation, each Gamma vertex's, and a realized one per
+    diagonalizable basis class."""
+    rq = build_relation_quiver(ideal, tree, Budgets(search_max_nodes=2000))
+    out = [Presentation.natural(space, tree)]
+    out += [presentation_for_vertex(space, rq, i) for i in range(len(rq.vertices))]
+    out += [realize_in_image([b], tree)[0] for b in space.basis_classes() if is_diagonalizable_class(b)]
+    return out
+
+
+def certificate_instances():
+    """The golden documents' ideals and seeded instances over QQ and GF(p)."""
+    for text, names in DOCUMENTS.values():
+        doc = parse_input(text)
+        for name in names:
+            yield doc.ideal(name), doc.spanning_tree()
+    rng = random.Random(41)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(6):
+            q = random_quiver(rng, max_vertices=5, max_paths=20)
+            yield random_admissible_ideal(rng, q, field), q.spanning_tree(q.vertices[0])
+
+
+def test_arrow_images_certify_exactly_what_the_adapted_basis_certifies():
+    # diagonal on the arrow images exactly when diagonal on the adapted
+    # basis: for the character image, each basis class of the cohomology,
+    # and the image with each basis class, on every presentation drawn
+    outcomes = collections.Counter()
+    for ideal, tree in certificate_instances():
+        space = CohomologySpace(FDAlgebra(ideal))
+        for pres in certificate_presentations(space, ideal, tree):
+            image = pres.character_image().basis_classes()
+            families = [image] + [[b] for b in space.basis_classes()] + [image + [b] for b in space.basis_classes()]
+            arrows, basis = pres.arrow_images(), pres.adapted_basis_blocks()
+            for family in families:
+                certified = _diagonal_on(family, arrows) is not None
+                assert certified == (_diagonal_on(family, basis) is not None)
+                outcomes[certified] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
 
 
 def kronecker_classes():
@@ -235,16 +286,35 @@ def kronecker_classes():
 
 def test_a_basis_that_is_not_an_eigenbasis_falls_back_to_the_decision():
     pres, swap, rotation = kronecker_classes()
-    natural = pres.adapted_basis_blocks()
-    assert _diagonal_on([swap], natural) is None
-    assert is_diagonalizable_set([swap], natural) is True  # eigenvalues 1 and -1
-    assert _diagonal_on([rotation], natural) is None
-    assert is_diagonalizable_set([rotation], natural) is False  # x^2 + 1 does not split
+    assert _diagonal_on([swap], pres.arrow_images()) is None
+    assert is_diagonalizable_set([swap], pres) is True  # eigenvalues 1 and -1
+    assert _diagonal_on([rotation], pres.arrow_images()) is None
+    assert is_diagonalizable_set([rotation], pres) is False  # x^2 + 1 does not split
     assert is_diagonalizable_set([rotation]) is False
-    # the swap's own eigenbasis certifies it
-    eigen = common_eigenbasis([swap])
-    assert _diagonal_on([swap], eigen) is not None
-    assert is_diagonalizable_set([swap], eigen) is True
+    # the swap's own eigenbasis certifies it, and so does the presentation
+    # realized on it
+    assert _diagonal_on([swap], common_eigenbasis([swap])) is not None
+    realized, _weights = realize_in_image([swap], pres.tree)
+    assert _diagonal_on([swap], realized.arrow_images()) is not None
+    assert is_diagonalizable_set([swap], realized) is True
+
+
+def test_the_natural_presentation_is_the_identity():
+    # no inversion and no transported ideal, with the same characters and
+    # image as the identity automorphism taken through the general path
+    rng = random.Random(43)
+    for field in (QQ, GF(2), GF(3), QQ, GF(5)):
+        for _ in range(4):
+            q = random_quiver(rng, max_vertices=5)
+            ideal = random_admissible_ideal(rng, q, field)
+            space = CohomologySpace(FDAlgebra(ideal))
+            tree = q.spanning_tree(q.vertices[0])
+            nu = Presentation.natural(space, tree)
+            general = Presentation(space, identity_automorphism(q, field), tree)
+            assert nu.kernel is space.algebra.ideal
+            assert nu.chi_inverse.images == nu.chi.invert().images
+            assert nu.hom == general.hom
+            assert nu.character_image() == general.character_image()
 
 
 @pytest.mark.parametrize(

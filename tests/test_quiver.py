@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from bquiver import QQ, Path, Quiver, QuiverError, enumerate_bypasses, has_double_bypass
+from bquiver.quiver import Walk, _bfs_walks
 
 from conftest import (
     chain_quiver,
@@ -62,6 +63,53 @@ def test_validate_reads_quivers_deeper_than_the_recursion_limit():
     # the witness of an oriented cycle is all of its arrows, from the first vertex
     cycle = Quiver(vertices, [(f"a{i}", vertices[i], vertices[(i + 1) % n]) for i in range(n)])
     assert cycle.validate() == {"ok": False, "cycle": [f"a{i}" for i in range(n)], "components": None}
+
+
+def reference_bfs_walks(quiver, base, arrow_names):
+    """BFS from ``base`` scanning every allowed arrow name at each vertex."""
+    walks = {base: Walk(base, base, ())}
+    order = [base]
+    for v in order:
+        for name in sorted(arrow_names):
+            a = quiver.arrow(name)
+            step = None
+            if a.source == v and a.target not in walks:
+                step, other = (name, 1), a.target
+            elif a.target == v and a.source not in walks:
+                step, other = (name, -1), a.source
+            if step is not None:
+                walks[other] = Walk(base, other, walks[v].steps + (step,))
+                order.append(other)
+    return walks
+
+
+def test_bfs_walks_follow_the_incidence_lists_in_the_reference_order():
+    rng = random.Random(2311)
+    square = commutative_square(QQ, bound=False)[0]
+    split = Quiver(["1", "2", "3", "4"], [("b", "3", "4"), ("a", "1", "2")])
+    golden = [parallel_pair_quiver(), kronecker_quiver(), two_triangles_quiver(), square, chain_quiver(5), split]
+    for q in golden + [random_quiver(rng) for _ in range(12)]:
+        subset = [n for n in q.arrow_names if rng.random() < 0.6]
+        for base in q.vertices:
+            for names in (q.arrow_names, subset, ()):
+                walks = _bfs_walks(q, base, names)
+                expected = reference_bfs_walks(q, base, names)
+                assert walks == expected and list(walks) == list(expected)
+            if q.validate()["ok"]:
+                tree = q.spanning_tree(base)
+                assert tree.walk_to == reference_bfs_walks(q, base, tree.arrow_names)
+    with pytest.raises(QuiverError, match="unknown arrow 'x'"):
+        _bfs_walks(split, "1", ["a", "x", "y"])
+
+
+def test_a_long_chain_builds_and_gets_its_spanning_tree():
+    n = 1500
+    vertices = [f"v{i}" for i in range(n)]
+    chain = Quiver(vertices, [(f"a{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)])
+    tree = chain.spanning_tree(vertices[n // 2])
+    assert tree.arrow_names == frozenset(chain.arrow_names)
+    assert tree.walk_to[vertices[0]].steps == tuple((f"a{i}", -1) for i in reversed(range(n // 2)))
+    assert tree.walk_to[vertices[-1]].steps == tuple((f"a{i}", 1) for i in range(n // 2, n - 1))
 
 
 def test_unknown_endpoint_rejected():
