@@ -7,8 +7,9 @@ The package computes, over the rationals or a prime field:
 * the first Hochschild cohomology as a Lie algebra of unitary derivations
   modulo inner ones, with canonical coset representatives,
 * the embedding of character spaces into the cohomology, diagonalizability
-  of classes and commuting families, adapted presentations, and maximality
-  of character images among diagonalizable subalgebras,
+  of classes and commuting families (decided on the arrow corridors),
+  adapted presentations, and maximality of character images among
+  diagonalizable subalgebras,
 * the succession graph of homotopy relations under transvections, with
   certified arrows and source detection.
 
@@ -68,7 +69,6 @@ from .hochschild import (
 from .presentations import (
     NotDiagonalizableError,
     Presentation,
-    SpecialBasis,
     adapted_presentation,
     centralizer,
     common_eigenbasis,

@@ -7,10 +7,11 @@ its vectors are sparse ``{basis index: coeff}`` maps, and ``vector_of`` and
 ``{Path: coeff}`` maps of :mod:`bquiver.pathalg`.  A unitary derivation
 kills the idempotents and preserves every corridor ``e_y A e_x``, so it is
 determined by one vector per arrow: the image inside the span of the normal
-paths parallel to that arrow.  The coordinates of those vectors are the
-*unknowns* of a symbolic derivation D, each arrow owning a range of them,
-and a :class:`Derivation` is held by its nonzero coordinates
-``{unknown index: coeff}`` alone.
+paths parallel to that arrow.  The algebra's ``blocks`` are those arrow
+corridors only, and diagonalizability is decided on them (:class:`FDAlgebra`).
+The coordinates of those vectors are the *unknowns* of a symbolic derivation
+D, each arrow owning a range of them, and a :class:`Derivation` is held by
+its nonzero coordinates ``{unknown index: coeff}`` alone.
 
 The Leibniz rule is expanded in one place, :meth:`FDAlgebra.leibniz`: for a
 path a_n...a_1, D(p) is the sum over positions i and corridor paths w of
@@ -49,6 +50,14 @@ class FDAlgebra:
     """A basic finite-dimensional algebra presented by a bound quiver.
 
     Vectors of the algebra are sparse ``{basis index: coeff}`` maps.
+    ``blocks`` holds the basis indices of each corridor e_y A e_x that
+    carries an arrow, and derivations are read and decided on those alone.
+    Suppose a commuting family of unitary derivations is diagonalizable on
+    each arrow corridor.  It preserves rad^2, so common eigenvectors whose
+    residues modulo rad^2 are independent can be picked in each corridor,
+    one per arrow; as arrow images they define an automorphism chi.  By the
+    Leibniz lemma (``presentations.is_diagonalizable_set``) the family is
+    then diagonal on chi's adapted basis, so it is diagonalizable on all of A.
     """
 
     def __init__(self, ideal: IdealData):
@@ -63,11 +72,12 @@ class FDAlgebra:
         self.dim = len(self.basis)
         self.index = {p: i for i, p in enumerate(self.basis)}
         self.idempotent_index = {v: self.index[self.quiver.trivial_path(v)] for v in self.quiver.vertices}
-        # corridor blocks of the radical: nontrivial normal paths per (src, tgt)
-        blocks: dict[tuple[str, str], list[int]] = {}
+        # the arrow corridors, in corridor order: the normal paths per
+        # (source, target) of an arrow (no trivial path, the quiver is acyclic)
+        blocks: dict[tuple[str, str], list[int]] = {key: [] for key in self.quiver.parallel_classes()}
         for i, p in enumerate(self.basis):
-            if not p.is_trivial:
-                blocks.setdefault((p.source, p.target), []).append(i)
+            if (p.source, p.target) in blocks:
+                blocks[p.source, p.target].append(i)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
         self._table: dict[tuple[int, int], dict] = {}
         # unknown coordinates for derivations: per arrow, one per parallel
@@ -77,7 +87,7 @@ class FDAlgebra:
         for name in self.quiver.arrow_names:
             a = self.quiver.arrow(name)
             start = len(unknowns)
-            for i in self.blocks.get((a.source, a.target), ()):
+            for i in self.blocks[a.source, a.target]:
                 unknowns.append((name, self.basis[i]))
             self.arrow_unknowns[name] = range(start, len(unknowns))
         self.derivation_unknowns: tuple[tuple[str, Path], ...] = tuple(unknowns)
@@ -122,7 +132,7 @@ class FDAlgebra:
             table = {}
             for i, name in enumerate(names):
                 a = self.quiver.arrow(name)
-                for bi in self.blocks.get((a.source, a.target), ()):
+                for bi in self.blocks[a.source, a.target]:
                     w = self.basis[bi]
                     u = self._unknown_index[(name, w)]
                     term = Path(path.source, path.target, names[:i] + w.arrows + names[i + 1:])
@@ -327,7 +337,7 @@ class CohomologySpace:
         for d in self.inner_basis:
             self._inner.insert(self._der_coefficients(d))
         self.dim = len(self.der_basis) - len(self._inner.rows)
-        # per class, its spectrum on the radical blocks (presentations._spectra)
+        # per class, its spectrum on the arrow corridors (presentations._spectra)
         self._spectra: dict = {}
         # per pair i < j of basis columns, the coordinates of [e_i, e_j]
         self._brackets: dict[tuple[int, int], dict] = {}

@@ -20,19 +20,21 @@ A family whose canonical representatives scale the arrow images of a
 presentation is diagonalizable and commutes: by the Leibniz rule they then
 scale the whole adapted basis (``is_diagonalizable_set``), so a character
 image is certified on its |Q_1| arrow images alone.  Else the minimal
-polynomial of each representative on every radical block must have as many
-distinct roots in the ground field as its degree (exactly when it is
-squarefree and splits over that field, with no extension taken), and each
-pair must bracket to zero.  A class's spectrum on the blocks is decided
-once and kept on its cohomology space.  A common eigenbasis refines each
-block through the eigenspaces of the family (sparse kernels of the shifted
-operators), a stage losing dimension being a nonzero bracket; matched to the
-arrows, it yields a presentation whose character image holds the family, as
-the maximality analysis needs.  A span grows by one step (``_extensions``),
-a diagonalizable class of its centralizer outside it: the maximality test
-asks for one, the brute force of ``verify`` takes each.  Vectors, basis
-blocks and linear systems are sparse ``{index: coeff}`` maps, and the arrow
-images of chi are path-algebra elements, sparse ``{Path: coeff}`` maps.
+polynomial of each representative on every arrow corridor (the algebra's
+``blocks``; the other corridors follow, see ``hochschild.FDAlgebra``) must
+have as many distinct roots in the ground field as its degree (exactly when
+it is squarefree and splits over that field, with no extension taken), and
+each pair must bracket to zero.  A class's spectrum on the corridors is
+decided once and kept on its cohomology space.  A common eigenbasis refines
+each arrow corridor through the eigenspaces of the family (sparse kernels of
+the shifted operators), a stage losing dimension being a nonzero bracket;
+matched to the arrows, it yields a presentation whose character image holds
+the family, as the maximality analysis needs.  A span grows by one step
+(``_extensions``), a diagonalizable class of its centralizer outside it: the
+maximality test asks for one, the brute force of ``verify`` takes each.
+Vectors, eigenbasis blocks and linear systems are sparse ``{index: coeff}``
+maps, and the arrow images of chi are path-algebra elements, sparse
+``{Path: coeff}`` maps.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .hochschild import (
     CohomologyClass,
     CohomologySpace,
     Derivation,
-    FDAlgebra,
 )
 from .homotopy import (
     GroupPresentation,
@@ -60,7 +61,6 @@ from .homotopy import (
 )
 from .linalg import (
     _add_multiple,
-    _clean,
     _combination,
     _Echelon,
     minimal_polynomial,
@@ -126,14 +126,6 @@ class Presentation:
         q = self.algebra.quiver
         return [self.image_of_path(q.arrow_path(name)) for name in q.arrow_names]
 
-    def adapted_basis_blocks(self) -> "SpecialBasis":
-        blocks: dict[tuple[str, str], list[dict]] = {}
-        for p in self.kernel.normal_paths:
-            if p.is_trivial:
-                continue
-            blocks.setdefault((p.source, p.target), []).append(self.image_of_path(p))
-        return SpecialBasis(self.algebra, {k: tuple(v) for k, v in blocks.items()})
-
     # ---------- the embedding ----------
 
     def embed_character(self, weights: dict) -> CohomologyClass:
@@ -172,47 +164,10 @@ class Presentation:
         return f"Presentation(kernel {self.kernel!r})"
 
 
-class SpecialBasis:
-    """A corridor-respecting basis of the algebra (idempotents implicit),
-    block by block as sparse vectors."""
-
-    def __init__(self, algebra: FDAlgebra, blocks: dict[tuple[str, str], tuple]):
-        self.algebra = algebra
-        f = algebra.field
-        clean = {}
-        for key in sorted(blocks, key=algebra.quiver.corridor_key):
-            vecs = tuple(_clean(f, v) for v in blocks[key])
-            indices = set(algebra.blocks.get(key, ()))
-            for v in vecs:
-                if not v.keys() <= indices:
-                    raise ValueError(f"basis vector escapes block {key}")
-            if len(vecs) != len(indices):
-                raise ValueError(f"block {key} has {len(vecs)} vectors for dimension {len(indices)}")
-            independent = _Echelon(f)
-            if any(independent.insert(v) is None for v in vecs):
-                raise ValueError(f"block {key} vectors are dependent")
-            clean[key] = vecs
-        # every nonempty corridor must be covered
-        for key, idxs in algebra.blocks.items():
-            if idxs and key not in clean:
-                raise ValueError(f"missing block {key}")
-        self.blocks = clean
-
-    def __iter__(self):  # every basis vector, block by block
-        return (v for vecs in self.blocks.values() for v in vecs)
-
-    def block(self, source: str, target: str) -> tuple:
-        return self.blocks.get((source, target), ())
-
-    def __repr__(self):
-        sizes = {k: len(v) for k, v in self.blocks.items()}
-        return f"SpecialBasis({sizes})"
-
-
 # ---------- diagonalizability ----------
 
 def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> list[dict]:
-    """The representative on one radical block, as sparse columns in block
+    """The representative on one arrow corridor, as sparse columns in block
     coordinates (position of each basis index within the block)."""
     idxs = space.algebra.blocks[block_key]
     position = {i: k for k, i in enumerate(idxs)}
@@ -221,7 +176,7 @@ def _block_columns(space: CohomologySpace, cls: CohomologyClass, block_key) -> l
 
 
 def _spectra(cls: CohomologyClass) -> tuple:
-    """Per radical block, up to the first that fails: key, columns, minimal
+    """Per arrow corridor, up to the first that fails: key, columns, minimal
     polynomial, its sorted distinct roots in the field (None unless there
     are as many as its degree).  Decided once per class: the tuple is kept
     in the space's memo, keyed by the class (equal coordinates, equal key).
@@ -231,7 +186,7 @@ def _spectra(cls: CohomologyClass) -> tuple:
     if spectra is None:
         f = space.field
         out = []
-        for key in sorted(space.algebra.blocks, key=space.algebra.quiver.corridor_key):
+        for key in space.algebra.blocks:
             columns = _block_columns(space, cls, key)
             mp = minimal_polynomial(f, columns)
             # squarefree and split exactly when it has deg mp distinct roots
@@ -246,7 +201,8 @@ def _spectra(cls: CohomologyClass) -> tuple:
 
 
 def diagonalizability_witness(cls: CohomologyClass):
-    """None when diagonalizable; else the offending block and minimal polynomial."""
+    """None when diagonalizable; else the first arrow corridor whose minimal
+    polynomial does not split into distinct roots, and that polynomial."""
     return next(((key, mp) for key, _, mp, roots in _spectra(cls) if roots is None), None)
 
 
@@ -279,10 +235,11 @@ def is_diagonalizable_set(classes, presentation: Presentation | None = None) -> 
     )
 
 
-def common_eigenbasis(classes) -> SpecialBasis:
-    """Simultaneous eigenbasis of a commuting diagonalizable family.
+def common_eigenbasis(classes) -> dict[tuple[str, str], tuple]:
+    """Simultaneous eigenbasis of a commuting diagonalizable family on each
+    arrow corridor, ``{corridor: tuple of sparse vectors}``.
 
-    Each class's spectrum on each radical block (columns, minimal
+    Each class's spectrum on each arrow corridor (columns, minimal
     polynomial, roots) is read from the space's memo, so a class that
     ``is_diagonalizable_class`` has already decided costs no minimal
     polynomial here; the first class and block that does not split into
@@ -304,8 +261,7 @@ def common_eigenbasis(classes) -> SpecialBasis:
                 raise NotDiagonalizableError((key, mp))
             spectra[c, key] = (op, roots)
     blocks_out: dict[tuple[str, str], tuple] = {}
-    for key in sorted(alg.blocks, key=alg.quiver.corridor_key):
-        idxs = alg.blocks[key]
+    for key, idxs in alg.blocks.items():
         # invariant subspaces in block coordinates, each a list of basis vectors
         subspaces = [[{j: f.one} for j in range(len(idxs))]]
         for c in range(len(classes)):
@@ -331,16 +287,14 @@ def common_eigenbasis(classes) -> SpecialBasis:
                     raise NotDiagonalizableError("nonzero bracket")
             subspaces = refined
         blocks_out[key] = tuple({idxs[i]: x for i, x in v.items()} for basis in subspaces for v in basis)
-    basis = SpecialBasis(alg, blocks_out)
-    assert _diagonal_on(classes, basis) is not None
-    return basis
+    return blocks_out
 
 
 def _diagonal_on(classes, vectors):
-    """Each class's eigenvalues on the vectors (a sequence or a :class:`SpecialBasis`),
-    or None if one is not an eigenvector; on a basis, or on the arrow images
-    of a presentation (``is_diagonalizable_set``), a certificate that the
-    family is diagonalizable and commutes."""
+    """Each class's eigenvalues on a sequence of vectors, or None if one is
+    not an eigenvector; on a basis, or on the arrow images of a presentation
+    (``is_diagonalizable_set``), a certificate that the family is
+    diagonalizable and commutes."""
     out = []
     for cls in classes:
         d = cls.representative()
@@ -359,13 +313,15 @@ def _diagonal_on(classes, vectors):
 
 # ---------- adapted presentations and realization ----------
 
-def adapted_presentation(space: CohomologySpace, basis: SpecialBasis, tree: SpanningTree) -> Presentation:
-    """A presentation whose arrow images are drawn from the given basis.
+def adapted_presentation(space: CohomologySpace, blocks: dict, tree: SpanningTree) -> Presentation:
+    """A presentation whose arrow images are drawn from ``blocks[corridor]``,
+    sparse vectors, for each arrow corridor.
 
-    For each parallel class of arrows, basis elements of the corridor are
-    matched greedily (in deterministic order) so that their residues modulo
-    the square radical make the arrow-level substitution invertible; such a
-    matching always exists for a valid corridor basis.
+    For each parallel class of arrows, the corridor's vectors are matched
+    greedily (in deterministic order) so that their residues modulo the
+    square radical make the arrow-level substitution invertible; such a
+    matching always exists for a basis of the corridor.  ``Automorphism``
+    rejects an image that leaves its arrow's corridor.
     """
     alg = space.algebra
     f = space.field
@@ -374,7 +330,7 @@ def adapted_presentation(space: CohomologySpace, basis: SpecialBasis, tree: Span
     for key, arrow_names in q.parallel_classes().items():
         idxs = alg.blocks[key]
         arrow_positions = [alg.index[q.arrow_path(n)] for n in arrow_names]
-        candidates = sorted(basis.block(*key), key=lambda v: (min(v), tuple(v.get(i, f.zero) for i in idxs)))
+        candidates = sorted(blocks[key], key=lambda v: (min(v), tuple(v.get(i, f.zero) for i in idxs)))
         # residues of the chosen elements; a candidate is independent of them
         # exactly when inserting its residue adds a pivot
         chosen = _Echelon(f)
@@ -400,13 +356,14 @@ def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[di
     """A presentation whose character image contains the commuting family.
 
     Raises :class:`NotDiagonalizableError` when the family is not
-    simultaneously diagonalizable.  The returned weights are tree-normalized
-    and re-embed exactly onto the input classes.
+    simultaneously diagonalizable, and ``ValueError`` when it is empty.  The
+    returned weights are tree-normalized and re-embed exactly onto the input
+    classes.
     """
     classes = list(classes)
+    blocks = common_eigenbasis(classes)
     space = classes[0].space
-    basis = common_eigenbasis(classes)
-    pres = adapted_presentation(space, basis, tree)
+    pres = adapted_presentation(space, blocks, tree)
     f = space.field
     q = space.algebra.quiver
     weights_out = []

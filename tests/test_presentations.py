@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 
@@ -15,7 +16,6 @@ from bquiver import (
     NotDiagonalizableError,
     Presentation,
     QQ,
-    SpecialBasis,
     YES,
     adapted_presentation,
     centralizer,
@@ -32,7 +32,7 @@ from bquiver import (
 )
 from bquiver import presentations
 from bquiver.homotopy import weight_of_walk
-from bquiver.linalg import _combination, minimal_polynomial
+from bquiver.linalg import _combination, minimal_polynomial, roots_in_field
 from bquiver.pathalg import _render
 from bquiver.presentations import _diagonal_on
 from bquiver.relquiver import build_relation_quiver, enumerate_spans, presentation_for_vertex
@@ -46,6 +46,7 @@ from conftest import (
     parallel_pair,
     random_admissible_ideal,
     random_dilatation,
+    random_field,
     random_nonzero,
     random_quiver,
     two_triangles_full,
@@ -59,6 +60,21 @@ def natural_of(ideal, tree=None):
     q = ideal.quiver
     tree = tree or q.spanning_tree(q.vertices[0])
     return Presentation.natural(space, tree)
+
+
+def adapted_basis(pres):
+    """The adapted basis: the images of the kernel's nontrivial normal paths,
+    sparse vectors by corridor of the radical, arrow-free corridors too."""
+    blocks = {}
+    for p in pres.kernel.normal_paths:
+        if not p.is_trivial:
+            blocks.setdefault((p.source, p.target), []).append(pres.image_of_path(p))
+    return {key: tuple(vecs) for key, vecs in blocks.items()}
+
+
+def vectors_of(blocks):
+    """Every vector of ``{corridor: vectors}``, corridor by corridor."""
+    return [v for vecs in blocks.values() for v in vecs]
 
 
 def displayed_class(space, images):
@@ -124,6 +140,50 @@ def test_diagonalizability_of_classes():
         assert is_diagonalizable_set(pres.character_image().basis_classes())
 
 
+def diagonalizable_on_every_corridor(cls):
+    """The reference decision on every corridor of the radical, arrow-free
+    ones too: each minimal polynomial has as many distinct roots in the
+    field as its degree."""
+    alg = cls.space.algebra
+    f = alg.field
+    d = cls.representative()
+    corridors = {}
+    for i, p in enumerate(alg.basis):
+        if not p.is_trivial:
+            corridors.setdefault((p.source, p.target), []).append(i)
+    for idxs in corridors.values():
+        position = {i: k for k, i in enumerate(idxs)}
+        mp = minimal_polynomial(f, [{position[i]: x for i, x in d.image_of_basis(j).items()} for j in idxs])
+        if len(roots_in_field(f, mp)) != len(mp) - 1:
+            return False
+    return True
+
+
+def test_the_arrow_corridors_decide_diagonalizability():
+    # a class diagonalizable on every arrow corridor is diagonalizable on
+    # the whole radical: the decision on the algebra's blocks agrees with the
+    # reference over every corridor, on basis classes and random combinations,
+    # in algebras with a corridor that carries no arrow
+    rng = random.Random(7)
+    outcomes = collections.Counter()
+    while min(outcomes[True], outcomes[False]) <= 100:
+        field = random_field(rng)
+        q = random_quiver(rng)
+        space = CohomologySpace(FDAlgebra(random_admissible_ideal(rng, q, field)))
+        radical = {(p.source, p.target) for p in space.algebra.basis if not p.is_trivial}
+        basis = space.basis_classes()
+        if len(radical) == len(q.parallel_classes()) or not basis:
+            continue
+        combos = [
+            functools.reduce(CohomologyClass.__add__, (b.scale(random_nonzero(rng, field)) for b in sample))
+            for sample in (rng.sample(basis, rng.randint(1, len(basis))) for _ in range(3))
+        ]
+        for cls in basis + combos:
+            verdict = is_diagonalizable_class(cls)
+            assert verdict == diagonalizable_on_every_corridor(cls)
+            outcomes[verdict] += 1
+
+
 def test_common_eigenbasis_requires_diagonalizable_family():
     q, mono, _, tree = parallel_pair(QQ)
     space = CohomologySpace(FDAlgebra(mono))
@@ -159,17 +219,19 @@ def test_each_class_spectrum_is_decided_once(monkeypatch):
     h2 = displayed_class(space, {"a": [(1, "a")]})
     assert h1 is not h2 and h1 == h2
     assert is_diagonalizable_class(h1) and is_diagonalizable_class(h2)
-    assert len(calls) == len(space.algebra.blocks)
+    # one minimal polynomial per arrow corridor: (1, 2) and (2, 3), not the
+    # arrow-free (1, 3)
+    assert len(calls) == len(q.parallel_classes()) == 2
     common_eigenbasis([h1])
     common_eigenbasis([h2, h1])
-    assert len(calls) == len(space.algebra.blocks)
+    assert len(calls) == len(q.parallel_classes())
     # a non-diagonalizable class keeps its witness, decided up to the failing block once
     n = displayed_class(space, {"b": [(1, "a")]})
     before = len(calls)
     witness = diagonalizability_witness(n)
     assert witness is not None
     decided = len(calls) - before
-    assert 1 <= decided <= len(space.algebra.blocks)
+    assert 1 <= decided <= len(q.parallel_classes())
     with pytest.raises(NotDiagonalizableError) as err:
         common_eigenbasis([h1, n])
     assert err.value.witness == witness
@@ -197,12 +259,15 @@ def test_maximality_candidates_enter_the_spectrum_memo(monkeypatch):
 def test_common_eigenbasis_diagonalizes_image():
     q, ideal, tree = two_triangles_full(GF(2))
     pres = natural_of(ideal, tree)
-    basis = common_eigenbasis(pres.character_image().basis_classes())
-    # every corridor covered with the right multiplicity, by construction;
-    # diagonality is re-checked inside common_eigenbasis itself
+    classes = pres.character_image().basis_classes()
+    blocks = common_eigenbasis(classes)
+    # every arrow corridor covered with the right multiplicity, and the
+    # family diagonal on every vector
     alg = pres.space.algebra
+    assert list(blocks) == list(q.parallel_classes())
     for key, idxs in alg.blocks.items():
-        assert len(basis.block(*key)) == len(idxs)
+        assert len(blocks[key]) == len(idxs)
+    assert _diagonal_on(classes, vectors_of(blocks)) is not None
 
 
 def no_spectrum(cls):
@@ -225,7 +290,7 @@ def test_character_images_are_diagonal_on_their_adapted_bases(monkeypatch):
             for pres in [nu] + [Presentation(nu.space, nu.chi.compose(phi), nu.tree) for phi in twists]:
                 classes = pres.character_image().basis_classes()
                 assert _diagonal_on(classes, pres.arrow_images()) is not None
-                assert _diagonal_on(classes, pres.adapted_basis_blocks()) is not None
+                assert _diagonal_on(classes, vectors_of(adapted_basis(pres))) is not None
                 with monkeypatch.context() as patch:
                     patch.setattr(presentations, "_spectra", no_spectrum)
                     assert is_diagonalizable_set(classes, pres) is True
@@ -267,7 +332,7 @@ def test_arrow_images_certify_exactly_what_the_adapted_basis_certifies():
         for pres in certificate_presentations(space, ideal, tree):
             image = pres.character_image().basis_classes()
             families = [image] + [[b] for b in space.basis_classes()] + [image + [b] for b in space.basis_classes()]
-            arrows, basis = pres.arrow_images(), pres.adapted_basis_blocks()
+            arrows, basis = pres.arrow_images(), vectors_of(adapted_basis(pres))
             for family in families:
                 certified = _diagonal_on(family, arrows) is not None
                 assert certified == (_diagonal_on(family, basis) is not None)
@@ -293,7 +358,7 @@ def test_a_basis_that_is_not_an_eigenbasis_falls_back_to_the_decision():
     assert is_diagonalizable_set([rotation]) is False
     # the swap's own eigenbasis certifies it, and so does the presentation
     # realized on it
-    assert _diagonal_on([swap], common_eigenbasis([swap])) is not None
+    assert _diagonal_on([swap], vectors_of(common_eigenbasis([swap]))) is not None
     realized, _weights = realize_in_image([swap], pres.tree)
     assert _diagonal_on([swap], realized.arrow_images()) is not None
     assert is_diagonalizable_set([swap], realized) is True
@@ -334,7 +399,7 @@ def test_the_kronecker_rotation_is_diagonalizable_over_the_ground_field_only(fie
     assert is_diagonalizable_set([rotation]) is diagonalizable
     if diagonalizable:
         assert diagonalizability_witness(rotation) is None
-        assert _diagonal_on([rotation], common_eigenbasis([rotation])) is not None
+        assert _diagonal_on([rotation], vectors_of(common_eigenbasis([rotation]))) is not None
     else:
         witness = diagonalizability_witness(rotation)
         assert witness == (("1", "2"), (field.one, field.zero, field.one))
@@ -358,27 +423,25 @@ def test_common_eigenbasis_finds_a_nonzero_bracket_by_refinement(monkeypatch):
     assert err.value.witness == "nonzero bracket"
 
 
-def test_special_basis_validation():
-    q, mono, _, _ = parallel_pair(QQ)
-    alg = FDAlgebra(mono)
-    a_vec = alg.vector_of({q.arrow_path("a"): alg.field.one})
-    b_vec = alg.vector_of({q.arrow_path("b"): alg.field.one})
-    c_vec = alg.vector_of({q.arrow_path("c"): alg.field.one})
-    cb_vec = alg.vector_of({q.path(["b", "c"]): alg.field.one})
-    good = SpecialBasis(alg, {("1", "2"): (a_vec, b_vec), ("2", "3"): (c_vec,), ("1", "3"): (cb_vec,)})
-    assert good.block("1", "2") == (a_vec, b_vec)
-    with pytest.raises(ValueError):  # dependent block vectors
-        SpecialBasis(alg, {("1", "2"): (a_vec, a_vec), ("2", "3"): (c_vec,), ("1", "3"): (cb_vec,)})
-    with pytest.raises(ValueError):  # wrong dimension
-        SpecialBasis(alg, {("1", "2"): (a_vec,), ("2", "3"): (c_vec,), ("1", "3"): (cb_vec,)})
-    with pytest.raises(ValueError):  # escapes its corridor
-        SpecialBasis(alg, {("1", "2"): (a_vec, c_vec), ("2", "3"): (c_vec,), ("1", "3"): (cb_vec,)})
+def test_adapted_presentation_rejects_blocks_that_are_no_corridor_basis():
+    q, mono, _, tree = parallel_pair(QQ)
+    space = CohomologySpace(FDAlgebra(mono))
+    alg = space.algebra
+    a_vec, b_vec, c_vec = (alg.vector_of({q.arrow_path(n): alg.field.one}) for n in "abc")
+    assert adapted_presentation(space, {("1", "2"): (a_vec, b_vec), ("2", "3"): (c_vec,)}, tree).kernel == mono
+    # a repeated vector leaves the second arrow of (1, 2) without an image
+    with pytest.raises(ValueError, match="no basis element completes an invertible substitution"):
+        adapted_presentation(space, {("1", "2"): (a_vec, a_vec), ("2", "3"): (c_vec,)}, tree)
+    # b + c has an arrow residue on (1, 2) but leaves that corridor
+    b_plus_c = {**b_vec, **c_vec}
+    with pytest.raises(ValueError, match="not parallel"):
+        adapted_presentation(space, {("1", "2"): (a_vec, b_plus_c), ("2", "3"): (c_vec,)}, tree)
 
 
 def test_adapted_presentation_identity_case():
     q, ideal, tree = two_triangles_full(GF(2))
     pres = natural_of(ideal, tree)
-    again = adapted_presentation(pres.space, pres.adapted_basis_blocks(), tree)
+    again = adapted_presentation(pres.space, adapted_basis(pres), tree)
     # adapted to the natural basis: the same kernel (up to dilatation the
     # same presentation, and here literally the identity substitution)
     assert again.kernel == ideal
@@ -392,8 +455,7 @@ def test_adapted_presentation_kronecker_mixed_basis():
     a_vec = alg.vector_of({q.arrow_path("a"): alg.field.one})
     b_vec = alg.vector_of({q.arrow_path("b"): alg.field.one})
     a_plus_b = {i: QQ.add(a_vec.get(i, QQ.zero), b_vec.get(i, QQ.zero)) for i in a_vec.keys() | b_vec.keys()}
-    mixed = SpecialBasis(alg, {("1", "2"): (a_vec, a_plus_b)})
-    pres = adapted_presentation(space, mixed, tree)
+    pres = adapted_presentation(space, {("1", "2"): (a_vec, a_plus_b)}, tree)
     images = sorted(_render(q, QQ, pres.chi.images[n]) for n in ("a", "b"))
     assert images == ["a", "a + b"]
     assert pres.kernel.basis == ()  # the zero ideal stays admissible
@@ -414,6 +476,12 @@ def test_realize_in_image_golden_classes():
     # d2 arises from the twisted presentation: its kernel is again the ideal
     assert pres2.kernel == ideal
     assert pres2.chi != identity_automorphism(q, GF(2))
+
+
+def test_realize_in_image_rejects_the_empty_family():
+    tree = kronecker(QQ)[2]
+    with pytest.raises(ValueError, match="need at least one class"):
+        realize_in_image([], tree)
 
 
 def test_realize_in_image_rejects_nilpotent():
