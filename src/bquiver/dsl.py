@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 from .fields import Field, GF, QQ, is_prime
-from .linalg import _add_multiple
 from .pathalg import IdealData, _render
 from .quiver import Quiver, QuiverError, SpanningTree
 
@@ -211,10 +210,10 @@ class _Parser:
     def parse_relation(self, doc: InputDocument) -> dict:
         f = doc.field
         elem: dict = {}
-        _add_multiple(f, elem, f.one, self.parse_term(doc, negative=False))
+        f.add_multiple(elem, f.one, self.parse_term(doc, negative=False))
         while self.peek().text in ("+", "-"):
             sign = self.next().text
-            _add_multiple(f, elem, f.one, self.parse_term(doc, negative=sign == "-"))
+            f.add_multiple(elem, f.one, self.parse_term(doc, negative=sign == "-"))
         return elem
 
     def parse_term(self, doc: InputDocument, negative: bool) -> dict:

@@ -3,7 +3,21 @@
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always stored reduced), canonical representatives ``0..p-1`` (ints) over
 GF(p).  Containers that hold scalars carry a :class:`Field` object and all
-arithmetic is routed through it.  Everything is immutable and side-effect free.
+arithmetic is routed through it.  Everything is immutable and side-effect
+free, except ``add_multiple``, which updates the sparse vector it is given.
+
+Almost every rational the algorithms meet is an integer (entries of
+relations, structure constants and eigenvalues are mostly 0 and +-1), so
+``QQ`` adds, negates and multiplies two operands with denominator 1 on their
+``numerator``s, Python's integer arithmetic, and only other operands take
+``Fraction``'s operators.  Either way every QQ result is a ``Fraction``: the
+reports print a rational as a string and an int as a number.
+
+Each field owns the one sparse kernel, ``add_multiple(acc, x, vec)``:
+``acc += x * vec`` on ``{key: coeff}`` dicts with no zero entries, dropping
+the keys that cancel.  The base class composes it from ``add``, ``mul`` and
+``is_zero``; ``QQ`` and ``GF(p)`` inline their arithmetic, since every
+elimination, product and derivation image spends its time in that loop.
 """
 
 from __future__ import annotations
@@ -62,6 +76,15 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def add_multiple(self, acc: dict, x, vec: dict) -> None:
+        """``acc += x * vec`` in place, dropping the entries that cancel."""
+        for c, y in vec.items():
+            z = self.add(acc.get(c, self.zero), self.mul(x, y))
+            if self.is_zero(z):
+                acc.pop(c, None)
+            else:
+                acc[c] = z
+
     def sum(self, values):
         acc = self.zero
         for v in values:
@@ -70,7 +93,12 @@ class Field:
 
 
 class RationalField(Field):
-    """The rational numbers; scalars are reduced ``Fraction`` values."""
+    """The rational numbers; scalars are reduced ``Fraction`` values.
+
+    ``add``, ``neg``, ``mul`` and ``add_multiple`` compute on the numerators
+    when every operand is integral (ints are accepted as operands too), and
+    always return ``Fraction``s.
+    """
 
     characteristic = 0
     zero = Fraction(0)
@@ -84,18 +112,44 @@ class RationalField(Field):
         raise TypeError(f"not a rational scalar: {value!r}")
 
     def add(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator + b.numerator)
         return a + b
 
     def neg(self, a):
+        if a.denominator == 1:
+            return Fraction(-a.numerator)
         return -a
 
     def mul(self, a, b):
+        if a.denominator == 1 == b.denominator:
+            return Fraction(a.numerator * b.numerator)
         return a * b
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return Fraction(a.denominator, a.numerator)
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def add_multiple(self, acc: dict, x, vec: dict) -> None:
+        nx = x.numerator if x.denominator == 1 else None
+        for c, y in vec.items():
+            z = acc.get(c, 0)
+            if nx is not None and y.denominator == 1 == z.denominator:
+                n = z.numerator + nx * y.numerator
+                if n:
+                    acc[c] = Fraction(n)
+                    continue
+            else:
+                # a non-integral operand is a Fraction, so the sum is one
+                z = z + x * y
+                if z:
+                    acc[c] = z
+                    continue
+            acc.pop(c, None)
 
     def __repr__(self):
         return "QQ"
@@ -138,6 +192,15 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    def add_multiple(self, acc: dict, x, vec: dict) -> None:
+        p = self.p
+        for c, y in vec.items():
+            z = (acc.get(c, 0) + x * y) % p
+            if z:
+                acc[c] = z
+            else:
+                acc.pop(c, None)
 
     def elements(self):
         return range(self.p)

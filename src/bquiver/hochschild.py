@@ -41,7 +41,7 @@ confirmed by rebuilding the derivation from those coordinates.
 
 from __future__ import annotations
 
-from .linalg import _add_multiple, _clean, _combination, _Echelon, nullspace
+from .linalg import _clean, _combination, _Echelon, nullspace
 from .pathalg import IdealData, _product, _render
 from .quiver import Path
 
@@ -119,7 +119,7 @@ class FDAlgebra:
         out: dict = {}
         for i, ci in u.items():
             for j, cj in v.items():
-                _add_multiple(f, out, f.mul(ci, cj), self.basis_product(i, j))
+                f.add_multiple(out, f.mul(ci, cj), self.basis_product(i, j))
         return out
 
     def leibniz(self, path: Path) -> dict[int, dict[int, object]]:
@@ -201,7 +201,7 @@ class Derivation:
         f = self.algebra.field
         out: dict = {}
         for j, c in vec.items():
-            _add_multiple(f, out, c, self.image_of_basis(j))
+            f.add_multiple(out, c, self.image_of_basis(j))
         return out
 
     def leibniz_defect(self, i: int, j: int) -> dict:
@@ -212,8 +212,8 @@ class Derivation:
         minus = f.neg(f.one)
         ei, ej = {i: f.one}, {j: f.one}
         out = self.apply(alg.multiply_vectors(ei, ej))
-        _add_multiple(f, out, minus, alg.multiply_vectors(ei, self.apply(ej)))
-        _add_multiple(f, out, minus, alg.multiply_vectors(self.apply(ei), ej))
+        f.add_multiple(out, minus, alg.multiply_vectors(ei, self.apply(ej)))
+        f.add_multiple(out, minus, alg.multiply_vectors(self.apply(ei), ej))
         return out
 
     def __eq__(self, other):
@@ -242,7 +242,7 @@ def derivation_space(algebra: FDAlgebra) -> list[Derivation]:
         contrib: dict[int, dict[int, object]] = {}  # basis idx -> unknown idx -> coeff
         for u_path, u_coeff in rel.items():
             for k, row in algebra.leibniz(u_path).items():
-                _add_multiple(f, contrib.setdefault(k, {}), u_coeff, row)
+                f.add_multiple(contrib.setdefault(k, {}), u_coeff, row)
         rows.extend(row for row in contrib.values() if row)
     return [Derivation._of(algebra, vec) for vec in nullspace(f, len(algebra.derivation_unknowns), rows)]
 
@@ -299,7 +299,7 @@ class CohomologyClass:
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         coords = dict(self.coords)
-        _add_multiple(self.space.field, coords, self.space.field.one, other.coords)
+        self.space.field.add_multiple(coords, self.space.field.one, other.coords)
         return CohomologyClass(self.space, coords)
 
     def scale(self, s) -> "CohomologyClass":
@@ -385,9 +385,9 @@ class CohomologySpace:
                     d, e = (self.representative({k: f.one}) for k in pair)
                     imgs = {name: d.apply(e.arrow_image(name)) for name in self.algebra.quiver.arrow_names}
                     for name, image in imgs.items():
-                        _add_multiple(f, image, f.neg(f.one), e.apply(d.arrow_image(name)))
+                        f.add_multiple(image, f.neg(f.one), e.apply(d.arrow_image(name)))
                     self._brackets[pair] = self.class_of(Derivation(self.algebra, imgs)).coords
-                _add_multiple(f, coords, f.mul(x, y) if i < j else f.neg(f.mul(x, y)), self._brackets[pair])
+                f.add_multiple(coords, f.mul(x, y) if i < j else f.neg(f.mul(x, y)), self._brackets[pair])
         return CohomologyClass(self, coords)
 
     def span(self, classes) -> "ClassSpan":

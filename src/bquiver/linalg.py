@@ -3,7 +3,9 @@
 Vectors and linear systems are sparse ``{index: coeff}`` maps with no zero
 entries, the format of the one elimination, ``_Echelon``: it holds a span
 by its fully reduced, monic echelon basis, with the column order as its one
-parameter.  Matrix columns are ordered by ascending index; ideals of the
+parameter.  Every row operation, here and in the callers, is the field's own
+sparse kernel ``Field.add_multiple`` (``acc += x * vec``), which QQ and
+GF(p) inline.  Matrix columns are ordered by ascending index; ideals of the
 path algebra order paths descending, so each pivot is the greatest path of
 its row.  That basis is unique, so echelon rows and pivots (the RREF),
 nullspace bases (free columns in increasing order each receive a unit
@@ -59,7 +61,7 @@ class _Echelon:
         for c, x in vec.items():
             row = self.rows.get(c)
             if row is not None:
-                _add_multiple(self.field, out, self.field.neg(x), row)
+                self.field.add_multiple(out, self.field.neg(x), row)
         return out
 
     def insert(self, vec: dict):
@@ -76,20 +78,10 @@ class _Echelon:
             x = row.get(pivot)
             if x is not None:
                 row = dict(row)
-                _add_multiple(f, row, f.neg(x), rem)
+                f.add_multiple(row, f.neg(x), rem)
                 self.rows[p] = row
         self.rows[pivot] = rem
         return pivot
-
-
-def _add_multiple(f: Field, acc: dict, x, vec: dict) -> None:
-    """``acc += x * vec`` in place, dropping the entries that cancel."""
-    for c, y in vec.items():
-        z = f.add(acc.get(c, f.zero), f.mul(x, y))
-        if f.is_zero(z):
-            acc.pop(c, None)
-        else:
-            acc[c] = z
 
 
 def _combination(f: Field, vectors: Sequence[dict], coeffs: dict) -> dict:
@@ -97,7 +89,7 @@ def _combination(f: Field, vectors: Sequence[dict], coeffs: dict) -> dict:
     columns) times a sparse vector."""
     out: dict = {}
     for t, c in coeffs.items():
-        _add_multiple(f, out, c, vectors[t])
+        f.add_multiple(out, c, vectors[t])
     return out
 
 

@@ -28,7 +28,7 @@ import functools
 from typing import Sequence
 
 from .fields import Field
-from .linalg import _add_multiple, _clean, _Echelon
+from .linalg import _clean, _Echelon
 from .quiver import Bypass, Path, Quiver
 
 
@@ -219,7 +219,7 @@ class Automorphism:
     def apply(self, elem: dict) -> dict:
         out: dict = {}
         for p, c in elem.items():
-            _add_multiple(self.field, out, c, self.apply_path(p))
+            self.field.add_multiple(out, c, self.apply_path(p))
         return out
 
     def apply_to_ideal(self, ideal: IdealData) -> IdealData:

@@ -60,7 +60,6 @@ from .homotopy import (
     weight_of_walk,
 )
 from .linalg import (
-    _add_multiple,
     _combination,
     _Echelon,
     minimal_polynomial,
@@ -147,7 +146,7 @@ class Presentation:
         for name in alg.quiver.arrow_names:
             image: dict = {}
             for p, x in self.chi_inverse.images[name].items():
-                _add_multiple(f, image, f.mul(weight_of_path(f, weights, p), x), self.chi.apply_path(p))
+                f.add_multiple(image, f.mul(weight_of_path(f, weights, p), x), self.chi.apply_path(p))
             imgs[name] = alg.vector_of(image)
         return self.space.class_of(Derivation(alg, imgs))
 
@@ -275,7 +274,7 @@ def common_eigenbasis(classes) -> dict[tuple[str, str], tuple]:
                     rows: dict[int, dict] = {}
                     for t, b in enumerate(basis):
                         column = _combination(f, op, b)
-                        _add_multiple(f, column, f.neg(lam), b)
+                        f.add_multiple(column, f.neg(lam), b)
                         for i, x in column.items():
                             rows.setdefault(i, {})[t] = x
                     kernel = nullspace(f, len(basis), rows.values())
@@ -303,7 +302,10 @@ def _diagonal_on(classes, vectors):
         for vec in vectors:
             image = d.apply(vec)
             i = min(vec)
-            lam = f.div(image.get(i, f.zero), vec[i])
+            # a unit leading entry (every natural arrow image) needs no division
+            lam = image.get(i, f.zero)
+            if vec[i] != 1:
+                lam = f.div(lam, vec[i])
             if image != ({} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}):
                 return None
             eigenvalues.append(lam)

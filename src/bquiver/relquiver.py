@@ -49,7 +49,7 @@ from .homotopy import (
     YES,
     homotopy_pairs,
 )
-from .linalg import _add_multiple, _Echelon
+from .linalg import _Echelon
 from .pathalg import (
     Automorphism,
     IdealData,
@@ -102,7 +102,7 @@ def _transvected(ideal: IdealData, splices: list[dict], tau) -> IdealData:
     echelon = _Echelon(f, ideal._echelon.lead)
     for b, d in zip(ideal.basis, splices):
         row = dict(b)
-        _add_multiple(f, row, tau, d)
+        f.add_multiple(row, tau, d)
         echelon.insert(row)
     return IdealData._of(ideal.quiver, f, echelon)
 

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from bquiver import InputError, parse_input, relquiver, render_document
+from bquiver import QQ, InputDocument, InputError, parse_input, relquiver, render_document
 from bquiver.cli import main, build_arg_parser, resolve_budgets
 from bquiver.pathalg import _render
+
+from conftest import random_admissible_ideal, random_quiver
 
 PARALLEL_PAIR_DOC = """\
 # two routes into a third arrow
@@ -481,3 +484,25 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
             if first is None:
                 first = out
             assert out == first
+
+
+def test_cli_prints_every_rational_scalar_as_a_string(tmp_path, capsys):
+    """A QQ scalar that leaked out of the field as an int would print as a
+    JSON number; on random QQ instances every printed scalar is a string."""
+    rng = random.Random(25)
+    seen = {"homk": [], "theta": [], "maxdiag": []}
+    for k in range(24):
+        q = random_quiver(rng, 5, 30)
+        ideal = random_admissible_ideal(rng, q, QQ)
+        doc = InputDocument(QQ, q, {"I": list(ideal.basis)}, ["I"])
+        path = write(tmp_path, render_document(doc), f"doc{k}.bq")
+        for cmd, key in (("homk", "basis"), ("theta", "image_basis"), ("maxdiag", "witness")):
+            main([cmd, path, "--json"])
+            value = json.loads(capsys.readouterr().out)[key]
+            rows = [] if value is None else [value] if cmd == "maxdiag" else value
+            for row in rows:
+                scalars = list(row.values()) if isinstance(row, dict) else row
+                assert all(isinstance(x, str) for x in scalars), (cmd, scalars)
+                seen[cmd].extend(scalars)
+    # every key printed a scalar on some instance, and nonzero ones among them
+    assert all(any(Fraction(x) for x in scalars) for scalars in seen.values())

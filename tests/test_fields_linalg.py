@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bquiver import GF, QQ
+from bquiver.fields import Field
 from bquiver.linalg import (
     _clean,
     _Echelon,
@@ -53,6 +54,53 @@ def test_field_axioms_on_sampled_triples(field):
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(4)
+
+
+def rational(rng):
+    """A rational scalar, integral (zero included) about half the time."""
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-3, 3))
+    return Fraction(rng.randint(-6, 6), rng.randint(2, 4))
+
+
+def test_qq_integral_path_matches_the_fraction_operators():
+    rng = random.Random(25)
+    sample = [rational(rng) for _ in range(16)] + [Fraction(0), Fraction(1), Fraction(-1, 2)]
+    assert {x.denominator == 1 for x in sample} == {True, False}
+    for a, b in itertools.product(sample, repeat=2):
+        for got, want in ((QQ.add(a, b), a + b), (QQ.mul(a, b), a * b), (QQ.neg(a), -a)):
+            assert got == want and type(got) is Fraction
+        if a:
+            assert QQ.inv(a) == 1 / a and type(QQ.inv(a)) is Fraction
+        assert QQ.is_zero(a) is (a == 0)
+    # int operands are accepted, and the result is still a Fraction
+    for got in (QQ.add(2, 3), QQ.mul(2, -3), QQ.neg(4), QQ.inv(-2), QQ.add(1, Fraction(1, 2))):
+        assert type(got) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_add_multiple_matches_the_generic_kernel(field):
+    rng = random.Random(25)
+    scalar = (lambda: rational(rng)) if field is QQ else (lambda: rng.randrange(field.p))
+    plain = (lambda z: z) if field is QQ else (lambda z: z % field.p)
+    for _ in range(300):
+        x = scalar()
+        vec = {c: y for c in rng.sample(range(12), 6) if (y := scalar())}
+        acc = {c: y for c in rng.sample(range(12), 6) if (y := scalar())}
+        for c in vec:
+            if rng.random() < 0.3:  # cancels: acc[c] + x * vec[c] == 0
+                acc[c] = plain(-x * vec[c])
+        acc = {c: y for c, y in acc.items() if y}
+        want = {c: z for c in acc.keys() | vec.keys() if (z := plain(acc.get(c, 0) + x * vec.get(c, 0)))}
+        for kernel in (field.add_multiple, lambda *args: Field.add_multiple(field, *args)):
+            got = dict(acc)
+            kernel(got, x, vec)
+            assert got == want
+            assert 0 not in got.values()
+            if field is QQ:
+                assert all(type(z) is Fraction for z in got.values())
 
 
 def test_rref_rank_one_dependency():
