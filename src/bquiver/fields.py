@@ -16,8 +16,9 @@ reports print a rational as a string and an int as a number.
 Each field owns the one sparse kernel, ``add_multiple(acc, x, vec)``:
 ``acc += x * vec`` on ``{key: coeff}`` dicts with no zero entries, dropping
 the keys that cancel.  The base class composes it from ``add``, ``mul`` and
-``is_zero``; ``QQ`` and ``GF(p)`` inline their arithmetic, since every
-elimination, product and derivation image spends its time in that loop.
+``is_zero``, and GF(p) uses that; ``QQ`` inlines its integral path, since
+every elimination, product and derivation image over the rationals spends
+its time in that loop.
 """
 
 from __future__ import annotations
@@ -192,15 +193,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def add_multiple(self, acc: dict, x, vec: dict) -> None:
-        p = self.p
-        for c, y in vec.items():
-            z = (acc.get(c, 0) + x * y) % p
-            if z:
-                acc[c] = z
-            else:
-                acc.pop(c, None)
 
     def elements(self):
         return range(self.p)

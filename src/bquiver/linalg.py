@@ -4,8 +4,8 @@ Vectors and linear systems are sparse ``{index: coeff}`` maps with no zero
 entries, the format of the one elimination, ``_Echelon``: it holds a span
 by its fully reduced, monic echelon basis, with the column order as its one
 parameter.  Every row operation, here and in the callers, is the field's own
-sparse kernel ``Field.add_multiple`` (``acc += x * vec``), which QQ and
-GF(p) inline.  Matrix columns are ordered by ascending index; ideals of the
+sparse kernel ``Field.add_multiple`` (``acc += x * vec``), which QQ
+inlines.  Matrix columns are ordered by ascending index; ideals of the
 path algebra order paths descending, so each pivot is the greatest path of
 its row.  That basis is unique, so echelon rows and pivots (the RREF),
 nullspace bases (free columns in increasing order each receive a unit
