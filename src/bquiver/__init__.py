@@ -43,7 +43,6 @@ from .pathalg import (
     transvection,
     transvection_of,
 )
-from .budgets import DEFAULT_BUDGETS, Budgets
 from .homotopy import (
     AbelianInvariants,
     Decision,

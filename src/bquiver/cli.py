@@ -2,24 +2,22 @@
 
 Commands operate on a document file and print a deterministic report, either
 human-readable or as canonical JSON (sorted keys, exact rationals rendered
-as strings).  Exit codes: 0 ok, 1 a check failed, 2 input error, 3 budgets
-ran out leaving unknown outcomes.
+as strings).  Exit codes: 0 ok, 1 a check failed, 2 input error, 3 a search
+stopped at its limit, leaving unknown outcomes.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .budgets import DEFAULT_BUDGETS, Budgets
 from .dsl import InputDocument, InputError, parse_input
 from .hochschild import CohomologySpace, FDAlgebra
-from .homotopy import GroupPresentation, abelian_invariants, homotopy_pairs
+from .homotopy import SEARCH_MAX_NODES, GroupPresentation, abelian_invariants, homotopy_pairs
 from .pathalg import _render
 from .presentations import (
     Presentation,
@@ -29,17 +27,14 @@ from .presentations import (
 from .quiver import QuiverError
 from .relquiver import build_relation_quiver, sources_report, verify_main_theorem
 
-# the one budget is a flag and a document key
-_BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(Budgets))
-
-
-def resolve_budgets(document: InputDocument, flag_values: dict) -> Budgets:
-    """Defaults, then the document's ``budget`` lines, then flags."""
-    unknown = set(document.budget_settings) - set(_BUDGET_KEYS)
-    if unknown:
-        raise InputError(f"unknown budget keys {sorted(unknown)}")
-    flags = {k: flag_values[k] for k in _BUDGET_KEYS if flag_values.get(k) is not None}
-    return dataclasses.replace(DEFAULT_BUDGETS, **{**document.budget_settings, **flags})
+def resolve_search_max_nodes(document: InputDocument, args) -> int:
+    """The word search's node limit: the flag, else the document's
+    ``budget`` line, else the default."""
+    if args.search_max_nodes is not None:
+        return args.search_max_nodes
+    if document.search_max_nodes is not None:
+        return document.search_max_nodes
+    return SEARCH_MAX_NODES
 
 
 def _jsonable(obj):
@@ -75,7 +70,7 @@ def _collect_unknowns(obj, found: list, trail: str = ""):
 
 # ---------- command payloads ----------
 
-def _cmd_validate(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_validate(document: InputDocument, args) -> tuple[dict, bool]:
     diag = document.quiver.validate()
     payload = {
         "quiver_ok": diag["ok"],
@@ -117,7 +112,7 @@ def _admissible_ideal(document: InputDocument, args):
     return name, ideal
 
 
-def _cmd_pi1(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_pi1(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
     pairs = homotopy_pairs(ideal)
@@ -135,7 +130,7 @@ def _cmd_pi1(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     return payload, True
 
 
-def _cmd_homk(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_homk(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
     basis = GroupPresentation(document.quiver, tree, homotopy_pairs(ideal)).characters(document.field)
@@ -147,7 +142,7 @@ def _cmd_homk(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     return payload, True
 
 
-def _cmd_hh1(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_hh1(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     space = CohomologySpace(FDAlgebra(ideal))
     payload = {
@@ -166,7 +161,7 @@ def _class_vector(cls) -> list:
     return [cls.coords.get(j, zero) for j in range(len(cls.space.der_basis))]
 
 
-def _cmd_theta(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_theta(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
     space = CohomologySpace(FDAlgebra(ideal))
@@ -183,10 +178,10 @@ def _cmd_theta(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     return payload, True
 
 
-def _cmd_gamma(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_gamma(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
-    rq = build_relation_quiver(ideal, tree, budgets)
+    rq = build_relation_quiver(ideal, tree, resolve_search_max_nodes(document, args))
     report = sources_report(rq)
     payload = {
         "ideal": name,
@@ -203,7 +198,7 @@ def _cmd_gamma(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     return payload, True
 
 
-def _cmd_maxdiag(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_maxdiag(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
     space = CohomologySpace(FDAlgebra(ideal))
@@ -220,10 +215,10 @@ def _cmd_maxdiag(document: InputDocument, args, budgets) -> tuple[dict, bool]:
     return payload, verdict != "no"
 
 
-def _cmd_verify(document: InputDocument, args, budgets) -> tuple[dict, bool]:
+def _cmd_verify(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
-    report = verify_main_theorem(ideal, tree, budgets)
+    report = verify_main_theorem(ideal, tree, resolve_search_max_nodes(document, args))
     report["ideal"] = name
     return report, report["statuses"]["fail"] == 0
 
@@ -240,12 +235,12 @@ _COMMANDS = {
 }
 
 
-def run(command: str, document: InputDocument, args, budgets: Budgets) -> tuple[dict, int]:
+def run(command: str, document: InputDocument, args) -> tuple[dict, int]:
     """Dispatch one command; returns the report and the exit code."""
     handler = _COMMANDS.get(command)
     if handler is None:
         raise InputError(f"unknown command {command!r}")
-    payload, ok = handler(document, args, budgets)
+    payload, ok = handler(document, args)
     report = {
         "command": command,
         "field": repr(document.field),
@@ -316,8 +311,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ideal", help="ideal name the command operates on")
     parser.add_argument("--base", help="base vertex for trees and fundamental groups")
     parser.add_argument("--json", action="store_true", help="emit canonical JSON")
-    for key in _BUDGET_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", type=_budget_value, dest=key)
+    parser.add_argument("--search-max-nodes", type=_budget_value, help=f"word-search node limit (default {SEARCH_MAX_NODES})")
     return parser
 
 
@@ -328,8 +322,7 @@ def main(argv=None) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         document = parse_input(text)
-        budgets = resolve_budgets(document, vars(args))
-        report, code = run(args.command, document, args, budgets)
+        report, code = run(args.command, document, args)
     except (InputError, QuiverError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,7 +82,7 @@ class InputDocument:
     ideal_generators: dict[str, list[dict]]
     ideal_order: list[str]
     tree_arrows: tuple[str, ...] | None = None
-    budget_settings: dict[str, int] = dataclass_field(default_factory=dict)
+    search_max_nodes: int | None = None
     _ideals: dict[str, IdealData] = dataclass_field(default_factory=dict)
 
     def ideal(self, name: str) -> IdealData:
@@ -139,8 +139,6 @@ class _Parser:
         doc = InputDocument(field, quiver, {}, [])
         while self.peek().text == "ideal":
             name, gens = self.parse_ideal_decl(doc)
-            if name in doc.ideal_generators:
-                self.fail(f"ideal {name!r} declared twice")
             doc.ideal_generators[name] = gens
             doc.ideal_order.append(name)
         while self.peek().text in ("tree", "budget"):
@@ -195,7 +193,10 @@ class _Parser:
 
     def parse_ideal_decl(self, doc: InputDocument) -> tuple[str, list[dict]]:
         self.expect("ideal")
-        name = self.expect_name().text
+        name_tok = self.expect_name()
+        name = name_tok.text
+        if name in doc.ideal_generators:
+            self.fail(f"ideal {name!r} declared twice", name_tok)
         self.expect("{")
         if self.peek().text == "}":  # an empty body is the zero ideal
             self.next()
@@ -262,23 +263,29 @@ class _Parser:
     def parse_setting(self, doc: InputDocument):
         tok = self.next()
         if tok.text == "tree":
+            if doc.tree_arrows is not None:
+                self.fail("tree declared twice", tok)
             self.expect("{")
-            names = [self.expect_name().text]
+            names = [self.expect_name()]
             while self.peek().text == ",":
                 self.next()
-                names.append(self.expect_name().text)
+                names.append(self.expect_name())
             self.expect("}")
             for n in names:
-                if n not in doc.quiver.arrow_by_name:
-                    self.fail(f"unknown arrow {n!r} in tree", tok)
-            doc.tree_arrows = tuple(names)
+                if n.text not in doc.quiver.arrow_by_name:
+                    self.fail(f"unknown arrow {n.text!r} in tree", n)
+            doc.tree_arrows = tuple(n.text for n in names)
         else:
-            key = self.expect_name().text
+            key_tok = self.expect_name()
+            if key_tok.text != "search_max_nodes":
+                self.fail(f"unknown budget keys {[key_tok.text]}", key_tok)
+            if doc.search_max_nodes is not None:
+                self.fail("budget search_max_nodes declared twice", tok)
             self.expect("=")
             value_tok = self.next()
             if not value_tok.text.isdigit():
                 self.fail("budget values are nonnegative integers", value_tok)
-            doc.budget_settings[key] = int(value_tok.text)
+            doc.search_max_nodes = int(value_tok.text)
 
 
 def parse_input(text: str) -> InputDocument:
@@ -303,6 +310,6 @@ def render_document(doc: InputDocument) -> str:
         lines.append(f"ideal {name} {{ " + " ; ".join(rels) + " }")
     if doc.tree_arrows:
         lines.append("tree { " + ", ".join(doc.tree_arrows) + " }")
-    for key in sorted(doc.budget_settings):
-        lines.append(f"budget {key} = {doc.budget_settings[key]}")
+    if doc.search_max_nodes is not None:
+        lines.append(f"budget search_max_nodes = {doc.search_max_nodes}")
     return "\n".join(lines) + "\n"

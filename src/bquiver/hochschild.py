@@ -79,7 +79,6 @@ class FDAlgebra:
             if (p.source, p.target) in blocks:
                 blocks[p.source, p.target].append(i)
         self.blocks = {k: tuple(v) for k, v in blocks.items()}
-        self._table: dict[tuple[int, int], dict] = {}
         # unknown coordinates for derivations: per arrow, one per parallel
         # normal path; arrow_unknowns[name] is the arrow's range of them
         unknowns = []
@@ -106,21 +105,9 @@ class FDAlgebra:
         """The path-algebra element ``{Path: coeff}`` of an algebra vector."""
         return {self.basis[i]: c for i, c in vec.items()}
 
-    def basis_product(self, i: int, j: int) -> dict:
-        """Vector of basis[i] * basis[j] (right-to-left, j traversed first)."""
-        key = (i, j)
-        if key not in self._table:
-            one = self.field.one
-            self._table[key] = self.vector_of(_product(self.field, {self.basis[i]: one}, {self.basis[j]: one}))
-        return self._table[key]
-
     def multiply_vectors(self, u: dict, v: dict) -> dict:
-        f = self.field
-        out: dict = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                f.add_multiple(out, f.mul(ci, cj), self.basis_product(i, j))
-        return out
+        """The vector of u * v (right-to-left, v traversed first)."""
+        return self.vector_of(_product(self.field, self.element_of(u), self.element_of(v)))
 
     def leibniz(self, path: Path) -> dict[int, dict[int, object]]:
         """D(path) for the symbolic derivation D, as ``{basis index: {unknown

@@ -17,7 +17,8 @@ of the relation:
   invariants and certifies the "no" answers of
 * a sound three-valued decision procedure for homotopy of parallel walks:
   "no" is certified by the abelianization, "yes" by a replayable rewriting
-  trace, and anything the bounded search cannot settle stays "unknown".
+  trace, and what the search cannot settle in ``search_max_nodes`` nodes
+  stays "unknown".
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import Field
 from .linalg import _clean, nullspace, smith_normal_form
 from .pathalg import IdealData
@@ -262,6 +262,7 @@ class Decision:
 
 
 _WORD_MAX_LEN = 64  # the rewriting search keeps no longer word
+SEARCH_MAX_NODES = 100_000  # its default node limit, the one settable limit
 
 
 class HomotopyOracle:
@@ -276,7 +277,7 @@ class HomotopyOracle:
         self,
         ideal: IdealData,
         tree: SpanningTree | None = None,
-        budgets: Budgets = DEFAULT_BUDGETS,
+        search_max_nodes: int = SEARCH_MAX_NODES,
         pairs: tuple[tuple[Path, Path], ...] | None = None,
     ):
         self.ideal = ideal
@@ -284,7 +285,7 @@ class HomotopyOracle:
         self.tree = tree or self.quiver.spanning_tree(self.quiver.vertices[0])
         self.pairs = homotopy_pairs(ideal) if pairs is None else pairs
         self.presentation = GroupPresentation(self.quiver, self.tree, self.pairs)
-        self.budgets = budgets
+        self.search_max_nodes = search_max_nodes
         self._decisions: dict[Word, Decision] = {}
         self._pair_words: dict[tuple[Path, Path], Word] = {}
 
@@ -308,7 +309,7 @@ class HomotopyOracle:
         rels = self.presentation.symmetrized
         if not rels:
             return None
-        max_nodes = self.budgets.search_max_nodes
+        max_nodes = self.search_max_nodes
         parents: dict[Word, tuple[Word, int, Word]] = {word: None}
         queue = deque([word])
         while queue and len(parents) < max_nodes:

@@ -384,8 +384,6 @@ def enumerate_bypasses(quiver: Quiver) -> list[Bypass]:
         for p in quiver.paths_between(a.source, a.target):
             if p.arrows == (name,):
                 continue
-            if p.is_trivial:
-                continue
             out.append(Bypass(name, p))
     return out
 

@@ -16,9 +16,9 @@ ideal exactly when every d(b) lies in the ideal, which does not depend on
 tau: the sweep tests this once per (ideal, bypass) and otherwise spans the
 image from the rows b + tau*d(b), building no automorphism.
 
-Γ keeps the tree and the budgets it was built under and owns one memoized
-homotopy oracle per homotopy relation (``RelationQuiver.oracle``): ideals
-with the same homotopy pairs share it, and with it its decisions.  The
+Γ keeps the tree and the search node limit it was built under and owns one
+memoized homotopy oracle per homotopy relation (``RelationQuiver.oracle``):
+ideals with the same homotopy pairs share it, and with it its decisions.  The
 sweep and the verification harness both ask Γ.
 
 On top of the graph sit source detection (with the two sufficient uniqueness
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .budgets import Budgets, DEFAULT_BUDGETS
 from .fields import PrimeField
 from .hochschild import (
     ClassSpan,
@@ -45,6 +44,7 @@ from .homotopy import (
     Decision,
     HomotopyOracle,
     NO,
+    SEARCH_MAX_NODES,
     UNKNOWN,
     YES,
     homotopy_pairs,
@@ -189,7 +189,7 @@ class RelationArrow:
 class RelationQuiver:
     seed: IdealData
     tree: SpanningTree
-    budgets: Budgets
+    search_max_nodes: int
     vertices: list
     arrows: list
     unknown_candidates: list
@@ -201,9 +201,9 @@ class RelationQuiver:
 
     def oracle(self, ideal: IdealData) -> HomotopyOracle:
         """The one homotopy oracle of the ideal's relation under Γ's tree
-        and budgets.
+        and search node limit.
 
-        An oracle reads only the tree, the budgets and the homotopy pairs,
+        An oracle reads only the tree, the node limit and the homotopy pairs,
         and decides each word deterministically, so the pairs are computed
         once per ideal and every ideal with the same pairs gets the same
         oracle, and shares its memoized decisions.
@@ -213,7 +213,7 @@ class RelationQuiver:
             pairs = homotopy_pairs(ideal)
             oracle = self._relations.get(pairs)
             if oracle is None:
-                oracle = self._relations[pairs] = HomotopyOracle(ideal, self.tree, self.budgets, pairs)
+                oracle = self._relations[pairs] = HomotopyOracle(ideal, self.tree, self.search_max_nodes, pairs)
             self._oracles[ideal] = oracle
         return oracle
 
@@ -224,7 +224,7 @@ _GRAPH_MAX_VERTICES = 64
 
 
 def build_relation_quiver(
-    seed: IdealData, tree: SpanningTree | None = None, budgets: Budgets = DEFAULT_BUDGETS
+    seed: IdealData, tree: SpanningTree | None = None, search_max_nodes: int = SEARCH_MAX_NODES
 ) -> RelationQuiver:
     """Breadth-first closure of the seed under classified transvections."""
     ok, bad = seed.is_admissible()
@@ -236,7 +236,7 @@ def build_relation_quiver(
     rq = RelationQuiver(
         seed=seed,
         tree=tree or quiver.spanning_tree(quiver.vertices[0]),
-        budgets=budgets,
+        search_max_nodes=search_max_nodes,
         vertices=[],
         arrows=[],
         unknown_candidates=[],
@@ -384,7 +384,7 @@ def enumerate_spans(space: CohomologySpace) -> dict[ClassSpan, bool]:
 
 
 def verify_main_theorem(
-    seed: IdealData, tree: SpanningTree | None = None, budgets: Budgets = DEFAULT_BUDGETS
+    seed: IdealData, tree: SpanningTree | None = None, search_max_nodes: int = SEARCH_MAX_NODES
 ) -> dict:
     """Cross-check the maximal-diagonalizable description on one instance.
 
@@ -407,7 +407,7 @@ def verify_main_theorem(
 
     algebra = FDAlgebra(seed)
     space = CohomologySpace(algebra)
-    rq = build_relation_quiver(seed, tree, budgets)
+    rq = build_relation_quiver(seed, tree, search_max_nodes)
     tree = rq.tree
     src_report = sources_report(rq)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bquiver import QQ, InputDocument, InputError, parse_input, relquiver, render_document
-from bquiver.cli import main, build_arg_parser, resolve_budgets
+from bquiver.cli import main, build_arg_parser, resolve_search_max_nodes
 from bquiver.pathalg import _render
 
 from conftest import random_admissible_ideal, random_quiver
@@ -369,6 +369,56 @@ def test_parse_errors_carry_line_and_column():
         assert str(err.value) == f"{message} (line {line}, column {column})"
 
 
+ONE_IDEAL_DOC = PARALLEL_PAIR_DOC.replace("ideal J { c*a - c*b }\n", "").replace("tree { a, c }\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, argv, message, position",
+    [
+        (ONE_IDEAL_DOC.replace("field QQ", "field FOO"), [], "unknown field 'FOO'", (2, 7)),
+        (ONE_IDEAL_DOC.replace("field QQ", "field GF(x)"), [], "expected a prime number", (2, 10)),
+        ("field QQ\nquiver {\n  vertices 1, 2\n}\n", [], "a quiver needs at least one arrow declaration", (4, 1)),
+        (ONE_IDEAL_DOC.replace("vertices 1, 2, 3", "vertices 1, 2, 2"), [], "duplicate vertex names", (5, 3)),
+        (ONE_IDEAL_DOC + "ideal I { c*b }\n", [], "ideal 'I' declared twice", (10, 7)),
+        (ONE_IDEAL_DOC.replace("{ c*a }", "{ 1/x*c*a }"), [], "expected a denominator", (9, 13)),
+        (ONE_IDEAL_DOC + "tree { a, z }\n", [], "unknown arrow 'z' in tree", (10, 11)),
+        (ONE_IDEAL_DOC + "tree { a, c }\ntree { b, c }\n", [], "tree declared twice", (11, 1)),
+        (
+            ONE_IDEAL_DOC + "budget search_max_nodes = 5\nbudget search_max_nodes = 7\n",
+            [],
+            "budget search_max_nodes declared twice",
+            (11, 1),
+        ),
+        (ONE_IDEAL_DOC + "budget bogus_key = 5\n", [], "unknown budget keys ['bogus_key']", (10, 8)),
+        (PARALLEL_PAIR_DOC, ["--ideal", "K"], "unknown ideal 'K'", None),
+        (PARALLEL_PAIR_DOC, [], "this command needs --ideal NAME", None),
+        (ONE_IDEAL_DOC.replace("{ c*a }", "{ a }"), [], "ideal 'I' is not admissible", None),
+    ],
+    ids=[
+        "unknown-field", "non-numeric-prime", "no-arrow", "duplicate-vertex", "ideal-twice",
+        "non-numeric-denominator", "unknown-tree-arrow", "tree-twice", "budget-twice", "unknown-budget-key",
+        "unknown-ideal", "no-ideal-flag", "not-admissible",
+    ],
+)
+def test_cli_input_errors_exit_2_with_their_message(tmp_path, capsys, text, argv, message, position):
+    assert main(["gamma", write(tmp_path, text)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if position:
+        assert captured.err == f"error: {message} (line {position[0]}, column {position[1]})\n"
+    else:
+        assert captured.err.startswith(f"error: {message}")
+
+
+def test_render_parse_keeps_the_tree_and_budget_lines():
+    doc1 = parse_input(PARALLEL_PAIR_DOC + "budget search_max_nodes = 77\n")
+    rendered = render_document(doc1)
+    assert rendered.endswith("tree { a, c }\nbudget search_max_nodes = 77\n")
+    doc2 = parse_input(rendered)
+    assert (doc2.tree_arrows, doc2.search_max_nodes) == (("a", "c"), 77)
+    assert render_document(doc2) == rendered
+
+
 def test_cli_fraction_maps_into_the_field_before_it_divides(tmp_path, capsys):
     def with_coefficient(field, coeff):
         return PARALLEL_PAIR_DOC.replace("field QQ", f"field {field}").replace("{ c*a }", "{ %s*c*a }" % coeff)
@@ -400,22 +450,23 @@ def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
     doc = PARALLEL_PAIR_DOC + "budget search_max_nodes = 77\n"
     parsed = parse_input(doc)
     args = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I"])
-    budgets = resolve_budgets(parsed, vars(args))
-    assert budgets.search_max_nodes == 77
+    assert resolve_search_max_nodes(parse_input(PARALLEL_PAIR_DOC), args) == 100_000
+    search_max_nodes = resolve_search_max_nodes(parsed, args)
+    assert search_max_nodes == 77
     # the environment is no source of budgets
     monkeypatch.setenv("BQUIVER_SEARCH_MAX_NODES", "9")
-    budgets = resolve_budgets(parsed, vars(args))
-    assert budgets.search_max_nodes == 77
+    search_max_nodes = resolve_search_max_nodes(parsed, args)
+    assert search_max_nodes == 77
     # flags outrank the document
     args2 = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
-    budgets2 = resolve_budgets(parsed, vars(args2))
-    assert budgets2.search_max_nodes == 5
+    search_max_nodes2 = resolve_search_max_nodes(parsed, args2)
+    assert search_max_nodes2 == 5
     # a key that is no budget is rejected on every surface; the fixed
     # limits are no budgets
     removed = ("word_max_len", "graph_max_vertices", "graph_max_candidates", "maxdiag_max_candidates")
     for key in ("bogus_key", "factor_max_nodes") + removed:
         with pytest.raises(InputError, match="unknown budget keys"):
-            resolve_budgets(parse_input(doc.replace("search_max_nodes", key)), vars(args))
+            parse_input(doc.replace("search_max_nodes", key))
     for key in ("factor_max_nodes",) + removed:
         with pytest.raises(SystemExit) as exited:
             build_arg_parser().parse_args(["gamma", "x", f"--{key.replace('_', '-')}", "5"])

@@ -16,7 +16,6 @@ from bquiver import (
     Quiver,
 )
 from bquiver import homotopy
-from bquiver.budgets import Budgets
 from bquiver.homotopy import AbelianCertificate, RewriteTrace
 from bquiver.linalg import _clean, nullspace
 
@@ -157,9 +156,8 @@ def test_decide_tree_detour_is_homotopic():
 
 def test_decide_budget_exhaustion_goes_unknown():
     q, mono, diff, tree = parallel_pair(QQ)
-    tiny = Budgets(search_max_nodes=1)
     a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
-    d = HomotopyOracle(diff, budgets=tiny).decide_walks(a, b)
+    d = HomotopyOracle(diff, search_max_nodes=1).decide_walks(a, b)
     assert d.verdict == UNKNOWN
 
 

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from bquiver import (
-    Budgets,
     CohomologyClass,
     CohomologySpace,
     Derivation,
@@ -302,7 +301,7 @@ def test_character_images_are_diagonal_on_their_adapted_bases(monkeypatch):
 def certificate_presentations(space, ideal, tree):
     """The natural presentation, each Gamma vertex's, and a realized one per
     diagonalizable basis class."""
-    rq = build_relation_quiver(ideal, tree, Budgets(search_max_nodes=2000))
+    rq = build_relation_quiver(ideal, tree, search_max_nodes=2000)
     out = [Presentation.natural(space, tree)]
     out += [presentation_for_vertex(space, rq, i) for i in range(len(rq.vertices))]
     out += [realize_in_image([b], tree)[0] for b in space.basis_classes() if is_diagonalizable_class(b)]

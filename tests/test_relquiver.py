@@ -567,14 +567,12 @@ def test_seeded_sweep_decides_every_candidate():
     # Sweep-17: 300 random bound quivers over random fields, each Γ built
     # with a 5000-node search budget, leave no candidate undecided and no
     # sweep truncated
-    from bquiver.budgets import Budgets
     from conftest import random_admissible_ideal, random_field, random_quiver
 
-    budgets = Budgets(search_max_nodes=5000)
     rng = random.Random(17)
     for k in range(300):
         q = random_quiver(rng, 6, 40)
         field = random_field(rng)
         ideal = random_admissible_ideal(rng, q, field)
-        rq = build_relation_quiver(ideal, None, budgets)
+        rq = build_relation_quiver(ideal, None, search_max_nodes=5000)
         assert not rq.unknown_candidates and not rq.truncated, f"iteration {k} over {field}"
