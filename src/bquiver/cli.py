@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .dsl import InputDocument, InputError, parse_input
@@ -35,18 +34,6 @@ def resolve_search_max_nodes(document: InputDocument, args) -> int:
     if document.search_max_nodes is not None:
         return document.search_max_nodes
     return SEARCH_MAX_NODES
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def _collect_unknowns(obj, found: list, trail: str = ""):
@@ -80,12 +67,12 @@ def _cmd_validate(document: InputDocument, args) -> tuple[dict, bool]:
     }
     ok = diag["ok"]
     if diag["ok"]:
-        for name in document.ideal_order:
+        for name in document.ideal_generators:
             ideal = document.ideal(name)
             admissible, violations = ideal.is_admissible()
             payload["ideals"][name] = {
                 "admissible": admissible,
-                "violations": [[i, str(p)] for i, p in violations],
+                "violations": _violations(violations),
                 "reduced_basis": [_render(ideal.quiver, ideal.field, e) for e in ideal.basis],
                 "monomial": ideal.is_monomial(),
             }
@@ -93,22 +80,21 @@ def _cmd_validate(document: InputDocument, args) -> tuple[dict, bool]:
     return payload, ok
 
 
-def _require_ideal(document: InputDocument, args) -> str:
-    if not args.ideal:
-        if len(document.ideal_order) == 1:
-            return document.ideal_order[0]
-        raise InputError("this command needs --ideal NAME")
-    if args.ideal not in document.ideal_generators:
-        raise InputError(f"unknown ideal {args.ideal!r}")
-    return args.ideal
+def _violations(violations) -> list:
+    """Admissibility violations as the reports print them."""
+    return [[i, str(p)] for i, p in violations]
 
 
 def _admissible_ideal(document: InputDocument, args):
-    name = _require_ideal(document, args)
+    name = args.ideal
+    if not name:
+        if len(document.ideal_generators) != 1:
+            raise InputError("this command needs --ideal NAME")
+        [name] = document.ideal_generators
     ideal = document.ideal(name)
     admissible, violations = ideal.is_admissible()
     if not admissible:
-        raise InputError(f"ideal {name!r} is not admissible: {violations}")
+        raise InputError(f"ideal {name!r} is not admissible: {json.dumps(_violations(violations))}")
     return name, ideal
 
 
@@ -246,7 +232,7 @@ def run(command: str, document: InputDocument, args) -> tuple[dict, int]:
         "field": repr(document.field),
         "version": __version__,
     }
-    report.update(_jsonable(payload))
+    report.update(payload)
     unknowns: list = []
     _collect_unknowns(report, unknowns)
     report["status"] = {"ok": bool(ok), "unknowns": unknowns}
@@ -261,7 +247,7 @@ def run(command: str, document: InputDocument, args) -> tuple[dict, int]:
 
 def emit(report: dict, json_mode: bool) -> str:
     if json_mode:
-        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(report, sort_keys=True, separators=(",", ":"), default=str) + "\n"
     lines = []
 
     def walk(obj, indent=0):

@@ -23,7 +23,7 @@ Products are read right to left: the term ``c*a`` is the path that traverses
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fields import Field, GF, QQ, is_prime
@@ -41,13 +41,12 @@ class InputError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<comment>\#[^\n]*)
   | (?P<sym>->|[{}(),;:*+\-=/])
   | (?P<name>[A-Za-z0-9_]+)
-  | (?P<bad>.)
+  | (?P<bad>[^ \t\r\n])
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 
@@ -69,7 +68,7 @@ def _tokenize(text: str) -> list[Token]:
         kind = m.lastgroup
         if kind == "bad":
             raise InputError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
-        if kind not in ("ws", "comment"):
+        if kind != "comment":
             tokens.append(Token(kind, m.group(), m.start()))
     tokens.append(Token("end", "", len(text)))
     return tokens
@@ -79,19 +78,15 @@ def _tokenize(text: str) -> list[Token]:
 class InputDocument:
     field: Field
     quiver: Quiver
-    ideal_generators: dict[str, list[dict]]
-    ideal_order: list[str]
+    ideal_generators: dict[str, list[dict]]  # in declaration order
     tree_arrows: tuple[str, ...] | None = None
     search_max_nodes: int | None = None
-    _ideals: dict[str, IdealData] = dataclass_field(default_factory=dict)
 
     def ideal(self, name: str) -> IdealData:
         if name not in self.ideal_generators:
             raise InputError(f"unknown ideal {name!r}")
-        if name not in self._ideals:
-            self.quiver.require_valid()
-            self._ideals[name] = IdealData(self.quiver, self.field, self.ideal_generators[name])
-        return self._ideals[name]
+        self.quiver.require_valid()
+        return IdealData(self.quiver, self.field, self.ideal_generators[name])
 
     def spanning_tree(self, base: str | None = None) -> SpanningTree:
         base = base or self.quiver.vertices[0]
@@ -136,11 +131,10 @@ class _Parser:
     def parse(self) -> InputDocument:
         field = self.parse_field_decl()
         quiver = self.parse_quiver_decl()
-        doc = InputDocument(field, quiver, {}, [])
+        doc = InputDocument(field, quiver, {})
         while self.peek().text == "ideal":
             name, gens = self.parse_ideal_decl(doc)
             doc.ideal_generators[name] = gens
-            doc.ideal_order.append(name)
         while self.peek().text in ("tree", "budget"):
             self.parse_setting(doc)
         tok = self.peek()
@@ -172,24 +166,31 @@ class _Parser:
         vertices = [self.expect_name().text]
         while self.peek().text == ",":
             self.next()
-            vertices.append(self.expect_name().text)
-        arrows = []
-        first = self.peek()
+            tok = self.expect_name()
+            if tok.text in vertices:
+                self.fail("duplicate vertex names", tok)
+            vertices.append(tok.text)
+        arrows = {}
         while self.peek().text == "arrow":
             self.next()
-            name = self.expect_name().text
+            name_tok = self.expect_name()
+            name = name_tok.text
+            if name in arrows:
+                self.fail(f"duplicate arrow name {name!r}", name_tok)
             self.expect(":")
-            src = self.expect_name().text
+            src = self._endpoint(name, vertices)
             self.expect("->")
-            tgt = self.expect_name().text
-            arrows.append((name, src, tgt))
+            arrows[name] = (name, src, self._endpoint(name, vertices))
         if not arrows:
-            self.fail("a quiver needs at least one arrow declaration", first)
+            self.fail("a quiver needs at least one arrow declaration")
         self.expect("}")
-        try:
-            return Quiver(vertices, arrows)
-        except QuiverError as exc:
-            self.fail(str(exc), first)
+        return Quiver(vertices, arrows.values())
+
+    def _endpoint(self, arrow: str, vertices: list[str]) -> str:
+        tok = self.expect_name()
+        if tok.text not in vertices:
+            self.fail(f"arrow {arrow!r} has an unknown endpoint", tok)
+        return tok.text
 
     def parse_ideal_decl(self, doc: InputDocument) -> tuple[str, list[dict]]:
         self.expect("ideal")
@@ -302,10 +303,9 @@ def render_document(doc: InputDocument) -> str:
         a = doc.quiver.arrow(name)
         lines.append(f"  arrow {a.name}: {a.source} -> {a.target}")
     lines.append("}")
-    for name in doc.ideal_order:
+    for name, gens in doc.ideal_generators.items():
         # a zero generator renders as zero times an arrow (it was written
         # with one), which parses back to a zero generator
-        gens = doc.ideal_generators[name]
         rels = [_render(doc.quiver, f, g) if g else f"0*{doc.quiver.arrow_names[0]}" for g in gens]
         lines.append(f"ideal {name} {{ " + " ; ".join(rels) + " }")
     if doc.tree_arrows:

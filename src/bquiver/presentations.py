@@ -302,10 +302,7 @@ def _diagonal_on(classes, vectors):
         for vec in vectors:
             image = d.apply(vec)
             i = min(vec)
-            # a unit leading entry (every natural arrow image) needs no division
-            lam = image.get(i, f.zero)
-            if vec[i] != 1:
-                lam = f.div(lam, vec[i])
+            lam = f.div(image.get(i, f.zero), vec[i])
             if image != ({} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}):
                 return None
             eigenvalues.append(lam)

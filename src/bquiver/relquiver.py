@@ -338,7 +338,7 @@ def sources_report(rq: RelationQuiver) -> dict:
         "monomial_vertices": monomial_vertices,
         "multiple_arrows": multiple_arrows,
         "hypothesis_monomial_no_multiple_arrows": bool(monomial_vertices) and not multiple_arrows,
-        "complete": not rq.truncated and not rq.unknown_candidates and not rq.ambiguous_vertices,
+        "complete": _incompleteness(rq) is None,
     }
 
 
@@ -383,6 +383,16 @@ def enumerate_spans(space: CohomologySpace) -> dict[ClassSpan, bool]:
     return dict(sorted(spans.items(), key=order))
 
 
+def _incompleteness(rq: RelationQuiver) -> str | None:
+    """Why the sweep may have missed part of Γ, or None when it is complete
+    (``sources_report``'s ``complete``)."""
+    causes = ["Γ truncated"] if rq.truncated else []
+    if rq.unknown_candidates:
+        causes.append("unknown candidates")
+    causes += [f"ambiguous vertex {k}" for k in rq.ambiguous_vertices]
+    return "; ".join(causes) or None
+
+
 def verify_main_theorem(
     seed: IdealData, tree: SpanningTree | None = None, search_max_nodes: int = SEARCH_MAX_NODES
 ) -> dict:
@@ -399,6 +409,10 @@ def verify_main_theorem(
 
     Conjugation is a group action, so maximal subalgebras conjugate onto one
     source image are conjugate to each other.
+
+    While Γ is incomplete, every check that reads its source set is unknown
+    with the causes as its detail, and a truncation and each ambiguous
+    vertex count as unknowns besides the unknown candidates.
     """
     checks: list[dict] = []
 
@@ -412,18 +426,23 @@ def verify_main_theorem(
     src_report = sources_report(rq)
 
     source_set = set(src_report["sources"])
+    gaps = _incompleteness(rq)
+
+    def record_on_sources(name: str, status: str, detail=None):
+        """Record a check that reads the source set: unknown, naming the
+        causes, while Γ is incomplete, since its sources may not be Γ's."""
+        if gaps:
+            record(name, "unknown", gaps)
+        else:
+            record(name, status, detail)
 
     def record_source_relation(name: str, kernel: IdealData):
         """Pass when the kernel carries the relation of some source, fail
         when it carries none, unknown otherwise."""
         oracle = rq.oracle(kernel)
         verdicts = [oracle.same_relation(rq.oracle(rq.vertices[s].ideal)).verdict for s in sorted(source_set)]
-        if YES in verdicts:
-            record(name, "pass")
-        elif all(v == NO for v in verdicts):
-            record(name, "fail")
-        else:
-            record(name, "unknown")
+        status = "pass" if YES in verdicts else "fail" if all(v == NO for v in verdicts) else "unknown"
+        record_on_sources(name, status)
 
     source_presentations: dict[int, Presentation] = {}
     for i in sorted(source_set):
@@ -431,10 +450,10 @@ def verify_main_theorem(
         source_presentations[i] = pres
         image = pres.character_image()
         diag = is_diagonalizable_set(image.basis_classes(), pres)
-        record(f"source {i}: character image diagonalizable", "pass" if diag else "fail")
+        record_on_sources(f"source {i}: character image diagonalizable", "pass" if diag else "fail")
         verdict, witness = is_maximal_diagonalizable(image, pres)
         status = {"yes": "pass", "no": "fail", "unknown": "unknown"}[verdict]
-        record(f"source {i}: character image maximal", status)
+        record_on_sources(f"source {i}: character image maximal", status)
 
     for i, vertex in enumerate(rq.vertices):
         if i in source_set:
@@ -471,7 +490,7 @@ def verify_main_theorem(
         # source images must re-appear among the maximal subalgebras
         for i, pres in source_presentations.items():
             found = spans.get(pres.character_image(), False)
-            record(f"source {i}: image occurs among maximal subalgebras", "pass" if found else "fail")
+            record_on_sources(f"source {i}: image occurs among maximal subalgebras", "pass" if found else "fail")
         # conjugacy: carry each maximal subalgebra onto the source image of its kernel
         frames = {pres.kernel: pres for pres in source_presentations.values()}
         name = "maximal subalgebra conjugate onto a source image"
@@ -479,16 +498,16 @@ def verify_main_theorem(
         for s, pres in realized:
             src = frames.get(pres.kernel)
             if src is None:
-                record(name, "unknown", "no source presentation has its kernel")
+                record_on_sources(name, "unknown", "no source presentation has its kernel")
                 continue
             conjugated += 1
             rho = src.chi.compose(pres.chi_inverse)
             s = space.span(conjugate_class(space, rho, s.basis_classes()))
-            record(name, "pass" if s == src.character_image() else "fail")
+            record_on_sources(name, "pass" if s == src.character_image() else "fail")
         brute["conjugated_onto_source"] = conjugated
 
     statuses = {status: sum(1 for c in checks if c["status"] == status) for status in ("pass", "fail", "unknown")}
-    statuses["unknown"] += len(rq.unknown_candidates)
+    statuses["unknown"] += len(rq.unknown_candidates) + rq.truncated + len(rq.ambiguous_vertices)
     return {
         "gamma": {
             "vertex_count": len(rq.vertices),

@@ -64,7 +64,7 @@ def test_parse_golden_document():
     doc = parse_input(PARALLEL_PAIR_DOC)
     assert repr(doc.field) == "QQ"
     assert doc.quiver.arrow_names == ("a", "b", "c")
-    assert doc.ideal_order == ["I", "J"]
+    assert list(doc.ideal_generators) == ["I", "J"]
     assert doc.tree_arrows == ("a", "c")
     ideal = doc.ideal("I")
     assert [_render(doc.quiver, doc.field, e) for e in ideal.basis] == ["c*a"]
@@ -102,13 +102,13 @@ def test_parse_render_parse_is_stable():
         rendered = render_document(doc1)
         doc2 = parse_input(rendered)
         assert render_document(doc2) == rendered
-        assert doc2.ideal_order == doc1.ideal_order
+        assert list(doc2.ideal_generators) == list(doc1.ideal_generators)
         assert doc2.ideal_generators == doc1.ideal_generators
         assert doc2.quiver.vertices == doc1.quiver.vertices
         # rendering lists arrows in canonical name order
         key = lambda a: a.name
         assert sorted(doc2.quiver.arrows, key=key) == sorted(doc1.quiver.arrows, key=key)
-        for name in doc1.ideal_order:
+        for name in doc1.ideal_generators:
             # documents carry distinct quiver objects, so compare canonically
             assert [_render(doc1.quiver, doc1.field, e) for e in doc1.ideal(name).basis] == [
                 _render(doc2.quiver, doc2.field, e) for e in doc2.ideal(name).basis
@@ -289,6 +289,24 @@ def test_cli_verify_source_relation_is_unknown_while_the_budget_runs_out(tmp_pat
         assert [c["status"] for c in report["checks"] if c["name"] == name] == [status, status]
 
 
+def test_cli_verify_is_unknown_where_gamma_is_truncated(tmp_path, capsys, monkeypatch):
+    # at the default vertex limit the report is as pinned; cut at its first
+    # vertex, the graph's one source need not be Gamma's, so every check that
+    # reads the sources is unknown and names the truncation, and none fails
+    path = write(tmp_path, BUDGETED_SOURCES_DOC)
+    assert main(["verify", path, "--json"]) == 1
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b056d609a5ee8f3f5820f962ecc8a70af5c504c9b736be7ae2a21984a05ff48c"
+    monkeypatch.setattr(relquiver, "_GRAPH_MAX_VERTICES", 0)
+    assert main(["verify", path, "--json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["gamma"]["truncated"] and not report["sources"]["complete"]
+    unknown = [c for c in report["checks"] if c["status"] == "unknown"]
+    assert len(unknown) == 7 and {c["detail"] for c in unknown} == {"Γ truncated"}
+    # the truncation itself is the eighth unknown
+    assert report["statuses"] == {"pass": 1, "fail": 0, "unknown": 8}
+
+
 def test_cli_verify_conjugacy_check_fails_on_a_wrong_conjugation(tmp_path, capsys, monkeypatch):
     # conjugating every class to zero must fail every maximal subalgebra
     # that is carried onto a source image
@@ -361,12 +379,26 @@ def test_parse_errors_carry_line_and_column():
         ("field QQ\r\n# note\nquiver {\n\tvertices 1, 2\n  arrow a: 1 -> 2 @\n}\n",
          "unexpected character '@'", (5, 19)),
         ("field QQ\nquiver {\n  vertices 1, 2\n  arrow a: 1 -> 2\n", "expected '}', found ''", (5, 1)),
+        # a form feed, a vertical tab and a no-break space are not whitespace here
+        ("field QQ\n\fquiver {\n", "unexpected character '\\x0c'", (2, 1)),
+        ("field\vQQ\n", "unexpected character '\\x0b'", (1, 6)),
+        ("field QQ\nquiver {\n  vertices\xa01, 2\n", "unexpected character '\\xa0'", (3, 11)),
     )
     for text, message, (line, column) in cases:
         with pytest.raises(InputError) as err:
             parse_input(text)
         assert (err.value.line, err.value.column) == (line, column)
         assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+def test_blank_lines_tabs_and_crlf_parse_like_plain_text():
+    spaced = (
+        PARALLEL_PAIR_DOC.replace("\n", "\r\n\r\n").replace("  ", "\t").replace(" ", " \t ")
+        .replace("*", "\t*\t").replace("->", "\r\n->\t")
+    )
+    plain, parsed = parse_input(PARALLEL_PAIR_DOC), parse_input("\n\t \r\n" + spaced)
+    assert render_document(parsed) == render_document(plain)
+    assert parsed.ideal_generators == plain.ideal_generators
 
 
 ONE_IDEAL_DOC = PARALLEL_PAIR_DOC.replace("ideal J { c*a - c*b }\n", "").replace("tree { a, c }\n", "")
@@ -378,7 +410,9 @@ ONE_IDEAL_DOC = PARALLEL_PAIR_DOC.replace("ideal J { c*a - c*b }\n", "").replace
         (ONE_IDEAL_DOC.replace("field QQ", "field FOO"), [], "unknown field 'FOO'", (2, 7)),
         (ONE_IDEAL_DOC.replace("field QQ", "field GF(x)"), [], "expected a prime number", (2, 10)),
         ("field QQ\nquiver {\n  vertices 1, 2\n}\n", [], "a quiver needs at least one arrow declaration", (4, 1)),
-        (ONE_IDEAL_DOC.replace("vertices 1, 2, 3", "vertices 1, 2, 2"), [], "duplicate vertex names", (5, 3)),
+        (ONE_IDEAL_DOC.replace("vertices 1, 2, 3", "vertices 1, 2, 2"), [], "duplicate vertex names", (4, 18)),
+        (ONE_IDEAL_DOC.replace("arrow b", "arrow a"), [], "duplicate arrow name 'a'", (6, 9)),
+        (ONE_IDEAL_DOC.replace("2 -> 3", "2 -> 4"), [], "arrow 'c' has an unknown endpoint", (7, 17)),
         (ONE_IDEAL_DOC + "ideal I { c*b }\n", [], "ideal 'I' declared twice", (10, 7)),
         (ONE_IDEAL_DOC.replace("{ c*a }", "{ 1/x*c*a }"), [], "expected a denominator", (9, 13)),
         (ONE_IDEAL_DOC + "tree { a, z }\n", [], "unknown arrow 'z' in tree", (10, 11)),
@@ -392,10 +426,11 @@ ONE_IDEAL_DOC = PARALLEL_PAIR_DOC.replace("ideal J { c*a - c*b }\n", "").replace
         (ONE_IDEAL_DOC + "budget bogus_key = 5\n", [], "unknown budget keys ['bogus_key']", (10, 8)),
         (PARALLEL_PAIR_DOC, ["--ideal", "K"], "unknown ideal 'K'", None),
         (PARALLEL_PAIR_DOC, [], "this command needs --ideal NAME", None),
-        (ONE_IDEAL_DOC.replace("{ c*a }", "{ a }"), [], "ideal 'I' is not admissible", None),
+        (ONE_IDEAL_DOC.replace("{ c*a }", "{ a }"), [], 'ideal \'I\' is not admissible: [[0, "a"]]', None),
     ],
     ids=[
-        "unknown-field", "non-numeric-prime", "no-arrow", "duplicate-vertex", "ideal-twice",
+        "unknown-field", "non-numeric-prime", "no-arrow", "duplicate-vertex", "duplicate-arrow",
+        "unknown-endpoint", "ideal-twice",
         "non-numeric-denominator", "unknown-tree-arrow", "tree-twice", "budget-twice", "unknown-budget-key",
         "unknown-ideal", "no-ideal-flag", "not-admissible",
     ],
@@ -404,10 +439,8 @@ def test_cli_input_errors_exit_2_with_their_message(tmp_path, capsys, text, argv
     assert main(["gamma", write(tmp_path, text)] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if position:
-        assert captured.err == f"error: {message} (line {position[0]}, column {position[1]})\n"
-    else:
-        assert captured.err.startswith(f"error: {message}")
+    where = f" (line {position[0]}, column {position[1]})" if position else ""
+    assert captured.err == f"error: {message}{where}\n"
 
 
 def test_render_parse_keeps_the_tree_and_budget_lines():
@@ -520,6 +553,20 @@ def test_cli_text_mode_is_deterministic(tmp_path, capsys):
     assert "image_dim: 1" in outputs[0]
 
 
+def test_cli_text_mode_reports_are_pinned(tmp_path, capsys):
+    # the sha256 of text-mode stdout: a QQ image, a GF(3) graph and a verify report
+    from test_golden_digests import FRACTIONS_DOC, GF3_DOC
+
+    pins = (
+        ("theta", FRACTIONS_DOC, "R", "488fb76667ba359a9b3aa19ecf4060cab8f2fdf55b92851eaa718531a3f8c8e3"),
+        ("gamma", GF3_DOC, "I", "e965c12d542340aea816d6475b9b17359152fcc6d3e7e7d01ba535ec92ee0b12"),
+        ("verify", TWO_TRIANGLES_DOC, "I", "afb80b3010322bf2aaa2d6996eaee0a7ccf3b3b88deb4ef3505270c813d6d45f"),
+    )
+    for cmd, text, ideal, digest in pins:
+        assert main([cmd, write(tmp_path, text, f"{cmd}.bq"), "--ideal", ideal]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, cmd
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     path = write(tmp_path, TWO_TRIANGLES_DOC)
     outputs = []
@@ -545,7 +592,7 @@ def test_cli_prints_every_rational_scalar_as_a_string(tmp_path, capsys):
     for k in range(24):
         q = random_quiver(rng, 5, 30)
         ideal = random_admissible_ideal(rng, q, QQ)
-        doc = InputDocument(QQ, q, {"I": list(ideal.basis)}, ["I"])
+        doc = InputDocument(QQ, q, {"I": list(ideal.basis)})
         path = write(tmp_path, render_document(doc), f"doc{k}.bq")
         for cmd, key in (("homk", "basis"), ("theta", "image_basis"), ("maxdiag", "witness")):
             main([cmd, path, "--json"])

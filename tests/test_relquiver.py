@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -31,6 +32,7 @@ from bquiver.relquiver import (
     DIRECT_PREDECESSOR,
     DIRECT_SUCCESSOR,
     EQUAL_IDEALS,
+    _incompleteness,
     enumerate_spans,
 )
 
@@ -306,6 +308,16 @@ def test_fixed_candidates_still_count_towards_truncation(monkeypatch):
     assert [v.ideal for v in exact.vertices] == [v.ideal for v in rq.vertices]
     monkeypatch.setattr(relquiver, "_GRAPH_MAX_CANDIDATES", n - 1)
     assert build_relation_quiver(ideal, tree).truncated
+
+
+def test_an_incomplete_gamma_names_each_cause():
+    _, ideal, _, tree = parallel_pair(GF(3))
+    rq = build_relation_quiver(ideal, tree)
+    assert _incompleteness(rq) is None and sources_report(rq)["complete"]
+    gappy = dataclasses.replace(rq, truncated=True, unknown_candidates=[None], ambiguous_vertices=[1, 2])
+    causes = "Γ truncated; unknown candidates; ambiguous vertex 1; ambiguous vertex 2"
+    assert _incompleteness(gappy) == causes
+    assert not sources_report(gappy)["complete"]
 
 
 def test_definite_arrows_form_a_dag():
