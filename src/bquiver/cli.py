@@ -87,7 +87,7 @@ def _violations(violations) -> list:
 
 def _admissible_ideal(document: InputDocument, args):
     name = args.ideal
-    if not name:
+    if name is None:
         if len(document.ideal_generators) != 1:
             raise InputError("this command needs --ideal NAME")
         [name] = document.ideal_generators
@@ -274,7 +274,7 @@ def emit(report: dict, json_mode: bool) -> str:
 
 def _budget_value(text: str) -> int:
     """A budget flag's value: a nonnegative integer, as on a ``budget`` line."""
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"budget values are nonnegative integers, not {text!r}")
     return int(text)
 

@@ -89,7 +89,7 @@ class InputDocument:
         return IdealData(self.quiver, self.field, self.ideal_generators[name])
 
     def spanning_tree(self, base: str | None = None) -> SpanningTree:
-        base = base or self.quiver.vertices[0]
+        base = self.quiver.vertices[0] if base is None else base
         try:
             return self.quiver.spanning_tree(base, preferred=self.tree_arrows)
         except QuiverError as exc:
@@ -272,9 +272,11 @@ class _Parser:
                 self.next()
                 names.append(self.expect_name())
             self.expect("}")
-            for n in names:
+            for k, n in enumerate(names):
                 if n.text not in doc.quiver.arrow_by_name:
                     self.fail(f"unknown arrow {n.text!r} in tree", n)
+                if any(m.text == n.text for m in names[:k]):
+                    self.fail(f"duplicate arrow {n.text!r} in tree", n)
             doc.tree_arrows = tuple(n.text for n in names)
         else:
             key_tok = self.expect_name()

@@ -71,7 +71,6 @@ class FDAlgebra:
         self.basis: tuple[Path, ...] = tuple(ideal.normal_paths)
         self.dim = len(self.basis)
         self.index = {p: i for i, p in enumerate(self.basis)}
-        self.idempotent_index = {v: self.index[self.quiver.trivial_path(v)] for v in self.quiver.vertices}
         # the arrow corridors, in corridor order: the normal paths per
         # (source, target) of an arrow (no trivial path, the quiver is acyclic)
         blocks: dict[tuple[str, str], list[int]] = {key: [] for key in self.quiver.parallel_classes()}

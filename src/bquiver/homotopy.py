@@ -197,15 +197,6 @@ def abelian_invariants(presentation: GroupPresentation) -> AbelianInvariants:
     return AbelianInvariants(tuple(x for x in d if x > 1), len(presentation.generators) - len(d))
 
 
-def weight_of_walk(field: Field, weights: dict, walk: Walk):
-    """Signed sum of arrow weights along a walk."""
-    acc = field.zero
-    for name, eps in walk.steps:
-        w = field.coerce(weights.get(name, field.zero))
-        acc = field.add(acc, w if eps == 1 else field.neg(w))
-    return acc
-
-
 def weight_of_path(field: Field, weights: dict, path: Path):
     acc = field.zero
     for name in path.arrows:

@@ -29,7 +29,8 @@ decided once and kept on its cohomology space.  A common eigenbasis refines
 each arrow corridor through the eigenspaces of the family (sparse kernels of
 the shifted operators), a stage losing dimension being a nonzero bracket;
 matched to the arrows, it yields a presentation whose character image holds
-the family, as the maximality analysis needs.  A span grows by one step
+the family (``realize_in_image`` asserts that and returns the presentation;
+a class's characters are read from its ``hom``).  A span grows by one step
 (``_extensions``), a diagonalizable class of its centralizer outside it: the
 maximality test asks for one, the brute force of ``verify`` takes each.
 Vectors, eigenbasis blocks and linear systems are sparse ``{index: coeff}``
@@ -57,7 +58,6 @@ from .homotopy import (
     NO,
     homotopy_pairs,
     weight_of_path,
-    weight_of_walk,
 )
 from .linalg import (
     _combination,
@@ -227,7 +227,7 @@ def is_diagonalizable_set(classes, presentation: Presentation | None = None) -> 
     adapted basis is diagonal on the arrow images.
     """
     classes = list(classes)
-    if presentation is not None and _diagonal_on(classes, presentation.arrow_images()) is not None:
+    if presentation is not None and _diagonal_on(classes, presentation.arrow_images()):
         return True
     return all(is_diagonalizable_class(c) for c in classes) and all(
         c.space.bracket(c, d).is_zero() for c, d in itertools.combinations(classes, 2)
@@ -289,25 +289,20 @@ def common_eigenbasis(classes) -> dict[tuple[str, str], tuple]:
     return blocks_out
 
 
-def _diagonal_on(classes, vectors):
-    """Each class's eigenvalues on a sequence of vectors, or None if one is
-    not an eigenvector; on a basis, or on the arrow images of a presentation
-    (``is_diagonalizable_set``), a certificate that the family is
-    diagonalizable and commutes."""
-    out = []
+def _diagonal_on(classes, vectors) -> bool:
+    """Is every vector an eigenvector of every class?  On a basis, or on the
+    arrow images of a presentation (``is_diagonalizable_set``), a certificate
+    that the family is diagonalizable and commutes."""
     for cls in classes:
         d = cls.representative()
         f = d.algebra.field
-        eigenvalues = []
         for vec in vectors:
             image = d.apply(vec)
             i = min(vec)
             lam = f.div(image.get(i, f.zero), vec[i])
             if image != ({} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}):
-                return None
-            eigenvalues.append(lam)
-        out.append(eigenvalues)
-    return out
+                return False
+    return True
 
 
 # ---------- adapted presentations and realization ----------
@@ -351,37 +346,21 @@ def adapted_presentation(space: CohomologySpace, blocks: dict, tree: SpanningTre
     return Presentation(space, chi, tree)
 
 
-def realize_in_image(classes, tree: SpanningTree) -> tuple[Presentation, list[dict]]:
+def realize_in_image(classes, tree: SpanningTree) -> Presentation:
     """A presentation whose character image contains the commuting family.
 
-    Raises :class:`NotDiagonalizableError` when the family is not
-    simultaneously diagonalizable, and ``ValueError`` when it is empty.  The
-    returned weights are tree-normalized and re-embed exactly onto the input
-    classes.
+    The presentation is adapted to a common eigenbasis, so each class is
+    diagonal on its arrow images; the character image, cached on the
+    presentation, is asserted to hold every class.  Raises
+    :class:`NotDiagonalizableError` when the family is not simultaneously
+    diagonalizable, and ``ValueError`` when it is empty.
     """
     classes = list(classes)
     blocks = common_eigenbasis(classes)
-    space = classes[0].space
-    pres = adapted_presentation(space, blocks, tree)
-    f = space.field
-    q = space.algebra.quiver
-    weights_out = []
-    eigenvalues = _diagonal_on(classes, pres.arrow_images())
-    assert eigenvalues is not None
-    for cls, lams in zip(classes, eigenvalues):
-        raw = dict(zip(q.arrow_names, lams))
-        # tree correction keeps the character and lands in the normalized section
-        t = {}
-        for name in q.arrow_names:
-            a = q.arrow(name)
-            corr_in = weight_of_walk(f, raw, pres.tree.walk_to[a.source])
-            corr_out = weight_of_walk(f, raw, pres.tree.walk_to[a.target])
-            t[name] = f.add(f.sub(raw[name], corr_out), corr_in)
-        assert pres.group.check_weights(f, t)
-        back = pres.embed_character(t)
-        assert back == cls, "realized character does not re-embed onto the class"
-        weights_out.append(t)
-    return pres, weights_out
+    pres = adapted_presentation(classes[0].space, blocks, tree)
+    image = pres.character_image()
+    assert all(image.contains(cls) for cls in classes), "character image misses a realized class"
+    return pres
 
 
 # ---------- maximality ----------

@@ -461,7 +461,7 @@ def verify_main_theorem(
         pres = presentation_for_vertex(space, rq, i)
         image = pres.character_image()
         family = image.basis_classes() or [space.zero_class()]
-        covering, _w = realize_in_image(family, tree)
+        covering = realize_in_image(family, tree)
         contained = covering.character_image().contains_span(image)
         record(f"vertex {i}: image contained in a realized image", "pass" if contained else "fail")
         record_source_relation(f"vertex {i}: realized kernel has a source relation", covering.kernel)
@@ -477,7 +477,7 @@ def verify_main_theorem(
         family_ok = True
         for s in maximal:
             fam = s.basis_classes() or [space.zero_class()]
-            pres, _w = realize_in_image(fam, tree)
+            pres = realize_in_image(fam, tree)
             img = pres.character_image()
             if img != s:
                 family_ok = False

@@ -205,6 +205,20 @@ def random_dilatation(rng, quiver, field):
     )
 
 
+def relabeled(rng, ideal):
+    """The same algebra under other names: the arrow names permuted and the
+    vertex and arrow declarations shuffled, so the default tree's base
+    moves; the ideal's reduced basis is carried along."""
+    q = ideal.quiver
+    names = list(q.arrow_names)
+    rename = dict(zip(names, rng.sample(names, len(names))))
+    arrows = [(rename[a.name], a.source, a.target) for a in q.arrows]
+    rng.shuffle(arrows)
+    q2 = Quiver(rng.sample(q.vertices, len(q.vertices)), arrows)
+    gens = [{q2.path(tuple(rename[n] for n in p.arrows)): c for p, c in g.items()} for g in ideal.basis]
+    return IdealData(q2, ideal.field, gens)
+
+
 def random_fixing_automorphism(rng, ideal):
     """An automorphism with the same ideal, composed from fixing transvections."""
     quiver, field = ideal.quiver, ideal.field

@@ -278,10 +278,9 @@ def test_criterion_09_diagonalizable_families_realize():
                 recls = space.class_of(derivation_of_coords(space.algebra, shifted_coords))
                 assert recls == combo
                 family.append(recls)
-        covering, recovered_weights = realize_in_image(family, tree)
+        covering = realize_in_image(family, tree)
         for cls in family:
             assert covering.character_image().contains(cls)
-        assert len(recovered_weights) == len(family)
         done += 1
 
 

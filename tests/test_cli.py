@@ -417,6 +417,7 @@ ONE_IDEAL_DOC = PARALLEL_PAIR_DOC.replace("ideal J { c*a - c*b }\n", "").replace
         (ONE_IDEAL_DOC.replace("{ c*a }", "{ 1/x*c*a }"), [], "expected a denominator", (9, 13)),
         (ONE_IDEAL_DOC + "tree { a, z }\n", [], "unknown arrow 'z' in tree", (10, 11)),
         (ONE_IDEAL_DOC + "tree { a, c }\ntree { b, c }\n", [], "tree declared twice", (11, 1)),
+        (ONE_IDEAL_DOC + "tree { a, c, c }\n", [], "duplicate arrow 'c' in tree", (10, 14)),
         (
             ONE_IDEAL_DOC + "budget search_max_nodes = 5\nbudget search_max_nodes = 7\n",
             [],
@@ -426,13 +427,15 @@ ONE_IDEAL_DOC = PARALLEL_PAIR_DOC.replace("ideal J { c*a - c*b }\n", "").replace
         (ONE_IDEAL_DOC + "budget bogus_key = 5\n", [], "unknown budget keys ['bogus_key']", (10, 8)),
         (PARALLEL_PAIR_DOC, ["--ideal", "K"], "unknown ideal 'K'", None),
         (PARALLEL_PAIR_DOC, [], "this command needs --ideal NAME", None),
+        (ONE_IDEAL_DOC, ["--ideal="], "unknown ideal ''", None),
+        (ONE_IDEAL_DOC, ["--base="], "unknown base vertex ''", None),
         (ONE_IDEAL_DOC.replace("{ c*a }", "{ a }"), [], 'ideal \'I\' is not admissible: [[0, "a"]]', None),
     ],
     ids=[
         "unknown-field", "non-numeric-prime", "no-arrow", "duplicate-vertex", "duplicate-arrow",
         "unknown-endpoint", "ideal-twice",
-        "non-numeric-denominator", "unknown-tree-arrow", "tree-twice", "budget-twice", "unknown-budget-key",
-        "unknown-ideal", "no-ideal-flag", "not-admissible",
+        "non-numeric-denominator", "unknown-tree-arrow", "tree-twice", "duplicate-tree-arrow", "budget-twice",
+        "unknown-budget-key", "unknown-ideal", "no-ideal-flag", "empty-ideal-flag", "empty-base-flag", "not-admissible",
     ],
 )
 def test_cli_input_errors_exit_2_with_their_message(tmp_path, capsys, text, argv, message, position):
@@ -521,6 +524,18 @@ def test_cli_negative_budget_is_an_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "line 12" in err and "budget values are nonnegative integers" in err
     assert main(["gamma", path, "--ideal", "I", "--search-max-nodes", "0"]) == 3
+
+
+def test_cli_budget_flag_takes_ascii_digits_only(tmp_path, capsys):
+    # other Unicode digits are refused with the flag's own message, as the
+    # document refuses them
+    path = write(tmp_path, PARALLEL_PAIR_DOC)
+    for value in ("\u0663", "\u00b2"):
+        with pytest.raises(SystemExit) as exited:
+            main(["gamma", path, "--ideal", "I", "--search-max-nodes", value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --search-max-nodes: budget values are nonnegative integers, not {value!r}\n")
 
 
 def test_cli_validate_flags_inadmissible_ideal(tmp_path, capsys):

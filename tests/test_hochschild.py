@@ -72,7 +72,7 @@ def test_algebra_rejects_inadmissible_ideal():
 def test_unit_and_associativity():
     rng = random.Random(5)
     for alg in [FDAlgebra(two_triangles_full(GF(2))[1]), FDAlgebra(parallel_pair(QQ)[1])]:
-        one = {alg.idempotent_index[v]: alg.field.one for v in alg.quiver.vertices}
+        one = {alg.index[alg.quiver.trivial_path(v)]: alg.field.one for v in alg.quiver.vertices}
         assert len(one) == len(alg.quiver.vertices)
         for i in range(alg.dim):
             e = {i: alg.field.one}
@@ -198,7 +198,7 @@ def test_derivation_rejects_an_image_outside_its_corridor():
     q, mono, _, _ = parallel_pair(QQ)
     alg = FDAlgebra(mono)
     # c runs 2 -> 3, a runs 1 -> 2; the idempotent e_1 lies in no corridor
-    for image in ({alg.index[q.arrow_path("a")]: 1}, {alg.idempotent_index["1"]: 1}):
+    for image in ({alg.index[q.arrow_path("a")]: 1}, {alg.index[q.trivial_path("1")]: 1}):
         with pytest.raises(ValueError, match="leaves its corridor"):
             Derivation(alg, {"c": image})
     # zero entries are not images: they are dropped, not checked

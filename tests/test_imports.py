@@ -1,4 +1,5 @@
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -91,3 +92,27 @@ def test_every_public_definition_is_used_or_documented():
         if name not in used and name not in documented
     ]
     assert not dead, f"defined but never used in src/bquiver nor named in the README's Library use: {', '.join(dead)}"
+
+
+def is_exception_class(node) -> bool:
+    """Does the class derive from a built-in exception (the package's own
+    exceptions all do)?"""
+    bases = (getattr(builtins, b.id, None) for b in node.bases if isinstance(b, ast.Name))
+    return any(isinstance(b, type) and issubclass(b, BaseException) for b in bases)
+
+
+def test_every_attribute_set_on_self_is_read():
+    # an attribute assigned on self that no expression in the package reads
+    # is dead state; an exception's attributes are payloads for its callers
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    read |= {node.target.attr for node in nodes if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)}
+    dead = [
+        f"{cls.name}.{t.attr} (line {t.lineno})"
+        for cls in nodes if isinstance(cls, ast.ClassDef) and not is_exception_class(cls)
+        for node in ast.walk(cls) if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self" and t.attr not in read
+    ]
+    assert not dead, f"attributes assigned on self and never read in src/bquiver: {', '.join(dead)}"

@@ -30,7 +30,6 @@ from bquiver import (
     transvection_of,
 )
 from bquiver import presentations
-from bquiver.homotopy import weight_of_walk
 from bquiver.linalg import _combination, minimal_polynomial, roots_in_field
 from bquiver.pathalg import _render
 from bquiver.presentations import _diagonal_on
@@ -266,7 +265,7 @@ def test_common_eigenbasis_diagonalizes_image():
     assert list(blocks) == list(q.parallel_classes())
     for key, idxs in alg.blocks.items():
         assert len(blocks[key]) == len(idxs)
-    assert _diagonal_on(classes, vectors_of(blocks)) is not None
+    assert _diagonal_on(classes, vectors_of(blocks)) is True
 
 
 def no_spectrum(cls):
@@ -288,8 +287,8 @@ def test_character_images_are_diagonal_on_their_adapted_bases(monkeypatch):
             twists.append(twists[-1].compose(twists[0]))
             for pres in [nu] + [Presentation(nu.space, nu.chi.compose(phi), nu.tree) for phi in twists]:
                 classes = pres.character_image().basis_classes()
-                assert _diagonal_on(classes, pres.arrow_images()) is not None
-                assert _diagonal_on(classes, vectors_of(adapted_basis(pres))) is not None
+                assert _diagonal_on(classes, pres.arrow_images()) is True
+                assert _diagonal_on(classes, vectors_of(adapted_basis(pres))) is True
                 with monkeypatch.context() as patch:
                     patch.setattr(presentations, "_spectra", no_spectrum)
                     assert is_diagonalizable_set(classes, pres) is True
@@ -304,7 +303,7 @@ def certificate_presentations(space, ideal, tree):
     rq = build_relation_quiver(ideal, tree, search_max_nodes=2000)
     out = [Presentation.natural(space, tree)]
     out += [presentation_for_vertex(space, rq, i) for i in range(len(rq.vertices))]
-    out += [realize_in_image([b], tree)[0] for b in space.basis_classes() if is_diagonalizable_class(b)]
+    out += [realize_in_image([b], tree) for b in space.basis_classes() if is_diagonalizable_class(b)]
     return out
 
 
@@ -333,8 +332,8 @@ def test_arrow_images_certify_exactly_what_the_adapted_basis_certifies():
             families = [image] + [[b] for b in space.basis_classes()] + [image + [b] for b in space.basis_classes()]
             arrows, basis = pres.arrow_images(), vectors_of(adapted_basis(pres))
             for family in families:
-                certified = _diagonal_on(family, arrows) is not None
-                assert certified == (_diagonal_on(family, basis) is not None)
+                certified = _diagonal_on(family, arrows)
+                assert certified == _diagonal_on(family, basis)
                 outcomes[certified] += 1
     assert outcomes[True] > 100 and outcomes[False] > 100
 
@@ -350,16 +349,16 @@ def kronecker_classes():
 
 def test_a_basis_that_is_not_an_eigenbasis_falls_back_to_the_decision():
     pres, swap, rotation = kronecker_classes()
-    assert _diagonal_on([swap], pres.arrow_images()) is None
+    assert _diagonal_on([swap], pres.arrow_images()) is False
     assert is_diagonalizable_set([swap], pres) is True  # eigenvalues 1 and -1
-    assert _diagonal_on([rotation], pres.arrow_images()) is None
+    assert _diagonal_on([rotation], pres.arrow_images()) is False
     assert is_diagonalizable_set([rotation], pres) is False  # x^2 + 1 does not split
     assert is_diagonalizable_set([rotation]) is False
     # the swap's own eigenbasis certifies it, and so does the presentation
     # realized on it
-    assert _diagonal_on([swap], vectors_of(common_eigenbasis([swap]))) is not None
-    realized, _weights = realize_in_image([swap], pres.tree)
-    assert _diagonal_on([swap], realized.arrow_images()) is not None
+    assert _diagonal_on([swap], vectors_of(common_eigenbasis([swap]))) is True
+    realized = realize_in_image([swap], pres.tree)
+    assert _diagonal_on([swap], realized.arrow_images()) is True
     assert is_diagonalizable_set([swap], realized) is True
 
 
@@ -398,7 +397,7 @@ def test_the_kronecker_rotation_is_diagonalizable_over_the_ground_field_only(fie
     assert is_diagonalizable_set([rotation]) is diagonalizable
     if diagonalizable:
         assert diagonalizability_witness(rotation) is None
-        assert _diagonal_on([rotation], vectors_of(common_eigenbasis([rotation]))) is not None
+        assert _diagonal_on([rotation], vectors_of(common_eigenbasis([rotation]))) is True
     else:
         witness = diagonalizability_witness(rotation)
         assert witness == (("1", "2"), (field.one, field.zero, field.one))
@@ -464,13 +463,13 @@ def test_realize_in_image_golden_classes():
     q, ideal, tree = two_triangles_full(GF(2))
     space = CohomologySpace(FDAlgebra(ideal))
     d1 = displayed_class(space, {"a": [(1, "a")], "d": [(1, "d")]})
-    pres, weights = realize_in_image([d1], tree)
-    assert weights[0] == {"a": 1, "b": 0, "c": 0, "d": 1, "e": 0, "f": 0}
+    pres = realize_in_image([d1], tree)
+    assert pres.embed_character({"a": 1, "b": 0, "c": 0, "d": 1, "e": 0, "f": 0}) == d1
     assert pres.character_image().contains(d1)
     d2 = displayed_class(
         space, {"a": [(1, "a"), (1, "c*b")], "d": [(1, "d"), (1, "f*e")]}
     )
-    pres2, weights2 = realize_in_image([d2], tree)
+    pres2 = realize_in_image([d2], tree)
     assert pres2.character_image().contains(d2)
     # d2 arises from the twisted presentation: its kernel is again the ideal
     assert pres2.kernel == ideal
@@ -508,7 +507,9 @@ def test_tree_independence_of_the_embedding():
                 tree2.walk_to[a.target].inverse(),
                 q.concat_walks(q.path_walk(q.arrow_path(name)), tree2.walk_to[a.source]),
             )
-            w2[name] = weight_of_walk(f, w1, walk)
+            # the signed weight sum along the walk
+            signed = (w1.get(n, f.zero) if eps == 1 else f.neg(w1.get(n, f.zero)) for n, eps in walk.steps)
+            w2[name] = f.sum(signed)
         assert nu1.embed_character(w1) == nu2.embed_character(w2)
     img1, img2 = nu1.character_image(), nu2.character_image()
     assert img1.contains_span(img2) and img2.contains_span(img1)

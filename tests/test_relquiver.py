@@ -42,6 +42,11 @@ from conftest import (
     elem,
     kronecker,
     parallel_pair,
+    random_admissible_ideal,
+    random_dilatation,
+    random_field,
+    random_quiver,
+    relabeled,
     two_triangles_full,
     two_triangles_pair,
 )
@@ -518,7 +523,7 @@ def test_verify_main_theorem_two_triangles_variants():
     assert report["brute_force"]["conjugated_onto_source"] == 2
     rq = build_relation_quiver(pair_ideal, tree)
     space = CohomologySpace(FDAlgebra(pair_ideal))
-    kernels = [realize_in_image(s.basis_classes(), tree)[0].kernel for s, top in enumerate_spans(space).items() if top]
+    kernels = [realize_in_image(s.basis_classes(), tree).kernel for s, top in enumerate_spans(space).items() if top]
     assert len(kernels) == 2
     assert set(kernels) == {rq.vertices[i].ideal for i in report["sources"]["sources"]}
     conjugacy = [c["status"] for c in report["checks"] if c["name"] == "maximal subalgebra conjugate onto a source image"]
@@ -588,3 +593,37 @@ def test_seeded_sweep_decides_every_candidate():
         ideal = random_admissible_ideal(rng, q, field)
         rq = build_relation_quiver(ideal, None, search_max_nodes=5000)
         assert not rq.unknown_candidates and not rq.truncated, f"iteration {k} over {field}"
+
+
+def algebra_summary(ideal):
+    """dim HH^1 and the shape of Gamma at the default budget, from the
+    default tree: what relabeling and reseeding must leave unchanged."""
+    rq = build_relation_quiver(ideal)
+    report = sources_report(rq)
+    return CohomologySpace(FDAlgebra(ideal)).dim, len(rq.vertices), len(rq.arrows), len(report["sources"]), report["complete"]
+
+
+def test_relabeling_and_reseeding_keep_dim_and_gamma_shape():
+    # Sweep-23: two relabelings of each instance
+    rng = random.Random(23)
+    differ = []
+    for k in range(200):
+        q = random_quiver(rng, 6, 40)
+        field = random_field(rng)
+        ideal = random_admissible_ideal(rng, q, field)
+        if field is QQ:
+            field = GF(rng.choice([2, 3, 5]))
+            ideal = random_admissible_ideal(rng, q, field)
+        summary = algebra_summary(ideal)
+        differ += [("Sweep-23", k) for _ in range(2) if algebra_summary(relabeled(rng, ideal)) != summary]
+    # Sweep-31: a dilatation image, and reseedings from up to two other vertices of Gamma
+    rng = random.Random(31)
+    for k in range(150):
+        q = random_quiver(rng, 6, 40)
+        ideal = random_admissible_ideal(rng, q, QQ)
+        summary = algebra_summary(ideal)
+        rq = build_relation_quiver(ideal)
+        others = [random_dilatation(rng, q, QQ).apply_to_ideal(ideal)] + [v.ideal for v in rq.vertices[1:3]]
+        differ += [("Sweep-31", k) for other in others if algebra_summary(other) != summary]
+    assert not differ, f"summaries differ on {differ}"
+
