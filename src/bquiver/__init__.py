@@ -31,7 +31,6 @@ from .quiver import (
     Quiver,
     QuiverError,
     SpanningTree,
-    Walk,
     enumerate_bypasses,
     has_double_bypass,
 )

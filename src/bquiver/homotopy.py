@@ -1,24 +1,24 @@
-"""Homotopy of walks in a bound quiver and fundamental-group machinery.
+"""Homotopy of parallel paths in a bound quiver and fundamental-group machinery.
 
 The homotopy relation attached to an admissible ideal is generated by free
 cancellation of inverse arrows, context closure, and the support pairs of
 the reduced-basis elements (these are minimal relations, so it is enough to
 pair up the paths appearing in one basis element).
 
-With a spanning tree fixed, closed walks map onto words over the non-tree
-arrows and the fundamental group gets the usual presentation: one generator
-per non-tree arrow, one relator per homotopy pair.  The relator matrix (one
-exponent row per relator, one column per generator) is the one linear form
-of the relation:
+With a spanning tree fixed, a pair of parallel paths maps onto a closed
+word over the non-tree arrows and the fundamental group gets the usual
+presentation: one generator per non-tree arrow, one relator per homotopy
+pair.  The relator matrix (one exponent row per relator, one column per
+generator) is the one linear form of the relation:
 
 * the additive characters Hom(pi_1, k+) = Hom(pi_1^ab, k) are its kernel
   over the field k, read as arrow weights that vanish on the tree,
 * its Smith normal form, computed once per presentation, gives the abelian
   invariants and certifies the "no" answers of
-* a sound three-valued decision procedure for homotopy of parallel walks:
-  "no" is certified by the abelianization, "yes" by a replayable rewriting
-  trace, and what the search cannot settle in ``search_max_nodes`` nodes
-  stays "unknown".
+* a sound three-valued decision procedure for homotopy of parallel paths
+  and triviality of closed words: "no" is certified by the abelianization,
+  "yes" by a replayable rewriting trace, and what the search cannot settle
+  in ``search_max_nodes`` nodes stays "unknown".
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .fields import Field
 from .linalg import _clean, nullspace, smith_normal_form
 from .pathalg import IdealData
-from .quiver import Path, Quiver, SpanningTree, Walk
+from .quiver import Path, Quiver, SpanningTree
 
 YES = "yes"
 NO = "no"
@@ -104,15 +104,12 @@ class GroupPresentation:
                     words.setdefault(word[i:] + word[:i])
         return tuple(words)
 
-    def word_of_walk(self, walk: Walk) -> Word:
-        return _free_reduce(eps * self._gen_index[n] for n, eps in walk.steps if n in self._gen_index)
-
     def word_of_path(self, path: Path) -> Word:
         """A path's letters are all positive, so there is nothing to reduce."""
         return tuple(self._gen_index[n] for n in path.arrows if n in self._gen_index)
 
     def word_of_pair(self, u: Path, v: Path) -> Word:
-        """The word of the closed walk along ``u`` and back along ``v``."""
+        """The closed word along ``u`` and back along ``v``."""
         if u.source != v.source or u.target != v.target:
             raise ValueError("homotopy pair is not parallel")
         return _free_reduce(self.word_of_path(u) + _invert_word(self.word_of_path(v)))
@@ -257,7 +254,8 @@ SEARCH_MAX_NODES = 100_000  # its default node limit, the one settable limit
 
 
 class HomotopyOracle:
-    """Decides homotopy of parallel walks under one admissible ideal.
+    """Decides homotopy of parallel paths, and triviality of closed words,
+    under one admissible ideal.
 
     The oracle reads the ideal only through its quiver and its homotopy
     pairs (``pairs``, when the caller already has them), so it decides for
@@ -341,12 +339,6 @@ class HomotopyOracle:
             assert trace.replay(self.presentation)
             return Decision(YES, trace)
         return Decision(UNKNOWN)
-
-    def decide_walks(self, u: Walk, v: Walk) -> Decision:
-        if u.source != v.source or u.target != v.target:
-            raise ValueError("walks are not parallel")
-        closed = self.quiver.concat_walks(v.inverse(), u)
-        return self.decide_closed_word(self.presentation.word_of_walk(closed))
 
     def decide_paths(self, u: Path, v: Path) -> Decision:
         """The decision on the pair's closed word, which is built once per pair."""

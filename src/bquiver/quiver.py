@@ -1,4 +1,4 @@
-"""Finite acyclic quivers, oriented paths, and walks with formal inverses.
+"""Finite acyclic quivers, oriented paths, spanning trees and bypasses.
 
 Conventions used throughout the package:
 
@@ -6,8 +6,6 @@ Conventions used throughout the package:
   ``u``, then ``v``".  Internally a path stores its arrows in traversal
   order, so the displayed name ``c*a`` corresponds to the stored tuple
   ``("a", "c")``.
-* A walk is a sequence of signed arrows (sign -1 walks an arrow backwards);
-  walks also compose right to left.
 * All enumeration orders are deterministic: vertices by declaration order,
   arrows by name, paths by (length, source index, target index, arrow-name
   sequence).
@@ -55,44 +53,6 @@ class Path(NamedTuple):
         return NotImplemented
 
     __le__ = __gt__ = __ge__ = __lt__
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A path in the double quiver; steps are (arrow name, +1 or -1)."""
-
-    source: str
-    target: str
-    steps: tuple[tuple[str, int], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.steps
-
-    def inverse(self) -> "Walk":
-        return Walk(self.target, self.source, tuple((a, -e) for a, e in reversed(self.steps)))
-
-    def reduced(self) -> "Walk":
-        """Freely reduced walk: no a a^-1 or a^-1 a factor remains."""
-        stack: list[tuple[str, int]] = []
-        for step in self.steps:
-            if stack and stack[-1][0] == step[0] and stack[-1][1] == -step[1]:
-                stack.pop()
-            else:
-                stack.append(step)
-        return Walk(self.source, self.target, tuple(stack))
-
-    def __str__(self):
-        if not self.steps:
-            return f"e_{self.source}"
-        parts = []
-        for name, eps in reversed(self.steps):
-            parts.append(name if eps == 1 else f"{name}^-1")
-        return "*".join(parts)
 
 
 class QuiverError(ValueError):
@@ -182,7 +142,7 @@ class Quiver:
         reached: set[str] = set()
         for v in self.vertices:
             if v not in reached:
-                component = _bfs_walks(self, v, self.arrow_names)
+                component = _bfs_parents(self, v, self.arrow_names)
                 reached.update(component)
                 components.append(sorted(component, key=self.vertex_index.get))
         split = len(components) > 1
@@ -273,38 +233,6 @@ class Quiver:
         self.all_paths()  # which indexes the paths by corridor as well
         return list(self._corridors.get((source, target), ()))
 
-    # ---------- walks ----------
-
-    def walk(self, steps: Sequence[tuple[str, int]], at: str | None = None) -> Walk:
-        if not steps:
-            if at is None:
-                raise QuiverError("a trivial walk needs its vertex")
-            if at not in self.vertex_index:
-                raise QuiverError(f"unknown vertex {at!r}")
-            return Walk(at, at, ())
-        pts = []
-        for name, eps in steps:
-            a = self.arrow(name)
-            if eps == 1:
-                pts.append((a.source, a.target))
-            elif eps == -1:
-                pts.append((a.target, a.source))
-            else:
-                raise QuiverError("walk signs must be +1 or -1")
-        for (s1, t1), (s2, t2) in zip(pts, pts[1:]):
-            if t1 != s2:
-                raise QuiverError("walk steps do not chain")
-        return Walk(pts[0][0], pts[-1][1], tuple((str(n), int(e)) for n, e in steps))
-
-    def path_walk(self, p: Path) -> Walk:
-        return Walk(p.source, p.target, tuple((a, 1) for a in p.arrows))
-
-    def concat_walks(self, second: Walk, first: Walk) -> Walk:
-        """The walk "first, then second" (right-to-left composition)."""
-        if first.target != second.source:
-            raise QuiverError("walks do not compose")
-        return Walk(first.source, second.target, first.steps + second.steps)
-
     # ---------- spanning trees ----------
 
     def spanning_tree(self, base: str, preferred: Iterable[str] | None = None) -> "SpanningTree":
@@ -317,48 +245,40 @@ class Quiver:
                 self.arrow(n)
             if len(chosen) != len(self.vertices) - 1:
                 raise QuiverError("preferred arrow set has the wrong size for a spanning tree")
-            tree = SpanningTree(self, base, chosen)
-            if len(tree.walk_to) != len(self.vertices):
+            if len(_bfs_parents(self, base, chosen)) != len(self.vertices):
                 raise QuiverError("preferred arrow set does not span the quiver")
-            return tree
-        # each vertex is reached by the last arrow of its walk from the base
-        walks = _bfs_walks(self, base, self.arrow_names)
-        return SpanningTree(self, base, tuple(sorted(w.steps[-1][0] for w in walks.values() if w.steps)))
+            return SpanningTree(base, chosen)
+        # the tree of the arrows by which the BFS first reaches each vertex
+        parents = _bfs_parents(self, base, self.arrow_names)
+        return SpanningTree(base, tuple(sorted(a.name for a in parents.values() if a is not None)))
 
 
-def _bfs_walks(quiver: Quiver, base: str, arrow_names: Iterable[str]) -> dict[str, Walk]:
-    """The walk from ``base`` to each vertex it reaches through the given
-    arrows, by BFS: vertices in discovery order, the arrows at each vertex
-    by name (its incidence list)."""
+def _bfs_parents(quiver: Quiver, base: str, arrow_names: Iterable[str]) -> dict[str, Arrow | None]:
+    """The arrow by which a BFS from ``base`` through the given arrows first
+    reaches each vertex (``None`` at the base): vertices in discovery order,
+    the arrows at each vertex by name (its incidence list)."""
     allowed = frozenset(arrow_names)
     unknown = sorted(allowed - quiver.arrow_by_name.keys())
     if unknown:
         raise QuiverError(f"unknown arrow {unknown[0]!r}")
-    walks = {base: quiver.walk((), at=base)}
+    parents: dict[str, Arrow | None] = {base: None}
     order = [base]
     for v in order:  # grows while it is read
         for a in quiver._incident[v]:
-            if a.name not in allowed:
-                continue
-            step = None
-            if a.source == v and a.target not in walks:
-                step, other = (a.name, 1), a.target
-            elif a.target == v and a.source not in walks:
-                step, other = (a.name, -1), a.source
-            if step is not None:
-                walks[other] = Walk(base, other, walks[v].steps + (step,))
-                order.append(other)
-    return walks
+            if a.name in allowed:
+                other = a.target if a.source == v else a.source
+                if other not in parents:
+                    parents[other] = a
+                    order.append(other)
+    return parents
 
 
 class SpanningTree:
-    """A maximal tree with the reduced tree walk from the base to each vertex."""
+    """A maximal tree of a quiver, by its arrow names, at a base vertex."""
 
-    def __init__(self, quiver: Quiver, base: str, arrow_names: tuple[str, ...]):
-        self.quiver = quiver
+    def __init__(self, base: str, arrow_names: tuple[str, ...]):
         self.base = base
         self.arrow_names = frozenset(arrow_names)
-        self.walk_to = _bfs_walks(quiver, base, self.arrow_names)
 
     def contains(self, arrow_name: str) -> bool:
         return arrow_name in self.arrow_names

@@ -286,8 +286,10 @@ def build_relation_quiver(
                 image = _transvected(vertex.ideal, splices, tau)
                 case = classify_transvection(rq.oracle(vertex.ideal), rq.oracle(image), bp, vertex.ideal, image)
                 widx, ambiguous = locate(image)
+                back = None  # seed onto image: composed at most once per candidate
                 if widx is None:
-                    widx = add_vertex(image, transvection_of(quiver, f, bp, tau).compose(vertex.back_auto))
+                    back = transvection_of(quiver, f, bp, tau).compose(vertex.back_auto)
+                    widx = add_vertex(image, back)
                     if ambiguous:
                         rq.ambiguous_vertices.append(widx)
                 if case.label == UNKNOWN:
@@ -306,7 +308,7 @@ def build_relation_quiver(
                     # the succession from the image ideal back onto ours
                     arrow = RelationArrow(
                         widx, vi, bp, f.neg(f.coerce(tau)),
-                        image, vertex.ideal, transvection_of(quiver, f, bp, tau).compose(vertex.back_auto),
+                        image, vertex.ideal, back or transvection_of(quiver, f, bp, tau).compose(vertex.back_auto),
                         case.target_decision, case.source_decision,
                     )
                 edge = (arrow.source, arrow.target)

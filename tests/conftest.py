@@ -18,6 +18,7 @@ from bquiver import (
     enumerate_bypasses,
     transvection_of,
 )
+from bquiver.quiver import _bfs_parents
 
 
 def combine(field, *terms):
@@ -129,6 +130,19 @@ def chain_quiver(n):
     vertices = [str(i + 1) for i in range(n)]
     arrows = [(chr(ord("a") + i), str(i + 1), str(i + 2)) for i in range(n - 1)]
     return Quiver(vertices, arrows)
+
+
+def tree_steps(quiver, tree, vertex):
+    """The tree path from the base to ``vertex`` as signed arrows
+    ``(name, +1 or -1)`` (-1 crosses an arrow backwards), read off the
+    arrows by which the tree's BFS first reaches each vertex."""
+    parents = _bfs_parents(quiver, tree.base, tree.arrow_names)
+    steps = []
+    while parents[vertex] is not None:
+        a = parents[vertex]
+        steps.append((a.name, 1) if a.target == vertex else (a.name, -1))
+        vertex = a.source if a.target == vertex else a.target
+    return tuple(reversed(steps))
 
 
 def chain_with_monomials(n, field, cuts=()):

@@ -468,17 +468,20 @@ def test_happel_formula_on_hereditary_algebras():
             assert CohomologySpace(FDAlgebra(hereditary)).dim == happel
 
 
-@pytest.mark.parametrize(
+# Mono-41 and Mono-43: 300 random monomial ideals each
+monomial_draws_params = pytest.mark.parametrize(
     "seed, max_vertices, max_paths, fields, generators",
     [
         (41, 6, 40, (QQ, GF(2), GF(3), GF(5)), (0, 3)),
         (43, 7, 60, (QQ, GF(2), GF(3)), (1, 4)),
     ],
 )
-def test_monomial_hh1_matches_bardzell(seed, max_vertices, max_paths, fields, generators):
+
+
+def monomial_draws(seed, max_vertices, max_paths, fields, generators):
+    """The seeded monomial ideals: each a random quiver and field, and up
+    to ``generators`` paths of length at least two."""
     rng = random.Random(seed)
-    dims = set()
-    bound = 0
     for _ in range(300):
         q = random_quiver(rng, max_vertices, max_paths)
         field = rng.choice(fields)
@@ -486,9 +489,75 @@ def test_monomial_hh1_matches_bardzell(seed, max_vertices, max_paths, fields, ge
         chosen = rng.sample(long_paths, min(rng.randint(*generators), len(long_paths)))
         ideal = IdealData(q, field, [{p: field.one} for p in chosen])
         assert ideal.is_monomial()
+        yield ideal
+
+
+@monomial_draws_params
+def test_monomial_hh1_matches_bardzell(seed, max_vertices, max_paths, fields, generators):
+    dims = set()
+    bound = 0
+    for ideal in monomial_draws(seed, max_vertices, max_paths, fields, generators):
         dim = CohomologySpace(FDAlgebra(ideal)).dim
         assert dim == monomial_hh1_dim(ideal)
         dims.add(dim)
         bound += bool(ideal.basis)
     # the draws reach past Happel's case and spread over many dimensions
     assert bound > 100 and len(dims) > 5
+
+
+def strametz_bracket(ideal, x, y):
+    """Strametz's bracket on k(Q1//B) of a monomial algebra, bilinear in the
+    cochains ``{(arrow, path arrows): coeff}``:
+    [(alpha, gamma), (beta, delta)] = (beta, delta^{alpha<-gamma}) - (alpha, gamma^{beta<-delta}),
+    where delta^{alpha<-gamma} sums delta with one occurrence of alpha
+    replaced by gamma, over the occurrences, dropping the terms in I.  With
+    (alpha, gamma) the derivation alpha -> gamma this is the commutator
+    [D, E](a) = D(E(a)) - E(D(a)), the convention of ``space.bracket``."""
+    q, f = ideal.quiver, ideal.field
+
+    def substituted(alpha, gamma, delta):
+        for i in (i for i, name in enumerate(delta) if name == alpha):
+            term = delta[:i] + gamma + delta[i + 1:]
+            if not ideal.contains({q.path(term): f.one}):
+                yield term
+
+    out: dict = {}
+    for (alpha, gamma), c in x.items():
+        for (beta, delta), d in y.items():
+            cd = f.mul(c, d)
+            for term in substituted(alpha, gamma, delta):
+                out[beta, term] = f.add(out.get((beta, term), f.zero), cd)
+            for term in substituted(beta, delta, gamma):
+                out[alpha, term] = f.sub(out.get((alpha, term), f.zero), cd)
+    return {k: v for k, v in out.items() if not f.is_zero(v)}
+
+
+@monomial_draws_params
+def test_monomial_bracket_matches_strametz(seed, max_vertices, max_paths, fields, generators):
+    # each derivation unknown (alpha, gamma) is the pair alpha -> gamma of
+    # k(Q1//B); Strametz's bracket of two basis representatives, as a class,
+    # must be the bracket of their classes, in both orders
+    mismatches = nonzero = 0
+    for ideal in monomial_draws(seed, max_vertices, max_paths, fields, generators):
+        space = CohomologySpace(FDAlgebra(ideal))
+        alg = space.algebra
+        q = alg.quiver
+
+        def cochain(cls):
+            return {
+                (alg.derivation_unknowns[u][0], alg.derivation_unknowns[u][1].arrows): c
+                for u, c in cls.representative().coords.items()
+            }
+
+        classes = space.basis_classes()
+        for c, d in itertools.product(classes, repeat=2):
+            images: dict = {}
+            for (name, path), x in strametz_bracket(ideal, cochain(c), cochain(d)).items():
+                images.setdefault(name, {})[alg.index[q.path(path)]] = x
+            expected = space.class_of(Derivation(alg, images))
+            got = space.bracket(c, d)
+            mismatches += got != expected
+            nonzero += not got.is_zero()
+    assert mismatches == 0
+    # the draws reach many noncommuting pairs
+    assert nonzero > 1000

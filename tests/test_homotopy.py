@@ -127,37 +127,42 @@ def test_hom_dimension_matches_abelian_invariants():
 
 def test_decide_homotopic_golden_cases():
     q, mono, diff, tree = parallel_pair(QQ)
-    a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
-    yes = HomotopyOracle(diff).decide_walks(a, b)
+    a, b = q.arrow_path("a"), q.arrow_path("b")
+    yes = HomotopyOracle(diff).decide_paths(a, b)
     assert yes.verdict == YES
     assert yes.certificate.replay(HomotopyOracle(diff).presentation)
-    no = HomotopyOracle(mono).decide_walks(a, b)
+    no = HomotopyOracle(mono).decide_paths(a, b)
     assert no.verdict == NO
     oracle = HomotopyOracle(mono, tree)
-    word = oracle.presentation.word_of_walk(q.concat_walks(b.inverse(), a))
+    word = oracle.presentation.word_of_pair(a, b)
     assert no.certificate.verify(oracle.presentation, word)
-    trivial = HomotopyOracle(mono).decide_walks(q.walk((), at="1"), q.walk((), at="1"))
+    trivial = HomotopyOracle(mono).decide_paths(q.trivial_path("1"), q.trivial_path("1"))
     assert trivial.verdict == YES
+    assert HomotopyOracle(mono).decide_closed_word(()).verdict == YES
 
 
 def test_decide_homotopic_rejects_non_parallel():
     q, mono, _, _ = parallel_pair(QQ)
     with pytest.raises(ValueError):
-        HomotopyOracle(mono).decide_walks(q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("c")))
+        HomotopyOracle(mono).decide_paths(q.arrow_path("a"), q.arrow_path("c"))
 
 
 def test_decide_tree_detour_is_homotopic():
-    # two walks differing by an inserted backtrack are freely equal
+    # along a path and back along it is a word with a cancelling pair
+    # (generator b and its inverse), freely equal to the unit
     q, mono, _, _ = parallel_pair(QQ)
-    walk1 = q.path_walk(q.path(["a", "c"]))
-    walk2 = q.walk([("a", 1), ("a", -1), ("a", 1), ("c", 1)])
-    assert HomotopyOracle(mono).decide_walks(walk1, walk2).verdict == YES
+    oracle = HomotopyOracle(mono)
+    u = q.path(["b", "c"])
+    assert oracle.presentation.generators == ("b",)
+    assert oracle.presentation.word_of_path(u) == (1,)
+    assert oracle.presentation.word_of_pair(u, u) == ()
+    assert oracle.decide_paths(u, u).verdict == YES
 
 
 def test_decide_budget_exhaustion_goes_unknown():
     q, mono, diff, tree = parallel_pair(QQ)
-    a, b = q.path_walk(q.arrow_path("a")), q.path_walk(q.arrow_path("b"))
-    d = HomotopyOracle(diff, search_max_nodes=1).decide_walks(a, b)
+    a, b = q.arrow_path("a"), q.arrow_path("b")
+    d = HomotopyOracle(diff, search_max_nodes=1).decide_paths(a, b)
     assert d.verdict == UNKNOWN
 
 
@@ -243,9 +248,7 @@ def test_relations_equal_random_dilatations():
         assert first.same_relation(second).verdict == YES
         # memoized decisions repeat, and a memoized "yes" still replays
         for u, v in first.pairs:
-            word = second.presentation.word_of_walk(
-                q.concat_walks(q.path_walk(v).inverse(), q.path_walk(u)).reduced()
-            )
+            word = second.presentation.word_of_pair(u, v)
             d = second.decide_closed_word(word)
             again = second.decide_closed_word(word)
             assert again.verdict == d.verdict == YES
@@ -318,9 +321,8 @@ def test_relator_preimages_are_closed_walks():
     q, ideal, tree = two_triangles_full(GF(2))
     pres = GroupPresentation(q, tree, homotopy_pairs(ideal))
     for u, v in homotopy_pairs(ideal):
-        closed = q.concat_walks(q.path_walk(v).inverse(), q.path_walk(u))
-        assert closed.source == closed.target
-        assert pres.word_of_walk(closed) in pres.relators or pres.word_of_walk(closed) == ()
+        word = pres.word_of_pair(u, v)
+        assert word in pres.relators or word == ()
 
 
 def test_symmetrized_relators_insert_cyclic_reductions():

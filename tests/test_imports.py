@@ -52,12 +52,37 @@ def test_no_module_reads_the_environment(path):
 README = PACKAGE.parent.parent / "README.md"
 
 
-def library_use_names():
-    """The identifiers in the code of the README's "Library use" section:
-    its Python block and its inline code spans."""
+def library_use_spans():
+    """The code of the README's "Library use" section: its Python block
+    and its inline code spans."""
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1].split("\n## ", 1)[0]
-    spans = re.findall(r"```.*?```|`[^`]*`", section, re.S)
-    return {name for span in spans for name in re.findall(r"\w+", span)}
+    return re.findall(r"```.*?```|`[^`]*`", section, re.S)
+
+
+def library_use_names():
+    """The identifiers in the code of the README's "Library use" section."""
+    return {name for span in library_use_spans() for name in re.findall(r"\w+", span)}
+
+
+def defined_names(tree):
+    """Every function, class and method a module defines, and its
+    module-level constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_call_in_the_readme_library_use_is_defined():
+    # a stale call in the README (an API since removed) is a broken example
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = {name for tree in trees for name in defined_names(tree)}
+    called = {name for span in library_use_spans() for name in re.findall(r"(\w+)\(", span)}
+    stale = sorted(name for name in called if name not in defined and not hasattr(builtins, name))
+    assert len(called) > 30  # the spans were found
+    assert not stale, f"the README's Library use calls names src/bquiver does not define: {', '.join(stale)}"
 
 
 def public_definitions(tree):

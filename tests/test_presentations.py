@@ -47,6 +47,7 @@ from conftest import (
     random_field,
     random_nonzero,
     random_quiver,
+    tree_steps,
     two_triangles_full,
     two_triangles_twist,
 )
@@ -498,18 +499,22 @@ def test_tree_independence_of_the_embedding():
     nu1 = Presentation.natural(space, tree1)
     nu2 = Presentation.natural(space, tree2)
     f = space.field
+
+    def along(weights, v):
+        """The signed weight sum along the second tree's path to ``v``."""
+        acc = f.zero
+        for n, eps in tree_steps(q, tree2, v):
+            x = weights.get(n, f.zero)
+            acc = f.add(acc, x) if eps == 1 else f.sub(acc, x)
+        return acc
+
     for w1 in nu1.hom:
-        # renormalize the character to the second tree through its walks
+        # renormalize the character to the second tree: an arrow weighs the
+        # loop out along that tree to its source, across it, and back
         w2 = {}
         for name in q.arrow_names:
             a = q.arrow(name)
-            walk = q.concat_walks(
-                tree2.walk_to[a.target].inverse(),
-                q.concat_walks(q.path_walk(q.arrow_path(name)), tree2.walk_to[a.source]),
-            )
-            # the signed weight sum along the walk
-            signed = (w1.get(n, f.zero) if eps == 1 else f.neg(w1.get(n, f.zero)) for n, eps in walk.steps)
-            w2[name] = f.sum(signed)
+            w2[name] = f.sub(f.add(along(w1, a.source), w1.get(name, f.zero)), along(w1, a.target))
         assert nu1.embed_character(w1) == nu2.embed_character(w2)
     img1, img2 = nu1.character_image(), nu2.character_image()
     assert img1.contains_span(img2) and img2.contains_span(img1)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from bquiver import QQ, Path, Quiver, QuiverError, enumerate_bypasses, has_double_bypass
-from bquiver.quiver import Walk, _bfs_walks
+from bquiver.quiver import _bfs_parents
 
 from conftest import (
     chain_quiver,
@@ -12,6 +12,7 @@ from conftest import (
     kronecker_quiver,
     parallel_pair_quiver,
     random_quiver,
+    tree_steps,
     two_triangles_quiver,
 )
 
@@ -65,25 +66,26 @@ def test_validate_reads_quivers_deeper_than_the_recursion_limit():
     assert cycle.validate() == {"ok": False, "cycle": [f"a{i}" for i in range(n)], "components": None}
 
 
-def reference_bfs_walks(quiver, base, arrow_names):
-    """BFS from ``base`` scanning every allowed arrow name at each vertex."""
-    walks = {base: Walk(base, base, ())}
+def reference_bfs_parents(quiver, base, arrow_names):
+    """BFS from ``base`` scanning every allowed arrow name at each vertex:
+    the arrow by which it first reaches each vertex, in discovery order."""
+    parents = {base: None}
     order = [base]
     for v in order:
         for name in sorted(arrow_names):
             a = quiver.arrow(name)
-            step = None
-            if a.source == v and a.target not in walks:
-                step, other = (name, 1), a.target
-            elif a.target == v and a.source not in walks:
-                step, other = (name, -1), a.source
-            if step is not None:
-                walks[other] = Walk(base, other, walks[v].steps + (step,))
+            other = None
+            if a.source == v and a.target not in parents:
+                other = a.target
+            elif a.target == v and a.source not in parents:
+                other = a.source
+            if other is not None:
+                parents[other] = a
                 order.append(other)
-    return walks
+    return parents
 
 
-def test_bfs_walks_follow_the_incidence_lists_in_the_reference_order():
+def test_bfs_parents_and_default_trees_follow_the_reference_bfs():
     rng = random.Random(2311)
     square = commutative_square(QQ, bound=False)[0]
     split = Quiver(["1", "2", "3", "4"], [("b", "3", "4"), ("a", "1", "2")])
@@ -92,14 +94,17 @@ def test_bfs_walks_follow_the_incidence_lists_in_the_reference_order():
         subset = [n for n in q.arrow_names if rng.random() < 0.6]
         for base in q.vertices:
             for names in (q.arrow_names, subset, ()):
-                walks = _bfs_walks(q, base, names)
-                expected = reference_bfs_walks(q, base, names)
-                assert walks == expected and list(walks) == list(expected)
+                parents = _bfs_parents(q, base, names)
+                expected = reference_bfs_parents(q, base, names)
+                assert parents == expected and list(parents) == list(expected)
             if q.validate()["ok"]:
+                # the default tree is the arrows of first discovery
+                expected = reference_bfs_parents(q, base, q.arrow_names)
                 tree = q.spanning_tree(base)
-                assert tree.walk_to == reference_bfs_walks(q, base, tree.arrow_names)
+                assert tree.arrow_names == {a.name for a in expected.values() if a is not None}
+                assert list(_bfs_parents(q, base, tree.arrow_names)) == list(expected)
     with pytest.raises(QuiverError, match="unknown arrow 'x'"):
-        _bfs_walks(split, "1", ["a", "x", "y"])
+        _bfs_parents(split, "1", ["a", "x", "y"])
 
 
 def test_a_long_chain_builds_and_gets_its_spanning_tree():
@@ -108,8 +113,8 @@ def test_a_long_chain_builds_and_gets_its_spanning_tree():
     chain = Quiver(vertices, [(f"a{i}", vertices[i], vertices[i + 1]) for i in range(n - 1)])
     tree = chain.spanning_tree(vertices[n // 2])
     assert tree.arrow_names == frozenset(chain.arrow_names)
-    assert tree.walk_to[vertices[0]].steps == tuple((f"a{i}", -1) for i in reversed(range(n // 2)))
-    assert tree.walk_to[vertices[-1]].steps == tuple((f"a{i}", 1) for i in range(n // 2, n - 1))
+    assert tree_steps(chain, tree, vertices[0]) == tuple((f"a{i}", -1) for i in reversed(range(n // 2)))
+    assert tree_steps(chain, tree, vertices[-1]) == tuple((f"a{i}", 1) for i in range(n // 2, n - 1))
 
 
 def test_unknown_endpoint_rejected():
@@ -159,12 +164,11 @@ def test_path_composability_enforced():
 def test_spanning_tree_two_triangles_preferred():
     q = two_triangles_quiver()
     tree = q.spanning_tree("1", preferred=["b", "c", "e", "f"])
-    walk5 = tree.walk_to["5"]
-    assert walk5.steps == (("b", 1), ("c", 1), ("e", 1), ("f", 1))
-    for v, walk in tree.walk_to.items():
-        assert walk.reduced() == walk
-        assert all(name in tree.arrow_names for name, _ in walk.steps)
-        assert (walk.source, walk.target) == ("1", v)
+    assert tree_steps(q, tree, "5") == (("b", 1), ("c", 1), ("e", 1), ("f", 1))
+    for v in q.vertices:
+        # a tree path crosses each of its arrows once, all of them tree arrows
+        names = [name for name, _ in tree_steps(q, tree, v)]
+        assert len(set(names)) == len(names) and set(names) <= tree.arrow_names
 
 
 def test_spanning_tree_chain_is_whole_quiver():
@@ -176,8 +180,8 @@ def test_spanning_tree_chain_is_whole_quiver():
 def test_spanning_tree_parallel_pair_preferred():
     q = parallel_pair_quiver()
     tree = q.spanning_tree("1", preferred=["a", "c"])
-    assert tree.walk_to["2"].steps == (("a", 1),)
-    assert tree.walk_to["3"].steps == (("a", 1), ("c", 1))
+    assert tree_steps(q, tree, "2") == (("a", 1),)
+    assert tree_steps(q, tree, "3") == (("a", 1), ("c", 1))
 
 
 def test_spanning_tree_rejects_bad_preferred():
@@ -186,30 +190,6 @@ def test_spanning_tree_rejects_bad_preferred():
         q.spanning_tree("1", preferred=["a", "b"])  # does not reach vertex 3
     with pytest.raises(QuiverError):
         q.spanning_tree("1", preferred=["a"])
-
-
-def test_reduce_walk_cancellation():
-    q = parallel_pair_quiver()
-    w = q.walk([("a", 1), ("a", -1)])
-    assert w.reduced().is_trivial
-    assert w.reduced().source == "1"
-    w2 = q.walk([("a", 1), ("b", -1)])
-    assert w2.reduced() == w2
-    w3 = q.walk([("b", 1), ("c", 1), ("c", -1)])
-    assert w3.reduced().steps == (("b", 1),)
-
-
-def test_walk_inverse_and_concat():
-    q = parallel_pair_quiver()
-    w = q.walk([("a", 1), ("c", 1)])
-    assert w.inverse().steps == (("c", -1), ("a", -1))
-    closed = q.concat_walks(w.inverse(), w)
-    assert closed.source == closed.target == "1"
-    assert closed.reduced().is_trivial
-    with pytest.raises(QuiverError):
-        q.concat_walks(w, w)
-    with pytest.raises(QuiverError):
-        q.walk([("a", 1), ("a", 1)])
 
 
 def test_bypasses_parallel_pair():
@@ -226,11 +206,7 @@ def test_bypasses_chain_empty():
     assert enumerate_bypasses(chain_quiver(4)) == []
 
 
-def test_all_paths_recompose_and_walks_reduce_idempotently():
-    import random
-
-    from conftest import random_quiver
-
+def test_all_paths_recompose():
     rng = random.Random(77)
     for _ in range(8):
         q = random_quiver(rng)
@@ -239,28 +215,6 @@ def test_all_paths_recompose_and_walks_reduce_idempotently():
                 continue
             rebuilt = q.path(p.arrows)
             assert rebuilt == p
-        # random back-and-forth walks reduce to a fixed point, never growing
-        names = list(q.arrow_names)
-        for _ in range(10):
-            steps = []
-            cursor = rng.choice(q.vertices)
-            for _ in range(rng.randint(0, 6)):
-                options = []
-                for n in names:
-                    a = q.arrow(n)
-                    if a.source == cursor:
-                        options.append(((n, 1), a.target))
-                    if a.target == cursor:
-                        options.append(((n, -1), a.source))
-                if not options:
-                    break
-                step, cursor = rng.choice(options)
-                steps.append(step)
-            w = q.walk(steps, at=cursor if not steps else None)
-            reduced = w.reduced()
-            assert reduced.reduced() == reduced
-            assert reduced.length <= w.length
-            assert (reduced.source, reduced.target) == (w.source, w.target)
 
 
 def test_double_bypass_cases():
