@@ -18,13 +18,25 @@ A document looks like::
 Products are read right to left: the term ``c*a`` is the path that traverses
 ``a`` first and ``c`` second.  Coefficients are integers or fractions
 (``2*c*a``, ``1/2*c*a``); over GF(p) they are reduced mod p.
+
+Tokens are plain strings, found by one ``findall`` of a regex with no
+groups: a comment, ``->``, a name (ASCII letters, digits and ``_``; a number
+is a name of digits) or any other single character that is not a space,
+tab, carriage return or newline.  Comments are dropped, and an empty string
+marks the end.  A token's first character classifies it: a name, one of the
+symbols ``{}(),;:*+-=/`` (``-`` also starts ``->``), or a bad character.
+The parser keeps only an index into that list and accepts no bad character,
+so a document that holds one always reaches an error.  Offsets are computed
+only then, by rescanning the text: the first bad character is the error if
+there is one (as if tokenizing had stopped there), else the token the parser
+named.  Lines and columns are 1-based, and a tab or a carriage return is one
+column.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .fields import Field, GF, QQ, is_prime
 from .pathalg import IdealData, _render
@@ -39,39 +51,42 @@ class InputError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>\#[^\n]*)
-  | (?P<sym>->|[{}(),;:*+\-=/])
-  | (?P<name>[A-Za-z0-9_]+)
-  | (?P<bad>[^ \t\r\n])
-    """,
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r"#[^\n]*|->|[A-Za-z0-9_]+|[^ \t\r\n]")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_SYMBOL_START = frozenset("{}(),;:*+-=/")
 
 
-class Token(NamedTuple):
-    kind: str  # name | sym | end
-    text: str
-    offset: int
+def _tokenize(text: str) -> list[str]:
+    tokens = [t for t in _TOKEN_RE.findall(text) if t[0] != "#"]
+    tokens.append("")
+    return tokens
 
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of an offset (a tab or a carriage return is
-    one column)."""
+def _is_number(token: str) -> bool:
+    """A name made of digits (``isdigit`` alone also takes other scripts' digits)."""
+    return token[:1] in _NAME_START and token.isdigit()
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
+def _input_error(text: str, message: str, index: int) -> InputError:
+    """The error for token ``index`` of ``_tokenize(text)``, positioned by
+    one rescan of the text; the first bad character, if any, comes first."""
+    offset = len(text)  # the end marker's
+    k = 0
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise InputError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
-        if kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("end", "", len(text)))
-    return tokens
+        token = m.group()
+        first = token[0]
+        if first == "#":
+            continue
+        if first not in _NAME_START and first not in _SYMBOL_START:
+            return InputError(f"unexpected character {token!r}", *_line_column(text, m.start()))
+        if k == index:
+            offset = m.start()
+        k += 1
+    return InputError(message, *_line_column(text, offset))
 
 
 @dataclass
@@ -97,33 +112,34 @@ class InputDocument:
 
 
 class _Parser:
+    """Recursive descent over the token strings; ``pos`` is the index of the
+    next token, and every error names the index of the token it is about."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise InputError(message, *_position(self.text, tok.offset))
+    def fail(self, message: str, index: int):
+        raise _input_error(self.text, message, index)
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}", tok)
-        return tok
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok!r}", self.pos - 1)
 
-    def expect_name(self) -> Token:
+    def expect_name(self) -> str:
         tok = self.next()
-        if tok.kind != "name":
-            self.fail(f"expected a name, found {tok.text!r}", tok)
+        if tok[:1] not in _NAME_START:
+            self.fail(f"expected a name, found {tok!r}", self.pos - 1)
         return tok
 
     # ---------- grammar ----------
@@ -132,78 +148,75 @@ class _Parser:
         field = self.parse_field_decl()
         quiver = self.parse_quiver_decl()
         doc = InputDocument(field, quiver, {})
-        while self.peek().text == "ideal":
+        while self.peek() == "ideal":
             name, gens = self.parse_ideal_decl(doc)
             doc.ideal_generators[name] = gens
-        while self.peek().text in ("tree", "budget"):
+        while self.peek() in ("tree", "budget"):
             self.parse_setting(doc)
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected {tok.text!r}", tok)
+        if self.peek():
+            self.fail(f"unexpected {self.peek()!r}", self.pos)
         return doc
 
     def parse_field_decl(self) -> Field:
         self.expect("field")
-        tok = self.expect_name()
-        if tok.text == "QQ":
+        name = self.expect_name()
+        if name == "QQ":
             return QQ
-        if tok.text == "GF":
+        if name == "GF":
             self.expect("(")
-            p_tok = self.expect_name()
-            if not p_tok.text.isdigit():
-                self.fail("expected a prime number", p_tok)
-            p = int(p_tok.text)
+            p_text = self.expect_name()
+            if not p_text.isdigit():
+                self.fail("expected a prime number", self.pos - 1)
+            p = int(p_text)
             if not is_prime(p):
-                self.fail(f"{p} is not prime", p_tok)
+                self.fail(f"{p} is not prime", self.pos - 1)
             self.expect(")")
             return GF(p)
-        self.fail(f"unknown field {tok.text!r}", tok)
+        self.fail(f"unknown field {name!r}", self.pos - 1)
 
     def parse_quiver_decl(self) -> Quiver:
         self.expect("quiver")
         self.expect("{")
         self.expect("vertices")
-        vertices = [self.expect_name().text]
-        while self.peek().text == ",":
+        vertices = [self.expect_name()]
+        while self.peek() == ",":
             self.next()
-            tok = self.expect_name()
-            if tok.text in vertices:
-                self.fail("duplicate vertex names", tok)
-            vertices.append(tok.text)
+            vertex = self.expect_name()
+            if vertex in vertices:
+                self.fail("duplicate vertex names", self.pos - 1)
+            vertices.append(vertex)
         arrows = {}
-        while self.peek().text == "arrow":
+        while self.peek() == "arrow":
             self.next()
-            name_tok = self.expect_name()
-            name = name_tok.text
+            name = self.expect_name()
             if name in arrows:
-                self.fail(f"duplicate arrow name {name!r}", name_tok)
+                self.fail(f"duplicate arrow name {name!r}", self.pos - 1)
             self.expect(":")
             src = self._endpoint(name, vertices)
             self.expect("->")
             arrows[name] = (name, src, self._endpoint(name, vertices))
         if not arrows:
-            self.fail("a quiver needs at least one arrow declaration")
+            self.fail("a quiver needs at least one arrow declaration", self.pos)
         self.expect("}")
         return Quiver(vertices, arrows.values())
 
     def _endpoint(self, arrow: str, vertices: list[str]) -> str:
-        tok = self.expect_name()
-        if tok.text not in vertices:
-            self.fail(f"arrow {arrow!r} has an unknown endpoint", tok)
-        return tok.text
+        vertex = self.expect_name()
+        if vertex not in vertices:
+            self.fail(f"arrow {arrow!r} has an unknown endpoint", self.pos - 1)
+        return vertex
 
     def parse_ideal_decl(self, doc: InputDocument) -> tuple[str, list[dict]]:
         self.expect("ideal")
-        name_tok = self.expect_name()
-        name = name_tok.text
+        name = self.expect_name()
         if name in doc.ideal_generators:
-            self.fail(f"ideal {name!r} declared twice", name_tok)
+            self.fail(f"ideal {name!r} declared twice", self.pos - 1)
         self.expect("{")
-        if self.peek().text == "}":  # an empty body is the zero ideal
+        if self.peek() == "}":  # an empty body is the zero ideal
             self.next()
             return name, []
         gens = [self.parse_relation(doc)]
-        while self.peek().text == ";":
+        while self.peek() == ";":
             self.next()
             gens.append(self.parse_relation(doc))
         self.expect("}")
@@ -213,31 +226,28 @@ class _Parser:
         f = doc.field
         elem: dict = {}
         f.add_multiple(elem, f.one, self.parse_term(doc, negative=False))
-        while self.peek().text in ("+", "-"):
-            sign = self.next().text
+        while self.peek() in ("+", "-"):
+            sign = self.next()
             f.add_multiple(elem, f.one, self.parse_term(doc, negative=sign == "-"))
         return elem
 
     def parse_term(self, doc: InputDocument, negative: bool) -> dict:
         f = doc.field
         coeff = f.one
-        tok = self.peek()
-        if tok.text == "-":
+        if self.peek() == "-":
             self.next()
             negative = not negative
-            tok = self.peek()
-        if tok.kind == "name" and tok.text.isdigit():
-            num_tok = self.next()
-            value = int(num_tok.text)
-            if self.peek().text == "/":
+        if _is_number(self.peek()):
+            value = int(self.next())
+            if self.peek() == "/":
                 self.next()
-                den_tok = self.expect_name()
-                if not den_tok.text.isdigit():
-                    self.fail("expected a denominator", den_tok)
+                den_text = self.expect_name()
+                if not den_text.isdigit():
+                    self.fail("expected a denominator", self.pos - 1)
                 # map both into the field first: a zero denominator there must not cancel
-                den = f.coerce(int(den_tok.text))
+                den = f.coerce(int(den_text))
                 if f.is_zero(den):
-                    self.fail(f"denominator {den_tok.text} is zero in {f!r}", den_tok)
+                    self.fail(f"denominator {den_text} is zero in {f!r}", self.pos - 1)
                 coeff = f.div(f.coerce(value), den)
             else:
                 coeff = f.coerce(value)
@@ -245,50 +255,52 @@ class _Parser:
         if negative:
             coeff = f.neg(coeff)
         names = [self._arrow_name(doc)]
-        while self.peek().text == "*":
+        while self.peek() == "*":
             self.next()
             names.append(self._arrow_name(doc))
         # the written product is right-to-left, so traversal order reverses
         try:
             path = doc.quiver.path(tuple(reversed(names)))
         except QuiverError as exc:
-            self.fail(str(exc), self.tokens[self.pos - 1])
+            self.fail(str(exc), self.pos - 1)
         return {path: coeff}
 
     def _arrow_name(self, doc: InputDocument) -> str:
-        tok = self.expect_name()
-        if tok.text not in doc.quiver.arrow_by_name:
-            self.fail(f"unknown arrow {tok.text!r}", tok)
-        return tok.text
+        name = self.expect_name()
+        if name not in doc.quiver.arrow_by_name:
+            self.fail(f"unknown arrow {name!r}", self.pos - 1)
+        return name
 
     def parse_setting(self, doc: InputDocument):
-        tok = self.next()
-        if tok.text == "tree":
+        keyword = self.pos
+        if self.next() == "tree":
             if doc.tree_arrows is not None:
-                self.fail("tree declared twice", tok)
+                self.fail("tree declared twice", keyword)
             self.expect("{")
-            names = [self.expect_name()]
-            while self.peek().text == ",":
+            first = self.pos
+            self.expect_name()
+            while self.peek() == ",":
                 self.next()
-                names.append(self.expect_name())
+                self.expect_name()
             self.expect("}")
-            for k, n in enumerate(names):
-                if n.text not in doc.quiver.arrow_by_name:
-                    self.fail(f"unknown arrow {n.text!r} in tree", n)
-                if any(m.text == n.text for m in names[:k]):
-                    self.fail(f"duplicate arrow {n.text!r} in tree", n)
-            doc.tree_arrows = tuple(n.text for n in names)
+            names = self.tokens[first:self.pos - 1:2]  # the names between the commas
+            for k, name in enumerate(names):
+                if name not in doc.quiver.arrow_by_name:
+                    self.fail(f"unknown arrow {name!r} in tree", first + 2 * k)
+                if name in names[:k]:
+                    self.fail(f"duplicate arrow {name!r} in tree", first + 2 * k)
+            doc.tree_arrows = tuple(names)
         else:
-            key_tok = self.expect_name()
-            if key_tok.text != "search_max_nodes":
-                self.fail(f"unknown budget keys {[key_tok.text]}", key_tok)
+            key = self.expect_name()
+            if key != "search_max_nodes":
+                self.fail(f"unknown budget keys {[key]}", self.pos - 1)
             if doc.search_max_nodes is not None:
-                self.fail("budget search_max_nodes declared twice", tok)
+                self.fail("budget search_max_nodes declared twice", keyword)
             self.expect("=")
-            value_tok = self.next()
-            if not value_tok.text.isdigit():
-                self.fail("budget values are nonnegative integers", value_tok)
-            doc.search_max_nodes = int(value_tok.text)
+            value = self.next()
+            if not _is_number(value):
+                self.fail("budget values are nonnegative integers", self.pos - 1)
+            doc.search_max_nodes = int(value)
 
 
 def parse_input(text: str) -> InputDocument:

@@ -11,7 +11,10 @@ relations, structure constants and eigenvalues are mostly 0 and +-1), so
 ``QQ`` adds, negates and multiplies two operands with denominator 1 on their
 ``numerator``s, Python's integer arithmetic, and only other operands take
 ``Fraction``'s operators.  Either way every QQ result is a ``Fraction``: the
-reports print a rational as a string and an int as a number.
+reports print a rational as a string and an int as a number.  An integral
+result of small size is taken from a table of shared ``Fraction``s, since
+``Fraction(n)`` runs its constructor in Python; a Fraction is immutable, and
+nothing compares scalars by identity.
 
 Each field owns the one sparse kernel, ``add_multiple(acc, x, vec)``:
 ``acc += x * vec`` on ``{key: coeff}`` dicts with no zero entries, dropping
@@ -93,6 +96,18 @@ class Field:
         return acc
 
 
+class _Integers(dict):
+    """``Fraction(n)`` for each |n| <= 16, built once; a larger ``n`` is
+    built on each lookup and not kept.  Nearly every integral result is
+    within that range (0 and +-1 above all)."""
+
+    def __missing__(self, n: int) -> Fraction:
+        return Fraction(n)
+
+
+_INTEGERS = _Integers((n, Fraction(n)) for n in range(-16, 17))
+
+
 class RationalField(Field):
     """The rational numbers; scalars are reduced ``Fraction`` values.
 
@@ -114,17 +129,17 @@ class RationalField(Field):
 
     def add(self, a, b):
         if a.denominator == 1 == b.denominator:
-            return Fraction(a.numerator + b.numerator)
+            return _INTEGERS[a.numerator + b.numerator]
         return a + b
 
     def neg(self, a):
         if a.denominator == 1:
-            return Fraction(-a.numerator)
+            return _INTEGERS[-a.numerator]
         return -a
 
     def mul(self, a, b):
         if a.denominator == 1 == b.denominator:
-            return Fraction(a.numerator * b.numerator)
+            return _INTEGERS[a.numerator * b.numerator]
         return a * b
 
     def inv(self, a):
@@ -142,7 +157,7 @@ class RationalField(Field):
             if nx is not None and y.denominator == 1 == z.denominator:
                 n = z.numerator + nx * y.numerator
                 if n:
-                    acc[c] = Fraction(n)
+                    acc[c] = _INTEGERS[n]
                     continue
             else:
                 # a non-integral operand is a Fraction, so the sum is one

@@ -322,8 +322,10 @@ class HomotopyOracle:
 
     # -- public decisions --
 
-    def decide_closed_word(self, word: Word) -> Decision:
-        """Three-valued triviality of a closed word, memoized per word."""
+    def decide_closed_word(self, word: tuple[int, ...]) -> Decision:
+        """Three-valued triviality of a closed word, memoized per freely
+        reduced word; a "yes" trace starts from that reduced word."""
+        word = _free_reduce(word)
         decision = self._decisions.get(word)
         if decision is None:
             decision = self._decide(word)

@@ -296,9 +296,14 @@ def _diagonal_on(classes, vectors) -> bool:
     for cls in classes:
         d = cls.representative()
         f = d.algebra.field
+        basis = d.algebra.basis
         for vec in vectors:
-            image = d.apply(vec)
             i = min(vec)
+            arrows = basis[i].arrows
+            if len(arrows) == 1 == len(vec) and vec[i] == f.one:
+                image = d.arrow_image(arrows[0])  # a unit arrow vector: D(a) is stored
+            else:
+                image = d.apply(vec)
             lam = f.div(image.get(i, f.zero), vec[i])
             if image != ({} if f.is_zero(lam) else {j: f.mul(lam, x) for j, x in vec.items()}):
                 return False

@@ -297,6 +297,11 @@ def build_relation_quiver(
                     continue
                 if case.label == COINCIDE:
                     continue
+                # check the edge before building its arrow: most candidates give no new edge
+                edge = (vi, widx) if case.label == DIRECT_SUCCESSOR else (widx, vi)
+                if edge[0] == edge[1] or edge in seen_arrows:
+                    continue
+                seen_arrows.add(edge)
                 if case.label == DIRECT_SUCCESSOR:
                     arrow = RelationArrow(
                         vi, widx, bp, tau,
@@ -311,10 +316,7 @@ def build_relation_quiver(
                         image, vertex.ideal, back or transvection_of(quiver, f, bp, tau).compose(vertex.back_auto),
                         case.target_decision, case.source_decision,
                     )
-                edge = (arrow.source, arrow.target)
-                if edge[0] != edge[1] and edge not in seen_arrows:
-                    seen_arrows.add(edge)
-                    rq.arrows.append(arrow)
+                rq.arrows.append(arrow)
     return rq
 
 

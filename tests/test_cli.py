@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bquiver import QQ, InputDocument, InputError, parse_input, relquiver, render_document
+import bquiver
+from bquiver import GF, QQ, InputDocument, InputError, parse_input, relquiver, render_document
 from bquiver.cli import main, build_arg_parser, resolve_search_max_nodes
 from bquiver.pathalg import _render
 
@@ -97,7 +102,14 @@ def test_parse_render_parse_is_stable():
     # nonzero one, keep their generator lists
     hereditary = KRONECKER_DOC.replace("0*a", "")
     with_zero = PARALLEL_PAIR_DOC.replace("ideal I { c*a }", "ideal I { c*a ; 0*a }")
-    for text in (PARALLEL_PAIR_DOC, TWO_TRIANGLES_DOC, KRONECKER_DOC, hereditary, with_zero):
+    # and seeded draws, with rational and mod-p coefficients
+    rng = random.Random(30)
+    drawn = []
+    for field in (QQ, GF(2), GF(3), GF(5)) * 4:
+        q = random_quiver(rng, 6, 30)
+        ideal = random_admissible_ideal(rng, q, field)
+        drawn.append(render_document(InputDocument(field, q, {"I": list(ideal.basis), "Z": []})))
+    for text in (PARALLEL_PAIR_DOC, TWO_TRIANGLES_DOC, KRONECKER_DOC, hereditary, with_zero, *drawn):
         doc1 = parse_input(text)
         rendered = render_document(doc1)
         doc2 = parse_input(rendered)
@@ -389,6 +401,99 @@ def test_parse_errors_carry_line_and_column():
             parse_input(text)
         assert (err.value.line, err.value.column) == (line, column)
         assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+def _reference_tokens(text):
+    """(offset, token, line, column) of each token of an ASCII document, by a
+    scan of each line that shares nothing with the parser's."""
+    out = []
+    start = 0
+    for line_no, line in enumerate(text.split("\n"), 1):
+        code = line.split("#", 1)[0]
+        col = 0
+        while col < len(code):
+            end = col + 1
+            if code[col].isalnum() or code[col] == "_":
+                while end < len(code) and (code[end].isalnum() or code[end] == "_"):
+                    end += 1
+            elif code.startswith("->", col):
+                end = col + 2
+            if not code[col].isspace():
+                out.append((start + col, code[col:end], line_no, col + 1))
+            col = end
+        start += len(line) + 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "text", [PARALLEL_PAIR_DOC, TWO_TRIANGLES_DOC, KRONECKER_DOC], ids=["pair", "triangles", "kronecker"]
+)
+def test_an_error_in_place_of_any_token_points_at_it(text):
+    tokens = _reference_tokens(text)
+    assert "".join(t for _, t, _, _ in tokens) == "".join(
+        line.split("#", 1)[0] for line in text.split("\n")
+    ).translate({ord(c): None for c in " \t\r"})
+    named = 0
+    for offset, token, line, column in tokens:
+        with pytest.raises(InputError) as err:
+            parse_input(text[:offset] + "@" + text[offset + len(token):])
+        assert str(err.value) == f"unexpected character '@' (line {line}, column {column})", token
+        # a symbol out of place is an error at that token, when it is one
+        try:
+            parse_input(text[:offset] + "=" + text[offset + len(token):])
+        except InputError as exc:
+            if "'='" in str(exc):
+                named += 1
+                assert (exc.line, exc.column) == (line, column), (token, str(exc))
+    assert named > len(tokens) // 2
+
+
+def test_a_bad_character_is_the_error_wherever_it_stands():
+    # after an earlier error, and where a number is read: other scripts'
+    # digits are not digits here
+    last_line = PARALLEL_PAIR_DOC.count("\n") + 1
+    cases = (
+        (PARALLEL_PAIR_DOC.replace("field QQ", "field FOO") + "@", "'@'", (last_line, 1)),
+        (PARALLEL_PAIR_DOC.replace("{ c*a }", "{ \u0663*c*a }"), "'\u0663'", (9, 11)),
+        (PARALLEL_PAIR_DOC + "budget search_max_nodes = \u00b2\n", "'\xb2'", (last_line, 27)),
+        (PARALLEL_PAIR_DOC.replace("field QQ", "field GF(\u0663)"), "'\u0663'", (2, 10)),
+    )
+    for text, shown, (line, column) in cases:
+        with pytest.raises(InputError) as err:
+            parse_input(text)
+        assert str(err.value) == f"unexpected character {shown} (line {line}, column {column})"
+
+
+def test_cli_crlf_input_errors_match_their_lf_copies(tmp_path, capsys):
+    for text in (
+        ONE_IDEAL_DOC.replace("2 -> 3", "2 -> 4"),
+        ONE_IDEAL_DOC + "tree { a, z }\n",
+        ONE_IDEAL_DOC.replace("arrow c: 2 -> 3", "arrow c: 2 -> 3 @"),
+        "field QQ\nquiver {\n  vertices 1, 2\n  arrow a: 1 -> 2\n",
+    ):
+        errors = []
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "doc.bq"
+            path.write_bytes(text.replace("\n", newline).encode())
+            assert main(["gamma", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] and "(line " in errors[0]
+
+
+def test_cli_runs_as_a_process(tmp_path, capsys):
+    path = write(tmp_path, KRONECKER_DOC)
+    src = str(Path(bquiver.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bquiver.cli", "hh1", path, "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code = main(["hh1", path, "--json"])
+    out = capsys.readouterr().out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert json.loads(out)["dim"] == 3
 
 
 def test_blank_lines_tabs_and_crlf_parse_like_plain_text():

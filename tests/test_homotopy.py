@@ -141,6 +141,28 @@ def test_decide_homotopic_golden_cases():
     assert HomotopyOracle(mono).decide_closed_word(()).verdict == YES
 
 
+def test_decide_closed_word_reduces_the_word_first():
+    # <b | -> has no relator to insert, so b*b^-1 is decided by its free
+    # reduction; the "yes" trace starts from the reduced word and replays
+    q, mono, _, tree = parallel_pair(GF(2))
+    oracle = HomotopyOracle(mono, tree)
+    assert oracle.presentation.generators == ("b",) and not oracle.presentation.relators
+    for word in ((1, -1), (-1, 1, 1, -1)):
+        d = oracle.decide_closed_word(word)
+        assert d.verdict == YES and d.certificate.start == ()
+        assert d.certificate.replay(oracle.presentation)
+    # an inner cancelling pair, under a presentation with a relator: a*d^-1
+    # is its relator, and a*(d*d^-1)*d^-1 is decided as a*d^-1 is
+    q, ideal, _, tree = two_triangles_pair(GF(2))
+    oracle = HomotopyOracle(ideal, tree)
+    assert oracle.presentation.relators
+    d = oracle.decide_closed_word((1, 2, -2, -2))
+    assert d.verdict == YES and d.certificate.start == (1, -2)
+    assert d.certificate.replay(oracle.presentation)
+    assert oracle.decide_closed_word((1, -2)) is d
+    assert oracle.decide_closed_word((1, 2, -2)).verdict == NO
+
+
 def test_decide_homotopic_rejects_non_parallel():
     q, mono, _, _ = parallel_pair(QQ)
     with pytest.raises(ValueError):
