@@ -2,16 +2,16 @@
 
 Commands operate on a document file and print a deterministic report, either
 human-readable or as canonical JSON (sorted keys, exact rationals rendered
-as strings).  Exit codes: 0 ok, 1 a check failed, 2 input error, 3 a search
-stopped at its limit, leaving unknown outcomes.
+as strings).  Exit codes: 0 ok, 1 a check failed, 2 input error (a malformed
+command line among them), 3 a search stopped at its limit, leaving unknown
+outcomes.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .dsl import InputDocument, InputError, parse_input
@@ -226,6 +226,11 @@ def run(command: str, document: InputDocument, args) -> tuple[dict, int]:
     handler = _COMMANDS.get(command)
     if handler is None:
         raise InputError(f"unknown command {command!r}")
+    # every command checks the names the flags give, used or not
+    if args.ideal is not None and args.ideal not in document.ideal_generators:
+        raise InputError(f"unknown ideal {args.ideal!r}")
+    if args.base is not None and args.base not in document.quiver.vertex_index:
+        raise InputError(f"unknown base vertex {args.base!r}")
     payload, ok = handler(document, args)
     report = {
         "command": command,
@@ -272,41 +277,106 @@ def emit(report: dict, json_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _budget_value(text: str) -> int:
-    """A budget flag's value: a nonnegative integer, as on a ``budget`` line."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"budget values are nonnegative integers, not {text!r}")
-    return int(text)
+_USAGE = (
+    "usage: bquiver {" + ",".join(sorted(_COMMANDS)) + "} FILE"
+    " [--ideal NAME] [--base VERTEX] [--json] [--search-max-nodes N]"
+)
+
+_HELP = f"""{_USAGE}
+
+Exact invariants of a bound quiver algebra: fundamental groups of
+presentations, character spaces, first Hochschild cohomology,
+character-image subalgebras, and the succession graph of homotopy relations.
+
+  FILE                  input document (see the package README for the grammar)
+  --ideal NAME          ideal name the command operates on
+  --base VERTEX         base vertex for trees and fundamental groups
+  --json                emit canonical JSON
+  --search-max-nodes N  word-search node limit (default {SEARCH_MAX_NODES})
+  -h, --help            print this help and exit
+"""
+
+# the flags that take a value, by the field they set
+_VALUE_FLAGS = {"--ideal": "ideal", "--base": "base", "--search-max-nodes": "search_max_nodes"}
 
 
-@functools.cache
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parsing leaves it
-    unchanged, so every call shares it)."""
-    parser = argparse.ArgumentParser(
-        prog="bquiver",
-        description=(
-            "Exact invariants of a bound quiver algebra: fundamental groups of "
-            "presentations, character spaces, first Hochschild cohomology, "
-            "character-image subalgebras, and the succession graph of homotopy "
-            "relations."
-        ),
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("file", help="input document (see the package README for the grammar)")
-    parser.add_argument("--ideal", help="ideal name the command operates on")
-    parser.add_argument("--base", help="base vertex for trees and fundamental groups")
-    parser.add_argument("--json", action="store_true", help="emit canonical JSON")
-    parser.add_argument("--search-max-nodes", type=_budget_value, help=f"word-search node limit (default {SEARCH_MAX_NODES})")
-    return parser
+class Arguments(NamedTuple):
+    """A parsed command line."""
+
+    command: str
+    file: str
+    ideal: str | None = None
+    base: str | None = None
+    json: bool = False
+    search_max_nodes: int | None = None
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}\nbquiver: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_flag(item: str) -> bool:
+    """Whether a command-line item is a flag: it starts with ``-`` and is no
+    negative number (a value, which the budget check then refuses)."""
+    return item[:1] == "-" and not item[1:].isdigit()
+
+
+def _parse_args(argv) -> Arguments:
+    """The command line: a command and a file, with the flags before, between
+    or after them, each value as ``--flag VALUE`` or ``--flag=VALUE``.
+
+    ``-h`` or ``--help`` prints the help and exits 0.  Any other malformed
+    line (an unknown flag or command, a missing value, a missing or extra
+    positional, a budget that is no nonnegative integer) prints the usage
+    and the error to stderr and exits 2.
+    """
+    positionals = []
+    values: dict = {}
+    items = iter(argv)
+    for item in items:
+        if not _is_flag(item):
+            positionals.append(item)
+            continue
+        flag, eq, value = item.partition("=")
+        if flag in ("-h", "--help") and not eq:
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if flag == "--json":
+            if eq:
+                _usage_error(f"argument --json: ignored explicit argument {value!r}")
+            values["json"] = True
+        elif flag in _VALUE_FLAGS:
+            if not eq:
+                value = next(items, None)
+                if value is None or _is_flag(value):
+                    _usage_error(f"argument {flag}: expected one argument")
+            values[_VALUE_FLAGS[flag]] = value
+        else:
+            _usage_error(f"unrecognized arguments: {item}")
+    if positionals and positionals[0] not in _COMMANDS:
+        choices = ", ".join(repr(c) for c in sorted(_COMMANDS))
+        _usage_error(f"argument command: invalid choice: {positionals[0]!r} (choose from {choices})")
+    if len(positionals) < 2:
+        _usage_error("the following arguments are required: " + ", ".join(["command", "file"][len(positionals):]))
+    if len(positionals) > 2:
+        _usage_error("unrecognized arguments: " + " ".join(positionals[2:]))
+    budget = values.get("search_max_nodes")
+    if budget is not None:
+        # a nonnegative integer, as on a ``budget`` line
+        if not (budget.isascii() and budget.isdigit()):
+            _usage_error(f"argument --search-max-nodes: budget values are nonnegative integers, not {budget!r}")
+        values["search_max_nodes"] = int(budget)
+    return Arguments(*positionals, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+        # the newlines a text-mode read gives: \r\n, then a lone \r, read as \n
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         document = parse_input(text)
         report, code = run(args.command, document, args)
     except (InputError, QuiverError, OSError, UnicodeDecodeError) as exc:

@@ -36,7 +36,6 @@ column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .fields import Field, GF, QQ, is_prime
 from .pathalg import IdealData, _render
@@ -89,13 +88,16 @@ def _input_error(text: str, message: str, index: int) -> InputError:
     return InputError(message, *_line_column(text, offset))
 
 
-@dataclass
 class InputDocument:
-    field: Field
-    quiver: Quiver
-    ideal_generators: dict[str, list[dict]]  # in declaration order
-    tree_arrows: tuple[str, ...] | None = None
-    search_max_nodes: int | None = None
+    """A parsed document.  The parser adds the ideals, in declaration
+    order, and the ``tree`` and ``budget`` settings as it reads them."""
+
+    def __init__(self, field: Field, quiver: Quiver, ideal_generators: dict[str, list[dict]]):
+        self.field = field
+        self.quiver = quiver
+        self.ideal_generators = ideal_generators
+        self.tree_arrows: tuple[str, ...] | None = None
+        self.search_max_nodes: int | None = None
 
     def ideal(self, name: str) -> IdealData:
         if name not in self.ideal_generators:

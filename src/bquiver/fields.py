@@ -143,9 +143,12 @@ class RationalField(Field):
         return a * b
 
     def inv(self, a):
+        n = a.numerator
+        if a.denominator == 1 and (n == 1 or n == -1):  # its own inverse, and most operands
+            return _INTEGERS[n]
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(a.denominator, a.numerator)
+        return Fraction(a.denominator, n)
 
     def is_zero(self, a) -> bool:
         return not a

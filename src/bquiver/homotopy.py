@@ -27,7 +27,7 @@ import functools
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import Field
 from .linalg import _clean, nullspace, smith_normal_form
@@ -137,7 +137,12 @@ class GroupPresentation:
         """``x * v``: an exponent vector in the Smith basis, where it lies in
         the relator row span exactly when coordinate j is a multiple of
         ``d[j]`` and every coordinate past ``len(d)`` is zero."""
-        return tuple(sum(map(operator.mul, x, column)) for column in zip(*self.smith[1]))
+        return tuple(sum(map(operator.mul, x, column)) for column in self._smith_columns)
+
+    @functools.cached_property
+    def _smith_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of ``smith``'s ``v``, transposed once."""
+        return tuple(zip(*self.smith[1]))
 
     def characters(self, field: Field) -> list[dict]:
         """Basis of the characters over ``field`` as arrow weights
@@ -173,8 +178,7 @@ class GroupPresentation:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Torsion factors (each >= 2, chained by divisibility) plus free rank."""
 
     torsion: tuple[int, ...]
@@ -203,8 +207,7 @@ def weight_of_path(field: Field, weights: dict, path: Path):
 
 # ---------- the three-valued decision procedure ----------
 
-@dataclass(frozen=True)
-class RewriteTrace:
+class RewriteTrace(NamedTuple):
     """Replayable certificate for "yes": relator insertions down to the unit."""
 
     start: Word
@@ -221,8 +224,7 @@ class RewriteTrace:
         return w == ()
 
 
-@dataclass(frozen=True)
-class AbelianCertificate:
+class AbelianCertificate(NamedTuple):
     """Certificate for "no": the image misses the relator row span."""
 
     exponents: tuple[int, ...]
@@ -243,8 +245,7 @@ class AbelianCertificate:
         return y[j] != 0 if self.modulus == 0 else y[j] % self.modulus != 0
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     verdict: str  # yes / no / unknown
     certificate: object = None
 

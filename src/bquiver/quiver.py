@@ -17,12 +17,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
@@ -287,8 +285,7 @@ class SpanningTree:
         return f"SpanningTree(base={self.base}, arrows={sorted(self.arrow_names)})"
 
 
-@dataclass(frozen=True)
-class Bypass:
+class Bypass(NamedTuple):
     """An arrow together with a distinct parallel oriented path."""
 
     arrow: str

@@ -30,8 +30,8 @@ maximal subalgebra onto a source image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import PrimeField
 from .hochschild import (
@@ -129,8 +129,7 @@ def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
     return tuple(sorted(candidates))
 
 
-@dataclass(frozen=True)
-class TransvectionCase:
+class TransvectionCase(NamedTuple):
     label: str
     source_decision: Decision
     target_decision: Decision
@@ -166,14 +165,12 @@ def classify_transvection(
     return TransvectionCase(label, a, b)
 
 
-@dataclass
-class RelationVertex:
+class RelationVertex(NamedTuple):
     ideal: IdealData
     back_auto: Automorphism  # maps the seed ideal here
 
 
-@dataclass(frozen=True)
-class RelationArrow:
+class RelationArrow(NamedTuple):
     source: int
     target: int
     bypass: Bypass
@@ -185,19 +182,23 @@ class RelationArrow:
     after: Decision  # homotopy at the arrow's target relation
 
 
-@dataclass
 class RelationQuiver:
-    seed: IdealData
-    tree: SpanningTree
-    search_max_nodes: int
-    vertices: list
-    arrows: list
-    unknown_candidates: list
-    exhaustive_taus: bool
-    truncated: bool
-    ambiguous_vertices: list = dataclass_field(default_factory=list)
-    _oracles: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
-    _relations: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    """Γ as the sweep builds it: vertices and arrows are appended, and
+    ``truncated``, ``unknown_candidates`` and ``ambiguous_vertices`` record
+    why it may be incomplete."""
+
+    def __init__(self, seed: IdealData, tree: SpanningTree, search_max_nodes: int):
+        self.seed = seed
+        self.tree = tree
+        self.search_max_nodes = search_max_nodes
+        self.vertices: list[RelationVertex] = []
+        self.arrows: list[RelationArrow] = []
+        self.unknown_candidates: list = []
+        self.exhaustive_taus = isinstance(seed.field, PrimeField)
+        self.truncated = False
+        self.ambiguous_vertices: list[int] = []
+        self._oracles: dict = {}
+        self._relations: dict = {}
 
     def oracle(self, ideal: IdealData) -> HomotopyOracle:
         """The one homotopy oracle of the ideal's relation under Γ's tree
@@ -233,16 +234,7 @@ def build_relation_quiver(
     quiver = seed.quiver
     f = seed.field
     bypasses = enumerate_bypasses(quiver)
-    rq = RelationQuiver(
-        seed=seed,
-        tree=tree or quiver.spanning_tree(quiver.vertices[0]),
-        search_max_nodes=search_max_nodes,
-        vertices=[],
-        arrows=[],
-        unknown_candidates=[],
-        exhaustive_taus=isinstance(f, PrimeField),
-        truncated=False,
-    )
+    rq = RelationQuiver(seed, tree or quiver.spanning_tree(quiver.vertices[0]), search_max_nodes)
 
     # Every ideal already located, with its vertex.  The oracles are
     # deterministic and vertices are only appended, so scanning the same

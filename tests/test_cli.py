@@ -11,7 +11,7 @@ import pytest
 
 import bquiver
 from bquiver import GF, QQ, InputDocument, InputError, parse_input, relquiver, render_document
-from bquiver.cli import main, build_arg_parser, resolve_search_max_nodes
+from bquiver.cli import main, _parse_args, resolve_search_max_nodes
 from bquiver.pathalg import _render
 
 from conftest import random_admissible_ideal, random_quiver
@@ -482,6 +482,22 @@ def test_cli_crlf_input_errors_match_their_lf_copies(tmp_path, capsys):
         assert errors[0] == errors[1] and "(line " in errors[0]
 
 
+def test_cli_reads_a_document_as_text_mode_does(tmp_path, capsys):
+    # the CLI reads bytes and maps the newlines itself, as text mode's
+    # universal newlines do, so an error is placed as on a text-mode read
+    text = ONE_IDEAL_DOC + "tree { a, z }\n"
+    path = tmp_path / "doc.bq"
+    for newline in ("\r", "\r\n", "\n\r", "\r\r\n"):
+        path.write_bytes(text.replace("\n", newline).encode())
+        with pytest.raises(InputError) as err:
+            parse_input(path.read_text(encoding="utf-8"))
+        assert main(["gamma", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err.value}\n")
+    path.write_bytes(b"field QQ \xff\n")
+    assert main(["gamma", str(path)]) == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
+
+
 def test_cli_runs_as_a_process(tmp_path, capsys):
     path = write(tmp_path, KRONECKER_DOC)
     src = str(Path(bquiver.__file__).resolve().parent.parent)
@@ -590,7 +606,7 @@ def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):
 def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
     doc = PARALLEL_PAIR_DOC + "budget search_max_nodes = 77\n"
     parsed = parse_input(doc)
-    args = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I"])
+    args = _parse_args(["gamma", "x", "--ideal", "I"])
     assert resolve_search_max_nodes(parse_input(PARALLEL_PAIR_DOC), args) == 100_000
     search_max_nodes = resolve_search_max_nodes(parsed, args)
     assert search_max_nodes == 77
@@ -599,7 +615,7 @@ def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
     search_max_nodes = resolve_search_max_nodes(parsed, args)
     assert search_max_nodes == 77
     # flags outrank the document
-    args2 = build_arg_parser().parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
+    args2 = _parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
     search_max_nodes2 = resolve_search_max_nodes(parsed, args2)
     assert search_max_nodes2 == 5
     # a key that is no budget is rejected on every surface; the fixed
@@ -610,7 +626,7 @@ def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
             parse_input(doc.replace("search_max_nodes", key))
     for key in ("factor_max_nodes",) + removed:
         with pytest.raises(SystemExit) as exited:
-            build_arg_parser().parse_args(["gamma", "x", f"--{key.replace('_', '-')}", "5"])
+            _parse_args(["gamma", "x", f"--{key.replace('_', '-')}", "5"])
         assert exited.value.code == 2
 
 
@@ -661,6 +677,59 @@ def test_cli_base_flag_changes_the_tree(tmp_path, capsys):
     assert report["base"] == "3"
     assert report["abelian_invariants"] == {"free_rank": 1, "torsion": []}
     assert main(["pi1", path, "--ideal", "I", "--base", "9"]) == 2
+
+
+COMMANDS = ("validate", "pi1", "homk", "hh1", "theta", "gamma", "maxdiag", "verify")
+
+
+def test_every_command_rejects_an_unknown_base_or_ideal(tmp_path, capsys):
+    # a command that does not use the flag still checks the name it gives
+    path = write(tmp_path, ONE_IDEAL_DOC)
+    for cmd in COMMANDS:
+        for flags, message in ((["--base", "9"], "unknown base vertex '9'"), (["--ideal", "J"], "unknown ideal 'J'")):
+            assert main([cmd, path] + flags) == 2, (cmd, flags)
+            assert capsys.readouterr() == ("", f"error: {message}\n"), (cmd, flags)
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        # a good line: (command, file, ideal, base, json, search_max_nodes)
+        (["gamma", "x", "--ideal", "I"], ("gamma", "x", "I", None, False, None)),
+        (["gamma", "x", "--ideal=I"], ("gamma", "x", "I", None, False, None)),
+        (["--json", "--ideal", "I", "gamma", "x"], ("gamma", "x", "I", None, True, None)),
+        (["--base=3", "pi1", "--search-max-nodes", "5", "x"], ("pi1", "x", None, "3", False, 5)),
+        (["hh1", "x", "--base", "1", "--base=2", "--ideal="], ("hh1", "x", "", "2", False, None)),
+        # help: exit 0
+        (["-h"], 0),
+        (["gamma", "x", "--help"], 0),
+        # a malformed line: exit 2
+        (["gamma", "x", "--bogus"], 2),
+        (["gamma", "x", "-x"], 2),
+        (["gamma", "x", "--sea", "5"], 2),
+        (["gamma", "x", "--ideal"], 2),
+        (["gamma", "x", "--base", "--json"], 2),
+        (["gamma", "x", "--json=yes"], 2),
+        (["gamma", "x", "--search-max-nodes=-1"], 2),
+        ([], 2),
+        (["--json"], 2),
+        (["gamma"], 2),
+        (["gamma", "x", "y"], 2),
+        (["frobnicate", "x"], 2),
+    ],
+)
+def test_the_command_line_parser(capsys, argv, outcome):
+    if isinstance(outcome, tuple):
+        assert tuple(_parse_args(argv)) == outcome
+        return
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == outcome
+    out, err = capsys.readouterr()
+    if outcome == 0:
+        assert err == "" and all(cmd in out for cmd in COMMANDS)
+    else:
+        assert out == "" and err.startswith("usage: bquiver ") and err.splitlines()[-1].startswith("bquiver: error: ")
 
 
 def test_cli_text_mode_is_deterministic(tmp_path, capsys):

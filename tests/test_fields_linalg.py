@@ -65,7 +65,7 @@ def rational(rng):
 
 def test_qq_integral_path_matches_the_fraction_operators():
     rng = random.Random(25)
-    sample = [rational(rng) for _ in range(16)] + [Fraction(0), Fraction(1), Fraction(-1, 2)]
+    sample = [rational(rng) for _ in range(16)] + [Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2)]
     assert {x.denominator == 1 for x in sample} == {True, False}
     for a, b in itertools.product(sample, repeat=2):
         for got, want in ((QQ.add(a, b), a + b), (QQ.mul(a, b), a * b), (QQ.neg(a), -a)):
@@ -74,7 +74,7 @@ def test_qq_integral_path_matches_the_fraction_operators():
             assert QQ.inv(a) == 1 / a and type(QQ.inv(a)) is Fraction
         assert QQ.is_zero(a) is (a == 0)
     # int operands are accepted, and the result is still a Fraction
-    for got in (QQ.add(2, 3), QQ.mul(2, -3), QQ.neg(4), QQ.inv(-2), QQ.add(1, Fraction(1, 2))):
+    for got in (QQ.add(2, 3), QQ.mul(2, -3), QQ.neg(4), QQ.inv(-2), QQ.inv(1), QQ.inv(-1), QQ.add(1, Fraction(1, 2))):
         assert type(got) is Fraction
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))

@@ -141,3 +141,20 @@ def test_every_attribute_set_on_self_is_read():
         if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self" and t.attr not in read
     ]
     assert not dead, f"attributes assigned on self and never read in src/bquiver: {', '.join(dead)}"
+
+
+def imported_modules(tree):
+    """The top-level names of the modules a module's imports load."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_argparse_or_dataclasses(path):
+    # both cost more to import than a command line or a record needs, and
+    # every CLI call pays the import once
+    heavy = sorted({"argparse", "dataclasses"} & set(imported_modules(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not heavy, f"{path.name} imports {', '.join(heavy)}"

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -319,7 +319,8 @@ def test_an_incomplete_gamma_names_each_cause():
     _, ideal, _, tree = parallel_pair(GF(3))
     rq = build_relation_quiver(ideal, tree)
     assert _incompleteness(rq) is None and sources_report(rq)["complete"]
-    gappy = dataclasses.replace(rq, truncated=True, unknown_candidates=[None], ambiguous_vertices=[1, 2])
+    gappy = copy.copy(rq)
+    gappy.truncated, gappy.unknown_candidates, gappy.ambiguous_vertices = True, [None], [1, 2]
     causes = "Γ truncated; unknown candidates; ambiguous vertex 1; ambiguous vertex 2"
     assert _incompleteness(gappy) == causes
     assert not sources_report(gappy)["complete"]
