@@ -3,8 +3,8 @@
 Commands operate on a document file and print a deterministic report, either
 human-readable or as canonical JSON (sorted keys, exact rationals rendered
 as strings).  Exit codes: 0 ok, 1 a check failed, 2 input error (a malformed
-command line among them), 3 a search stopped at its limit, leaving unknown
-outcomes.
+command line among them), 3 some outcome stayed unknown (a homotopy
+decision, an incomplete graph).
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from .presentations import (
 from .quiver import QuiverError
 from .relquiver import build_relation_quiver, sources_report, verify_main_theorem
 
-def resolve_search_max_nodes(document: InputDocument, args) -> int:
-    """The word search's node limit: the flag, else the document's
-    ``budget`` line, else the default."""
-    if args.search_max_nodes is not None:
-        return args.search_max_nodes
-    if document.search_max_nodes is not None:
-        return document.search_max_nodes
-    return SEARCH_MAX_NODES
+
+def _node_limit(document: InputDocument) -> int:
+    """The homotopy closure's node limit: the document's ``budget`` line,
+    else the default."""
+    return SEARCH_MAX_NODES if document.search_max_nodes is None else document.search_max_nodes
 
 
 def _collect_unknowns(obj, found: list, trail: str = ""):
@@ -167,7 +164,7 @@ def _cmd_theta(document: InputDocument, args) -> tuple[dict, bool]:
 def _cmd_gamma(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
-    rq = build_relation_quiver(ideal, tree, resolve_search_max_nodes(document, args))
+    rq = build_relation_quiver(ideal, tree, _node_limit(document))
     report = sources_report(rq)
     payload = {
         "ideal": name,
@@ -180,7 +177,7 @@ def _cmd_gamma(document: InputDocument, args) -> tuple[dict, bool]:
         "exhaustive_taus": rq.exhaustive_taus,
         "sources": report,
     }
-    # budget exhaustion surfaces through the unknown/truncated markers
+    # undecided homotopy surfaces through the unknown/truncated markers
     return payload, True
 
 
@@ -204,7 +201,7 @@ def _cmd_maxdiag(document: InputDocument, args) -> tuple[dict, bool]:
 def _cmd_verify(document: InputDocument, args) -> tuple[dict, bool]:
     name, ideal = _admissible_ideal(document, args)
     tree = document.spanning_tree(args.base)
-    report = verify_main_theorem(ideal, tree, resolve_search_max_nodes(document, args))
+    report = verify_main_theorem(ideal, tree, _node_limit(document))
     report["ideal"] = name
     return report, report["statuses"]["fail"] == 0
 
@@ -279,7 +276,7 @@ def emit(report: dict, json_mode: bool) -> str:
 
 _USAGE = (
     "usage: bquiver {" + ",".join(sorted(_COMMANDS)) + "} FILE"
-    " [--ideal NAME] [--base VERTEX] [--json] [--search-max-nodes N]"
+    " [--ideal NAME] [--base VERTEX] [--json]"
 )
 
 _HELP = f"""{_USAGE}
@@ -288,16 +285,16 @@ Exact invariants of a bound quiver algebra: fundamental groups of
 presentations, character spaces, first Hochschild cohomology,
 character-image subalgebras, and the succession graph of homotopy relations.
 
-  FILE                  input document (see the package README for the grammar)
-  --ideal NAME          ideal name the command operates on
-  --base VERTEX         base vertex for trees and fundamental groups
-  --json                emit canonical JSON
-  --search-max-nodes N  word-search node limit (default {SEARCH_MAX_NODES})
-  -h, --help            print this help and exit
+  FILE           input document (see the package README for the grammar); its
+                 `budget` line sets the homotopy node limit (default {SEARCH_MAX_NODES})
+  --ideal NAME   ideal name the command operates on
+  --base VERTEX  base vertex for trees and fundamental groups
+  --json         emit canonical JSON
+  -h, --help     print this help and exit
 """
 
 # the flags that take a value, by the field they set
-_VALUE_FLAGS = {"--ideal": "ideal", "--base": "base", "--search-max-nodes": "search_max_nodes"}
+_VALUE_FLAGS = {"--ideal": "ideal", "--base": "base"}
 
 
 class Arguments(NamedTuple):
@@ -308,7 +305,6 @@ class Arguments(NamedTuple):
     ideal: str | None = None
     base: str | None = None
     json: bool = False
-    search_max_nodes: int | None = None
 
 
 def _usage_error(message: str):
@@ -316,26 +312,20 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _is_flag(item: str) -> bool:
-    """Whether a command-line item is a flag: it starts with ``-`` and is no
-    negative number (a value, which the budget check then refuses)."""
-    return item[:1] == "-" and not item[1:].isdigit()
-
-
 def _parse_args(argv) -> Arguments:
     """The command line: a command and a file, with the flags before, between
-    or after them, each value as ``--flag VALUE`` or ``--flag=VALUE``.
+    or after them, each value as ``--flag VALUE`` or ``--flag=VALUE``; an
+    item that starts with ``-`` is a flag, so no value does.
 
     ``-h`` or ``--help`` prints the help and exits 0.  Any other malformed
     line (an unknown flag or command, a missing value, a missing or extra
-    positional, a budget that is no nonnegative integer) prints the usage
-    and the error to stderr and exits 2.
+    positional) prints the usage and the error to stderr and exits 2.
     """
     positionals = []
     values: dict = {}
     items = iter(argv)
     for item in items:
-        if not _is_flag(item):
+        if not item.startswith("-"):
             positionals.append(item)
             continue
         flag, eq, value = item.partition("=")
@@ -349,7 +339,7 @@ def _parse_args(argv) -> Arguments:
         elif flag in _VALUE_FLAGS:
             if not eq:
                 value = next(items, None)
-                if value is None or _is_flag(value):
+                if value is None or value.startswith("-"):
                     _usage_error(f"argument {flag}: expected one argument")
             values[_VALUE_FLAGS[flag]] = value
         else:
@@ -361,12 +351,6 @@ def _parse_args(argv) -> Arguments:
         _usage_error("the following arguments are required: " + ", ".join(["command", "file"][len(positionals):]))
     if len(positionals) > 2:
         _usage_error("unrecognized arguments: " + " ".join(positionals[2:]))
-    budget = values.get("search_max_nodes")
-    if budget is not None:
-        # a nonnegative integer, as on a ``budget`` line
-        if not (budget.isascii() and budget.isdigit()):
-            _usage_error(f"argument --search-max-nodes: budget values are nonnegative integers, not {budget!r}")
-        values["search_max_nodes"] = int(budget)
     return Arguments(*positionals, **values)
 
 

@@ -15,10 +15,13 @@ generator) is the one linear form of the relation:
   over the field k, read as arrow weights that vanish on the tree,
 * its Smith normal form, computed once per presentation, gives the abelian
   invariants and certifies the "no" answers of
-* a sound three-valued decision procedure for homotopy of parallel paths
-  and triviality of closed words: "no" is certified by the abelianization,
-  "yes" by a replayable rewriting trace, and what the search cannot settle
-  in ``search_max_nodes`` nodes stays "unknown".
+* a sound three-valued decision procedure for homotopy of parallel paths:
+  "no" is certified by the abelianization, "yes" by the congruence closure
+  of the homotopy pairs (Nelson & Oppen), whose merge log replays.
+
+The closure is a union-find over the nontrivial paths, seeded with the
+homotopy pairs and closed under two rules that hold in the fundamental
+groupoid: add, or cut, one arrow at the same end of two joined paths.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import deque
 from typing import NamedTuple
 
 from .fields import Field
@@ -60,26 +62,9 @@ def _free_reduce(letters) -> Word:
     return tuple(stack)
 
 
-def _invert_word(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
-
-
-def _cyclic_reduce(w: Word) -> Word:
-    """The freely reduced ``w`` with its mutually inverse end letters cut."""
-    i, j = 0, len(w)
-    while j - i > 1 and w[i] == -w[j - 1]:
-        i, j = i + 1, j - 1
-    return w[i:j]
-
-
 class GroupPresentation:
-    """Spanning-tree presentation of the fundamental group at the base vertex.
-
-    ``symmetrized`` lists the words a rewriting may insert: every rotation of
-    the cyclically reduced form of each relator and of its inverse, each a
-    conjugate of a relator or of its inverse, once, in relator order.  It
-    and the Smith form are built on first use.
-    """
+    """Spanning-tree presentation of the fundamental group at the base
+    vertex; the Smith form of its relator matrix is built on first use."""
 
     def __init__(self, quiver: Quiver, tree: SpanningTree, pairs):
         self.quiver = quiver
@@ -87,22 +72,7 @@ class GroupPresentation:
         self.base = tree.base
         self.generators = tuple(n for n in quiver.arrow_names if not tree.contains(n))
         self._gen_index = {n: i + 1 for i, n in enumerate(self.generators)}
-        relators = []
-        for u, v in pairs:
-            w = self.word_of_pair(u, v)
-            if w:
-                relators.append(w)
-        self.relators = tuple(relators)
-
-    @functools.cached_property
-    def symmetrized(self) -> tuple[Word, ...]:
-        words: dict[Word, None] = {}
-        for r in self.relators:
-            c = _cyclic_reduce(r)
-            for word in (c, _invert_word(c)):
-                for i in range(len(word)):
-                    words.setdefault(word[i:] + word[:i])
-        return tuple(words)
+        self.relators = tuple(w for w in (self.word_of_pair(u, v) for u, v in pairs) if w)
 
     def word_of_path(self, path: Path) -> Word:
         """A path's letters are all positive, so there is nothing to reduce."""
@@ -112,7 +82,7 @@ class GroupPresentation:
         """The closed word along ``u`` and back along ``v``."""
         if u.source != v.source or u.target != v.target:
             raise ValueError("homotopy pair is not parallel")
-        return _free_reduce(self.word_of_path(u) + _invert_word(self.word_of_path(v)))
+        return _free_reduce(self.word_of_path(u) + tuple(-x for x in reversed(self.word_of_path(v))))
 
     def exponent_vector(self, word: Word) -> tuple[int, ...]:
         vec = [0] * len(self.generators)
@@ -169,13 +139,7 @@ class GroupPresentation:
         return f"<{', '.join(self.generators) or '1'} | {rels}>"
 
     def show_word(self, word: Word) -> str:
-        if not word:
-            return "1"
-        parts = []
-        for x in word:
-            name = self.generators[abs(x) - 1]
-            parts.append(name if x > 0 else f"{name}^-1")
-        return "*".join(parts)
+        return "*".join(self.generators[abs(x) - 1] + ("" if x > 0 else "^-1") for x in word) or "1"
 
 
 class AbelianInvariants(NamedTuple):
@@ -205,23 +169,98 @@ def weight_of_path(field: Field, weights: dict, path: Path):
     return acc
 
 
+# ---------- the congruence closure ----------
+
+Arrows = tuple[str, ...]  # a nontrivial path, by its arrows
+Merge = tuple[Arrows, Arrows, tuple[Arrows, Arrows] | None]  # (x, y, via)
+
+
+def _root(parent: dict, x: Arrows) -> Arrows:
+    """The representative of ``x``'s class, halving the way up; ``parent``
+    holds the paths that are no representative."""
+    while x in parent:
+        up = parent[x]
+        if up in parent:
+            parent[x] = up = parent[up]
+        x = up
+    return x
+
+
+def _one_arrow_apart(a: tuple[Arrows, Arrows], b: tuple[Arrows, Arrows]) -> bool:
+    """Is one pair of paths the other with the same arrow added at the same
+    end of both paths (an addition, or a cut read backwards)?"""
+    (x0, y0), (x1, y1) = sorted((a, b), key=lambda pair: len(pair[0]))
+    return (x1[1:], y1[1:], x1[:1]) == (x0, y0, y1[:1]) or (x1[:-1], y1[:-1], x1[-1:]) == (x0, y0, y1[-1:])
+
+
+def _replay(merges: tuple[Merge, ...], pairs) -> dict | None:
+    """The union-find the merge log builds, or None when a merge breaks the
+    rules: it joins a homotopy pair (``via`` is None), or ``via`` is a pair
+    joined earlier and the merge adds or cuts one arrow at the same end of
+    both its paths."""
+    pairs = {(u.arrows, v.arrows) for u, v in pairs}
+    parent: dict = {}
+    for x, y, via in merges:
+        if via is None:
+            if (x, y) not in pairs and (y, x) not in pairs:
+                return None
+        elif _root(parent, via[0]) != _root(parent, via[1]) or not _one_arrow_apart(via, (x, y)):
+            return None
+        rx, ry = _root(parent, x), _root(parent, y)
+        if rx != ry:
+            parent[rx] = ry
+    return parent
+
+
+def _close(quiver: Quiver, pairs) -> tuple[dict, tuple[Merge, ...]]:
+    """The congruence closure of the homotopy pairs: its union-find and the
+    log of its merges, in order.  Each class keeps a member per arrow its
+    paths start or end with, so that a merge cuts each common arrow once."""
+    into: dict[str, list[str]] = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        into[a.target].append(a.name)
+    parent: dict = {}
+    ends: dict = {}  # representative -> {(end, arrow): member}
+    log = []
+    work: list[Merge] = [(u.arrows, v.arrows, None) for u, v in pairs]
+    for x, y, via in work:  # the list grows as it is read
+        rx, ry = _root(parent, x), _root(parent, y)
+        if rx == ry:
+            continue
+        log.append((x, y, via))
+        parent[rx] = ry
+        for a in into[quiver.arrow_by_name[x[0]].source]:
+            work.append(((a,) + x, (a,) + y, (x, y)))
+        for a in quiver.outgoing(quiver.arrow_by_name[x[-1]].target):
+            work.append((x + (a.name,), y + (a.name,), (x, y)))
+        kept = ends.setdefault(ry, _ends(ry))
+        for (end, a), p in (ends.pop(rx, None) or _ends(rx)).items():
+            q = kept.setdefault((end, a), p)
+            if q != p:
+                cut = slice(1, None) if end == 0 else slice(None, -1)
+                work.append((p[cut], q[cut], (p, q)))
+    return parent, tuple(log)
+
+
+def _ends(path: Arrows) -> dict:
+    """A one-path class's member by the arrow at each end; a cut must leave a
+    nontrivial path, and a path of one arrow is the only one in its class."""
+    return {(0, path[0]): path, (-1, path[-1]): path} if len(path) > 1 else {}
+
+
 # ---------- the three-valued decision procedure ----------
 
-class RewriteTrace(NamedTuple):
-    """Replayable certificate for "yes": relator insertions down to the unit."""
+class ClosureProof(NamedTuple):
+    """Certificate for "yes": a merge log of the closure that joins u and v."""
 
-    start: Word
-    steps: tuple[tuple[int, Word], ...]  # (position, inserted relator word)
+    u: Path
+    v: Path
+    merges: tuple[Merge, ...]
 
-    def replay(self, presentation: GroupPresentation) -> bool:
-        """Redo the insertions; each inserted word must be one of the
-        presentation's symmetrized relators."""
-        w = self.start
-        for pos, rel in self.steps:
-            if rel not in presentation.symmetrized or pos < 0 or pos > len(w):
-                return False
-            w = _free_reduce(w[:pos] + rel + w[pos:])
-        return w == ()
+    def replay(self, pairs) -> bool:
+        """Redo the merges in a fresh union-find, checking every rule."""
+        parent = _replay(self.merges, pairs)
+        return parent is not None and _root(parent, self.u.arrows) == _root(parent, self.v.arrows)
 
 
 class AbelianCertificate(NamedTuple):
@@ -247,20 +286,20 @@ class AbelianCertificate(NamedTuple):
 
 class Decision(NamedTuple):
     verdict: str  # yes / no / unknown
-    certificate: object = None
+    certificate: object = None  # for "unknown", its cause
 
 
-_WORD_MAX_LEN = 64  # the rewriting search keeps no longer word
-SEARCH_MAX_NODES = 100_000  # its default node limit, the one settable limit
+SEARCH_MAX_NODES = 100_000  # the default node limit, the one settable limit
 
 
 class HomotopyOracle:
-    """Decides homotopy of parallel paths, and triviality of closed words,
-    under one admissible ideal.
+    """Decides homotopy of parallel paths under one admissible ideal.
 
     The oracle reads the ideal only through its quiver and its homotopy
     pairs (``pairs``, when the caller already has them), so it decides for
     every ideal with the same pairs; ``ideal`` is the one it was built from.
+    Its congruence closure is built on first use, when the quiver has at
+    most ``search_max_nodes`` nontrivial paths.
     """
 
     def __init__(
@@ -276,10 +315,21 @@ class HomotopyOracle:
         self.pairs = homotopy_pairs(ideal) if pairs is None else pairs
         self.presentation = GroupPresentation(self.quiver, self.tree, self.pairs)
         self.search_max_nodes = search_max_nodes
-        self._decisions: dict[Word, Decision] = {}
-        self._pair_words: dict[tuple[Path, Path], Word] = {}
+        self._decisions: dict[tuple[Path, Path], Decision] = {}
 
-    # -- the abelian "no" side --
+    @functools.cached_property
+    def _closure(self) -> tuple[dict, tuple[Merge, ...]] | None:
+        """The closure's union-find and merge log, the log checked once
+        here; None past the node limit."""
+        if self._path_count > self.search_max_nodes:
+            return None
+        parent, merges = _close(self.quiver, self.pairs)
+        assert _replay(merges, self.pairs) is not None
+        return parent, merges
+
+    @property
+    def _path_count(self) -> int:
+        return len(self.quiver.all_paths()) - len(self.quiver.vertices)
 
     def _abelian_reject(self, word: Word) -> AbelianCertificate | None:
         x = self.presentation.exponent_vector(word)
@@ -291,64 +341,27 @@ class HomotopyOracle:
                 return AbelianCertificate(x, y, j, modulus)
         return None
 
-    # -- the rewriting "yes" side --
-
-    def _search_trivial(self, word: Word) -> RewriteTrace | None:
-        if word == ():
-            return RewriteTrace((), ())
-        rels = self.presentation.symmetrized
-        if not rels:
-            return None
-        max_nodes = self.search_max_nodes
-        parents: dict[Word, tuple[Word, int, Word]] = {word: None}
-        queue = deque([word])
-        while queue and len(parents) < max_nodes:
-            w = queue.popleft()
-            for rel in rels:
-                for pos in range(len(w) + 1):
-                    nw = _free_reduce(w[:pos] + rel + w[pos:])
-                    if len(nw) > _WORD_MAX_LEN or nw in parents:
-                        continue
-                    parents[nw] = (w, pos, rel)
-                    if nw == ():
-                        steps = []
-                        cur = nw
-                        while parents[cur] is not None:
-                            prev, p, r = parents[cur]
-                            steps.append((p, r))
-                            cur = prev
-                        return RewriteTrace(word, tuple(reversed(steps)))
-                    queue.append(nw)
-        return None
-
-    # -- public decisions --
-
-    def decide_closed_word(self, word: tuple[int, ...]) -> Decision:
-        """Three-valued triviality of a closed word, memoized per freely
-        reduced word; a "yes" trace starts from that reduced word."""
-        word = _free_reduce(word)
-        decision = self._decisions.get(word)
+    def decide_paths(self, u: Path, v: Path) -> Decision:
+        """Three-valued homotopy of two parallel paths, decided once per pair."""
+        decision = self._decisions.get((u, v))
         if decision is None:
-            decision = self._decide(word)
-            self._decisions[word] = decision
+            decision = self._decisions[u, v] = self._decide(u, v)
         return decision
 
-    def _decide(self, word: Word) -> Decision:
-        cert = self._abelian_reject(word)
+    def _decide(self, u: Path, v: Path) -> Decision:
+        if u.source != v.source or u.target != v.target:
+            raise ValueError("homotopy pair is not parallel")
+        closure = self._closure
+        if u == v or closure is not None and _root(closure[0], u.arrows) == _root(closure[0], v.arrows):
+            return Decision(YES, ClosureProof(u, v, closure[1] if closure else ()))
+        cert = self._abelian_reject(self.presentation.word_of_pair(u, v))
         if cert is not None:
             return Decision(NO, cert)
-        trace = self._search_trivial(word)
-        if trace is not None:
-            assert trace.replay(self.presentation)
-            return Decision(YES, trace)
-        return Decision(UNKNOWN)
-
-    def decide_paths(self, u: Path, v: Path) -> Decision:
-        """The decision on the pair's closed word, which is built once per pair."""
-        word = self._pair_words.get((u, v))
-        if word is None:
-            word = self._pair_words[u, v] = self.presentation.word_of_pair(u, v)
-        return self.decide_closed_word(word)
+        if closure is None:
+            cause = f"no closure: {self._path_count} nontrivial paths, over the node limit {self.search_max_nodes}"
+        else:
+            cause = "the closure does not join the paths and the abelianization does not separate them"
+        return Decision(UNKNOWN, cause)
 
     def decide_arrow_path(self, arrow_name: str, path: Path) -> Decision:
         return self.decide_paths(self.quiver.arrow_path(arrow_name), path)

@@ -5,9 +5,10 @@ represented by ideals reachable from a seed ideal through transvections
 (dilatations never change the relation, so they are not swept).  There is an
 arrow between two relations when some transvection turns one ideal into the
 other while the bypass pair is non-homotopic before and homotopic after;
-both sides are certified by the three-valued homotopy oracle and undecided
-candidates are quarantined rather than silently dropped.  A transvection
-that fixes the ideal relates no two relations and is not classified.
+the homotopy oracle certifies both sides (its congruence closure "yes", the
+abelianization "no"), and undecided candidates are quarantined rather than
+silently dropped.  A transvection that fixes the ideal relates no two
+relations and is not classified.
 
 The quiver is acyclic, so a bypass arrow occurs at most once in a path and
 the transvection by tau maps each reduced-basis element b to b + tau*d(b),
@@ -16,7 +17,7 @@ ideal exactly when every d(b) lies in the ideal, which does not depend on
 tau: the sweep tests this once per (ideal, bypass) and otherwise spans the
 image from the rows b + tau*d(b), building no automorphism.
 
-Γ keeps the tree and the search node limit it was built under and owns one
+Γ keeps the tree and the closure's node limit it was built under and owns one
 memoized homotopy oracle per homotopy relation (``RelationQuiver.oracle``):
 ideals with the same homotopy pairs share it, and with it its decisions.  The
 sweep and the verification harness both ask Γ.
@@ -202,10 +203,10 @@ class RelationQuiver:
 
     def oracle(self, ideal: IdealData) -> HomotopyOracle:
         """The one homotopy oracle of the ideal's relation under Γ's tree
-        and search node limit.
+        and node limit.
 
         An oracle reads only the tree, the node limit and the homotopy pairs,
-        and decides each word deterministically, so the pairs are computed
+        and decides each pair deterministically, so the pairs are computed
         once per ideal and every ideal with the same pairs gets the same
         oracle, and shares its memoized decisions.
         """

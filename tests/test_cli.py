@@ -11,7 +11,8 @@ import pytest
 
 import bquiver
 from bquiver import GF, QQ, InputDocument, InputError, parse_input, relquiver, render_document
-from bquiver.cli import main, _parse_args, resolve_search_max_nodes
+from bquiver import cli
+from bquiver.cli import main, _parse_args
 from bquiver.pathalg import _render
 
 from conftest import random_admissible_ideal, random_quiver
@@ -286,19 +287,49 @@ ideal I { c*a + e*b ; c*a + c*d }
 
 
 def test_cli_verify_source_relation_is_unknown_while_the_budget_runs_out(tmp_path, capsys):
-    # with one search node, Gamma keeps its 3 vertices but none of its arrows,
-    # so no source is known to share or to miss a maximal subalgebra's
-    # relation; the default budget decides both checks
-    path = write(tmp_path, BUDGETED_SOURCES_DOC)
+    # with a node limit of one path there is no closure, so Gamma keeps its 3
+    # vertices but none of its arrows, and no source is known to share or to
+    # miss a maximal subalgebra's relation; the default limit decides both checks
     name = "maximal subalgebra realizes over a source relation"
-    for flags, gamma, status in (
-        (["--search-max-nodes", "1"], {"vertex_count": 3, "arrow_count": 0, "unknown_candidates": 4}, "unknown"),
-        ([], {"vertex_count": 3, "arrow_count": 2, "unknown_candidates": 0}, "pass"),
+    for budget, gamma, status in (
+        ("budget search_max_nodes = 1\n", {"vertex_count": 3, "arrow_count": 0, "unknown_candidates": 4}, "unknown"),
+        ("", {"vertex_count": 3, "arrow_count": 2, "unknown_candidates": 0}, "pass"),
     ):
-        main(["verify", path, "--json", *flags])
+        main(["verify", write(tmp_path, BUDGETED_SOURCES_DOC + budget), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert {k: report["gamma"][k] for k in gamma} == gamma
         assert [c["status"] for c in report["checks"] if c["name"] == name] == [status, status]
+
+
+# Dense-7 #55 over GF(3): the word search this oracle replaced left one of
+# its 61 vertices ambiguous and 63 outcomes unknown
+DENSE_55_DOC = """\
+field GF(3)
+quiver {
+  vertices 1, 2, 3, 4, 5, 6, 7
+  arrow a0: 1 -> 2
+  arrow a1: 2 -> 3
+  arrow a2: 3 -> 4
+  arrow a3: 4 -> 5
+  arrow a4: 4 -> 6
+  arrow a5: 5 -> 7
+  arrow a6: 5 -> 7
+  arrow a7: 4 -> 5
+  arrow a8: 5 -> 7
+  arrow a9: 4 -> 5
+  arrow a10: 5 -> 7
+}
+ideal I { a6*a3*a2; a7*a2*a1*a0 }
+"""
+
+
+def test_cli_verify_decides_every_homotopy_on_dense_55(tmp_path, capsys):
+    assert main(["verify", write(tmp_path, DENSE_55_DOC), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gamma"]["vertex_count"] == 60 and report["gamma"]["unknown_candidates"] == 0
+    assert report["sources"]["complete"] and report["sources"]["sources"] == [0]
+    assert report["statuses"] == {"pass": 120, "fail": 0, "unknown": 0}
+    assert report["status"] == {"ok": True, "unknowns": []}
 
 
 def test_cli_verify_is_unknown_where_gamma_is_truncated(tmp_path, capsys, monkeypatch):
@@ -595,8 +626,8 @@ def test_cli_fraction_maps_into_the_field_before_it_divides(tmp_path, capsys):
 
 
 def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):
-    path = write(tmp_path, PARALLEL_PAIR_DOC)
-    code = main(["gamma", path, "--ideal", "I", "--json", "--search-max-nodes", "1"])
+    path = write(tmp_path, PARALLEL_PAIR_DOC + "budget search_max_nodes = 1\n")
+    code = main(["gamma", path, "--ideal", "I", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     assert report["unknown_candidates"] > 0
@@ -605,19 +636,26 @@ def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):
 
 def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
     doc = PARALLEL_PAIR_DOC + "budget search_max_nodes = 77\n"
-    parsed = parse_input(doc)
-    args = _parse_args(["gamma", "x", "--ideal", "I"])
-    assert resolve_search_max_nodes(parse_input(PARALLEL_PAIR_DOC), args) == 100_000
-    search_max_nodes = resolve_search_max_nodes(parsed, args)
-    assert search_max_nodes == 77
+    # the node limit gamma and verify build under, as the sweep receives it
+    limits = []
+
+    def build(ideal, tree, search_max_nodes):
+        limits.append(search_max_nodes)
+        return relquiver.build_relation_quiver(ideal, tree, search_max_nodes)
+
+    monkeypatch.setattr(cli, "build_relation_quiver", build)
+    for text in (PARALLEL_PAIR_DOC, doc):
+        assert main(["gamma", write(tmp_path, text), "--ideal", "I"]) == 0
+    assert limits == [100_000, 77]
     # the environment is no source of budgets
     monkeypatch.setenv("BQUIVER_SEARCH_MAX_NODES", "9")
-    search_max_nodes = resolve_search_max_nodes(parsed, args)
-    assert search_max_nodes == 77
-    # flags outrank the document
-    args2 = _parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
-    search_max_nodes2 = resolve_search_max_nodes(parsed, args2)
-    assert search_max_nodes2 == 5
+    assert main(["gamma", write(tmp_path, doc), "--ideal", "I"]) == 0
+    assert limits[-1] == 77
+    # nor is the command line: the document is the one place that sets it
+    with pytest.raises(SystemExit) as exited:
+        _parse_args(["gamma", "x", "--ideal", "I", "--search-max-nodes", "5"])
+    assert exited.value.code == 2
+    capsys.readouterr()
     # a key that is no budget is rejected on every surface; the fixed
     # limits are no budgets
     removed = ("word_max_len", "graph_max_vertices", "graph_max_candidates", "maxdiag_max_candidates")
@@ -631,32 +669,27 @@ def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_negative_budget_is_an_input_error(tmp_path, capsys):
-    # on both surfaces: the flag is refused while arguments are parsed, the
-    # document line by the parser; zero stays a budget
-    path = write(tmp_path, PARALLEL_PAIR_DOC)
-    for value in ("-5", "x"):
-        with pytest.raises(SystemExit) as exited:
-            main(["gamma", path, "--ideal", "I", "--search-max-nodes", value])
-        assert exited.value.code == 2
-    assert "nonnegative" in capsys.readouterr().err
+    # the document line is refused by the parser; zero stays a budget
     for value in ("-5", "x"):
         doc = PARALLEL_PAIR_DOC + f"budget search_max_nodes = {value}\n"
         assert main(["gamma", write(tmp_path, doc, "neg.bq"), "--ideal", "I"]) == 2
         err = capsys.readouterr().err
         assert "line 12" in err and "budget values are nonnegative integers" in err
-    assert main(["gamma", path, "--ideal", "I", "--search-max-nodes", "0"]) == 3
+    doc = PARALLEL_PAIR_DOC + "budget search_max_nodes = 0\n"
+    assert main(["gamma", write(tmp_path, doc, "zero.bq"), "--ideal", "I"]) == 3
 
 
-def test_cli_budget_flag_takes_ascii_digits_only(tmp_path, capsys):
-    # other Unicode digits are refused with the flag's own message, as the
-    # document refuses them
-    path = write(tmp_path, PARALLEL_PAIR_DOC)
+def test_cli_budget_line_takes_ascii_digits_only(tmp_path, capsys):
+    # other Unicode digits are no budget: each is an input error at its
+    # position, and the command line offers no other way in
     for value in ("\u0663", "\u00b2"):
+        doc = PARALLEL_PAIR_DOC + f"budget search_max_nodes = {value}\n"
+        assert main(["gamma", write(tmp_path, doc), "--ideal", "I"]) == 2
+        assert capsys.readouterr().err == f"error: unexpected character {value!r} (line 12, column 27)\n"
         with pytest.raises(SystemExit) as exited:
-            main(["gamma", path, "--ideal", "I", "--search-max-nodes", value])
+            main(["gamma", write(tmp_path, PARALLEL_PAIR_DOC), "--ideal", "I", "--search-max-nodes", value])
         assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert err.endswith(f"argument --search-max-nodes: budget values are nonnegative integers, not {value!r}\n")
+        assert capsys.readouterr().err.endswith("unrecognized arguments: --search-max-nodes\n")
 
 
 def test_cli_validate_flags_inadmissible_ideal(tmp_path, capsys):
@@ -694,12 +727,12 @@ def test_every_command_rejects_an_unknown_base_or_ideal(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, outcome",
     [
-        # a good line: (command, file, ideal, base, json, search_max_nodes)
-        (["gamma", "x", "--ideal", "I"], ("gamma", "x", "I", None, False, None)),
-        (["gamma", "x", "--ideal=I"], ("gamma", "x", "I", None, False, None)),
-        (["--json", "--ideal", "I", "gamma", "x"], ("gamma", "x", "I", None, True, None)),
-        (["--base=3", "pi1", "--search-max-nodes", "5", "x"], ("pi1", "x", None, "3", False, 5)),
-        (["hh1", "x", "--base", "1", "--base=2", "--ideal="], ("hh1", "x", "", "2", False, None)),
+        # a good line: (command, file, ideal, base, json)
+        (["gamma", "x", "--ideal", "I"], ("gamma", "x", "I", None, False)),
+        (["gamma", "x", "--ideal=I"], ("gamma", "x", "I", None, False)),
+        (["--json", "--ideal", "I", "gamma", "x"], ("gamma", "x", "I", None, True)),
+        (["--base=3", "pi1", "--json", "x"], ("pi1", "x", None, "3", True)),
+        (["hh1", "x", "--base", "1", "--base=2", "--ideal="], ("hh1", "x", "", "2", False)),
         # help: exit 0
         (["-h"], 0),
         (["gamma", "x", "--help"], 0),
@@ -710,12 +743,15 @@ def test_every_command_rejects_an_unknown_base_or_ideal(tmp_path, capsys):
         (["gamma", "x", "--ideal"], 2),
         (["gamma", "x", "--base", "--json"], 2),
         (["gamma", "x", "--json=yes"], 2),
-        (["gamma", "x", "--search-max-nodes=-1"], 2),
+        (["gamma", "x", "--search-max-nodes", "5"], 2),
         ([], 2),
         (["--json"], 2),
         (["gamma"], 2),
         (["gamma", "x", "y"], 2),
         (["frobnicate", "x"], 2),
+        # an item that starts with "-" is a flag, a negative number too
+        (["gamma", "x", "--base", "-1"], 2),
+        (["gamma", "-5", "x"], 2),
     ],
 )
 def test_the_command_line_parser(capsys, argv, outcome):

@@ -16,7 +16,7 @@ from bquiver import (
     Quiver,
 )
 from bquiver import homotopy
-from bquiver.homotopy import AbelianCertificate, RewriteTrace
+from bquiver.homotopy import AbelianCertificate, ClosureProof
 from bquiver.linalg import _clean, nullspace
 
 from conftest import (
@@ -128,39 +128,35 @@ def test_hom_dimension_matches_abelian_invariants():
 def test_decide_homotopic_golden_cases():
     q, mono, diff, tree = parallel_pair(QQ)
     a, b = q.arrow_path("a"), q.arrow_path("b")
-    yes = HomotopyOracle(diff).decide_paths(a, b)
+    oracle = HomotopyOracle(diff)
+    yes = oracle.decide_paths(a, b)
     assert yes.verdict == YES
-    assert yes.certificate.replay(HomotopyOracle(diff).presentation)
+    assert yes.certificate.replay(oracle.pairs)
+    # c*a ~ c*b is the pair itself; a ~ b cuts the common arrow c
+    assert [via for _, _, via in yes.certificate.merges] == [None, (("a", "c"), ("b", "c"))]
     no = HomotopyOracle(mono).decide_paths(a, b)
     assert no.verdict == NO
     oracle = HomotopyOracle(mono, tree)
     word = oracle.presentation.word_of_pair(a, b)
     assert no.certificate.verify(oracle.presentation, word)
-    trivial = HomotopyOracle(mono).decide_paths(q.trivial_path("1"), q.trivial_path("1"))
-    assert trivial.verdict == YES
-    assert HomotopyOracle(mono).decide_closed_word(()).verdict == YES
-
-
-def test_decide_closed_word_reduces_the_word_first():
-    # <b | -> has no relator to insert, so b*b^-1 is decided by its free
-    # reduction; the "yes" trace starts from the reduced word and replays
-    q, mono, _, tree = parallel_pair(GF(2))
-    oracle = HomotopyOracle(mono, tree)
-    assert oracle.presentation.generators == ("b",) and not oracle.presentation.relators
-    for word in ((1, -1), (-1, 1, 1, -1)):
-        d = oracle.decide_closed_word(word)
-        assert d.verdict == YES and d.certificate.start == ()
-        assert d.certificate.replay(oracle.presentation)
-    # an inner cancelling pair, under a presentation with a relator: a*d^-1
-    # is its relator, and a*(d*d^-1)*d^-1 is decided as a*d^-1 is
-    q, ideal, _, tree = two_triangles_pair(GF(2))
-    oracle = HomotopyOracle(ideal, tree)
-    assert oracle.presentation.relators
-    d = oracle.decide_closed_word((1, 2, -2, -2))
-    assert d.verdict == YES and d.certificate.start == (1, -2)
-    assert d.certificate.replay(oracle.presentation)
-    assert oracle.decide_closed_word((1, -2)) is d
-    assert oracle.decide_closed_word((1, 2, -2)).verdict == NO
+    e1 = q.trivial_path("1")
+    trivial = HomotopyOracle(mono).decide_paths(e1, e1)
+    assert trivial == (YES, ClosureProof(e1, e1, ()))
+    assert trivial.certificate.replay(())
+    # the relator f*e^-1*f^-1 kills e; the closure joins d and e by cutting
+    # a, then f, off the start of the pair d*f*a ~ e*f*a, and then adds c
+    q = Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "4", "5"), ("f", "2", "4")],
+    )
+    ideal = IdealData(q, QQ, [elem(q, QQ, (1, "e*f*a"), (-1, "d*f*a"))])
+    oracle = HomotopyOracle(ideal)
+    assert [oracle.presentation.show_word(r) for r in oracle.presentation.relators] == ["f*e^-1*f^-1"]
+    d = oracle.decide_arrow_path("e", q.arrow_path("d"))
+    assert d.verdict == YES and d.certificate.replay(oracle.pairs)
+    assert [(x, y) for x, y, _ in d.certificate.merges] == [
+        (("a", "f", "d"), ("a", "f", "e")), (("f", "d"), ("f", "e")), (("d",), ("e",)), (("c", "d"), ("c", "e"))
+    ]
 
 
 def test_decide_homotopic_rejects_non_parallel():
@@ -182,10 +178,34 @@ def test_decide_tree_detour_is_homotopic():
 
 
 def test_decide_budget_exhaustion_goes_unknown():
+    # the quiver has 5 nontrivial paths: a, b, c, c*a and c*b
     q, mono, diff, tree = parallel_pair(QQ)
     a, b = q.arrow_path("a"), q.arrow_path("b")
-    d = HomotopyOracle(diff, search_max_nodes=1).decide_paths(a, b)
-    assert d.verdict == UNKNOWN
+    for limit in (0, 1, 4):
+        d = HomotopyOracle(diff, search_max_nodes=limit).decide_paths(a, b)
+        assert d == (UNKNOWN, f"no closure: 5 nontrivial paths, over the node limit {limit}")
+        # the abelian "no" and a path's homotopy to itself need no closure
+        assert HomotopyOracle(mono, search_max_nodes=limit).decide_paths(a, b).verdict == NO
+        assert HomotopyOracle(diff, search_max_nodes=limit).decide_paths(a, a).verdict == YES
+    assert HomotopyOracle(diff, search_max_nodes=5).decide_paths(a, b).verdict == YES
+
+
+def test_an_unknown_past_the_closure_names_its_cause():
+    # 1 => 2 => 3 => 4 with one binomial relation: z1*y0*x0 ~ z0*y0*x1 says
+    # nothing about the same routes through y1, which the abelianization
+    # cannot tell apart
+    q = Quiver(
+        ["1", "2", "3", "4"],
+        [(f"{n}{i}", str(s), str(s + 1)) for s, n in ((1, "x"), (2, "y"), (3, "z")) for i in (0, 1)],
+    )
+    ideal = IdealData(q, QQ, [elem(q, QQ, (1, "z1*y0*x0"), (-1, "z0*y0*x1"))])
+    oracle = HomotopyOracle(ideal)
+    u, v = q.path(["x0", "y1", "z1"]), q.path(["x1", "y1", "z0"])
+    assert oracle.decide_paths(u, v) == (
+        UNKNOWN,
+        "the closure does not join the paths and the abelianization does not separate them",
+    )
+    assert oracle.decide_paths(*oracle.pairs[0]).verdict == YES
 
 
 def test_decide_never_contradicts_itself():
@@ -219,42 +239,45 @@ def test_relations_equal_golden():
         assert HomotopyOracle(diff).same_relation(HomotopyOracle(D.apply_to_ideal(diff))).verdict == YES
 
 
-def test_replay_rejects_a_forged_insertion():
-    # the two-relation ideal has relators; inserting the inverse of the
-    # start word reduces it to the unit, but that word is no relator
-    q, ideal, _, tree = two_triangles_pair(GF(2))
-    oracle = HomotopyOracle(ideal, tree)
-    pres = oracle.presentation
-    assert pres.relators
-    relator = pres.relators[0]
-    start = (1,)
-    forged = RewriteTrace(start, ((0, (-1,)),))
-    assert all((-1,) not in (r, tuple(-x for x in reversed(r))) for r in pres.relators)
-    assert not forged.replay(pres)
-    # the same start cancelled by a genuine relator step replays; so do a
-    # cyclic conjugate of a relator and an inverse relator
-    genuine = RewriteTrace(relator, ((len(relator), tuple(-x for x in reversed(relator))),))
-    assert genuine.replay(pres)
-    rotated = relator[1:] + relator[:1]
-    assert RewriteTrace(tuple(-x for x in reversed(rotated)), ((0, rotated),)).replay(pres)
-    # positions outside the word are rejected too
-    assert not RewriteTrace(relator, ((len(relator) + 1, tuple(-x for x in reversed(relator))),)).replay(pres)
-    # a certified "yes" from the search replays under its presentation
-    for u, v in oracle.pairs:
-        d = oracle.decide_paths(u, v)
-        if d.verdict == YES:
-            assert d.certificate.replay(pres)
-    # but only under that one: the "yes" for c*a ~ c*b found under
-    # <c*a - c*b> inserts its relator, which the monomial ideal's
-    # presentation of the same word lacks
+def test_replay_rejects_a_forged_closure_proof():
+    # a merge log names each path by its arrows; under <c*a - c*b> the
+    # closure joins a and b by cutting c off its pair
     q, mono, diff, tree = parallel_pair(QQ)
-    (u, v), = homotopy_pairs(diff)
-    found = HomotopyOracle(diff, tree).decide_paths(u, v)
-    assert found.verdict == YES
-    bare = HomotopyOracle(mono, tree).presentation
-    assert not bare.relators
-    assert found.certificate.start == bare.word_of_pair(u, v)
-    assert not found.certificate.replay(bare)
+    a, b = q.arrow_path("a"), q.arrow_path("b")
+    found = HomotopyOracle(diff, tree).decide_paths(a, b)
+    assert found.verdict == YES and found.certificate.replay(homotopy_pairs(diff))
+    pair = (("a", "c"), ("b", "c"))
+    assert found.certificate.merges == (pair + (None,), (("a",), ("b",), pair))
+    # a via that is not joined yet
+    assert not ClosureProof(a, b, found.certificate.merges[1:]).replay(homotopy_pairs(diff))
+    # a genuine proof replays under its own pairs only: the monomial ideal
+    # lacks the pair it starts from
+    assert not found.certificate.replay(homotopy_pairs(mono))
+    # 1 => 2 => 3 under <y0*x0 - y1*x1>: the pair shares no arrow at
+    # either end, so the closure joins nothing else
+    q = Quiver(["1", "2", "3"], [("x0", "1", "2"), ("x1", "1", "2"), ("y0", "2", "3"), ("y1", "2", "3")])
+    ideal = IdealData(q, QQ, [elem(q, QQ, (1, "y0*x0"), (-1, "y1*x1"))])
+    oracle = HomotopyOracle(ideal)
+    genuine = oracle.decide_paths(*oracle.pairs[0])
+    pair = (("x0", "y0"), ("x1", "y1"))
+    assert genuine.verdict == YES and genuine.certificate.merges == (pair + (None,),)
+    x0, x1, y0, y1 = (q.arrow_path(name) for name in ("x0", "x1", "y0", "y1"))
+    y0x1, y1x0 = q.path(["x1", "y0"]), q.path(["x0", "y1"])
+    forged = [
+        # a "pair" that is not among the ideal's pairs
+        ClosureProof(y0x1, y1x0, ((y0x1.arrows, y1x0.arrows, None),)),
+        # different arrows: y0 cut from the end of one side, y1 from the other
+        ClosureProof(x0, x1, genuine.certificate.merges + ((("x0",), ("x1",), pair),)),
+        # and x0 cut from the start of one side, x1 from the other
+        ClosureProof(y0, y1, genuine.certificate.merges + ((("y0",), ("y1",), pair),)),
+        # different ends: x0 cut at the start of one side, y1 at the end of the other
+        ClosureProof(y0, x1, genuine.certificate.merges + ((("y0",), ("x1",), pair),)),
+        # a log that never joins u and v
+        ClosureProof(x0, x1, genuine.certificate.merges),
+    ]
+    for proof in forged:
+        assert not proof.replay(oracle.pairs), proof
+    assert oracle.decide_paths(x0, x1).verdict == NO
 
 
 def test_relations_equal_random_dilatations():
@@ -270,11 +293,10 @@ def test_relations_equal_random_dilatations():
         assert first.same_relation(second).verdict == YES
         # memoized decisions repeat, and a memoized "yes" still replays
         for u, v in first.pairs:
-            word = second.presentation.word_of_pair(u, v)
-            d = second.decide_closed_word(word)
-            again = second.decide_closed_word(word)
-            assert again.verdict == d.verdict == YES
-            assert again.certificate.replay(second.presentation)
+            d = second.decide_paths(u, v)
+            again = second.decide_paths(u, v)
+            assert again is d and d.verdict == YES
+            assert again.certificate.replay(second.pairs)
     # equal ideals over two separately built quivers are not comparable
     with pytest.raises(ValueError):
         HomotopyOracle(parallel_pair(QQ)[1]).same_relation(HomotopyOracle(parallel_pair(QQ)[1]))
@@ -347,37 +369,6 @@ def test_relator_preimages_are_closed_walks():
         assert word in pres.relators or word == ()
 
 
-def test_symmetrized_relators_insert_cyclic_reductions():
-    # the relator f*e^-1*f^-1 is not cyclically reduced; its symmetrized
-    # set holds e^-1 and e, so e is decided trivial at once
-    q = Quiver(
-        ["1", "2", "3", "4", "5"],
-        [("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "4", "5"), ("f", "2", "4")],
-    )
-    ideal = IdealData(q, QQ, [elem(q, QQ, (1, "e*f*a"), (-1, "d*f*a"))])
-    oracle = HomotopyOracle(ideal)
-    pres = oracle.presentation
-    assert pres.generators == ("e", "f")
-    assert [pres.show_word(r) for r in pres.relators] == ["f*e^-1*f^-1"]
-    assert [pres.show_word(w) for w in pres.symmetrized] == ["e^-1", "e"]
-    d = oracle.decide_arrow_path("e", q.arrow_path("d"))
-    assert d.verdict == YES
-    assert d.certificate.steps == ((0, (-1,)),)
-    assert d.certificate.replay(pres)
-    # every rotation of a cyclically reduced relator and of its inverse
-    # is listed once, in relator order
-    for golden in (two_triangles_pair(GF(2))[1], commutative_square(QQ)[1]):
-        p = HomotopyOracle(golden).presentation
-        assert p.relators
-        expected = []
-        for r in p.relators:
-            for w in (r, tuple(-x for x in reversed(r))):
-                for i in range(len(w)):
-                    if w[i:] + w[:i] not in expected:
-                        expected.append(w[i:] + w[:i])
-        assert list(p.symmetrized) == expected
-
-
 def _pair_count_characters(q, tree, pairs, field):
     """The characters as arrow weights by their first definition: the
     canonical nullspace over all arrows of one unit row per tree arrow and
@@ -436,27 +427,34 @@ def test_characters_are_the_pair_count_nullspace_on_random_instances():
 
 
 def test_smith_form_is_computed_once_per_presentation(monkeypatch):
-    calls, reductions = [], []
-    smith, cyclic_reduce = homotopy.smith_normal_form, homotopy._cyclic_reduce
+    calls = []
+    smith = homotopy.smith_normal_form
     monkeypatch.setattr(homotopy, "smith_normal_form", lambda rows: calls.append(rows) or smith(rows))
-    monkeypatch.setattr(homotopy, "_cyclic_reduce", lambda w: reductions.append(w) or cyclic_reduce(w))
     q, ideal, _, tree = two_triangles_pair(GF(2))
-    # the characters read the relator rows only: no Smith form, no
-    # symmetrized relators
+    # the characters read the relator rows only: no Smith form
     pres = GroupPresentation(q, tree, homotopy_pairs(ideal))
     assert pres.characters(GF(2)) == [{"a": 1, "d": 1}]
     assert pres.check_weights(GF(2), {"a": 1, "d": 1})
-    assert not calls and not reductions
-    # the invariants, the oracle's decisions and their replays share one
+    assert not calls
+    # the invariants, the oracle's decisions and their certificates share one;
+    # the generators are a and d, and the words are a, d, a*d and a*d^-1
     oracle = HomotopyOracle(ideal, tree)
     pres = oracle.presentation
     assert (abelian_invariants(pres).free_rank, abelian_invariants(pres).torsion) == (1, ())
-    words = [(1,), (2,), (1, 1), (1, 2), (1, -2)]
-    decisions = [oracle.decide_closed_word(w) for w in words]
-    assert [d.verdict for d in decisions] == [NO, NO, NO, NO, YES]
-    for word, d in zip(words, decisions):
+    pairs = [
+        (q.arrow_path("a"), q.path(["b", "c"])),
+        (q.arrow_path("d"), q.path(["e", "f"])),
+        (q.path(["a", "d"]), q.path(["b", "c", "e", "f"])),
+        (q.path(["a", "e", "f"]), q.path(["b", "c", "d"])),
+    ]
+    decisions = [oracle.decide_paths(u, v) for u, v in pairs]
+    assert [d.verdict for d in decisions] == [NO, NO, NO, YES]
+    assert [pres.word_of_pair(u, v) for u, v in pairs] == [(1,), (2,), (1, 2), (1, -2)]
+    for (u, v), d in zip(pairs, decisions):
         if d.verdict == NO:
-            assert d.certificate.verify(pres, word)
+            assert d.certificate.verify(pres, pres.word_of_pair(u, v))
+        else:
+            assert d.certificate.replay(oracle.pairs)
     assert len(calls) == 1
 
 
@@ -467,19 +465,55 @@ def test_abelian_certificate_replay_rejects_a_forged_modulus():
     q, ideal, _, tree = two_triangles_pair(GF(2))
     oracle = HomotopyOracle(ideal, tree)
     pres = oracle.presentation
-    word = (1, -2)
-    assert oracle.decide_closed_word(word).verdict == YES
+    (u, v), = oracle.pairs
+    word = pres.word_of_pair(u, v)
+    assert word == (1, -2) and oracle.decide_paths(u, v).verdict == YES
     x = pres.exponent_vector(word)
     y = pres.smith_coordinates(x)
     assert pres.smith[0] == (1,) and y == (1, 0)
     for position in (-2, -1, 0, 1, 2):
         for modulus in (0, 1, 2, 3):
             assert not AbelianCertificate(x, y, position, modulus).verify(pres, word)
-    # a genuine "no" replays, and the same claim with another modulus does not
-    no = oracle.decide_closed_word((1,))
+    # a genuine "no" replays, and the same claim with another modulus does not:
+    # a against c*b is the word a
+    no = oracle.decide_paths(q.arrow_path("a"), q.path(["b", "c"]))
     assert no.verdict == NO and no.certificate.verify(pres, (1,))
     cert = no.certificate
     for modulus in (2, 3):
         if modulus != cert.modulus:
             forged = AbelianCertificate(cert.exponents, cert.transformed, cert.position, modulus)
             assert not forged.verify(pres, (1,))
+
+
+def test_every_certificate_replays():
+    # every parallel pair of nontrivial paths under the golden ideals and the
+    # seeded draws of test_arrow_witnesses_replay: each "yes" replays under
+    # the oracle's pairs, each "no" verifies under its presentation
+    ideals = [
+        *parallel_pair(QQ)[1:3],
+        *parallel_pair(GF(3))[1:3],
+        two_triangles_full(GF(2))[1],
+        *two_triangles_pair(GF(2))[1:3],
+        commutative_square(QQ)[1],
+        kronecker(QQ)[1],
+    ]
+    rng = random.Random(2024)
+    for field in (GF(2), GF(3), QQ):
+        for _ in range(12):
+            q = random_quiver(rng)
+            ideals.append(random_admissible_ideal(rng, q, field))
+    verdicts = {YES: 0, NO: 0, UNKNOWN: 0}
+    for ideal in ideals:
+        oracle = HomotopyOracle(ideal)
+        paths = [p for p in ideal.quiver.all_paths() if not p.is_trivial]
+        for u in paths:
+            for v in paths:
+                if (u.source, u.target) != (v.source, v.target):
+                    continue
+                d = oracle.decide_paths(u, v)
+                verdicts[d.verdict] += 1
+                if d.verdict == YES:
+                    assert d.certificate.replay(oracle.pairs)
+                elif d.verdict == NO:
+                    assert d.certificate.verify(oracle.presentation, oracle.presentation.word_of_pair(u, v))
+    assert verdicts[YES] > 100 and verdicts[NO] > 100

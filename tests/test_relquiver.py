@@ -11,14 +11,17 @@ from bquiver import (
     FDAlgebra,
     GF,
     HomotopyOracle,
+    IdealData,
     NO,
     Presentation,
     QQ,
+    Quiver,
     YES,
     build_relation_quiver,
     classify_transvection,
     critical_taus,
     enumerate_bypasses,
+    homotopy_pairs,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     presentation_for_vertex,
@@ -27,6 +30,7 @@ from bquiver import (
     transvection_of,
     verify_main_theorem,
 )
+from bquiver.homotopy import SEARCH_MAX_NODES
 from bquiver.relquiver import (
     COINCIDE,
     DIRECT_PREDECESSOR,
@@ -204,6 +208,7 @@ def test_arrow_witnesses_replay():
             # certified on both sides
             assert arrow.before.verdict == NO
             assert arrow.after.verdict == YES
+            assert arrow.after.certificate.replay(homotopy_pairs(arrow.target_ideal))
             src_oracle = HomotopyOracle(arrow.source_ideal, rq.tree)
             tgt_oracle = HomotopyOracle(arrow.target_ideal, rq.tree)
             assert src_oracle.decide_arrow_path(arrow.bypass.arrow, arrow.bypass.path).verdict == NO
@@ -545,6 +550,7 @@ def test_relation_quiver_robust_on_random_instances():
         for arrow in rq.arrows:
             assert arrow.before.verdict == NO
             assert arrow.after.verdict == YES
+            assert arrow.after.certificate.replay(homotopy_pairs(arrow.target_ideal))
         # every vertex is reachable from some source along definite arrows
         # or was quarantined as ambiguous
         reachable = set(report["sources"])
@@ -628,3 +634,14 @@ def test_relabeling_and_reseeding_keep_dim_and_gamma_shape():
         differ += [("Sweep-31", k) for other in others if algebra_summary(other) != summary]
     assert not differ, f"summaries differ on {differ}"
 
+
+
+def test_sweep_23_58_has_no_ambiguous_vertex():
+    # Sweep-23 #58: 1 => 2 => 3 over GF(3); the word search left vertex 10
+    # ambiguous at node limit 5000, and an eleventh vertex beside it
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2"), ("d", "2", "3"), ("e", "2", "3")])
+    ideal = IdealData(q, GF(3), [elem(q, GF(3), (1, "b*a")), elem(q, GF(3), (1, "e*c"))])
+    for limit in (SEARCH_MAX_NODES, 5000):
+        rq = build_relation_quiver(ideal, None, limit)
+        assert (len(rq.vertices), rq.ambiguous_vertices, rq.unknown_candidates, rq.truncated) == (10, [], [], False)
+        assert sources_report(rq)["complete"]
