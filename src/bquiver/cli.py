@@ -28,7 +28,7 @@ from .relquiver import build_relation_quiver, sources_report, verify_main_theore
 
 
 def _node_limit(document: InputDocument) -> int:
-    """The homotopy closure's node limit: the document's ``budget`` line,
+    """The homotopy decision's node limit: the document's ``budget`` line,
     else the default."""
     return SEARCH_MAX_NODES if document.search_max_nodes is None else document.search_max_nodes
 

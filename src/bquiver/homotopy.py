@@ -17,11 +17,15 @@ generator) is the one linear form of the relation:
   invariants and certifies the "no" answers of
 * a sound three-valued decision procedure for homotopy of parallel paths:
   "no" is certified by the abelianization, "yes" by the congruence closure
-  of the homotopy pairs (Nelson & Oppen), whose merge log replays.
+  of the homotopy pairs (Nelson & Oppen), whose merge log replays, or else
+  by a word search, whose relator insertions replay.
 
 The closure is a union-find over the nontrivial paths, seeded with the
 homotopy pairs and closed under two rules that hold in the fundamental
-groupoid: add, or cut, one arrow at the same end of two joined paths.
+groupoid: add, or cut, one arrow at the same end of two joined paths.  It
+never leaves the positive paths, so it misses homotopies that pass through
+an inverse arrow; the search, breadth first over closed words, finds those
+that a few relator insertions prove.  Both stop at ``search_max_nodes``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import deque
 from typing import NamedTuple
 
 from .fields import Field
@@ -62,9 +67,26 @@ def _free_reduce(letters) -> Word:
     return tuple(stack)
 
 
+def _invert_word(w: Word) -> Word:
+    return tuple(-x for x in reversed(w))
+
+
+def _cyclic_reduce(w: Word) -> Word:
+    """The freely reduced ``w`` with its mutually inverse end letters cut."""
+    i, j = 0, len(w)
+    while j - i > 1 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
+
+
 class GroupPresentation:
-    """Spanning-tree presentation of the fundamental group at the base
-    vertex; the Smith form of its relator matrix is built on first use."""
+    """Spanning-tree presentation of the fundamental group at the base vertex.
+
+    ``symmetrized`` lists the words the word search may insert: every
+    rotation of the cyclically reduced form of each relator and of its
+    inverse, each a conjugate of a relator or of its inverse, once, in
+    relator order.  It and the Smith form are built on first use.
+    """
 
     def __init__(self, quiver: Quiver, tree: SpanningTree, pairs):
         self.quiver = quiver
@@ -74,6 +96,16 @@ class GroupPresentation:
         self._gen_index = {n: i + 1 for i, n in enumerate(self.generators)}
         self.relators = tuple(w for w in (self.word_of_pair(u, v) for u, v in pairs) if w)
 
+    @functools.cached_property
+    def symmetrized(self) -> tuple[Word, ...]:
+        words: dict[Word, None] = {}
+        for r in self.relators:
+            c = _cyclic_reduce(r)
+            for word in (c, _invert_word(c)):
+                for i in range(len(word)):
+                    words.setdefault(word[i:] + word[:i])
+        return tuple(words)
+
     def word_of_path(self, path: Path) -> Word:
         """A path's letters are all positive, so there is nothing to reduce."""
         return tuple(self._gen_index[n] for n in path.arrows if n in self._gen_index)
@@ -82,7 +114,7 @@ class GroupPresentation:
         """The closed word along ``u`` and back along ``v``."""
         if u.source != v.source or u.target != v.target:
             raise ValueError("homotopy pair is not parallel")
-        return _free_reduce(self.word_of_path(u) + tuple(-x for x in reversed(self.word_of_path(v))))
+        return _free_reduce(self.word_of_path(u) + _invert_word(self.word_of_path(v)))
 
     def exponent_vector(self, word: Word) -> tuple[int, ...]:
         vec = [0] * len(self.generators)
@@ -258,9 +290,33 @@ class ClosureProof(NamedTuple):
     merges: tuple[Merge, ...]
 
     def replay(self, pairs) -> bool:
-        """Redo the merges in a fresh union-find, checking every rule."""
+        """Are u and v parallel, and do the merges, redone in a fresh
+        union-find under every rule, join them?"""
+        if (self.u.source, self.u.target) != (self.v.source, self.v.target):
+            return False
         parent = _replay(self.merges, pairs)
         return parent is not None and _root(parent, self.u.arrows) == _root(parent, self.v.arrows)
+
+
+class RewriteTrace(NamedTuple):
+    """Certificate for "yes" from the word search: relator insertions that
+    take the closed word of u and v to the unit."""
+
+    u: Path
+    v: Path
+    steps: tuple[tuple[int, Word], ...]  # (position, inserted relator word)
+
+    def replay(self, presentation: GroupPresentation) -> bool:
+        """Redo the insertions on the pair's word; each inserted word must be
+        one of the presentation's symmetrized relators."""
+        if (self.u.source, self.u.target) != (self.v.source, self.v.target):
+            return False
+        w = presentation.word_of_pair(self.u, self.v)
+        for pos, rel in self.steps:
+            if rel not in presentation.symmetrized or not 0 <= pos <= len(w):
+                return False
+            w = _free_reduce(w[:pos] + rel + w[pos:])
+        return w == ()
 
 
 class AbelianCertificate(NamedTuple):
@@ -289,6 +345,7 @@ class Decision(NamedTuple):
     certificate: object = None  # for "unknown", its cause
 
 
+_WORD_MAX_LEN = 64  # the word search keeps no longer word
 SEARCH_MAX_NODES = 100_000  # the default node limit, the one settable limit
 
 
@@ -299,7 +356,9 @@ class HomotopyOracle:
     pairs (``pairs``, when the caller already has them), so it decides for
     every ideal with the same pairs; ``ideal`` is the one it was built from.
     Its congruence closure is built on first use, when the quiver has at
-    most ``search_max_nodes`` nontrivial paths.
+    most ``search_max_nodes`` nontrivial paths; the word search, for a pair
+    neither the closure nor the abelianization decides, keeps at most that
+    many words.
     """
 
     def __init__(
@@ -348,20 +407,51 @@ class HomotopyOracle:
             decision = self._decisions[u, v] = self._decide(u, v)
         return decision
 
+    def _search_trivial(self, u: Path, v: Path, word: Word) -> RewriteTrace | None:
+        """Relator insertions that take the pair's word to the unit, breadth
+        first, keeping at most ``search_max_nodes`` words of at most
+        ``_WORD_MAX_LEN`` letters."""
+        if word == ():
+            return RewriteTrace(u, v, ())
+        parents: dict[Word, tuple[Word, int, Word] | None] = {word: None}
+        queue = deque([word])
+        while queue and len(parents) < self.search_max_nodes:
+            w = queue.popleft()
+            for rel in self.presentation.symmetrized:
+                for pos in range(len(w) + 1):
+                    nw = _free_reduce(w[:pos] + rel + w[pos:])
+                    if len(nw) > _WORD_MAX_LEN or nw in parents:
+                        continue
+                    parents[nw] = (w, pos, rel)
+                    if nw == ():
+                        steps = []
+                        while parents[nw] is not None:
+                            nw, p, r = parents[nw]
+                            steps.append((p, r))
+                        return RewriteTrace(u, v, tuple(reversed(steps)))
+                    queue.append(nw)
+        return None
+
     def _decide(self, u: Path, v: Path) -> Decision:
         if u.source != v.source or u.target != v.target:
             raise ValueError("homotopy pair is not parallel")
         closure = self._closure
         if u == v or closure is not None and _root(closure[0], u.arrows) == _root(closure[0], v.arrows):
             return Decision(YES, ClosureProof(u, v, closure[1] if closure else ()))
-        cert = self._abelian_reject(self.presentation.word_of_pair(u, v))
+        word = self.presentation.word_of_pair(u, v)
+        cert = self._abelian_reject(word)
         if cert is not None:
             return Decision(NO, cert)
+        trace = self._search_trivial(u, v, word)
+        if trace is not None:
+            assert trace.replay(self.presentation)
+            return Decision(YES, trace)
+        limit = self.search_max_nodes
         if closure is None:
-            cause = f"no closure: {self._path_count} nontrivial paths, over the node limit {self.search_max_nodes}"
+            cause = f"no closure: {self._path_count} nontrivial paths, over the node limit {limit}; the abelianization"
         else:
-            cause = "the closure does not join the paths and the abelianization does not separate them"
-        return Decision(UNKNOWN, cause)
+            cause = "the closure does not join the paths, the abelianization"
+        return Decision(UNKNOWN, f"{cause} does not separate them, and the word search finds no proof in {limit} words")
 
     def decide_arrow_path(self, arrow_name: str, path: Path) -> Decision:
         return self.decide_paths(self.quiver.arrow_path(arrow_name), path)

@@ -5,10 +5,10 @@ represented by ideals reachable from a seed ideal through transvections
 (dilatations never change the relation, so they are not swept).  There is an
 arrow between two relations when some transvection turns one ideal into the
 other while the bypass pair is non-homotopic before and homotopic after;
-the homotopy oracle certifies both sides (its congruence closure "yes", the
-abelianization "no"), and undecided candidates are quarantined rather than
-silently dropped.  A transvection that fixes the ideal relates no two
-relations and is not classified.
+the homotopy oracle certifies both sides (its congruence closure or word
+search "yes", the abelianization "no"), and undecided candidates are
+quarantined rather than silently dropped.  A transvection that fixes the
+ideal relates no two relations and is not classified.
 
 The quiver is acyclic, so a bypass arrow occurs at most once in a path and
 the transvection by tau maps each reduced-basis element b to b + tau*d(b),
@@ -17,7 +17,7 @@ ideal exactly when every d(b) lies in the ideal, which does not depend on
 tau: the sweep tests this once per (ideal, bypass) and otherwise spans the
 image from the rows b + tau*d(b), building no automorphism.
 
-Γ keeps the tree and the closure's node limit it was built under and owns one
+Γ keeps the tree and the homotopy node limit it was built under and owns one
 memoized homotopy oracle per homotopy relation (``RelationQuiver.oracle``):
 ideals with the same homotopy pairs share it, and with it its decisions.  The
 sweep and the verification harness both ask Γ.

@@ -16,7 +16,7 @@ from bquiver import (
     Quiver,
 )
 from bquiver import homotopy
-from bquiver.homotopy import AbelianCertificate, ClosureProof
+from bquiver.homotopy import AbelianCertificate, ClosureProof, RewriteTrace
 from bquiver.linalg import _clean, nullspace
 
 from conftest import (
@@ -178,16 +178,25 @@ def test_decide_tree_detour_is_homotopic():
 
 
 def test_decide_budget_exhaustion_goes_unknown():
-    # the quiver has 5 nontrivial paths: a, b, c, c*a and c*b
+    # the quiver has 5 nontrivial paths: a, b, c, c*a and c*b, and the word
+    # of a and b is one relator insertion from the unit
     q, mono, diff, tree = parallel_pair(QQ)
     a, b = q.arrow_path("a"), q.arrow_path("b")
-    for limit in (0, 1, 4):
+    for limit in (0, 1):
         d = HomotopyOracle(diff, search_max_nodes=limit).decide_paths(a, b)
-        assert d == (UNKNOWN, f"no closure: 5 nontrivial paths, over the node limit {limit}")
+        assert d == (
+            UNKNOWN,
+            f"no closure: 5 nontrivial paths, over the node limit {limit}; the abelianization does not"
+            f" separate them, and the word search finds no proof in {limit} words",
+        )
         # the abelian "no" and a path's homotopy to itself need no closure
         assert HomotopyOracle(mono, search_max_nodes=limit).decide_paths(a, b).verdict == NO
         assert HomotopyOracle(diff, search_max_nodes=limit).decide_paths(a, a).verdict == YES
-    assert HomotopyOracle(diff, search_max_nodes=5).decide_paths(a, b).verdict == YES
+    # under the closure's limit the search proves it, and at 5 the closure
+    oracle = HomotopyOracle(diff, search_max_nodes=4)
+    d = oracle.decide_paths(a, b)
+    assert d == (YES, RewriteTrace(a, b, d.certificate.steps)) and d.certificate.replay(oracle.presentation)
+    assert type(HomotopyOracle(diff, search_max_nodes=5).decide_paths(a, b).certificate) is ClosureProof
 
 
 def test_an_unknown_past_the_closure_names_its_cause():
@@ -199,11 +208,12 @@ def test_an_unknown_past_the_closure_names_its_cause():
         [(f"{n}{i}", str(s), str(s + 1)) for s, n in ((1, "x"), (2, "y"), (3, "z")) for i in (0, 1)],
     )
     ideal = IdealData(q, QQ, [elem(q, QQ, (1, "z1*y0*x0"), (-1, "z0*y0*x1"))])
-    oracle = HomotopyOracle(ideal)
+    oracle = HomotopyOracle(ideal, search_max_nodes=1000)
     u, v = q.path(["x0", "y1", "z1"]), q.path(["x1", "y1", "z0"])
     assert oracle.decide_paths(u, v) == (
         UNKNOWN,
-        "the closure does not join the paths and the abelianization does not separate them",
+        "the closure does not join the paths, the abelianization does not separate them, and the word"
+        " search finds no proof in 1000 words",
     )
     assert oracle.decide_paths(*oracle.pairs[0]).verdict == YES
 
@@ -274,10 +284,46 @@ def test_replay_rejects_a_forged_closure_proof():
         ClosureProof(y0, x1, genuine.certificate.merges + ((("y0",), ("x1",), pair),)),
         # a log that never joins u and v
         ClosureProof(x0, x1, genuine.certificate.merges),
+        # trivial paths at two vertices: both have no arrows, but they are not parallel
+        ClosureProof(q.trivial_path("1"), q.trivial_path("2"), ()),
     ]
     for proof in forged:
         assert not proof.replay(oracle.pairs), proof
     assert oracle.decide_paths(x0, x1).verdict == NO
+
+
+def test_replay_rejects_a_forged_insertion():
+    # the pair f*e*a ~ d*c*b has the relator a*d^-1; inserting the inverse
+    # of the word of a and b*c reduces it to the unit, but that is no relator
+    q, ideal, _, tree = two_triangles_pair(GF(2))
+    oracle = HomotopyOracle(ideal, tree)
+    pres = oracle.presentation
+    (u, v), = oracle.pairs
+    relator = pres.word_of_pair(u, v)
+    assert pres.relators == (relator,) == ((1, -2),)
+    a, bc = q.arrow_path("a"), q.path(["b", "c"])
+    assert pres.word_of_pair(a, bc) == (1,)
+    assert not RewriteTrace(a, bc, ((0, (-1,)),)).replay(pres)
+    # the pair's word cancelled by the inverse relator replays; so does the
+    # reversed pair, with a cyclic conjugate of the relator inserted inside
+    inverse = tuple(-x for x in reversed(relator))
+    assert RewriteTrace(u, v, ((len(relator), inverse),)).replay(pres)
+    assert RewriteTrace(v, u, ((1, relator[1:] + relator[:1]),)).replay(pres)
+    # positions outside the word, a trace of another pair and trivial
+    # paths at two vertices are rejected
+    assert not RewriteTrace(u, v, ((len(relator) + 1, inverse),)).replay(pres)
+    assert not RewriteTrace(a, bc, ((len(relator), inverse),)).replay(pres)
+    assert not RewriteTrace(q.trivial_path("1"), q.trivial_path("2"), ()).replay(pres)
+    # a "yes" of the search replays under its presentation only: past the
+    # closure's limit the search proves a ~ b under <c*a - c*b> by inserting
+    # the relator, which the monomial ideal's presentation lacks
+    q, mono, diff, tree = parallel_pair(QQ)
+    a, b = q.arrow_path("a"), q.arrow_path("b")
+    oracle = HomotopyOracle(diff, tree, search_max_nodes=2)
+    found = oracle.decide_paths(a, b)
+    assert type(found.certificate) is RewriteTrace and found.certificate.replay(oracle.presentation)
+    bare = HomotopyOracle(mono, tree).presentation
+    assert not bare.relators and not found.certificate.replay(bare)
 
 
 def test_relations_equal_random_dilatations():
@@ -367,6 +413,62 @@ def test_relator_preimages_are_closed_walks():
     for u, v in homotopy_pairs(ideal):
         word = pres.word_of_pair(u, v)
         assert word in pres.relators or word == ()
+
+
+def test_symmetrized_relators_insert_cyclic_reductions():
+    # the relator f*e^-1*f^-1 is not cyclically reduced; its symmetrized
+    # set holds e^-1 and e, so past the closure's limit (13 nontrivial
+    # paths) the search decides e trivial at once
+    q = Quiver(
+        ["1", "2", "3", "4", "5"],
+        [("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "4", "5"), ("f", "2", "4")],
+    )
+    ideal = IdealData(q, QQ, [elem(q, QQ, (1, "e*f*a"), (-1, "d*f*a"))])
+    oracle = HomotopyOracle(ideal, search_max_nodes=12)
+    pres = oracle.presentation
+    assert pres.generators == ("e", "f")
+    assert [pres.show_word(r) for r in pres.relators] == ["f*e^-1*f^-1"]
+    assert [pres.show_word(w) for w in pres.symmetrized] == ["e^-1", "e"]
+    e, d = q.arrow_path("e"), q.arrow_path("d")
+    assert oracle.decide_paths(e, d) == (YES, RewriteTrace(e, d, ((0, (-1,)),)))
+    assert oracle.decide_paths(e, d).certificate.replay(pres)
+    # every rotation of a cyclically reduced relator and of its inverse
+    # is listed once, in relator order
+    for golden in (two_triangles_pair(GF(2))[1], commutative_square(QQ)[1]):
+        p = HomotopyOracle(golden).presentation
+        assert p.relators
+        expected = []
+        for r in p.relators:
+            for w in (r, tuple(-x for x in reversed(r))):
+                for i in range(len(w)):
+                    if w[i:] + w[:i] not in expected:
+                        expected.append(w[i:] + w[:i])
+        assert list(p.symmetrized) == expected
+
+
+def test_the_word_search_proves_what_the_closure_misses():
+    # x, y leave S and u, v leave S2 for M1, M2; a, b reach T and c, d reach
+    # T2, under <a*x - b*y, c*x - d*y, a*u - b*v>.  In the groupoid
+    # u = v*y^-1*x, so c*u ~ d*v, but no pair can be extended (S and S2 have
+    # no incoming arrows, T and T2 no outgoing ones) and no two joined paths
+    # share an end arrow, so the closure never joins c*u and d*v
+    q = Quiver(
+        ["S", "S2", "M1", "M2", "T", "T2"],
+        [("x", "S", "M1"), ("y", "S", "M2"), ("u", "S2", "M1"), ("v", "S2", "M2"),
+         ("a", "M1", "T"), ("b", "M2", "T"), ("c", "M1", "T2"), ("d", "M2", "T2")],
+    )
+    ideal = IdealData(
+        q, QQ, [elem(q, QQ, (1, "a*x"), (-1, "b*y")), elem(q, QQ, (1, "c*x"), (-1, "d*y")),
+                elem(q, QQ, (1, "a*u"), (-1, "b*v"))],
+    )
+    oracle = HomotopyOracle(ideal)
+    assert abelian_invariants(oracle.presentation).is_trivial
+    cu, dv = q.path(["u", "c"]), q.path(["v", "d"])
+    parent = oracle._closure[0]
+    assert homotopy._root(parent, cu.arrows) != homotopy._root(parent, dv.arrows)
+    d = oracle.decide_paths(cu, dv)
+    assert d.verdict == YES and type(d.certificate) is RewriteTrace
+    assert d.certificate.replay(oracle.presentation)
 
 
 def _pair_count_characters(q, tree, pairs, field):
