@@ -79,7 +79,6 @@ from .presentations import (
 from .relquiver import (
     RelationQuiver,
     build_relation_quiver,
-    classify_transvection,
     critical_taus,
     presentation_for_vertex,
     sources_report,

@@ -28,8 +28,8 @@ from .relquiver import build_relation_quiver, sources_report, verify_main_theore
 
 
 def _node_limit(document: InputDocument) -> int:
-    """The homotopy decision's node limit: the document's ``budget`` line,
-    else the default."""
+    """The node limit of the homotopy word search: the document's ``budget``
+    line, else the default."""
     return SEARCH_MAX_NODES if document.search_max_nodes is None else document.search_max_nodes
 
 
@@ -286,7 +286,7 @@ presentations, character spaces, first Hochschild cohomology,
 character-image subalgebras, and the succession graph of homotopy relations.
 
   FILE           input document (see the package README for the grammar); its
-                 `budget` line sets the homotopy node limit (default {SEARCH_MAX_NODES})
+                 `budget` line caps the homotopy word search (default {SEARCH_MAX_NODES} words)
   --ideal NAME   ideal name the command operates on
   --base VERTEX  base vertex for trees and fundamental groups
   --json         emit canonical JSON

@@ -23,9 +23,10 @@ generator) is the one linear form of the relation:
 The closure is a union-find over the nontrivial paths, seeded with the
 homotopy pairs and closed under two rules that hold in the fundamental
 groupoid: add, or cut, one arrow at the same end of two joined paths.  It
-never leaves the positive paths, so it misses homotopies that pass through
-an inverse arrow; the search, breadth first over closed words, finds those
-that a few relator insertions prove.  Both stop at ``search_max_nodes``.
+never leaves the positive paths, so it misses homotopies through an inverse
+arrow; the search, breadth first over closed words, finds those that a few
+relator insertions prove, in at most ``search_max_nodes`` words.  Every
+certificate replays with one call, ``certificate.replay(presentation)``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def _cyclic_reduce(w: Word) -> Word:
 
 
 class GroupPresentation:
-    """Spanning-tree presentation of the fundamental group at the base vertex.
+    """Spanning-tree presentation of the fundamental group at the base vertex,
+    with the homotopy pairs it was built from (``pairs``).
 
     ``symmetrized`` lists the words the word search may insert: every
     rotation of the cyclically reduced form of each relator and of its
@@ -94,7 +96,8 @@ class GroupPresentation:
         self.base = tree.base
         self.generators = tuple(n for n in quiver.arrow_names if not tree.contains(n))
         self._gen_index = {n: i + 1 for i, n in enumerate(self.generators)}
-        self.relators = tuple(w for w in (self.word_of_pair(u, v) for u, v in pairs) if w)
+        self.pairs = tuple(pairs)
+        self.relators = tuple(w for w in (self.word_of_pair(u, v) for u, v in self.pairs) if w)
 
     @functools.cached_property
     def symmetrized(self) -> tuple[Word, ...]:
@@ -289,12 +292,12 @@ class ClosureProof(NamedTuple):
     v: Path
     merges: tuple[Merge, ...]
 
-    def replay(self, pairs) -> bool:
+    def replay(self, presentation: GroupPresentation) -> bool:
         """Are u and v parallel, and do the merges, redone in a fresh
-        union-find under every rule, join them?"""
+        union-find under every rule on the presentation's pairs, join them?"""
         if (self.u.source, self.u.target) != (self.v.source, self.v.target):
             return False
-        parent = _replay(self.merges, pairs)
+        parent = _replay(self.merges, presentation.pairs)
         return parent is not None and _root(parent, self.u.arrows) == _root(parent, self.v.arrows)
 
 
@@ -320,18 +323,22 @@ class RewriteTrace(NamedTuple):
 
 
 class AbelianCertificate(NamedTuple):
-    """Certificate for "no": the image misses the relator row span."""
+    """Certificate for "no": the image of the pair's word misses the relator row span."""
 
+    u: Path
+    v: Path
     exponents: tuple[int, ...]
     transformed: tuple[int, ...]
     position: int
     modulus: int  # 0 means the coordinate had to vanish
 
-    def verify(self, presentation: GroupPresentation, word: Word) -> bool:
-        """Recompute the Smith coordinates of the word; the modulus must be
-        the invariant factor at the position (0 past them), and the
+    def replay(self, presentation: GroupPresentation) -> bool:
+        """Recompute the Smith coordinates of the pair's word; the modulus
+        must be the invariant factor at the position (0 past them), and the
         coordinate must not be a multiple of it."""
-        if presentation.exponent_vector(word) != self.exponents:
+        if (self.u.source, self.u.target) != (self.v.source, self.v.target):
+            return False
+        if presentation.exponent_vector(presentation.word_of_pair(self.u, self.v)) != self.exponents:
             return False
         y = presentation.smith_coordinates(self.exponents)
         d, j = presentation.smith[0], self.position
@@ -353,12 +360,11 @@ class HomotopyOracle:
     """Decides homotopy of parallel paths under one admissible ideal.
 
     The oracle reads the ideal only through its quiver and its homotopy
-    pairs (``pairs``, when the caller already has them), so it decides for
-    every ideal with the same pairs; ``ideal`` is the one it was built from.
-    Its congruence closure is built on first use, when the quiver has at
-    most ``search_max_nodes`` nontrivial paths; the word search, for a pair
-    neither the closure nor the abelianization decides, keeps at most that
-    many words.
+    pairs (``pairs``, when the caller already has them), which its
+    presentation keeps, so it decides for every ideal with the same pairs;
+    ``ideal`` is the one it was built from.  Its congruence closure is built
+    on first use; the word search, for a pair neither the closure nor the
+    abelianization decides, keeps at most ``search_max_nodes`` words.
     """
 
     def __init__(
@@ -371,33 +377,26 @@ class HomotopyOracle:
         self.ideal = ideal
         self.quiver = ideal.quiver
         self.tree = tree or self.quiver.spanning_tree(self.quiver.vertices[0])
-        self.pairs = homotopy_pairs(ideal) if pairs is None else pairs
-        self.presentation = GroupPresentation(self.quiver, self.tree, self.pairs)
+        self.presentation = GroupPresentation(self.quiver, self.tree, homotopy_pairs(ideal) if pairs is None else pairs)
         self.search_max_nodes = search_max_nodes
         self._decisions: dict[tuple[Path, Path], Decision] = {}
 
     @functools.cached_property
-    def _closure(self) -> tuple[dict, tuple[Merge, ...]] | None:
-        """The closure's union-find and merge log, the log checked once
-        here; None past the node limit."""
-        if self._path_count > self.search_max_nodes:
-            return None
-        parent, merges = _close(self.quiver, self.pairs)
-        assert _replay(merges, self.pairs) is not None
+    def _closure(self) -> tuple[dict, tuple[Merge, ...]]:
+        """The closure's union-find and merge log, the log checked once here."""
+        pairs = self.presentation.pairs
+        parent, merges = _close(self.quiver, pairs)
+        assert _replay(merges, pairs) is not None
         return parent, merges
 
-    @property
-    def _path_count(self) -> int:
-        return len(self.quiver.all_paths()) - len(self.quiver.vertices)
-
-    def _abelian_reject(self, word: Word) -> AbelianCertificate | None:
+    def _abelian_reject(self, u: Path, v: Path, word: Word) -> AbelianCertificate | None:
         x = self.presentation.exponent_vector(word)
         y = self.presentation.smith_coordinates(x)
         d = self.presentation.smith[0]
         for j, yj in enumerate(y):
             modulus = d[j] if j < len(d) else 0
             if (yj % modulus if modulus else yj) != 0:
-                return AbelianCertificate(x, y, j, modulus)
+                return AbelianCertificate(u, v, x, y, j, modulus)
         return None
 
     def decide_paths(self, u: Path, v: Path) -> Decision:
@@ -435,41 +434,35 @@ class HomotopyOracle:
     def _decide(self, u: Path, v: Path) -> Decision:
         if u.source != v.source or u.target != v.target:
             raise ValueError("homotopy pair is not parallel")
-        closure = self._closure
-        if u == v or closure is not None and _root(closure[0], u.arrows) == _root(closure[0], v.arrows):
-            return Decision(YES, ClosureProof(u, v, closure[1] if closure else ()))
+        parent, merges = self._closure
+        if _root(parent, u.arrows) == _root(parent, v.arrows):
+            return Decision(YES, ClosureProof(u, v, merges))
         word = self.presentation.word_of_pair(u, v)
-        cert = self._abelian_reject(word)
+        cert = self._abelian_reject(u, v, word)
         if cert is not None:
             return Decision(NO, cert)
         trace = self._search_trivial(u, v, word)
         if trace is not None:
             assert trace.replay(self.presentation)
             return Decision(YES, trace)
-        limit = self.search_max_nodes
-        if closure is None:
-            cause = f"no closure: {self._path_count} nontrivial paths, over the node limit {limit}; the abelianization"
-        else:
-            cause = "the closure does not join the paths, the abelianization"
-        return Decision(UNKNOWN, f"{cause} does not separate them, and the word search finds no proof in {limit} words")
-
-    def decide_arrow_path(self, arrow_name: str, path: Path) -> Decision:
-        return self.decide_paths(self.quiver.arrow_path(arrow_name), path)
+        cause = "the closure does not join the paths, the abelianization does not separate them"
+        return Decision(UNKNOWN, f"{cause}, and the word search finds no proof in {self.search_max_nodes} words")
 
     def same_relation(self, other: "HomotopyOracle") -> Decision:
         """Do the two ideals generate the same homotopy relation?
 
         Yes iff every generating pair of each relation is homotopic under the
-        other; a single certified "no" settles inequality; otherwise unknown.
+        other; a single certified "no" settles inequality, and carries the
+        judging side ("first" or "second") and its certificate; otherwise unknown.
         """
         if self.quiver is not other.quiver:
             raise ValueError("ideals over different quivers")
         sawunknown = False
-        for pairs, judge, side in ((self.pairs, other, "second"), (other.pairs, self, "first")):
-            for u, v in pairs:
+        for asker, judge, side in ((self, other, "second"), (other, self, "first")):
+            for u, v in asker.presentation.pairs:
                 d = judge.decide_paths(u, v)
                 if d.verdict == NO:
-                    return Decision(NO, ((u, v), side))
+                    return Decision(NO, (side, d.certificate))
                 if d.verdict == UNKNOWN:
                     sawunknown = True
         return Decision(UNKNOWN if sawunknown else YES)

@@ -5,10 +5,10 @@ represented by ideals reachable from a seed ideal through transvections
 (dilatations never change the relation, so they are not swept).  There is an
 arrow between two relations when some transvection turns one ideal into the
 other while the bypass pair is non-homotopic before and homotopic after;
-the homotopy oracle certifies both sides (its congruence closure or word
-search "yes", the abelianization "no"), and undecided candidates are
-quarantined rather than silently dropped.  A transvection that fixes the
-ideal relates no two relations and is not classified.
+the sweep reads the oracle's two ``Decision``s on that pair (its closure or
+word search "yes", the abelianization "no"), and undecided candidates are
+quarantined with both rather than silently dropped.  A transvection that
+fixes the ideal relates no two relations and is not decided.
 
 The quiver is acyclic, so a bypass arrow occurs at most once in a path and
 the transvection by tau maps each reduced-basis element b to b + tau*d(b),
@@ -68,11 +68,6 @@ from .presentations import (
 )
 from .quiver import Bypass, Path, SpanningTree, enumerate_bypasses, has_double_bypass
 
-COINCIDE = "coincide"
-DIRECT_SUCCESSOR = "direct-successor"
-DIRECT_PREDECESSOR = "direct-predecessor"
-EQUAL_IDEALS = "equal-ideals"
-
 
 def _splice(elem: dict, bypass: Bypass) -> dict:
     """d(elem): the terms of ``elem`` through the bypass arrow, with the
@@ -128,42 +123,6 @@ def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
             if not f.is_zero(root):
                 candidates.add(root)
     return tuple(sorted(candidates))
-
-
-class TransvectionCase(NamedTuple):
-    label: str
-    source_decision: Decision
-    target_decision: Decision
-
-
-def classify_transvection(
-    source: HomotopyOracle,
-    target: HomotopyOracle,
-    bypass: Bypass,
-    source_ideal: IdealData,
-    target_ideal: IdealData,
-) -> TransvectionCase:
-    """Classify the bypass pair under the oracles of an ideal (``source``)
-    and of its image under a transvection along ``bypass`` (``target``).
-
-    The ideals are passed as well: an oracle may be shared by every ideal
-    with its homotopy pairs, so its own ``ideal`` need not be either one.
-    """
-    a = source.decide_arrow_path(bypass.arrow, bypass.path)
-    b = target.decide_arrow_path(bypass.arrow, bypass.path)
-    if a.verdict == YES and b.verdict == YES:
-        label = COINCIDE
-    elif a.verdict == NO and b.verdict == YES:
-        label = DIRECT_SUCCESSOR
-    elif a.verdict == YES and b.verdict == NO:
-        label = DIRECT_PREDECESSOR
-    elif a.verdict == NO and b.verdict == NO:
-        if target_ideal != source_ideal:
-            raise RuntimeError("soundness violation: both sides non-homotopic but the ideals differ")
-        label = EQUAL_IDEALS
-    else:
-        label = UNKNOWN
-    return TransvectionCase(label, a, b)
 
 
 class RelationVertex(NamedTuple):
@@ -228,7 +187,7 @@ _GRAPH_MAX_VERTICES = 64
 def build_relation_quiver(
     seed: IdealData, tree: SpanningTree | None = None, search_max_nodes: int = SEARCH_MAX_NODES
 ) -> RelationQuiver:
-    """Breadth-first closure of the seed under classified transvections."""
+    """Breadth-first closure of the seed under transvections along bypasses."""
     ok, bad = seed.is_admissible()
     if not ok:
         raise ValueError(f"seed ideal is not admissible: {bad}")
@@ -268,6 +227,7 @@ def build_relation_quiver(
     for vi, vertex in enumerate(rq.vertices):
         for bp in bypasses:
             splices = _moving_splices(vertex.ideal, bp)
+            arrow_path = quiver.arrow_path(bp.arrow)
             for tau in critical_taus(vertex.ideal, bp):
                 candidates += 1
                 if candidates > _GRAPH_MAX_CANDIDATES or len(rq.vertices) > _GRAPH_MAX_VERTICES:
@@ -277,7 +237,8 @@ def build_relation_quiver(
                 if splices is None:
                     continue
                 image = _transvected(vertex.ideal, splices, tau)
-                case = classify_transvection(rq.oracle(vertex.ideal), rq.oracle(image), bp, vertex.ideal, image)
+                before = rq.oracle(vertex.ideal).decide_paths(arrow_path, bp.path)
+                after = rq.oracle(image).decide_paths(arrow_path, bp.path)
                 widx, ambiguous = locate(image)
                 back = None  # seed onto image: composed at most once per candidate
                 if widx is None:
@@ -285,21 +246,24 @@ def build_relation_quiver(
                     widx = add_vertex(image, back)
                     if ambiguous:
                         rq.ambiguous_vertices.append(widx)
-                if case.label == UNKNOWN:
-                    rq.unknown_candidates.append((vi, widx, bp, tau, case))
+                if UNKNOWN in (before.verdict, after.verdict):
+                    rq.unknown_candidates.append((vi, widx, bp, tau, before, after))
                     continue
-                if case.label == COINCIDE:
+                if before.verdict == after.verdict:
+                    if before.verdict == NO and image != vertex.ideal:
+                        raise RuntimeError("soundness violation: both sides non-homotopic but the ideals differ")
                     continue
+                # one side "no", the other "yes": an arrow leaves the "no" side;
                 # check the edge before building its arrow: most candidates give no new edge
-                edge = (vi, widx) if case.label == DIRECT_SUCCESSOR else (widx, vi)
+                edge = (vi, widx) if before.verdict == NO else (widx, vi)
                 if edge[0] == edge[1] or edge in seen_arrows:
                     continue
                 seen_arrows.add(edge)
-                if case.label == DIRECT_SUCCESSOR:
+                if before.verdict == NO:
                     arrow = RelationArrow(
                         vi, widx, bp, tau,
                         vertex.ideal, image, vertex.back_auto,
-                        case.source_decision, case.target_decision,
+                        before, after,
                     )
                 else:
                     # direct predecessor: the inverse transvection witnesses
@@ -307,7 +271,7 @@ def build_relation_quiver(
                     arrow = RelationArrow(
                         widx, vi, bp, f.neg(f.coerce(tau)),
                         image, vertex.ideal, back or transvection_of(quiver, f, bp, tau).compose(vertex.back_auto),
-                        case.target_decision, case.source_decision,
+                        after, before,
                     )
                 rq.arrows.append(arrow)
     return rq

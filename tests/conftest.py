@@ -126,6 +126,23 @@ def commutative_square(field, bound=True):
     return q, ideal, q.spanning_tree("1")
 
 
+def bridge(field, with_w=False):
+    """x, y leave S and u, v leave S2 for M1, M2; a, b reach T and c, d reach
+    T2, under <a*x - b*y, c*x - d*y, a*u - b*v>.  In the groupoid
+    u = v*y^-1*x, so c*u ~ d*v, but no pair can be extended (S and S2 have
+    no incoming arrows, T and T2 no outgoing ones) and no two joined paths
+    share an end arrow, so the congruence closure never joins c*u and d*v.
+
+    "bridge-w" adds w: S2 -> M1 and the relation c*w - d*v; its pi_1 is
+    trivial, so w ~ u, which neither the closure nor the word search proves.
+    Returns the quiver and the ideal."""
+    arrows = [("x", "S", "M1"), ("y", "S", "M2"), ("u", "S2", "M1"), ("v", "S2", "M2"),
+              ("a", "M1", "T"), ("b", "M2", "T"), ("c", "M1", "T2"), ("d", "M2", "T2")]
+    q = Quiver(["S", "S2", "M1", "M2", "T", "T2"], arrows + [("w", "S2", "M1")] * with_w)
+    pairs = [("a*x", "b*y"), ("c*x", "d*y"), ("a*u", "b*v")] + [("c*w", "d*v")] * with_w
+    return q, IdealData(q, field, [elem(q, field, (1, p), (-1, r)) for p, r in pairs])
+
+
 def chain_quiver(n):
     vertices = [str(i + 1) for i in range(n)]
     arrows = [(chr(ord("a") + i), str(i + 1), str(i + 2)) for i in range(n - 1)]

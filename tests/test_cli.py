@@ -60,6 +60,26 @@ ideal Z { 0*a }
 """
 
 
+# conftest.bridge with w: pi_1 is trivial, so w ~ u, but neither the closure
+# nor the word search proves it
+BRIDGE_W_DOC = """\
+field GF(2)
+quiver {
+  vertices S, S2, M1, M2, T, T2
+  arrow x: S -> M1
+  arrow y: S -> M2
+  arrow u: S2 -> M1
+  arrow v: S2 -> M2
+  arrow a: M1 -> T
+  arrow b: M2 -> T
+  arrow c: M1 -> T2
+  arrow d: M2 -> T2
+  arrow w: S2 -> M1
+}
+ideal I { a*x - b*y ; c*x - d*y ; a*u - b*v ; c*w - d*v }
+"""
+
+
 def write(tmp_path, text, name="doc.bq"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -287,18 +307,28 @@ ideal I { c*a + e*b ; c*a + c*d }
 
 
 def test_cli_verify_source_relation_is_unknown_while_the_budget_runs_out(tmp_path, capsys):
-    # with a node limit of one path there is no closure, so Gamma keeps its 3
-    # vertices but none of its arrows, and no source is known to share or to
-    # miss a maximal subalgebra's relation; the default limit decides both checks
+    # on bridge-w the word search runs out of its 1000 words, so Gamma keeps
+    # 2 vertices, 3 unknown candidates and an ambiguous vertex, and no source
+    # is known to share or to miss the maximal subalgebra's relation; the
+    # closure decides every candidate of the other document, so there the
+    # checks pass even when the search may keep no word
     name = "maximal subalgebra realizes over a source relation"
-    for budget, gamma, status in (
-        ("budget search_max_nodes = 1\n", {"vertex_count": 3, "arrow_count": 0, "unknown_candidates": 4}, "unknown"),
-        ("", {"vertex_count": 3, "arrow_count": 2, "unknown_candidates": 0}, "pass"),
+    for doc, gamma, checks in (
+        (
+            BRIDGE_W_DOC + "budget search_max_nodes = 1000\n",
+            {"vertex_count": 2, "arrow_count": 0, "unknown_candidates": 3},
+            [("unknown", "unknown candidates; ambiguous vertex 1")],
+        ),
+        (
+            BUDGETED_SOURCES_DOC + "budget search_max_nodes = 0\n",
+            {"vertex_count": 3, "arrow_count": 2, "unknown_candidates": 0},
+            [("pass", None), ("pass", None)],
+        ),
     ):
-        main(["verify", write(tmp_path, BUDGETED_SOURCES_DOC + budget), "--json"])
+        main(["verify", write(tmp_path, doc), "--json"])
         report = json.loads(capsys.readouterr().out)
         assert {k: report["gamma"][k] for k in gamma} == gamma
-        assert [c["status"] for c in report["checks"] if c["name"] == name] == [status, status]
+        assert [(c["status"], c["detail"]) for c in report["checks"] if c["name"] == name] == checks
 
 
 # Dense-7 #55 over GF(3): the word search this oracle replaced left one of
@@ -626,12 +656,23 @@ def test_cli_fraction_maps_into_the_field_before_it_divides(tmp_path, capsys):
 
 
 def test_cli_budget_exhaustion_reports_unknowns(tmp_path, capsys):
-    path = write(tmp_path, PARALLEL_PAIR_DOC + "budget search_max_nodes = 1\n")
-    code = main(["gamma", path, "--ideal", "I", "--json"])
+    for limit in (0, 1000):
+        path = write(tmp_path, BRIDGE_W_DOC + f"budget search_max_nodes = {limit}\n")
+        code = main(["gamma", path, "--ideal", "I", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert (report["vertices"], report["arrow_count"], report["unknown_candidates"]) == (2, 0, 3)
+        assert report["status"]["unknowns"] == ["unknown_candidates=3"]
+
+
+def test_cli_zero_node_limit_still_decides_by_the_closure(tmp_path, capsys):
+    # the node limit caps the word search alone: with no word to keep, the
+    # closure and the abelianization decide every candidate of the pair
+    path = write(tmp_path, PARALLEL_PAIR_DOC + "budget search_max_nodes = 0\n")
+    assert main(["gamma", path, "--ideal", "I", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert code == 3
-    assert report["unknown_candidates"] > 0
-    assert report["status"]["unknowns"]
+    assert (report["vertices"], report["arrow_count"], report["unknown_candidates"]) == (2, 1, 0)
+    assert report["sources"]["complete"] and not report["truncated"]
 
 
 def test_cli_budget_document_and_flags(tmp_path, monkeypatch, capsys):
@@ -675,7 +716,7 @@ def test_cli_negative_budget_is_an_input_error(tmp_path, capsys):
         assert main(["gamma", write(tmp_path, doc, "neg.bq"), "--ideal", "I"]) == 2
         err = capsys.readouterr().err
         assert "line 12" in err and "budget values are nonnegative integers" in err
-    doc = PARALLEL_PAIR_DOC + "budget search_max_nodes = 0\n"
+    doc = BRIDGE_W_DOC + "budget search_max_nodes = 0\n"
     assert main(["gamma", write(tmp_path, doc, "zero.bq"), "--ideal", "I"]) == 3
 
 

@@ -16,10 +16,11 @@ from bquiver import (
     Quiver,
 )
 from bquiver import homotopy
-from bquiver.homotopy import AbelianCertificate, ClosureProof, RewriteTrace
+from bquiver.homotopy import SEARCH_MAX_NODES, AbelianCertificate, ClosureProof, RewriteTrace
 from bquiver.linalg import _clean, nullspace
 
 from conftest import (
+    bridge,
     commutative_square,
     elem,
     kronecker,
@@ -131,18 +132,17 @@ def test_decide_homotopic_golden_cases():
     oracle = HomotopyOracle(diff)
     yes = oracle.decide_paths(a, b)
     assert yes.verdict == YES
-    assert yes.certificate.replay(oracle.pairs)
+    assert yes.certificate.replay(oracle.presentation)
     # c*a ~ c*b is the pair itself; a ~ b cuts the common arrow c
     assert [via for _, _, via in yes.certificate.merges] == [None, (("a", "c"), ("b", "c"))]
     no = HomotopyOracle(mono).decide_paths(a, b)
     assert no.verdict == NO
-    oracle = HomotopyOracle(mono, tree)
-    word = oracle.presentation.word_of_pair(a, b)
-    assert no.certificate.verify(oracle.presentation, word)
+    assert no.certificate.replay(HomotopyOracle(mono, tree).presentation)
+    # the monomial ideal has no pairs, so the closure has no merge to log
     e1 = q.trivial_path("1")
     trivial = HomotopyOracle(mono).decide_paths(e1, e1)
     assert trivial == (YES, ClosureProof(e1, e1, ()))
-    assert trivial.certificate.replay(())
+    assert trivial.certificate.replay(HomotopyOracle(mono).presentation)
     # the relator f*e^-1*f^-1 kills e; the closure joins d and e by cutting
     # a, then f, off the start of the pair d*f*a ~ e*f*a, and then adds c
     q = Quiver(
@@ -152,8 +152,8 @@ def test_decide_homotopic_golden_cases():
     ideal = IdealData(q, QQ, [elem(q, QQ, (1, "e*f*a"), (-1, "d*f*a"))])
     oracle = HomotopyOracle(ideal)
     assert [oracle.presentation.show_word(r) for r in oracle.presentation.relators] == ["f*e^-1*f^-1"]
-    d = oracle.decide_arrow_path("e", q.arrow_path("d"))
-    assert d.verdict == YES and d.certificate.replay(oracle.pairs)
+    d = oracle.decide_paths(q.arrow_path("e"), q.arrow_path("d"))
+    assert d.verdict == YES and d.certificate.replay(oracle.presentation)
     assert [(x, y) for x, y, _ in d.certificate.merges] == [
         (("a", "f", "d"), ("a", "f", "e")), (("f", "d"), ("f", "e")), (("d",), ("e",)), (("c", "d"), ("c", "e"))
     ]
@@ -177,26 +177,32 @@ def test_decide_tree_detour_is_homotopic():
     assert oracle.decide_paths(u, u).verdict == YES
 
 
+def _bridge():
+    """The bridge of ``conftest.bridge`` over QQ with its pair c*u, d*v."""
+    q, ideal = bridge(QQ)
+    return q, ideal, q.path(["u", "c"]), q.path(["v", "d"])
+
+
 def test_decide_budget_exhaustion_goes_unknown():
-    # the quiver has 5 nontrivial paths: a, b, c, c*a and c*b, and the word
-    # of a and b is one relator insertion from the unit
+    # the node limit caps the word search alone: with no word to keep, the
+    # bridge's pair is unknown, while the closure and the abelianization
+    # still decide what they decide at any limit
+    q, ideal, cu, dv = _bridge()
+    d = HomotopyOracle(ideal, search_max_nodes=0).decide_paths(cu, dv)
+    assert d == (
+        UNKNOWN,
+        "the closure does not join the paths, the abelianization does not separate them, and the word"
+        " search finds no proof in 0 words",
+    )
+    oracle = HomotopyOracle(ideal)
+    assert oracle.search_max_nodes == SEARCH_MAX_NODES
+    d = oracle.decide_paths(cu, dv)
+    assert d == (YES, RewriteTrace(cu, dv, d.certificate.steps)) and d.certificate.replay(oracle.presentation)
     q, mono, diff, tree = parallel_pair(QQ)
     a, b = q.arrow_path("a"), q.arrow_path("b")
-    for limit in (0, 1):
-        d = HomotopyOracle(diff, search_max_nodes=limit).decide_paths(a, b)
-        assert d == (
-            UNKNOWN,
-            f"no closure: 5 nontrivial paths, over the node limit {limit}; the abelianization does not"
-            f" separate them, and the word search finds no proof in {limit} words",
-        )
-        # the abelian "no" and a path's homotopy to itself need no closure
-        assert HomotopyOracle(mono, search_max_nodes=limit).decide_paths(a, b).verdict == NO
-        assert HomotopyOracle(diff, search_max_nodes=limit).decide_paths(a, a).verdict == YES
-    # under the closure's limit the search proves it, and at 5 the closure
-    oracle = HomotopyOracle(diff, search_max_nodes=4)
-    d = oracle.decide_paths(a, b)
-    assert d == (YES, RewriteTrace(a, b, d.certificate.steps)) and d.certificate.replay(oracle.presentation)
-    assert type(HomotopyOracle(diff, search_max_nodes=5).decide_paths(a, b).certificate) is ClosureProof
+    assert HomotopyOracle(mono, search_max_nodes=0).decide_paths(a, b).verdict == NO
+    assert type(HomotopyOracle(diff, search_max_nodes=0).decide_paths(a, b).certificate) is ClosureProof
+    assert HomotopyOracle(diff, search_max_nodes=0).decide_paths(a, a).verdict == YES
 
 
 def test_an_unknown_past_the_closure_names_its_cause():
@@ -215,7 +221,7 @@ def test_an_unknown_past_the_closure_names_its_cause():
         "the closure does not join the paths, the abelianization does not separate them, and the word"
         " search finds no proof in 1000 words",
     )
-    assert oracle.decide_paths(*oracle.pairs[0]).verdict == YES
+    assert oracle.decide_paths(*oracle.presentation.pairs[0]).verdict == YES
 
 
 def test_decide_never_contradicts_itself():
@@ -249,26 +255,42 @@ def test_relations_equal_golden():
         assert HomotopyOracle(diff).same_relation(HomotopyOracle(D.apply_to_ideal(diff))).verdict == YES
 
 
+def test_a_different_relation_carries_a_replaying_certificate():
+    # <c*a> rejects the pair c*a ~ c*b of <c*a - c*b> from either side: the
+    # "no" names the judging side and carries the judge's certificate, which
+    # replays against the judge's presentation only
+    q, mono, diff, tree = parallel_pair(QQ)
+    judge, asker = HomotopyOracle(mono, tree), HomotopyOracle(diff, tree)
+    for d, side in ((asker.same_relation(judge), "second"), (judge.same_relation(asker), "first")):
+        verdict, (named, cert) = d
+        assert (verdict, named) == (NO, side)
+        assert type(cert) is AbelianCertificate and (cert.u, cert.v) == asker.presentation.pairs[0]
+        assert cert.replay(judge.presentation) and not cert.replay(asker.presentation)
+        # a forged modulus does not replay
+        assert not cert._replace(modulus=cert.modulus + 2).replay(judge.presentation)
+
+
 def test_replay_rejects_a_forged_closure_proof():
     # a merge log names each path by its arrows; under <c*a - c*b> the
     # closure joins a and b by cutting c off its pair
     q, mono, diff, tree = parallel_pair(QQ)
     a, b = q.arrow_path("a"), q.arrow_path("b")
+    pres = HomotopyOracle(diff, tree).presentation
     found = HomotopyOracle(diff, tree).decide_paths(a, b)
-    assert found.verdict == YES and found.certificate.replay(homotopy_pairs(diff))
+    assert found.verdict == YES and found.certificate.replay(pres)
     pair = (("a", "c"), ("b", "c"))
     assert found.certificate.merges == (pair + (None,), (("a",), ("b",), pair))
     # a via that is not joined yet
-    assert not ClosureProof(a, b, found.certificate.merges[1:]).replay(homotopy_pairs(diff))
+    assert not ClosureProof(a, b, found.certificate.merges[1:]).replay(pres)
     # a genuine proof replays under its own pairs only: the monomial ideal
     # lacks the pair it starts from
-    assert not found.certificate.replay(homotopy_pairs(mono))
+    assert not found.certificate.replay(HomotopyOracle(mono, tree).presentation)
     # 1 => 2 => 3 under <y0*x0 - y1*x1>: the pair shares no arrow at
     # either end, so the closure joins nothing else
     q = Quiver(["1", "2", "3"], [("x0", "1", "2"), ("x1", "1", "2"), ("y0", "2", "3"), ("y1", "2", "3")])
     ideal = IdealData(q, QQ, [elem(q, QQ, (1, "y0*x0"), (-1, "y1*x1"))])
     oracle = HomotopyOracle(ideal)
-    genuine = oracle.decide_paths(*oracle.pairs[0])
+    genuine = oracle.decide_paths(*oracle.presentation.pairs[0])
     pair = (("x0", "y0"), ("x1", "y1"))
     assert genuine.verdict == YES and genuine.certificate.merges == (pair + (None,),)
     x0, x1, y0, y1 = (q.arrow_path(name) for name in ("x0", "x1", "y0", "y1"))
@@ -288,7 +310,7 @@ def test_replay_rejects_a_forged_closure_proof():
         ClosureProof(q.trivial_path("1"), q.trivial_path("2"), ()),
     ]
     for proof in forged:
-        assert not proof.replay(oracle.pairs), proof
+        assert not proof.replay(oracle.presentation), proof
     assert oracle.decide_paths(x0, x1).verdict == NO
 
 
@@ -298,7 +320,7 @@ def test_replay_rejects_a_forged_insertion():
     q, ideal, _, tree = two_triangles_pair(GF(2))
     oracle = HomotopyOracle(ideal, tree)
     pres = oracle.presentation
-    (u, v), = oracle.pairs
+    (u, v), = pres.pairs
     relator = pres.word_of_pair(u, v)
     assert pres.relators == (relator,) == ((1, -2),)
     a, bc = q.arrow_path("a"), q.path(["b", "c"])
@@ -314,15 +336,13 @@ def test_replay_rejects_a_forged_insertion():
     assert not RewriteTrace(u, v, ((len(relator) + 1, inverse),)).replay(pres)
     assert not RewriteTrace(a, bc, ((len(relator), inverse),)).replay(pres)
     assert not RewriteTrace(q.trivial_path("1"), q.trivial_path("2"), ()).replay(pres)
-    # a "yes" of the search replays under its presentation only: past the
-    # closure's limit the search proves a ~ b under <c*a - c*b> by inserting
-    # the relator, which the monomial ideal's presentation lacks
-    q, mono, diff, tree = parallel_pair(QQ)
-    a, b = q.arrow_path("a"), q.arrow_path("b")
-    oracle = HomotopyOracle(diff, tree, search_max_nodes=2)
-    found = oracle.decide_paths(a, b)
+    # a "yes" of the search replays under its presentation only: on the
+    # bridge it inserts relators that a presentation without pairs lacks
+    q, ideal, cu, dv = _bridge()
+    oracle = HomotopyOracle(ideal)
+    found = oracle.decide_paths(cu, dv)
     assert type(found.certificate) is RewriteTrace and found.certificate.replay(oracle.presentation)
-    bare = HomotopyOracle(mono, tree).presentation
+    bare = GroupPresentation(q, oracle.tree, ())
     assert not bare.relators and not found.certificate.replay(bare)
 
 
@@ -338,11 +358,11 @@ def test_relations_equal_random_dilatations():
         first, second = HomotopyOracle(ideal), HomotopyOracle(image)
         assert first.same_relation(second).verdict == YES
         # memoized decisions repeat, and a memoized "yes" still replays
-        for u, v in first.pairs:
+        for u, v in first.presentation.pairs:
             d = second.decide_paths(u, v)
             again = second.decide_paths(u, v)
             assert again is d and d.verdict == YES
-            assert again.certificate.replay(second.pairs)
+            assert again.certificate.replay(second.presentation)
     # equal ideals over two separately built quivers are not comparable
     with pytest.raises(ValueError):
         HomotopyOracle(parallel_pair(QQ)[1]).same_relation(HomotopyOracle(parallel_pair(QQ)[1]))
@@ -417,21 +437,22 @@ def test_relator_preimages_are_closed_walks():
 
 def test_symmetrized_relators_insert_cyclic_reductions():
     # the relator f*e^-1*f^-1 is not cyclically reduced; its symmetrized
-    # set holds e^-1 and e, so past the closure's limit (13 nontrivial
-    # paths) the search decides e trivial at once
+    # set holds e^-1 and e, so the search decides e trivial at once.  The
+    # closure joins e and d first, so the search is asked directly
     q = Quiver(
         ["1", "2", "3", "4", "5"],
         [("a", "1", "2"), ("b", "1", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "4", "5"), ("f", "2", "4")],
     )
     ideal = IdealData(q, QQ, [elem(q, QQ, (1, "e*f*a"), (-1, "d*f*a"))])
-    oracle = HomotopyOracle(ideal, search_max_nodes=12)
+    oracle = HomotopyOracle(ideal)
     pres = oracle.presentation
     assert pres.generators == ("e", "f")
     assert [pres.show_word(r) for r in pres.relators] == ["f*e^-1*f^-1"]
     assert [pres.show_word(w) for w in pres.symmetrized] == ["e^-1", "e"]
     e, d = q.arrow_path("e"), q.arrow_path("d")
-    assert oracle.decide_paths(e, d) == (YES, RewriteTrace(e, d, ((0, (-1,)),)))
-    assert oracle.decide_paths(e, d).certificate.replay(pres)
+    assert type(oracle.decide_paths(e, d).certificate) is ClosureProof
+    trace = oracle._search_trivial(e, d, pres.word_of_pair(e, d))
+    assert trace == RewriteTrace(e, d, ((0, (-1,)),)) and trace.replay(pres)
     # every rotation of a cyclically reduced relator and of its inverse
     # is listed once, in relator order
     for golden in (two_triangles_pair(GF(2))[1], commutative_square(QQ)[1]):
@@ -447,23 +468,9 @@ def test_symmetrized_relators_insert_cyclic_reductions():
 
 
 def test_the_word_search_proves_what_the_closure_misses():
-    # x, y leave S and u, v leave S2 for M1, M2; a, b reach T and c, d reach
-    # T2, under <a*x - b*y, c*x - d*y, a*u - b*v>.  In the groupoid
-    # u = v*y^-1*x, so c*u ~ d*v, but no pair can be extended (S and S2 have
-    # no incoming arrows, T and T2 no outgoing ones) and no two joined paths
-    # share an end arrow, so the closure never joins c*u and d*v
-    q = Quiver(
-        ["S", "S2", "M1", "M2", "T", "T2"],
-        [("x", "S", "M1"), ("y", "S", "M2"), ("u", "S2", "M1"), ("v", "S2", "M2"),
-         ("a", "M1", "T"), ("b", "M2", "T"), ("c", "M1", "T2"), ("d", "M2", "T2")],
-    )
-    ideal = IdealData(
-        q, QQ, [elem(q, QQ, (1, "a*x"), (-1, "b*y")), elem(q, QQ, (1, "c*x"), (-1, "d*y")),
-                elem(q, QQ, (1, "a*u"), (-1, "b*v"))],
-    )
+    q, ideal, cu, dv = _bridge()
     oracle = HomotopyOracle(ideal)
     assert abelian_invariants(oracle.presentation).is_trivial
-    cu, dv = q.path(["u", "c"]), q.path(["v", "d"])
     parent = oracle._closure[0]
     assert homotopy._root(parent, cu.arrows) != homotopy._root(parent, dv.arrows)
     d = oracle.decide_paths(cu, dv)
@@ -552,11 +559,7 @@ def test_smith_form_is_computed_once_per_presentation(monkeypatch):
     decisions = [oracle.decide_paths(u, v) for u, v in pairs]
     assert [d.verdict for d in decisions] == [NO, NO, NO, YES]
     assert [pres.word_of_pair(u, v) for u, v in pairs] == [(1,), (2,), (1, 2), (1, -2)]
-    for (u, v), d in zip(pairs, decisions):
-        if d.verdict == NO:
-            assert d.certificate.verify(pres, pres.word_of_pair(u, v))
-        else:
-            assert d.certificate.replay(oracle.pairs)
+    assert all(d.certificate.replay(pres) for d in decisions)
     assert len(calls) == 1
 
 
@@ -567,7 +570,7 @@ def test_abelian_certificate_replay_rejects_a_forged_modulus():
     q, ideal, _, tree = two_triangles_pair(GF(2))
     oracle = HomotopyOracle(ideal, tree)
     pres = oracle.presentation
-    (u, v), = oracle.pairs
+    (u, v), = pres.pairs
     word = pres.word_of_pair(u, v)
     assert word == (1, -2) and oracle.decide_paths(u, v).verdict == YES
     x = pres.exponent_vector(word)
@@ -575,22 +578,23 @@ def test_abelian_certificate_replay_rejects_a_forged_modulus():
     assert pres.smith[0] == (1,) and y == (1, 0)
     for position in (-2, -1, 0, 1, 2):
         for modulus in (0, 1, 2, 3):
-            assert not AbelianCertificate(x, y, position, modulus).verify(pres, word)
-    # a genuine "no" replays, and the same claim with another modulus does not:
-    # a against c*b is the word a
+            assert not AbelianCertificate(u, v, x, y, position, modulus).replay(pres)
+    # a genuine "no" replays, and the same claim with another modulus, or
+    # for another pair, does not: a against c*b is the word a
     no = oracle.decide_paths(q.arrow_path("a"), q.path(["b", "c"]))
-    assert no.verdict == NO and no.certificate.verify(pres, (1,))
+    assert no.verdict == NO and no.certificate.replay(pres)
     cert = no.certificate
     for modulus in (2, 3):
         if modulus != cert.modulus:
-            forged = AbelianCertificate(cert.exponents, cert.transformed, cert.position, modulus)
-            assert not forged.verify(pres, (1,))
+            assert not cert._replace(modulus=modulus).replay(pres)
+    assert not cert._replace(u=u, v=v).replay(pres)
+    assert not cert._replace(u=q.trivial_path("1"), v=q.trivial_path("2")).replay(pres)
 
 
 def test_every_certificate_replays():
     # every parallel pair of nontrivial paths under the golden ideals and the
-    # seeded draws of test_arrow_witnesses_replay: each "yes" replays under
-    # the oracle's pairs, each "no" verifies under its presentation
+    # seeded draws of test_arrow_witnesses_replay: each "yes" and each "no"
+    # replays under the oracle's presentation, whatever its certificate
     ideals = [
         *parallel_pair(QQ)[1:3],
         *parallel_pair(GF(3))[1:3],
@@ -614,8 +618,6 @@ def test_every_certificate_replays():
                     continue
                 d = oracle.decide_paths(u, v)
                 verdicts[d.verdict] += 1
-                if d.verdict == YES:
-                    assert d.certificate.replay(oracle.pairs)
-                elif d.verdict == NO:
-                    assert d.certificate.verify(oracle.presentation, oracle.presentation.word_of_pair(u, v))
+                if d.verdict != UNKNOWN:
+                    assert d.certificate.replay(oracle.presentation)
     assert verdicts[YES] > 100 and verdicts[NO] > 100

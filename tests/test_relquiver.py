@@ -8,6 +8,7 @@ import pytest
 from bquiver import (
     CohomologyClass,
     CohomologySpace,
+    Decision,
     FDAlgebra,
     GF,
     HomotopyOracle,
@@ -16,12 +17,11 @@ from bquiver import (
     Presentation,
     QQ,
     Quiver,
+    UNKNOWN,
     YES,
     build_relation_quiver,
-    classify_transvection,
     critical_taus,
     enumerate_bypasses,
-    homotopy_pairs,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     presentation_for_vertex,
@@ -31,16 +31,10 @@ from bquiver import (
     verify_main_theorem,
 )
 from bquiver.homotopy import SEARCH_MAX_NODES
-from bquiver.relquiver import (
-    COINCIDE,
-    DIRECT_PREDECESSOR,
-    DIRECT_SUCCESSOR,
-    EQUAL_IDEALS,
-    _incompleteness,
-    enumerate_spans,
-)
+from bquiver.relquiver import _incompleteness, enumerate_spans
 
 from conftest import (
+    bridge,
     chain_with_monomials,
     commutative_square,
     elem,
@@ -80,36 +74,34 @@ def test_critical_taus_rational_cancellations():
     assert critical_taus(mono, bypass_named(q, "b")) == (Fraction(-1), Fraction(1))
 
 
-def test_classify_transvection_cases():
+def bypass_verdicts(ideal, image, tree, bp):
+    """The verdicts on the bypass pair under an ideal and under its image."""
+    u = ideal.quiver.arrow_path(bp.arrow)
+    return tuple(HomotopyOracle(i, tree).decide_paths(u, bp.path).verdict for i in (ideal, image))
+
+
+def test_transvection_verdicts_on_the_bypass_pair():
     q, mono, diff, tree = parallel_pair(QQ)
     bp_a, bp_b = bypass_named(q, "a"), bypass_named(q, "b")
+    # "no" before and "yes" after: the image is a direct successor
     image = transvection_of(q, QQ, bp_a, -1).apply_to_ideal(mono)
-    case = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image, tree), bp_a, mono, image)
-    assert case.label == DIRECT_SUCCESSOR
-    assert image == diff
-    assert case.source_decision.verdict == NO
-    assert case.target_decision.verdict == YES
-    # the untouched bypass leaves the ideal alone
+    assert image == diff and bypass_verdicts(mono, image, tree, bp_a) == (NO, YES)
+    # the untouched bypass leaves the ideal alone: "no" on both sides
     image2 = transvection_of(q, QQ, bp_b, 1).apply_to_ideal(mono)
-    assert image2 == mono
-    case2 = classify_transvection(HomotopyOracle(mono, tree), HomotopyOracle(image2, tree), bp_b, mono, image2)
-    assert case2.label == EQUAL_IDEALS
+    assert image2 == mono and bypass_verdicts(mono, image2, tree, bp_b) == (NO, NO)
     # from the finer relation back: the inverse scalar exposes a predecessor
     image3 = transvection_of(q, QQ, bp_a, 1).apply_to_ideal(diff)
-    case3 = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image3, tree), bp_a, diff, image3)
-    assert case3.label == DIRECT_PREDECESSOR
-    assert image3 == mono
+    assert image3 == mono and bypass_verdicts(diff, image3, tree, bp_a) == (YES, NO)
     with pytest.raises(ValueError):
         transvection_of(q, QQ, bp_a, 0)
 
 
-def test_classify_transvection_coincide_case():
+def test_transvection_verdicts_coincide():
     q, _, diff, tree = parallel_pair(GF(3))
     bp_a = bypass_named(q, "a")
     # tau = 2 maps <c*a - c*b> to <c*a + c*b>, another trivial-group relation
     image = transvection_of(q, GF(3), bp_a, 2).apply_to_ideal(diff)
-    case = classify_transvection(HomotopyOracle(diff, tree), HomotopyOracle(image, tree), bp_a, diff, image)
-    assert case.label == COINCIDE
+    assert bypass_verdicts(diff, image, tree, bp_a) == (YES, YES)
     assert HomotopyOracle(diff).same_relation(HomotopyOracle(image)).verdict == YES
 
 
@@ -208,11 +200,11 @@ def test_arrow_witnesses_replay():
             # certified on both sides
             assert arrow.before.verdict == NO
             assert arrow.after.verdict == YES
-            assert arrow.after.certificate.replay(homotopy_pairs(arrow.target_ideal))
             src_oracle = HomotopyOracle(arrow.source_ideal, rq.tree)
             tgt_oracle = HomotopyOracle(arrow.target_ideal, rq.tree)
-            assert src_oracle.decide_arrow_path(arrow.bypass.arrow, arrow.bypass.path).verdict == NO
-            assert tgt_oracle.decide_arrow_path(arrow.bypass.arrow, arrow.bypass.path).verdict == YES
+            assert arrow.before.certificate.replay(src_oracle.presentation)
+            assert arrow.after.certificate.replay(tgt_oracle.presentation)
+            assert bypass_verdicts(arrow.source_ideal, arrow.target_ideal, rq.tree, arrow.bypass) == (NO, YES)
             # the representatives carry the same relations as the endpoints
             for ideal, vertex in ((arrow.source_ideal, arrow.source), (arrow.target_ideal, arrow.target)):
                 fresh = HomotopyOracle(rq.vertices[vertex].ideal)
@@ -223,22 +215,23 @@ def test_gamma_builds_one_oracle_per_classified_transvection(monkeypatch):
     from bquiver import homotopy, relquiver
 
     built = []
-    classified = []
+    classified = []  # (ideal, image) of each transvection the sweep decides on
 
     class CountingOracle(HomotopyOracle):
         def __init__(self, ideal, *args, **kwargs):
             super().__init__(ideal, *args, **kwargs)
-            built.append((ideal, self.pairs))
+            built.append((ideal, self.presentation.pairs))
 
-    classify = relquiver.classify_transvection
+    transvected = relquiver._transvected
 
-    def counting_classify(*args, **kwargs):
-        classified.append(args)
-        return classify(*args, **kwargs)
+    def counting_transvected(ideal, *args):
+        image = transvected(ideal, *args)
+        classified.append((ideal, image))
+        return image
 
     monkeypatch.setattr(relquiver, "HomotopyOracle", CountingOracle)
     monkeypatch.setattr(homotopy, "HomotopyOracle", CountingOracle)
-    monkeypatch.setattr(relquiver, "classify_transvection", counting_classify)
+    monkeypatch.setattr(relquiver, "_transvected", counting_transvected)
     # over GF(3), <c*a + c*b> and <c*a + 2*c*b> carry the same pairs
     for (q, ideal, twisted, tree), vertex_count in ((two_triangles_pair(GF(2)), 3), (parallel_pair(GF(3)), 2)):
         built.clear()
@@ -254,13 +247,13 @@ def test_gamma_builds_one_oracle_per_classified_transvection(monkeypatch):
         assert len(set(ideals)) == len(ideals)
         pairs = [p for _, p in built]
         assert len(set(pairs)) == len(pairs)
-        held = {ideal} | {i for args in classified for i in args[3:]}
-        assert all(rq.oracle(i).pairs == homotopy.homotopy_pairs(i) for i in held)
+        held = {ideal} | {i for pair in classified for i in pair}
+        assert all(rq.oracle(i).presentation.pairs == homotopy.homotopy_pairs(i) for i in held)
     # the last Γ held more ideals than relations
     assert len(held) > len(built)
 
 
-def test_a_shared_oracle_keeps_the_equal_ideals_guard():
+def test_a_shared_oracle_keeps_the_equal_ideals_guard(monkeypatch):
     # monomial ideals have no homotopy pairs, so Γ gives <c*a> and <c*b>
     # one oracle, whose own ideal is the first of them it saw
     q, mono, _, tree = parallel_pair(QQ)
@@ -269,13 +262,35 @@ def test_a_shared_oracle_keeps_the_equal_ideals_guard():
     oracle = rq.oracle(mono)
     assert rq.oracle(other) is oracle and oracle.ideal == mono != other
     bp_b = bypass_named(q, "b")
-    assert oracle.decide_arrow_path(bp_b.arrow, bp_b.path).verdict == NO
-    assert classify_transvection(oracle, oracle, bp_b, mono, mono).label == EQUAL_IDEALS
-    # both sides non-homotopic while the ideals the caller holds differ
+    assert oracle.decide_paths(q.arrow_path(bp_b.arrow), bp_b.path).verdict == NO
+    # the sweep compares the ideals it holds, not the oracles' own: an oracle
+    # that says "no" on both sides of a transvection that moves the ideal
+    # (a -> a + tau*b takes <c*a> to <c*a + tau*c*b>) breaks soundness
+    monkeypatch.setattr(HomotopyOracle, "decide_paths", lambda self, u, v: Decision(NO))
     with pytest.raises(RuntimeError, match="soundness"):
-        classify_transvection(oracle, oracle, bp_b, mono, other)
-    with pytest.raises(RuntimeError, match="soundness"):
-        classify_transvection(oracle, oracle, bp_b, other, mono)
+        build_relation_quiver(mono, tree)
+
+
+def test_unknown_candidates_hold_both_decisions():
+    # on bridge-w the closure leaves w ~ u undecided and the word search
+    # finds no proof in 1000 words: Γ keeps its seed and one image, whose
+    # relation it cannot compare with the seed's, and quarantines the three
+    # candidates between them with the decision on each side
+    q, ideal = bridge(GF(2), with_w=True)
+    for limit in (0, 1000):
+        rq = build_relation_quiver(ideal, None, limit)
+        assert (len(rq.vertices), rq.arrows, rq.ambiguous_vertices, rq.truncated) == (2, [], [1], False)
+        assert [(vi, wi, bp.arrow, tau) for vi, wi, bp, tau, _, _ in rq.unknown_candidates] == [
+            (0, 1, "u", 1), (0, 1, "w", 1), (1, 0, "u", 1)
+        ]
+        verdicts = [(before.verdict, after.verdict) for *_, before, after in rq.unknown_candidates]
+        assert verdicts == [(UNKNOWN, YES), (UNKNOWN, YES), (YES, UNKNOWN)]
+        # "before" is the decision under the ideal of the candidate's vertex
+        # itself, and a decided one replays against its presentation
+        for vi, _, bp, _, before, _ in rq.unknown_candidates:
+            oracle = rq.oracle(rq.vertices[vi].ideal)
+            assert before is oracle.decide_paths(q.arrow_path(bp.arrow), bp.path)
+            assert before.verdict == UNKNOWN or before.certificate.replay(oracle.presentation)
 
 
 def test_splices_decide_the_fixed_ideals_and_span_the_images():
@@ -364,8 +379,8 @@ def test_factorization_witness_for_the_char_two_twist():
     mid = transvection_of(q, GF(2), bp_a, 1).apply_to_ideal(ideal)
     end = transvection_of(q, GF(2), bp_d, 1).apply_to_ideal(mid)
     assert end == ideal
-    first = HomotopyOracle(mid, tree).decide_arrow_path("a", bp_a.path)
-    second = HomotopyOracle(end, tree).decide_arrow_path("d", bp_d.path)
+    first = HomotopyOracle(mid, tree).decide_paths(q.arrow_path("a"), bp_a.path)
+    second = HomotopyOracle(end, tree).decide_paths(q.arrow_path("d"), bp_d.path)
     assert first.verdict == YES and second.verdict == NO
 
 
@@ -550,7 +565,8 @@ def test_relation_quiver_robust_on_random_instances():
         for arrow in rq.arrows:
             assert arrow.before.verdict == NO
             assert arrow.after.verdict == YES
-            assert arrow.after.certificate.replay(homotopy_pairs(arrow.target_ideal))
+            assert arrow.before.certificate.replay(rq.oracle(arrow.source_ideal).presentation)
+            assert arrow.after.certificate.replay(rq.oracle(arrow.target_ideal).presentation)
         # every vertex is reachable from some source along definite arrows
         # or was quarantined as ambiguous
         reachable = set(report["sources"])
