@@ -15,7 +15,9 @@ the transvection by tau maps each reduced-basis element b to b + tau*d(b),
 where the splice d(b) replaces the arrow by the bypass path.  It fixes the
 ideal exactly when every d(b) lies in the ideal, which does not depend on
 tau: the sweep tests this once per (ideal, bypass) and otherwise spans the
-image from the rows b + tau*d(b), building no automorphism.
+image from its unmoved rows and the moved rows b + tau*d(b), building no
+automorphism.  Over GF(p) it lists every unit tau but transvects one per
+dilatation orbit (``_orbit_order``) and replays that outcome for the rest.
 
 Γ keeps the tree and the homotopy node limit it was built under and owns one
 memoized homotopy oracle per homotopy relation (``RelationQuiver.oracle``):
@@ -31,6 +33,7 @@ maximal subalgebra onto a source image.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -93,24 +96,47 @@ def _moving_splices(ideal: IdealData, bypass: Bypass) -> list[dict] | None:
 
 def _transvected(ideal: IdealData, splices: list[dict], tau) -> IdealData:
     """The image of the ideal under the transvection by tau (a field
-    element), spanned by the rows b + tau*d(b) of its reduced basis."""
+    element), spanned by the rows b + tau*d(b) of its reduced basis.  The
+    rows with no splice stay, already reduced against each other, so the
+    echelon starts from them and takes in only the moved rows."""
     f = ideal.field
     echelon = _Echelon(f, ideal._echelon.lead)
+    echelon.rows = {p: b for p, b, d in zip(ideal.pivot_paths, ideal.basis, splices) if not d}
     for b, d in zip(ideal.basis, splices):
-        row = dict(b)
-        f.add_multiple(row, tau, d)
-        echelon.insert(row)
+        if d:
+            row = dict(b)
+            f.add_multiple(row, tau, d)
+            echelon.insert(row)
     return IdealData._of(ideal.quiver, f, echelon)
+
+
+def _orbit_order(oracle: HomotopyOracle, before: Decision, field) -> int:
+    """h such that the transvections by tau and tau' along a bypass, whose
+    pair's word w the oracle decided as ``before``, give images with the same
+    supports, pairs and oracle when tau^h == tau'^h.
+
+    A dilatation that is 1 on the tree and constant on the homotopy pairs, a
+    character lambda of pi_1 into GF(p)*, fixes the ideal and conjugates the
+    transvection by tau to the one by tau*lambda(w).  The lambda(w) fill the
+    subgroup of order h, the order of w in G/(p-1)G, G = pi_1^ab: the lcm of
+    m_j/gcd(y_j, m_j), y = w's Smith coordinates, m_j = gcd(d_j, p-1).  Only
+    an abelian "no" leaves w nonzero in G.
+    """
+    if not isinstance(field, PrimeField) or before.verdict != NO:
+        return 1
+    y, d, n = before.certificate.transformed, oracle.presentation.smith[0], field.p - 1
+    moduli = [math.gcd(x, n) for x in d] + [n] * (len(y) - len(d))
+    return math.lcm(*(m // math.gcd(yj, m) for yj, m in zip(y, moduli)))
 
 
 def critical_taus(ideal: IdealData, bypass: Bypass) -> tuple:
     """Scalars at which the substituted ideal can change support.
 
     Over a prime field every nonzero scalar is listed (the sweep is
-    exhaustive).  Over the rationals the list is the heuristic one: +-1
-    together with every single-coefficient cancellation; in an acyclic
-    quiver each arrow occurs at most once per path, so those cancellation
-    conditions are all linear.
+    exhaustive, though it transvects one tau per dilatation orbit).  Over
+    the rationals the list is the heuristic one: +-1 together with every
+    single-coefficient cancellation; in an acyclic quiver each arrow occurs
+    at most once per path, so those cancellation conditions are all linear.
     """
     f = ideal.field
     if isinstance(f, PrimeField):
@@ -145,12 +171,15 @@ class RelationArrow(NamedTuple):
 class RelationQuiver:
     """Γ as the sweep builds it: vertices and arrows are appended, and
     ``truncated``, ``unknown_candidates`` and ``ambiguous_vertices`` record
-    why it may be incomplete."""
+    why it may be incomplete.  An unknown candidate is ``(source, target,
+    bypass, tau, before, after, oracle)``, ``after`` decided by ``oracle``,
+    the image's."""
 
     def __init__(self, seed: IdealData, tree: SpanningTree, search_max_nodes: int):
         self.seed = seed
         self.tree = tree
         self.search_max_nodes = search_max_nodes
+        self.bypasses = enumerate_bypasses(seed.quiver)
         self.vertices: list[RelationVertex] = []
         self.arrows: list[RelationArrow] = []
         self.unknown_candidates: list = []
@@ -193,28 +222,28 @@ def build_relation_quiver(
         raise ValueError(f"seed ideal is not admissible: {bad}")
     quiver = seed.quiver
     f = seed.field
-    bypasses = enumerate_bypasses(quiver)
     rq = RelationQuiver(seed, tree or quiver.spanning_tree(quiver.vertices[0]), search_max_nodes)
 
-    # Every ideal already located, with its vertex.  The oracles are
-    # deterministic and vertices are only appended, so scanning the same
-    # ideal again would reach the same vertex.
-    located: dict[IdealData, int] = {}
+    # The vertex each oracle located, a vertex's own oracle included: ideals
+    # with the same pairs share an oracle, the oracles are deterministic and
+    # vertices are only appended, so a scan would reach the same vertex; at
+    # most one vertex holds an oracle, since a scan stops at its holder.
+    located: dict[HomotopyOracle, int] = {}
 
     def add_vertex(ideal: IdealData, back_auto: Automorphism) -> int:
         rq.vertices.append(RelationVertex(ideal, back_auto))
-        located[ideal] = len(rq.vertices) - 1
+        located[rq.oracle(ideal)] = len(rq.vertices) - 1
         return len(rq.vertices) - 1
 
-    def locate(ideal: IdealData) -> tuple[int | None, bool]:
-        """Existing vertex carrying the same relation, plus an ambiguity flag."""
-        if ideal in located:
-            return located[ideal], False
+    def locate(oracle: HomotopyOracle) -> tuple[int | None, bool]:
+        """Existing vertex carrying the oracle's relation, plus an ambiguity flag."""
+        if oracle in located:
+            return located[oracle], False
         ambiguous = False
         for i, v in enumerate(rq.vertices):
-            d = rq.oracle(v.ideal).same_relation(rq.oracle(ideal))
+            d = rq.oracle(v.ideal).same_relation(oracle)
             if d.verdict == YES:
-                located[ideal] = i
+                located[oracle] = i
                 return i, False
             if d.verdict == UNKNOWN:
                 ambiguous = True
@@ -225,9 +254,16 @@ def build_relation_quiver(
     candidates = 0
     # vertices are visited in creation order, new ones as they are appended
     for vi, vertex in enumerate(rq.vertices):
-        for bp in bypasses:
-            splices = _moving_splices(vertex.ideal, bp)
-            arrow_path = quiver.arrow_path(bp.arrow)
+        vertex_oracle = rq.oracle(vertex.ideal)
+        support = {a for b in vertex.ideal.basis for p in b for a in p.arrows}
+        for bp in rq.bypasses:
+            # a bypass arrow in no relation splices nothing: it fixes the ideal
+            splices = _moving_splices(vertex.ideal, bp) if bp.arrow in support else None
+            if splices is not None:
+                arrow_path = quiver.arrow_path(bp.arrow)
+                before = vertex_oracle.decide_paths(arrow_path, bp.path)
+                h = _orbit_order(vertex_oracle, before, f)
+            leaders: dict = {}  # tau^h -> the located vertex, "after" and image oracle of its first tau
             for tau in critical_taus(vertex.ideal, bp):
                 candidates += 1
                 if candidates > _GRAPH_MAX_CANDIDATES or len(rq.vertices) > _GRAPH_MAX_VERTICES:
@@ -236,18 +272,27 @@ def build_relation_quiver(
                 # a transvection fixing the ideal relates no two relations
                 if splices is None:
                     continue
+                orbit = tau if h == 1 else pow(tau, h, f.p)
+                if orbit in leaders:
+                    # a dilatation carries the leader's image here: the same
+                    # vertex and decisions, and its edge is already seen
+                    widx, after, image_oracle = leaders[orbit]
+                    if UNKNOWN in (before.verdict, after.verdict):
+                        rq.unknown_candidates.append((vi, widx, bp, tau, before, after, image_oracle))
+                    continue
                 image = _transvected(vertex.ideal, splices, tau)
-                before = rq.oracle(vertex.ideal).decide_paths(arrow_path, bp.path)
-                after = rq.oracle(image).decide_paths(arrow_path, bp.path)
-                widx, ambiguous = locate(image)
+                image_oracle = rq.oracle(image)
+                after = image_oracle.decide_paths(arrow_path, bp.path)
+                widx, ambiguous = locate(image_oracle)
                 back = None  # seed onto image: composed at most once per candidate
                 if widx is None:
                     back = transvection_of(quiver, f, bp, tau).compose(vertex.back_auto)
                     widx = add_vertex(image, back)
                     if ambiguous:
                         rq.ambiguous_vertices.append(widx)
+                leaders[orbit] = widx, after, image_oracle
                 if UNKNOWN in (before.verdict, after.verdict):
-                    rq.unknown_candidates.append((vi, widx, bp, tau, before, after))
+                    rq.unknown_candidates.append((vi, widx, bp, tau, before, after, image_oracle))
                     continue
                 if before.verdict == after.verdict:
                     if before.verdict == NO and image != vertex.ideal:
@@ -284,7 +329,7 @@ def sources_report(rq: RelationQuiver) -> dict:
         indeg[a.target] += 1
     sources = [i for i, d in enumerate(indeg) if d == 0]
     quiver = rq.seed.quiver
-    dbp, dbp_witness = has_double_bypass(quiver)
+    dbp, dbp_witness = has_double_bypass(quiver, rq.bypasses)
     multiple_arrows = any(len(names) > 1 for names in quiver.parallel_classes().values())
     monomial_vertices = [i for i, v in enumerate(rq.vertices) if v.ideal.is_monomial()]
     char = rq.seed.field.characteristic

@@ -207,6 +207,17 @@ def random_quiver(rng, max_vertices=6, max_paths=40):
             return q
 
 
+def dag(rng, n, extra):
+    """A quiver denser than ``random_quiver``'s (ROADMAP's Dense-7 draws):
+    vertices 1..n, one arrow into each vertex i > 1 from an earlier one,
+    then ``extra`` arrows forward, named a0, a1, ... in order."""
+    ends = [(rng.randrange(i), i) for i in range(1, n)]
+    for _ in range(extra):
+        i = rng.randrange(n - 1)
+        ends.append((i, rng.randrange(i + 1, n)))
+    return Quiver([str(v + 1) for v in range(n)], [(f"a{k}", str(s + 1), str(t + 1)) for k, (s, t) in enumerate(ends)])
+
+
 def random_admissible_ideal(rng, quiver, field):
     corridors = {}
     for p in quiver.all_paths():

@@ -21,7 +21,9 @@ from bquiver import (
     YES,
     build_relation_quiver,
     critical_taus,
+    dilatation,
     enumerate_bypasses,
+    homotopy_pairs,
     is_diagonalizable_set,
     is_maximal_diagonalizable,
     presentation_for_vertex,
@@ -37,6 +39,7 @@ from conftest import (
     bridge,
     chain_with_monomials,
     commutative_square,
+    dag,
     elem,
     kronecker,
     parallel_pair,
@@ -280,17 +283,22 @@ def test_unknown_candidates_hold_both_decisions():
     for limit in (0, 1000):
         rq = build_relation_quiver(ideal, None, limit)
         assert (len(rq.vertices), rq.arrows, rq.ambiguous_vertices, rq.truncated) == (2, [], [1], False)
-        assert [(vi, wi, bp.arrow, tau) for vi, wi, bp, tau, _, _ in rq.unknown_candidates] == [
+        assert [(vi, wi, bp.arrow, tau) for vi, wi, bp, tau, *_ in rq.unknown_candidates] == [
             (0, 1, "u", 1), (0, 1, "w", 1), (1, 0, "u", 1)
         ]
-        verdicts = [(before.verdict, after.verdict) for *_, before, after in rq.unknown_candidates]
+        verdicts = [(before.verdict, after.verdict) for *_, before, after, _ in rq.unknown_candidates]
         assert verdicts == [(UNKNOWN, YES), (UNKNOWN, YES), (YES, UNKNOWN)]
         # "before" is the decision under the ideal of the candidate's vertex
-        # itself, and a decided one replays against its presentation
-        for vi, _, bp, _, before, _ in rq.unknown_candidates:
+        # itself, "after" the one under the image's oracle, kept in the
+        # entry, and each decided one replays against its presentation
+        for vi, _, bp, tau, before, after, image_oracle in rq.unknown_candidates:
             oracle = rq.oracle(rq.vertices[vi].ideal)
-            assert before is oracle.decide_paths(q.arrow_path(bp.arrow), bp.path)
+            u = q.arrow_path(bp.arrow)
+            assert before is oracle.decide_paths(u, bp.path)
             assert before.verdict == UNKNOWN or before.certificate.replay(oracle.presentation)
+            image = transvection_of(q, GF(2), bp, tau).apply_to_ideal(rq.vertices[vi].ideal)
+            assert image_oracle is rq.oracle(image) and after is image_oracle.decide_paths(u, bp.path)
+            assert after.verdict == UNKNOWN or after.certificate.replay(image_oracle.presentation)
 
 
 def test_splices_decide_the_fixed_ideals_and_span_the_images():
@@ -661,3 +669,187 @@ def test_sweep_23_58_has_no_ambiguous_vertex():
         rq = build_relation_quiver(ideal, None, limit)
         assert (len(rq.vertices), rq.ambiguous_vertices, rq.unknown_candidates, rq.truncated) == (10, [], [], False)
         assert sources_report(rq)["complete"]
+
+
+def orbit_draws(seed):
+    """Seeded GF(p) seeds for the orbit tests, p in 3, 5, 7, 11, 13: eight
+    ``random_quiver`` draws and three Dense-7-like ``dag`` draws of at most
+    200 paths, each redrawn until its ideal is not monomial, and the bridge
+    with and without w."""
+    rng = random.Random(seed)
+    ideals = []
+    for p in (3, 5, 7, 11, 13):
+        field = GF(p)
+        for quiver in [lambda: random_quiver(rng, 6, 40)] * 8 + [lambda: dag(rng, 7, 5)] * 3:
+            q = quiver()
+            ideal = random_admissible_ideal(rng, q, field)
+            while len(q.all_paths()) > 200 or ideal.is_monomial():
+                q = quiver()
+                ideal = random_admissible_ideal(rng, q, field)
+            ideals.append(ideal)
+        ideals += [bridge(field)[1], bridge(field, with_w=True)[1]]
+    return ideals
+
+
+def gamma_summary(rq):
+    """Everything the sweep decides, with each unknown candidate's oracle by
+    its pairs."""
+    return (
+        [v.ideal for v in rq.vertices],
+        [
+            (a.source, a.target, a.bypass, a.tau, a.source_ideal, a.target_ideal, a.source_back,
+             a.before.verdict, a.after.verdict)
+            for a in rq.arrows
+        ],
+        [(vi, wi, bp, tau, b.verdict, a.verdict, o.presentation.pairs) for vi, wi, bp, tau, b, a, o in rq.unknown_candidates],
+        rq.ambiguous_vertices,
+        rq.truncated,
+    )
+
+
+def build_counting_transvections(monkeypatch, ideal, limit):
+    """Γ and the number of images the sweep spanned."""
+    from bquiver import relquiver
+
+    spanned = [0]
+    transvected = relquiver._transvected
+
+    def counting(*args):
+        spanned[0] += 1
+        return transvected(*args)
+
+    monkeypatch.setattr(relquiver, "_transvected", counting)
+    rq = build_relation_quiver(ideal, None, limit)
+    monkeypatch.setattr(relquiver, "_transvected", transvected)
+    return rq, spanned[0]
+
+
+def test_orbit_replay_is_exact(monkeypatch):
+    # Γ with one transvection per dilatation orbit equals Γ with every tau
+    # transvected (the orbit order patched to 1), at node limits 0 and 2000
+    from bquiver import relquiver
+
+    totals = {"orbit": 0, "every": 0, "arrows": 0, "unknown": 0, "ambiguous": 0}
+    for ideal in orbit_draws(34):
+        for limit in (0, 2000):
+            rq, spanned = build_counting_transvections(monkeypatch, ideal, limit)
+            with monkeypatch.context() as m:
+                m.setattr(relquiver, "_orbit_order", lambda *args: 1)
+                every, spanned_every = build_counting_transvections(m, ideal, limit)
+            assert gamma_summary(rq) == gamma_summary(every), (ideal, limit)
+            totals["orbit"] += spanned
+            totals["every"] += spanned_every
+            totals["arrows"] += len(rq.arrows)
+            totals["unknown"] += len(rq.unknown_candidates)
+            totals["ambiguous"] += len(rq.ambiguous_vertices)
+    assert totals["orbit"] < totals["every"], totals
+    assert totals["arrows"] and totals["unknown"] and totals["ambiguous"], totals
+
+
+def test_a_dilatation_orbit_shares_pairs_and_the_fixed_answer():
+    # for every Γ vertex ideal and bypass with an abelian "no", every tau of
+    # one class {tau : tau^h fixed} gives an image with the same homotopy
+    # pairs and the same answer to "image == ideal"
+    from bquiver.relquiver import _orbit_order
+
+    classes_checked = 0
+    for seed in orbit_draws(35):
+        rq = build_relation_quiver(seed, None, 2000)
+        q, field = seed.quiver, seed.field
+        for vertex in rq.vertices:
+            oracle = HomotopyOracle(vertex.ideal, rq.tree, 2000)
+            for bp in enumerate_bypasses(q):
+                before = oracle.decide_paths(q.arrow_path(bp.arrow), bp.path)
+                if before.verdict != NO:
+                    continue
+                h = _orbit_order(oracle, before, field)
+                classes = {}
+                for tau in range(1, field.p):
+                    image = transvection_of(q, field, bp, tau).apply_to_ideal(vertex.ideal)
+                    classes.setdefault(pow(tau, h, field.p), []).append(image)
+                for images in classes.values():
+                    assert len({homotopy_pairs(image) for image in images}) == 1
+                    assert len({image == vertex.ideal for image in images}) == 1
+                    classes_checked += len(images) > 1 and images[0] != vertex.ideal
+    assert classes_checked > 20
+
+
+def test_orbit_order_is_the_order_of_the_dilatation_values():
+    # on <c*a> over GF(p) the bypass (a, b) has a free word: every unit is a
+    # value of a fixing dilatation, so one transvection serves all p - 1
+    from bquiver.relquiver import _orbit_order
+
+    for p in (3, 5, 7):
+        field = GF(p)
+        q, mono, _, tree = parallel_pair(field)
+        bp = bypass_named(q, "a")
+        oracle = HomotopyOracle(mono, tree)
+        before = oracle.decide_paths(q.arrow_path("a"), bp.path)
+        assert before.verdict == NO and _orbit_order(oracle, before, field) == p - 1
+        # b -> lambda*b fixes <c*a> and carries the image for tau onto the
+        # image for tau*lambda
+        image = transvection_of(q, field, bp, 1).apply_to_ideal(mono)
+        for lam in range(1, p):
+            moved = dilatation(q, field, {"b": lam}).apply_to_ideal(image)
+            assert moved == transvection_of(q, field, bp, lam).apply_to_ideal(mono)
+    assert _orbit_order(oracle, before, QQ) == 1
+
+
+def test_a_replayed_tau_keeps_an_unknown_after_and_its_oracle(monkeypatch):
+    # no seeded draw has an unknown "after" behind an abelian "no" (h > 1),
+    # so the oracle is forced: on <c*a> over GF(5) every oracle but the
+    # seed's leaves the bypass pairs undecided; all four tau of a -> a + tau*b
+    # form one orbit, transvected once, and each keeps its own entry
+    from bquiver import relquiver
+
+    field = GF(5)
+    q, mono, _, tree = parallel_pair(field)
+    pairs = {(q.arrow_path(bp.arrow), bp.path) for bp in enumerate_bypasses(q)}
+    decide = HomotopyOracle.decide_paths
+
+    def forced(self, u, v):
+        if self.ideal != mono and (u, v) in pairs:
+            return Decision(UNKNOWN, "forced")
+        return decide(self, u, v)
+
+    monkeypatch.setattr(HomotopyOracle, "decide_paths", forced)
+    rq, spanned = build_counting_transvections(monkeypatch, mono, 2000)
+    with monkeypatch.context() as m:
+        m.setattr(relquiver, "_orbit_order", lambda *args: 1)
+        every, spanned_every = build_counting_transvections(m, mono, 2000)
+    assert gamma_summary(rq) == gamma_summary(every)
+    assert spanned < spanned_every
+    entries = [c for c in rq.unknown_candidates if c[0] == 0 and c[2].arrow == "a"]
+    assert [(c[3], c[4].verdict, c[5].verdict) for c in entries] == [(tau, NO, UNKNOWN) for tau in (1, 2, 3, 4)]
+    for _, wi, bp, tau, _, _, image_oracle in entries:
+        image = transvection_of(q, field, bp, tau).apply_to_ideal(mono)
+        assert wi == 1 and image_oracle is rq.oracle(image)
+        # only tau = 1 was transvected; the others' images are other ideals
+        assert (image == rq.vertices[1].ideal) == (tau == 1)
+
+
+def plain_scan(rq, oracle):
+    """The first vertex whose own fresh oracle says the relation is the
+    oracle's, or None."""
+    for i, v in enumerate(rq.vertices):
+        if HomotopyOracle(v.ideal, rq.tree, rq.search_max_nodes).same_relation(oracle).verdict == YES:
+            return i
+    return None
+
+
+def test_locate_agrees_with_a_plain_scan():
+    # the sweep looks an image's oracle up before it scans: every arrow's
+    # endpoints, and every unknown candidate's target, are where a plain
+    # scan over Γ's vertices puts their ideals
+    checked = 0
+    for seed in orbit_draws(36):
+        for limit in (0, 2000):
+            rq = build_relation_quiver(seed, None, limit)
+            for a in rq.arrows:
+                for end, ideal in ((a.source, a.source_ideal), (a.target, a.target_ideal)):
+                    assert plain_scan(rq, HomotopyOracle(ideal, rq.tree, limit)) == end
+                    checked += 1
+            for _, wi, _, _, _, _, image_oracle in rq.unknown_candidates:
+                assert plain_scan(rq, image_oracle) == wi
+                checked += 1
+    assert checked > 50
