@@ -305,10 +305,9 @@ def enumerate_bypasses(quiver: Quiver) -> list[Bypass]:
     return out
 
 
-def has_double_bypass(quiver: Quiver, bypasses: list[Bypass] | None = None) -> tuple[bool, tuple | None]:
-    """Whether some bypass (a, u) chains into a bypass (b, v) with b inside u;
-    ``bypasses`` is the quiver's list, when the caller has it."""
-    bypasses = enumerate_bypasses(quiver) if bypasses is None else bypasses
+def has_double_bypass(quiver: Quiver) -> tuple[bool, tuple | None]:
+    """Whether some bypass (a, u) chains into a bypass (b, v) with b inside u."""
+    bypasses = enumerate_bypasses(quiver)
     by_arrow: dict[str, list[Bypass]] = {}
     for bp in bypasses:
         by_arrow.setdefault(bp.arrow, []).append(bp)

@@ -179,7 +179,6 @@ class RelationQuiver:
         self.seed = seed
         self.tree = tree
         self.search_max_nodes = search_max_nodes
-        self.bypasses = enumerate_bypasses(seed.quiver)
         self.vertices: list[RelationVertex] = []
         self.arrows: list[RelationArrow] = []
         self.unknown_candidates: list = []
@@ -222,6 +221,7 @@ def build_relation_quiver(
         raise ValueError(f"seed ideal is not admissible: {bad}")
     quiver = seed.quiver
     f = seed.field
+    bypasses = enumerate_bypasses(quiver)
     rq = RelationQuiver(seed, tree or quiver.spanning_tree(quiver.vertices[0]), search_max_nodes)
 
     # The vertex each oracle located, a vertex's own oracle included: ideals
@@ -255,10 +255,8 @@ def build_relation_quiver(
     # vertices are visited in creation order, new ones as they are appended
     for vi, vertex in enumerate(rq.vertices):
         vertex_oracle = rq.oracle(vertex.ideal)
-        support = {a for b in vertex.ideal.basis for p in b for a in p.arrows}
-        for bp in rq.bypasses:
-            # a bypass arrow in no relation splices nothing: it fixes the ideal
-            splices = _moving_splices(vertex.ideal, bp) if bp.arrow in support else None
+        for bp in bypasses:
+            splices = _moving_splices(vertex.ideal, bp)
             if splices is not None:
                 arrow_path = quiver.arrow_path(bp.arrow)
                 before = vertex_oracle.decide_paths(arrow_path, bp.path)
@@ -329,7 +327,7 @@ def sources_report(rq: RelationQuiver) -> dict:
         indeg[a.target] += 1
     sources = [i for i, d in enumerate(indeg) if d == 0]
     quiver = rq.seed.quiver
-    dbp, dbp_witness = has_double_bypass(quiver, rq.bypasses)
+    dbp, dbp_witness = has_double_bypass(quiver)
     multiple_arrows = any(len(names) > 1 for names in quiver.parallel_classes().values())
     monomial_vertices = [i for i, v in enumerate(rq.vertices) if v.ideal.is_monomial()]
     char = rq.seed.field.characteristic
