@@ -422,9 +422,10 @@ def conjugate_class(space: CohomologySpace, rho, classes) -> list[CohomologyClas
     ideal-fixing path-algebra automorphism rho, in order: the conjugate
     derivation sends each arrow a to Psi(D(Psi^-1(a))), where
     Psi^-1(a) = rho^-1(a).  The ideal check and the inversion are done once
-    for all the classes."""
+    for all the classes: rho(I) lies in I when each rho(b) reduces to zero,
+    and then equals it, having I's dimension as rho is injective."""
     alg = space.algebra
-    if rho.apply_to_ideal(alg.ideal) != alg.ideal:
+    if not all(alg.ideal.contains(rho.apply(b)) for b in alg.ideal.basis):
         raise ValueError("automorphism does not fix the defining ideal")
     preimages = {name: alg.vector_of(image) for name, image in rho.invert().images.items()}
     out = []

@@ -4,7 +4,7 @@ Vectors and linear systems are sparse ``{index: coeff}`` maps with no zero
 entries, the format of the one elimination, ``_Echelon``: it holds a span
 by its fully reduced, monic echelon basis, with the column order as its one
 parameter.  Every row operation, here and in the callers, is the field's own
-sparse kernel ``Field.add_multiple`` (``acc += x * vec``), which QQ
+sparse kernel ``Field.add_multiple`` (``acc += x * vec``), which each field
 inlines.  Matrix columns are ordered by ascending index; ideals of the
 path algebra order paths descending, so each pivot is the greatest path of
 its row.  That basis is unique, so echelon rows and pivots (the RREF),
@@ -21,7 +21,7 @@ Polynomials are coefficient tuples in ascending degree order with no trailing
 zeros; ``()`` is the zero polynomial.  None is divided or factored: a
 minimal polynomial of degree d is squarefree and split over the ground field
 exactly when it has d distinct roots there, so ``roots_in_field`` is the one
-root routine.
+root routine; it reads a linear polynomial's root off its coefficients.
 """
 
 from __future__ import annotations
@@ -178,19 +178,21 @@ def _int_divisors(n: int) -> list[int]:
 def roots_in_field(field: Field, coeffs) -> list:
     """The distinct roots in the field of a nonzero polynomial, sorted.
 
-    Over GF(p) every element is tried.  Over the rationals the coefficients
-    are cleared to coprime integers; a nonzero root p/q in lowest terms has
-    p dividing the lowest nonzero coefficient and q the leading one, and 0
-    is tried besides.  A monic polynomial of degree d is squarefree and
-    splits over the field exactly when it has d distinct roots there: their
-    linear factors are coprime, so their product, monic of degree d too,
-    divides it.
+    A linear c0 + c1*x has the one root -c0/c1.  Else over GF(p) every
+    element is tried; over the rationals the coefficients are cleared to
+    coprime integers, a nonzero root p/q in lowest terms has p dividing the
+    lowest nonzero coefficient and q the leading one, and 0 is tried too.
+    A monic polynomial of degree d is squarefree and splits over the field
+    exactly when it has d distinct roots there: their linear factors are
+    coprime, so their product, monic of degree d too, divides it.
     """
     poly = [field.coerce(c) for c in coeffs]
     while poly and field.is_zero(poly[-1]):
         poly.pop()
     if not poly:
         raise ValueError("zero polynomial has no well-defined roots")
+    if len(poly) == 2:
+        return [field.neg(field.div(poly[0], poly[1]))]
     if isinstance(field, PrimeField):
         candidates = field.elements()
     else:

@@ -10,6 +10,7 @@ path (the pivot), pivots are mutually eliminated, and the basis is listed by
 increasing pivot.  Every path outside the pivot set is a *normal path*;
 normal paths index the canonical basis of the quotient algebra and
 ``normal_form`` computes the unique representative supported on them.
+Two ideals are equal when their echelon rows are, hashed on first use.
 Generators from outside are closed under arrows on both sides; an ideal
 carried across by an automorphism is not closed again, since the images of
 its basis already span the image ideal, so transport is one elimination.
@@ -17,9 +18,11 @@ its basis already span the image ideal, so transport is one elimination.
 Idempotent-fixing automorphisms are stored by their arrow images (each a
 combination of paths parallel to the arrow).  Transvections (one arrow gets
 a parallel path added) and dilatations (arrows rescaled) are the two special
-families used everywhere else.  The public constructors coerce coefficients
-into the field; every element is assumed to live over the quiver and field
-of the object it is handed to.
+families used everywhere else; they and the identity carry their inverses
+from construction, a composition of such inverts with one ``compose``, and
+the rest by one elimination, remembered.  The public constructors coerce
+coefficients into the field; every element is assumed to live over the
+quiver and field of the object it is handed to.
 """
 
 from __future__ import annotations
@@ -106,9 +109,6 @@ class IdealData:
         ideal.quiver, ideal.field, ideal._echelon = quiver, field, echelon
         ideal.pivot_paths = tuple(quiver.sort_paths(echelon.rows))
         ideal.basis = ideal.generators = tuple(echelon.rows[p] for p in ideal.pivot_paths)
-        # hashable canonical key: the reduced basis determines the ideal
-        ideal.basis_key = tuple(tuple((p, e[p]) for p in quiver.sort_paths(e)) for e in ideal.basis)
-        ideal._hash = hash(ideal.basis_key)
         return ideal
 
     @functools.cached_property
@@ -147,8 +147,12 @@ class IdealData:
             isinstance(other, IdealData)
             and self.quiver is other.quiver
             and self.field == other.field
-            and self.basis_key == other.basis_key
+            and self._echelon.rows == other._echelon.rows
         )
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(frozenset(item for row in self._echelon.rows.values() for item in row.items()))
 
     def __hash__(self):
         return self._hash
@@ -169,6 +173,10 @@ class Automorphism:
     it.  Images, and the path images ``apply_path`` caches, are shared dicts
     and must not be mutated.
     """
+
+    # the inverse once known; a composition's factors while theirs are derivable
+    _inverse: "Automorphism | None" = None
+    _factors: "tuple[Automorphism, Automorphism] | None" = None
 
     def __init__(self, quiver: Quiver, field: Field, images: dict[str, dict]):
         self.quiver, self.field = quiver, field
@@ -234,9 +242,29 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         """``self . other``: apply ``other`` first."""
         imgs = {n: self.apply(other.images[n]) for n in self.quiver.arrow_names}
-        return Automorphism._of(self.quiver, self.field, imgs)
+        phi = Automorphism._of(self.quiver, self.field, imgs)
+        if all(x._inverse is not None or x._factors is not None for x in (self, other)):
+            phi._factors = self, other
+        return phi
 
     def invert(self) -> "Automorphism":
+        """The inverse, computed once and linked both ways: B^-1 . A^-1 for a
+        composition A . B that keeps its factors, else eliminated.  Factors
+        are inverted first from a stack, so a long chain needs no recursion."""
+        stack = [self]
+        while stack:
+            phi = stack.pop()
+            if phi._inverse is None and phi._factors is None:
+                _linked(phi, phi._eliminated_inverse())
+            elif phi._inverse is None:
+                outer, inner = phi._factors
+                if outer._inverse is None or inner._inverse is None:
+                    stack += [phi, outer, inner]
+                else:
+                    _linked(phi, inner._inverse.compose(outer._inverse))
+        return self._inverse
+
+    def _eliminated_inverse(self) -> "Automorphism":
         """The inverse arrow images, one elimination per corridor.
 
         The image of each corridor path goes into one echelon with its own
@@ -280,8 +308,15 @@ class Automorphism:
         return "Automorphism(" + ("; ".join(parts) or "identity") + ")"
 
 
+def _linked(phi: Automorphism, inverse: Automorphism) -> Automorphism:
+    """``phi``, with ``inverse`` recorded as its inverse and vice versa."""
+    phi._inverse, inverse._inverse = inverse, phi
+    return phi
+
+
 def identity_automorphism(quiver: Quiver, field: Field) -> Automorphism:
-    return Automorphism._of(quiver, field, {n: {quiver.arrow_path(n): field.one} for n in quiver.arrow_names})
+    phi = Automorphism._of(quiver, field, {n: {quiver.arrow_path(n): field.one} for n in quiver.arrow_names})
+    return _linked(phi, phi)
 
 
 def transvection(quiver: Quiver, field: Field, arrow: str, parallel: Path, tau) -> Automorphism:
@@ -293,8 +328,10 @@ def transvection(quiver: Quiver, field: Field, arrow: str, parallel: Path, tau) 
     if field.is_zero(tau):
         raise ValueError("transvection scalar must be nonzero")
     images = identity_automorphism(quiver, field).images
+    inverse = dict(images)
     images[arrow] = {quiver.arrow_path(arrow): field.one, parallel: tau}
-    return Automorphism._of(quiver, field, images)
+    inverse[arrow] = {quiver.arrow_path(arrow): field.one, parallel: field.neg(tau)}
+    return _linked(Automorphism._of(quiver, field, images), Automorphism._of(quiver, field, inverse))
 
 
 def transvection_of(quiver: Quiver, field: Field, bypass: Bypass, tau) -> Automorphism:
@@ -303,10 +340,11 @@ def transvection_of(quiver: Quiver, field: Field, bypass: Bypass, tau) -> Automo
 
 def dilatation(quiver: Quiver, field: Field, weights: dict[str, object]) -> Automorphism:
     """The automorphism rescaling each arrow by a nonzero weight."""
-    images = {}
+    images, inverse = {}, {}
     for name in quiver.arrow_names:
         w = field.coerce(weights.get(name, field.one))
         if field.is_zero(w):
             raise ValueError(f"dilatation weight for {name!r} is zero")
         images[name] = {quiver.arrow_path(name): w}
-    return Automorphism._of(quiver, field, images)
+        inverse[name] = {quiver.arrow_path(name): field.inv(w)}
+    return _linked(Automorphism._of(quiver, field, images), Automorphism._of(quiver, field, inverse))

@@ -11,10 +11,10 @@ computed: arrow a goes to chi(s * chi^-1(a)), where s scales each path by
 its weight sum.  That is the derivation on a modulo the ideal I: s is a
 derivation of the path algebra mapping the kernel K = chi^-1(I) into K, so
 chi^-1(a) need not be reduced modulo K, and no matrix of the adapted basis
-is built or inverted.  chi^-1 is computed once per presentation; it also
-transports the ideal to the kernel.  The natural presentation is the
-identity, its own inverse, with the ideal itself as kernel: neither is
-computed.
+is built or inverted.  chi^-1 is the inverse chi remembers, computed at most
+once; it also transports the ideal to the kernel.  The natural presentation
+is the identity, its own inverse, with the ideal itself as kernel: neither
+is computed.
 
 A family whose canonical representatives scale the arrow images of a
 presentation is diagonalizable and commutes: by the Leibniz rule they then
@@ -90,13 +90,12 @@ class Presentation:
     def natural(cls, space: CohomologySpace, tree: SpanningTree) -> "Presentation":
         """The identity presentation: chi^-1 is chi and the kernel is the ideal."""
         pres = cls(space, identity_automorphism(space.algebra.quiver, space.field), tree)
-        pres.chi_inverse = pres.chi
         pres.kernel = space.algebra.ideal
         return pres
 
-    @functools.cached_property
+    @property
     def chi_inverse(self) -> Automorphism:
-        """chi^-1, inverted once; a caller that already holds it may set it."""
+        """chi^-1, which chi remembers once inverted."""
         return self.chi.invert()
 
     @functools.cached_property

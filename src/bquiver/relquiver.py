@@ -352,7 +352,6 @@ def presentation_for_vertex(space: CohomologySpace, rq: RelationQuiver, index: i
     """A presentation whose kernel is the vertex's representative ideal."""
     back = rq.vertices[index].back_auto
     pres = Presentation(space, back.invert(), rq.tree)
-    pres.chi_inverse = back
     assert pres.kernel == rq.vertices[index].ideal
     return pres
 

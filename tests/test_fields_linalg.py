@@ -404,6 +404,25 @@ def test_roots_with_multiplicity_and_squarefree_flag():
     assert len(roots) == 2 < len(poly) - 1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_linear_roots_are_the_ones_the_scan_finds(field):
+    # times a quadratic with no root in the field (x^2 - 2 over QQ, x^2 + 1
+    # over GF(7)), the polynomial goes through the scan, which then finds
+    # the linear factor's root alone
+    quadratic = (-2, 0, 1) if field is QQ else (1, 0, 1)
+    scalars = [Fraction(n, d) for n in range(-4, 5) for d in (1, 3)] if field is QQ else range(7)
+    linear = 0
+    for c0, c1 in itertools.product(scalars, repeat=2):
+        poly = (field.coerce(c0), field.coerce(c1))
+        if field.is_zero(poly[1]):
+            continue
+        roots = roots_in_field(field, poly)
+        assert roots == roots_in_field(field, _poly_mul(field, poly, tuple(map(field.coerce, quadratic))))
+        assert len(roots) == 1 and field.is_zero(poly_eval(field, poly, roots[0]))
+        linear += poly[1] != field.one
+    assert linear
+
+
 def test_roots_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         roots_in_field(QQ, ())

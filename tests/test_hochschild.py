@@ -388,6 +388,12 @@ def test_conjugate_class_rejects_an_automorphism_moving_the_ideal():
     # scaling a and b alike fixes it
     both = dilatation(q, QQ, {"a": 2, "b": 2})
     assert conjugate_class(space, both, space.basis_classes()) == space.basis_classes()
+    # over GF(3), a -> a + b sends c*a - c*b to c*a, outside the ideal
+    q, _, ideal_diff, _ = parallel_pair(GF(3))
+    space = CohomologySpace(FDAlgebra(ideal_diff))
+    bp = next(bp for bp in enumerate_bypasses(q) if bp.arrow == "a")
+    with pytest.raises(ValueError, match="does not fix the defining ideal"):
+        conjugate_class(space, transvection_of(q, GF(3), bp, 1), space.basis_classes()[:1])
 
 
 def _rank(f, rows):

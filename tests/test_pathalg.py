@@ -5,15 +5,20 @@ import pytest
 
 from bquiver import (
     Automorphism,
+    CohomologySpace,
+    FDAlgebra,
     GF,
     IdealData,
     QQ,
     dilatation,
     enumerate_bypasses,
     identity_automorphism,
+    is_diagonalizable_class,
+    realize_in_image,
     transvection,
 )
 from bquiver.pathalg import _product, _render
+from bquiver.relquiver import _moving_splices, _transvected
 
 from conftest import (
     chain_quiver,
@@ -24,6 +29,7 @@ from conftest import (
     parallel_pair_quiver,
     path_of,
     random_admissible_ideal,
+    random_dilatation,
     random_nonzero,
     random_quiver,
     two_triangles_full,
@@ -288,6 +294,59 @@ def test_invert_round_trip_mixes_parallel_arrows(field):
     assert mixed_blocks and longer_terms
 
 
+def _assert_inverse_bookkeeping(phi):
+    """``invert`` gives the eliminated inverse, linked both ways, and it cancels."""
+    inv = phi.invert()
+    assert inv.images == phi._eliminated_inverse().images
+    assert inv.invert() is phi
+    assert phi.compose(inv).images == identity_automorphism(phi.quiver, phi.field).images
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_remembered_inverses_are_the_eliminated_ones(field):
+    # chains of transvections and dilatations composed onto the identity, as
+    # the Γ sweep builds its back automorphisms; the adapted presentations of
+    # realize_in_image, whose inverses are unknown; their compositions with a
+    # chain, before inversion (eliminated) and after (inner^-1 . outer^-1),
+    # the latter as verify's rho = chi_s . chi^-1
+    rng = random.Random(f"remembered-{field}")
+    chains = realized = 0
+    while chains < 8:
+        ideal = random_admissible_ideal(rng, random_quiver(rng, max_vertices=5, max_paths=25), field)
+        q = ideal.quiver
+        bypasses = enumerate_bypasses(q)
+        if not bypasses:
+            continue
+        chains += 1
+        back = identity_automorphism(q, field)
+        autos = [back]
+        for _ in range(4):
+            bp = rng.choice(bypasses)
+            step = transvection(q, field, bp.arrow, bp.path, random_nonzero(rng, field))
+            step = rng.choice([step, random_dilatation(rng, q, field)])
+            back = step.compose(back)
+            autos += [step, back]
+        space = CohomologySpace(FDAlgebra(ideal))
+        tree = q.spanning_tree(q.vertices[0])
+        for cls in space.basis_classes()[:2]:
+            if is_diagonalizable_class(cls):
+                chi = realize_in_image([cls], tree).chi
+                mixed = chi.compose(back)
+                autos += [mixed, chi, back.invert().compose(chi.invert())]
+                realized += 1
+        for phi in autos:
+            _assert_inverse_bookkeeping(phi)
+    assert realized
+    # a chain deeper than the interpreter's recursion limit
+    q = two_triangles_quiver()
+    bypasses = enumerate_bypasses(q)
+    deep = identity_automorphism(q, field)
+    for i in range(1500):
+        bp = bypasses[i % len(bypasses)]
+        deep = transvection(q, field, bp.arrow, bp.path, random_nonzero(rng, field)).compose(deep)
+    _assert_inverse_bookkeeping(deep)
+
+
 def _arrow_combination(q, field, coeffs):
     return combine(field, *((c, {q.arrow_path(name): field.one}) for name, c in coeffs.items()))
 
@@ -337,8 +396,11 @@ def _random_automorphisms(rng, q, field):
 
 
 def test_apply_to_ideal_is_the_closure_of_the_images():
+    # one ideal reached three ways is equal and hashes equal: the closure of
+    # its generators in shuffled order, apply_to_ideal, and the Γ sweep's
+    # _transvected; one coefficient off a pivot makes another ideal
     rng = random.Random(29)
-    transported = 0
+    transported = spliced = changed = 0
     for field in (QQ, GF(2), GF(3), GF(5)):
         instances = [parallel_pair(field)[2], two_triangles_full(field)[1], two_triangles_pair(field)[2]]
         while len(instances) < 9:
@@ -349,13 +411,31 @@ def test_apply_to_ideal_is_the_closure_of_the_images():
             q = ideal.quiver
             for phi in _random_automorphisms(rng, q, field):
                 image = phi.apply_to_ideal(ideal)
-                closure = IdealData(q, field, [phi.apply(b) for b in ideal.basis])
+                generators = [phi.apply(b) for b in ideal.basis]
+                closure = IdealData(q, field, rng.sample(generators, len(generators)))
                 assert image.basis == closure.basis
                 assert image.pivot_paths == closure.pivot_paths
                 assert image.normal_paths == closure.normal_paths
                 assert image == closure and hash(image) == hash(closure)
                 transported += image != ideal
-    assert transported
+            for bp in enumerate_bypasses(q):
+                splices = _moving_splices(ideal, bp)
+                if splices is None:
+                    continue
+                tau = field.coerce(random_nonzero(rng, field))
+                image = transvection(q, field, bp.arrow, bp.path, tau).apply_to_ideal(ideal)
+                spanned = _transvected(ideal, splices, tau)
+                assert spanned == image and hash(spanned) == hash(image)
+                spliced += 1
+            for i, (pivot, b) in enumerate(zip(ideal.pivot_paths, ideal.basis)):
+                for p in b:
+                    if p != pivot:
+                        other = dict(b)
+                        other[p] = field.add(b[p], field.one)
+                        basis = ideal.basis[:i] + (other,) + ideal.basis[i + 1:]
+                        assert IdealData(q, field, basis) != ideal
+                        changed += 1
+    assert transported and spliced and changed
 
 
 def test_is_monomial_cases():

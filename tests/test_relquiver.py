@@ -519,6 +519,45 @@ def test_verify_main_theorem_parallel_pair_gf3():
     assert report["brute_force"]["conjugated_onto_source"] == 3
 
 
+def test_verify_eliminates_only_for_realized_presentations(monkeypatch):
+    # op counts, not times: a vertex presentation inverts its back
+    # automorphism by composing remembered inverses, and rho = chi_s . chi^-1
+    # by composing the two known ones, so only the adapted presentations of
+    # realize_in_image eliminate; conjugate_class transports no ideal
+    from bquiver import pathalg, relquiver
+
+    counts = dict.fromkeys(("eliminations", "apply_to_ideal", "realized", "conjugated", "apply_in_conjugate"), 0)
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def call(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counting(pathalg.Automorphism, "_eliminated_inverse", "eliminations")
+    counting(pathalg.Automorphism, "apply_to_ideal", "apply_to_ideal")
+    counting(relquiver, "realize_in_image", "realized")
+    conjugate = relquiver.conjugate_class
+
+    def counting_conjugate(*args):
+        counts["conjugated"] += 1
+        before = counts["apply_to_ideal"]
+        out = conjugate(*args)
+        counts["apply_in_conjugate"] += counts["apply_to_ideal"] - before
+        return out
+
+    monkeypatch.setattr(relquiver, "conjugate_class", counting_conjugate)
+    q, pair_ideal, _, tree = two_triangles_pair(GF(2))
+    report = verify_main_theorem(pair_ideal, tree)
+    assert report["brute_force"]["conjugated_onto_source"] == counts["conjugated"] == 2
+    assert counts["realized"] and counts["apply_to_ideal"]
+    assert counts["eliminations"] == counts["realized"]
+    assert counts["apply_in_conjugate"] == 0
+
+
 def test_verify_main_theorem_kronecker():
     q, ideal, tree = kronecker(GF(3))
     report = verify_main_theorem(ideal, tree)
